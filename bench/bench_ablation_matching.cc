@@ -8,7 +8,8 @@
 
 #include "bench_common.h"
 #include "analysis/chain_reaction.h"
-#include "analysis/incremental.h"
+#include "analysis/context.h"
+#include "analysis/epoch_chain.h"
 #include "analysis/matching.h"
 
 namespace tokenmagic::bench {
@@ -71,8 +72,10 @@ BENCHMARK(BM_PossibleSpendsPolynomial)->DenseRange(2, 14, 2)
 
 void BM_ChainReactionAnalyze(benchmark::State& state) {
   auto views = OverlappingFamily(static_cast<size_t>(state.range(0)), 4);
+  const analysis::AnalysisContext context =
+      analysis::AnalysisContext::Build(views);
   for (auto _ : state) {
-    auto result = analysis::ChainReactionAnalyzer::Analyze(views);
+    auto result = analysis::ChainReactionAnalyzer::Analyze(context);
     benchmark::DoNotOptimize(&result);
   }
 }
@@ -81,17 +84,22 @@ BENCHMARK(BM_ChainReactionAnalyze)->DenseRange(2, 14, 4)
 
 void BM_ChainReactionCascade(benchmark::State& state) {
   auto views = OverlappingFamily(static_cast<size_t>(state.range(0)), 4);
+  const analysis::AnalysisContext context =
+      analysis::AnalysisContext::Build(views);
   for (auto _ : state) {
-    auto result = analysis::ChainReactionAnalyzer::Cascade(views);
+    auto result = analysis::ChainReactionAnalyzer::Cascade(context);
     benchmark::DoNotOptimize(&result);
   }
 }
 BENCHMARK(BM_ChainReactionCascade)->DenseRange(2, 14, 4)
     ->Unit(benchmark::kMicrosecond);
 
-// Online liquidity checking: batch recompute per arrival vs the
-// incremental cascade. The workload feeds m RSs one by one and asks for
-// the inferable-spent count after each (the TokenMagic η-rule pattern).
+// Online liquidity checking: the workload feeds m RSs one by one and asks
+// for the inferable-spent count each arrival would leave (the TokenMagic
+// η-rule pattern). The batch row re-interns every prefix from scratch;
+// the epoch-chain row is the production pattern of
+// TokenMagic::LiquidityAllows — probe the arrival as an overlay on the
+// sealed view, then append it to the chain as one epoch.
 void BM_LiquidityBatchRecompute(benchmark::State& state) {
   auto views = OverlappingFamily(static_cast<size_t>(state.range(0)), 4);
   for (auto _ : state) {
@@ -99,7 +107,8 @@ void BM_LiquidityBatchRecompute(benchmark::State& state) {
     std::vector<chain::RsView> prefix;
     for (const auto& view : views) {
       prefix.push_back(view);
-      total += analysis::ChainReactionAnalyzer::CountInferableSpent(prefix);
+      total += analysis::ChainReactionAnalyzer::CountInferableSpent(
+          analysis::AnalysisContext::Build(prefix));
     }
     benchmark::DoNotOptimize(total);
   }
@@ -107,19 +116,26 @@ void BM_LiquidityBatchRecompute(benchmark::State& state) {
 BENCHMARK(BM_LiquidityBatchRecompute)->DenseRange(8, 40, 8)
     ->Unit(benchmark::kMicrosecond);
 
-void BM_LiquidityIncremental(benchmark::State& state) {
-  auto views = OverlappingFamily(static_cast<size_t>(state.range(0)), 4);
+void BM_LiquidityEpochChain(benchmark::State& state) {
+  const size_t m = static_cast<size_t>(state.range(0));
+  auto views = OverlappingFamily(m, 4);
+  std::vector<chain::TokenId> tokens;
+  for (size_t t = 0; t < m + 3; ++t) {
+    tokens.push_back(static_cast<chain::TokenId>(t));
+  }
   for (auto _ : state) {
     size_t total = 0;
-    analysis::IncrementalCascade cascade;
+    analysis::EpochChain epochs;
+    epochs.Append({}, nullptr, tokens);
     for (const auto& view : views) {
-      cascade.Add(view);
-      total += cascade.InferableSpentCount();
+      total += analysis::ChainReactionAnalyzer::CountInferableSpent(
+          epochs.View(), view);
+      epochs.Append(std::span<const chain::RsView>(&view, 1), nullptr, {});
     }
     benchmark::DoNotOptimize(total);
   }
 }
-BENCHMARK(BM_LiquidityIncremental)->DenseRange(8, 40, 8)
+BENCHMARK(BM_LiquidityEpochChain)->DenseRange(8, 40, 8)
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

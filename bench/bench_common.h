@@ -52,8 +52,9 @@ inline void RunSelectionLoop(benchmark::State& state,
   common::Rng rng(0xbe5c ^ state.range(0));
   auto unspent = dataset.UnspentTokens();
 
-  // One interned snapshot per benchmark run, shared by every iteration —
-  // the same sharing discipline the node applies per block.
+  // One sealed snapshot (a one-epoch EpochChain view) per benchmark run,
+  // shared by every iteration — the same sharing discipline the node
+  // applies per block.
   analysis::AnalysisContext context = analysis::AnalysisContext::Build(
       dataset.history, &dataset.index, dataset.universe);
 

@@ -1,9 +1,14 @@
-// Context throughput: legacy per-call interning vs the shared
-// AnalysisContext on the three hot read paths — related-set walks, the
-// chain-reaction cascade, and one full batch-selection round — at 1k and
-// 10k history RSs. Emits machine-readable BENCH_context.json (override
-// the path with TM_BENCH_JSON). `--smoke` (or TM_SMOKE=1) keeps both
-// scales but shrinks the query counts so CI finishes in seconds.
+// Context throughput: per-query re-interning vs one shared AnalysisContext
+// on the three hot read paths — related-set walks, the chain-reaction
+// cascade, and one full batch-selection round — at 1k and 10k history
+// RSs. The re-interning side runs AnalysisContext::Build inside every
+// query (the cost a caller pays without a sealed snapshot); the context
+// side seals once and shares the view, as the node does per block. Both
+// run the same context code, so every phase also reports its absolute
+// context_ms. Emits machine-readable BENCH_context.json (override the
+// path with TM_BENCH_JSON). `--smoke` (or TM_SMOKE=1) keeps both scales
+// and the full run's query mix but shrinks the counts so CI finishes in
+// seconds.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -32,11 +37,11 @@ double MillisSince(std::chrono::steady_clock::time_point start) {
 struct PhaseResult {
   const char* name;
   size_t queries;
-  double legacy_ms;
+  double reintern_ms;
   double context_ms;
 
   double Speedup() const {
-    return context_ms > 0.0 ? legacy_ms / context_ms : 0.0;
+    return context_ms > 0.0 ? reintern_ms / context_ms : 0.0;
   }
 };
 
@@ -46,9 +51,9 @@ struct ScaleResult {
   double context_build_ms;
   std::vector<PhaseResult> phases;
 
-  double TotalLegacyMs() const {
+  double TotalReinternMs() const {
     double total = 0.0;
-    for (const PhaseResult& p : phases) total += p.legacy_ms;
+    for (const PhaseResult& p : phases) total += p.reintern_ms;
     return total;
   }
   double TotalContextMs() const {
@@ -60,14 +65,17 @@ struct ScaleResult {
   }
   double Speedup() const {
     double ctx = TotalContextMs();
-    return ctx > 0.0 ? TotalLegacyMs() / ctx : 0.0;
+    return ctx > 0.0 ? TotalReinternMs() / ctx : 0.0;
   }
 };
 
 struct BenchConfig {
   bool smoke = false;
+  // Smoke runs divide every count by 4: the gate compares a smoke
+  // speedup against a full-run baseline, which is only meaningful when
+  // both weigh the phases alike.
   size_t related_queries = 64;
-  size_t cascade_reps = 3;
+  size_t cascade_reps = 4;
   size_t selection_targets = 16;
 };
 
@@ -85,102 +93,69 @@ ScaleResult RunScale(size_t num_rs, const BenchConfig& config) {
   result.num_rs = dataset.history.size();
   result.num_tokens = dataset.universe.size();
 
+  auto intern = [&dataset] {
+    return analysis::AnalysisContext::Build(dataset.history, &dataset.index,
+                                            dataset.universe);
+  };
   auto start = std::chrono::steady_clock::now();
-  analysis::AnalysisContext context = analysis::AnalysisContext::Build(
-      dataset.history, &dataset.index, dataset.universe);
+  const analysis::AnalysisContext context = intern();
   result.context_build_ms = MillisSince(start);
+
+  // Runs `query` phase.queries times on each side — re-interning the
+  // history inside the query, then reading the shared `context` — and
+  // alternates the two sides query by query, so drift in machine load
+  // hits both alike. The two checksums must agree.
+  auto run_phase = [&](PhaseResult phase, auto&& query) {
+    size_t checksum_reintern = 0;
+    size_t checksum_context = 0;
+    for (size_t q = 0; q < phase.queries; ++q) {
+      auto query_start = std::chrono::steady_clock::now();
+      checksum_reintern += query(q, intern());
+      phase.reintern_ms += MillisSince(query_start);
+      query_start = std::chrono::steady_clock::now();
+      checksum_context += query(q, context);
+      phase.context_ms += MillisSince(query_start);
+    }
+    if (checksum_reintern != checksum_context) {
+      std::fprintf(stderr, "%s divergence at %zu RS\n", phase.name, num_rs);
+      std::exit(1);
+    }
+    result.phases.push_back(phase);
+  };
 
   // Phase 1: related-set walks seeded from history RS member sets, the
   // shape TokenMagic issues once per candidate during selection.
-  {
-    PhaseResult phase{"related_set", config.related_queries, 0.0, 0.0};
-    size_t checksum_legacy = 0;
-    size_t checksum_context = 0;
-    start = std::chrono::steady_clock::now();
-    for (size_t q = 0; q < phase.queries; ++q) {
-      const chain::RsView& seed =
-          dataset.history[(q * 97) % dataset.history.size()];
-      checksum_legacy +=
-          analysis::ComputeRelatedSet(seed.members, dataset.history)
-              .related.size();
-    }
-    phase.legacy_ms = MillisSince(start);
-    start = std::chrono::steady_clock::now();
-    for (size_t q = 0; q < phase.queries; ++q) {
-      const chain::RsView& seed =
-          dataset.history[(q * 97) % dataset.history.size()];
-      checksum_context +=
-          analysis::ComputeRelatedSet(seed.members, context).related.size();
-    }
-    phase.context_ms = MillisSince(start);
-    if (checksum_legacy != checksum_context) {
-      std::fprintf(stderr, "related-set divergence at %zu RS\n", num_rs);
-      std::exit(1);
-    }
-    result.phases.push_back(phase);
-  }
+  run_phase({"related_set", config.related_queries, 0.0, 0.0},
+            [&](size_t q, const analysis::AnalysisContext& ctx) {
+              const chain::RsView& seed =
+                  dataset.history[(q * 97) % dataset.history.size()];
+              return analysis::ComputeRelatedSet(seed.members, ctx)
+                  .related.size();
+            });
 
   // Phase 2: full-history chain-reaction cascade.
-  {
-    PhaseResult phase{"cascade", config.cascade_reps, 0.0, 0.0};
-    size_t spent_legacy = 0;
-    size_t spent_context = 0;
-    start = std::chrono::steady_clock::now();
-    for (size_t r = 0; r < phase.queries; ++r) {
-      spent_legacy = analysis::ChainReactionAnalyzer::Cascade(dataset.history)
-                         .spent_tokens.size();
-    }
-    phase.legacy_ms = MillisSince(start);
-    start = std::chrono::steady_clock::now();
-    for (size_t r = 0; r < phase.queries; ++r) {
-      spent_context = analysis::ChainReactionAnalyzer::Cascade(context)
-                          .spent_tokens.size();
-    }
-    phase.context_ms = MillisSince(start);
-    if (spent_legacy != spent_context) {
-      std::fprintf(stderr, "cascade divergence at %zu RS\n", num_rs);
-      std::exit(1);
-    }
-    result.phases.push_back(phase);
-  }
+  run_phase({"cascade", config.cascade_reps, 0.0, 0.0},
+            [](size_t, const analysis::AnalysisContext& ctx) {
+              return analysis::ChainReactionAnalyzer::Cascade(ctx)
+                  .spent_tokens.size();
+            });
 
   // Phase 3: one batch-selection round — TM_P over a slate of fresh
-  // targets, first without the snapshot (per-call interning) and then
-  // sharing the context across every target, as the node does per block.
-  {
-    PhaseResult phase{"selection_round", config.selection_targets, 0.0, 0.0};
-    const core::ProgressiveSelector selector;
-    auto unspent = dataset.UnspentTokens();
-    core::SelectionInput input;
-    input.universe = dataset.universe;
-    input.history = dataset.history;
-    input.requirement = {0.6, 30};
-    input.index = &dataset.index;
-
-    size_t solved_legacy = 0;
-    size_t solved_context = 0;
-    common::Rng rng(0xc0de);
-    start = std::chrono::steady_clock::now();
-    for (size_t q = 0; q < phase.queries; ++q) {
-      input.target = unspent[(q * 131) % unspent.size()];
-      if (selector.Select(input, &rng).ok()) ++solved_legacy;
-    }
-    phase.legacy_ms = MillisSince(start);
-
-    input.context = &context;
-    rng = common::Rng(0xc0de);
-    start = std::chrono::steady_clock::now();
-    for (size_t q = 0; q < phase.queries; ++q) {
-      input.target = unspent[(q * 131) % unspent.size()];
-      if (selector.Select(input, &rng).ok()) ++solved_context;
-    }
-    phase.context_ms = MillisSince(start);
-    if (solved_legacy != solved_context) {
-      std::fprintf(stderr, "selection divergence at %zu RS\n", num_rs);
-      std::exit(1);
-    }
-    result.phases.push_back(phase);
-  }
+  // targets, each selection reading the snapshot it is handed.
+  const core::ProgressiveSelector selector;
+  const std::vector<chain::TokenId> unspent = dataset.UnspentTokens();
+  run_phase({"selection_round", config.selection_targets, 0.0, 0.0},
+            [&](size_t q, const analysis::AnalysisContext& ctx) -> size_t {
+              common::Rng rng(0xc0de);
+              core::SelectionInput input;
+              input.universe = dataset.universe;
+              input.history = dataset.history;
+              input.context = &ctx;
+              input.requirement = {0.6, 30};
+              input.index = &dataset.index;
+              input.target = unspent[(q * 131) % unspent.size()];
+              return selector.Select(input, &rng).ok() ? 1 : 0;
+            });
 
   return result;
 }
@@ -205,17 +180,17 @@ void WriteJson(const std::vector<ScaleResult>& scales, bool smoke,
       const PhaseResult& phase = scale.phases[p];
       std::fprintf(out,
                    "        {\"name\": \"%s\", \"queries\": %zu, "
-                   "\"legacy_ms\": %.3f, \"context_ms\": %.3f, "
+                   "\"reintern_ms\": %.3f, \"context_ms\": %.3f, "
                    "\"speedup\": %.2f}%s\n",
-                   phase.name, phase.queries, phase.legacy_ms,
+                   phase.name, phase.queries, phase.reintern_ms,
                    phase.context_ms, phase.Speedup(),
                    p + 1 < scale.phases.size() ? "," : "");
     }
     std::fprintf(out,
-                 "      ],\n      \"total_legacy_ms\": %.3f,\n"
+                 "      ],\n      \"total_reintern_ms\": %.3f,\n"
                  "      \"total_context_ms\": %.3f,\n"
                  "      \"speedup\": %.2f\n    }%s\n",
-                 scale.TotalLegacyMs(), scale.TotalContextMs(),
+                 scale.TotalReinternMs(), scale.TotalContextMs(),
                  scale.Speedup(), s + 1 < scales.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");
@@ -230,9 +205,9 @@ int Main(int argc, char** argv) {
   const char* env_smoke = std::getenv("TM_SMOKE");
   if (env_smoke != nullptr && env_smoke[0] == '1') config.smoke = true;
   if (config.smoke) {
-    config.related_queries = 8;
-    config.cascade_reps = 1;
-    config.selection_targets = 4;
+    config.related_queries /= 4;
+    config.cascade_reps /= 4;
+    config.selection_targets /= 4;
   }
 
   std::vector<ScaleResult> scales;
@@ -244,8 +219,8 @@ int Main(int argc, char** argv) {
                 scale.num_rs, scale.num_tokens, scale.context_build_ms,
                 scale.Speedup());
     for (const PhaseResult& phase : scale.phases) {
-      std::printf("    %-16s legacy %9.2f ms  context %9.2f ms  %.2fx\n",
-                  phase.name, phase.legacy_ms, phase.context_ms,
+      std::printf("    %-16s reintern %9.2f ms  context %9.2f ms  %.2fx\n",
+                  phase.name, phase.reintern_ms, phase.context_ms,
                   phase.Speedup());
     }
   }

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "analysis/epoch_chain.h"
 #include "chain/ht_index.h"
 #include "core/bfs.h"
 
@@ -47,10 +48,15 @@ void BM_Fig4_IthRs(benchmark::State& state) {
   common::Rng rng(4);
 
   // Build the history of the first i-1 RSs once (identical every time:
-  // BFS is deterministic).
-  std::vector<chain::RsView> history;
+  // BFS is deterministic), appending each committed RS to an epoch chain
+  // as a node does per block.
+  analysis::EpochChain epochs;
+  epochs.Append({}, &scale.index, scale.universe);
+  analysis::AnalysisContext context = epochs.View();
   core::SelectionInput input;
   input.universe = scale.universe;
+  input.history = epochs.History();
+  input.context = &context;
   input.requirement = requirement;
   input.index = &scale.index;
   input.policy.strict_dtrs = false;
@@ -62,7 +68,6 @@ void BM_Fig4_IthRs(benchmark::State& state) {
   for (int i = 1; i < target_i; ++i) {
     bool committed = false;
     while (spent_cursor < scale.universe.size() - 1 && !committed) {
-      input.history = history;
       input.target = scale.universe[spent_cursor++];
       auto result = bfs.Select(input, &rng);
       if (!result.ok()) continue;
@@ -71,7 +76,9 @@ void BM_Fig4_IthRs(benchmark::State& state) {
       view.members = result->members;
       view.proposed_at = static_cast<chain::Timestamp>(i);
       view.requirement = requirement;
-      history.push_back(std::move(view));
+      epochs.Append(std::span<const chain::RsView>(&view, 1), nullptr, {});
+      context = epochs.View();
+      input.history = epochs.History();
       committed = true;
     }
     if (!committed) {
@@ -82,7 +89,6 @@ void BM_Fig4_IthRs(benchmark::State& state) {
 
   // Time the i-th generation attempt. Unsatisfiable still measures the
   // full exponential exploration, which is exactly Figure 4's subject.
-  input.history = history;
   input.target = scale.universe[spent_cursor];
   bool timed_out = false;
   bool satisfiable = true;

@@ -12,6 +12,7 @@
 
 #include "analysis/anonymity.h"
 #include "analysis/chain_reaction.h"
+#include "analysis/context.h"
 #include "analysis/homogeneity.h"
 #include "chain/ledger.h"
 #include "common/rng.h"
@@ -56,12 +57,16 @@ AttackOutcome RunScenario(const core::MixinSelector& selector,
     } else {
       auto instance = tm.InstanceFor(target, req);
       if (!instance.ok()) continue;
-      // Swap in the shadow history: the vector must outlive the Select
-      // call (SelectionInput::history is a span), and the framework's
-      // context describes the real ledger, not the shadow one.
+      // Swap in the shadow history and an interning of it: the
+      // framework's context describes the real ledger, not the shadow
+      // one. Both must outlive the Select call (the input borrows them);
+      // shadow ledger ids are dense and ascending, as Build requires.
       std::vector<chain::RsView> shadow_views = shadow_ledger.Views();
+      const analysis::AnalysisContext shadow_context =
+          analysis::AnalysisContext::Build(shadow_views, &tm.ht_index(),
+                                           instance->universe);
       instance->history = shadow_views;
-      instance->context = nullptr;
+      instance->context = &shadow_context;
       auto result = selector.Select(*instance, &rng);
       if (!result.ok()) continue;
       (void)shadow_ledger.Propose(result->members, target, req);
@@ -71,7 +76,8 @@ AttackOutcome RunScenario(const core::MixinSelector& selector,
   const chain::Ledger& ledger =
       enforce_constraints ? tm.ledger() : shadow_ledger;
   auto views = ledger.Views();
-  auto analysis = analysis::ChainReactionAnalyzer::Analyze(views);
+  auto analysis = analysis::ChainReactionAnalyzer::Analyze(
+      analysis::AnalysisContext::Build(views));
 
   AttackOutcome outcome;
   outcome.rings = views.size();
@@ -123,7 +129,9 @@ int main() {
 
   std::printf("\nThe DA-MS run must show zero deanonymized spends and "
               "zero homogeneity leaks.\n");
-  return (protected_run.deanonymized == 0 &&
+  // Both runs must have proposed rings, or there is no contrast to show.
+  return (naive.rings > 0 && protected_run.rings > 0 &&
+          protected_run.deanonymized == 0 &&
           protected_run.homogeneity_leaks == 0)
              ? 0
              : 1;

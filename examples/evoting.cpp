@@ -83,7 +83,7 @@ int main() {
 
   // Coercion resistance check: the public tally reveals no voter.
   auto analysis = analysis::ChainReactionAnalyzer::Analyze(
-      tm.ledger().Views());
+      analysis::AnalysisContext::Build(tm.ledger().Views()));
   std::printf("adversarial audit: %zu votes, %zu deanonymized, "
               "eliminations=%s\n",
               tm.ledger().size(), analysis.revealed_spends.size(),

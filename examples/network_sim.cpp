@@ -69,7 +69,8 @@ int main() {
 
   // The adversary sees only public state.
   auto views = the_node.ledger().Views();
-  auto result = analysis::ChainReactionAnalyzer::Analyze(views);
+  auto result = analysis::ChainReactionAnalyzer::Analyze(
+      analysis::AnalysisContext::Build(views));
   auto stats = analysis::SummarizeAnonymity(result);
   std::printf("\nadversary report over %zu rings:\n", views.size());
   std::printf("  fully deanonymized rings: %zu\n", stats.fully_revealed);

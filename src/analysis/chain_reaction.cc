@@ -1,7 +1,6 @@
 #include "analysis/chain_reaction.h"
 
 #include <algorithm>
-#include <functional>
 
 #include "common/macros.h"
 
@@ -67,11 +66,17 @@ std::vector<chain::RsView> ApplyForced(
 }  // namespace
 
 AnalysisResult ChainReactionAnalyzer::Analyze(
-    std::span<const chain::RsView> history,
-    const SideInformation& side_info) {
+    const AnalysisContext& context, const SideInformation& side_info) {
   AnalysisResult result;
-  if (history.empty()) return result;
+  if (context.rs_count() == 0) return result;
 
+  // The matching runs over external ids; the views come back in history
+  // order with sorted members, exactly as they were interned.
+  std::vector<chain::RsView> history;
+  history.reserve(context.rs_count());
+  for (AnalysisContext::Local r = 0; r < context.rs_count(); ++r) {
+    history.push_back(context.ViewOf(r));
+  }
   RsFamily base_family(history);
   std::vector<size_t> forced;
   TM_CHECK(ForcedFromSideInfo(base_family, side_info, &forced));
@@ -107,9 +112,9 @@ AnalysisResult ChainReactionAnalyzer::Analyze(
     result.possible_spends.emplace(rs_id, std::move(possible));
   }
 
-  // Spent-token closure (Theorem 4.1): reuse the cascade on the effective
-  // views, then add every revealed spend.
-  AnalysisResult cascade = Cascade(history, side_info);
+  // Spent-token closure (Theorem 4.1): the cascade over the same
+  // context, then every revealed spend.
+  AnalysisResult cascade = Cascade(context, side_info);
   result.spent_tokens = std::move(cascade.spent_tokens);
   for (const auto& [rs, token] : result.revealed_spends) {
     result.spent_tokens.insert(token);
@@ -117,167 +122,12 @@ AnalysisResult ChainReactionAnalyzer::Analyze(
   return result;
 }
 
-AnalysisResult ChainReactionAnalyzer::Cascade(
-    std::span<const chain::RsView> history,
-    const SideInformation& side_info) {
-  AnalysisResult result;
-  // Working copies of member sets with known-spent tokens removed.
-  std::vector<std::vector<chain::TokenId>> members;
-  members.reserve(history.size());
-  for (const chain::RsView& view : history) members.push_back(view.members);
-
-  std::unordered_set<chain::TokenId>& spent = result.spent_tokens;
-  std::unordered_map<chain::RsId, chain::TokenId>& revealed =
-      result.revealed_spends;
-
-  // Seed with side information.
-  std::unordered_map<size_t, chain::TokenId> pinned;
-  for (const chain::TokenRsPair& pair : side_info.revealed) {
-    for (size_t i = 0; i < history.size(); ++i) {
-      if (history[i].id == pair.rs) {
-        pinned.emplace(i, pair.token);
-        spent.insert(pair.token);
-        revealed.emplace(pair.rs, pair.token);
-      }
-    }
-  }
-
-  // Token -> RS-index set of a *tight* sub-family (|tokens| == |RSs|)
-  // that provably consumes it. RSs outside the owner set can never spend
-  // such a token.
-  std::unordered_map<chain::TokenId, std::unordered_set<size_t>>
-      tight_owner;
-
-  bool changed = true;
-  while (changed) {
-    changed = false;
-
-    // Rule 1 (zero-mixin / singleton): after deleting tokens known to be
-    // spent *elsewhere*, an RS with a single remaining member spends it.
-    for (size_t i = 0; i < history.size(); ++i) {
-      auto it = pinned.find(i);
-      if (it != pinned.end()) {
-        // Already resolved; its spend removes that token from others below.
-        continue;
-      }
-      std::vector<chain::TokenId>& mem = members[i];
-      std::erase_if(mem, [&](chain::TokenId t) {
-        // A token revealed as spent in a *different* RS cannot be this
-        // RS's spend. (A token only provably "spent somewhere" cannot be
-        // removed: this RS might be where it is spent.)
-        for (const auto& [rs_id, tok] : revealed) {
-          if (tok == t && rs_id != history[i].id) return true;
-        }
-        // A token consumed inside a tight sub-family that excludes this
-        // RS cannot be this RS's spend either.
-        auto owner = tight_owner.find(t);
-        if (owner != tight_owner.end() && owner->second.count(i) == 0) {
-          return true;
-        }
-        return false;
-      });
-      if (mem.size() == 1) {
-        pinned.emplace(i, mem.front());
-        revealed.emplace(history[i].id, mem.front());
-        spent.insert(mem.front());
-        changed = true;
-      }
-    }
-
-    // Rule 2 (Theorem 4.1 via neighbor sets): for each token, the set of
-    // RSs containing it; if the union of their members has exactly as many
-    // tokens as there are RSs, all those tokens are spent.
-    std::unordered_map<chain::TokenId, std::vector<size_t>> neighbor;
-    for (size_t i = 0; i < history.size(); ++i) {
-      for (chain::TokenId t : history[i].members) {
-        neighbor[t].push_back(i);
-      }
-    }
-    for (const auto& [token, rs_list] : neighbor) {
-      std::unordered_set<chain::TokenId> union_tokens;
-      for (size_t i : rs_list) {
-        union_tokens.insert(history[i].members.begin(),
-                            history[i].members.end());
-      }
-      if (union_tokens.size() == rs_list.size()) {
-        std::unordered_set<size_t> owners(rs_list.begin(), rs_list.end());
-        for (chain::TokenId t : union_tokens) {
-          if (spent.insert(t).second) changed = true;
-          auto [it, inserted] = tight_owner.emplace(t, owners);
-          if (!inserted && it->second.size() > owners.size()) {
-            // Keep the tightest (smallest) owner set for sharper
-            // elimination.
-            it->second = owners;
-            changed = true;
-          }
-          if (inserted) changed = true;
-        }
-      }
-    }
-
-    // Rule 3 (Theorem 4.1 per connected component): group RSs that
-    // transitively share tokens; a component covering exactly as many
-    // tokens as it has RSs spends all of them. This catches closures the
-    // per-token rule misses (e.g. the 3-cycle {1,2},{2,3},{1,3}).
-    {
-      std::vector<size_t> parent(history.size());
-      for (size_t i = 0; i < parent.size(); ++i) parent[i] = i;
-      std::function<size_t(size_t)> find = [&](size_t x) {
-        while (parent[x] != x) {
-          parent[x] = parent[parent[x]];
-          x = parent[x];
-        }
-        return x;
-      };
-      for (const auto& [token, rs_list] : neighbor) {
-        for (size_t i = 1; i < rs_list.size(); ++i) {
-          parent[find(rs_list[i])] = find(rs_list[0]);
-        }
-      }
-      std::unordered_map<size_t, std::vector<size_t>> components;
-      for (size_t i = 0; i < history.size(); ++i) {
-        components[find(i)].push_back(i);
-      }
-      for (const auto& [root, rs_indices] : components) {
-        std::unordered_set<chain::TokenId> union_tokens;
-        for (size_t i : rs_indices) {
-          union_tokens.insert(history[i].members.begin(),
-                              history[i].members.end());
-        }
-        if (union_tokens.size() == rs_indices.size()) {
-          std::unordered_set<size_t> owners(rs_indices.begin(),
-                                            rs_indices.end());
-          for (chain::TokenId t : union_tokens) {
-            if (spent.insert(t).second) changed = true;
-            auto [it, inserted] = tight_owner.emplace(t, owners);
-            if (!inserted && it->second.size() > owners.size()) {
-              it->second = owners;
-              changed = true;
-            }
-            if (inserted) changed = true;
-          }
-        }
-      }
-    }
-  }
-
-  for (const auto& [index, token] : pinned) {
-    result.possible_spends[history[index].id] = {token};
-  }
-  return result;
-}
-
-size_t ChainReactionAnalyzer::CountInferableSpent(
-    std::span<const chain::RsView> history) {
-  AnalysisResult result = Cascade(history);
-  return result.spent_tokens.size();
-}
-
 namespace {
 
-/// Dense cascade state over an AnalysisContext. Mirrors the span-based
-/// fixpoint exactly (the equivalence suite asserts identical results), but
-/// replaces the per-iteration hash maps with flat columns:
+/// Dense cascade state over an AnalysisContext: the fixpoint of rule 1
+/// (zero-mixin / singleton), rule 2 (per-token neighbor sets) and rule 3
+/// (per connected component) over flat columns. The equivalence suite
+/// pins it against a span-based reference fixpoint kept in tests/.
 ///
 ///  * rules 2 and 3 read only the immutable history incidence, so their
 ///    tight families are computed once instead of every iteration;
@@ -465,7 +315,7 @@ class DenseCascade {
   }
 
   /// Offers a tight owner candidate for `token`; the smallest set wins
-  /// (matching the span path's keep-tightest replacement rule).
+  /// (the tightest owner set gives the sharpest elimination).
   bool OfferOwner(Local token, uint8_t kind, Local key, uint32_t size) {
     if (owner_kind_[token] != kOwnerNone && owner_size_[token] <= size) {
       return false;
@@ -477,7 +327,7 @@ class DenseCascade {
   }
 
   /// Rules 2 and 3 read only the immutable incidence, so one evaluation
-  /// fixes every tight family the span path discovers over all iterations.
+  /// fixes every tight family a per-iteration re-evaluation would find.
   bool StaticTightFamilies() {
     bool changed = false;
     std::vector<Local> union_tokens;

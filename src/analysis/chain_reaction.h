@@ -7,7 +7,7 @@
 //    covered token is spent. We run the per-token "neighbor set" rule from
 //    Section 4 together with the classic zero-mixin cascade (an RS whose
 //    members are all-but-one known-spent reveals its own spend) to a fixed
-//    point.
+//    point, over an AnalysisContext's interned incidence.
 //
 //  * The *exact* analysis (matching-based, still polynomial per query):
 //    token t is a possible spend of RS r iff some token-RS combination
@@ -56,29 +56,23 @@ struct AnalysisResult {
 
 class ChainReactionAnalyzer {
  public:
-  /// Exact matching-based analysis of `history` under `side_info`.
-  /// Every member token of every RS is tested for possible-spend-ness.
-  static AnalysisResult Analyze(std::span<const chain::RsView> history,
+  /// Exact matching-based analysis of the context's history under
+  /// `side_info`. Every member token of every RS is tested for
+  /// possible-spend-ness; the spent-token closure comes from Cascade over
+  /// the same context, so the caller interns the history once.
+  static AnalysisResult Analyze(const AnalysisContext& context,
                                 const SideInformation& side_info = {});
 
   /// Polynomial cascade only (Theorem 4.1 neighbor-set rule + zero-mixin
-  /// propagation). Sound but not complete: it finds a subset of what
+  /// propagation) over the context's history, on its CSR incidence with
+  /// dense frontiers. Sound but not complete: it finds a subset of what
   /// Analyze finds. Returns the set of provably spent tokens and any RSs
   /// whose spend it pinned down.
-  static AnalysisResult Cascade(std::span<const chain::RsView> history,
-                                const SideInformation& side_info = {});
-
-  /// Context-based cascade: same result as the span overload (asserted by
-  /// the equivalence suite), computed over the snapshot's CSR incidence
-  /// with dense frontiers instead of per-iteration hash maps.
   static AnalysisResult Cascade(const AnalysisContext& context,
                                 const SideInformation& side_info = {});
 
-  /// Number of tokens in `universe` that the cascade can prove spent —
-  /// the μ_i quantity of the TokenMagic liquidity rule (Section 4).
-  static size_t CountInferableSpent(std::span<const chain::RsView> history);
-
-  /// Context-based μ_i count.
+  /// Number of tokens the cascade can prove spent — the μ_i quantity of
+  /// the TokenMagic liquidity rule (Section 4).
   static size_t CountInferableSpent(const AnalysisContext& context);
 
   /// μ_i with one prospective `overlay` RS appended to the context's

@@ -1,148 +1,48 @@
 #include "analysis/context.h"
 
 #include <algorithm>
+#include <vector>
 
-#include "common/macros.h"
+#include "analysis/epoch_chain.h"
 
 namespace tokenmagic::analysis {
-
-namespace {
-
-/// Rank of `id` in the sorted column [data, data+n), or kNoLocal.
-AnalysisContext::Local RankOf(const chain::TokenId* data, size_t n,
-                              chain::TokenId id) {
-  const chain::TokenId* end = data + n;
-  const chain::TokenId* it = std::lower_bound(data, end, id);
-  if (it == end || *it != id) return AnalysisContext::kNoLocal;
-  return static_cast<AnalysisContext::Local>(it - data);
-}
-
-}  // namespace
 
 AnalysisContext AnalysisContext::Build(
     std::span<const chain::RsView> history, const chain::HtIndex* index,
     std::span<const chain::TokenId> universe) {
-  auto cols = std::make_shared<BuiltColumns>();
-
-  // Token column: every token seen in the history or the universe, sorted
-  // so Local == rank and member lists stay ascending in local space.
-  size_t token_guess = universe.size();
-  for (const chain::RsView& view : history) token_guess += view.size();
-  cols->token_ids.reserve(token_guess);
-  cols->token_ids.assign(universe.begin(), universe.end());
+  // One epoch's token column: every token seen in the universe or the
+  // history, sorted and unique, so Local == rank.
+  std::vector<chain::TokenId> tokens(universe.begin(), universe.end());
   for (const chain::RsView& view : history) {
-    cols->token_ids.insert(cols->token_ids.end(), view.members.begin(),
-                           view.members.end());
+    tokens.insert(tokens.end(), view.members.begin(), view.members.end());
   }
-  std::sort(cols->token_ids.begin(), cols->token_ids.end());
-  cols->token_ids.erase(
-      std::unique(cols->token_ids.begin(), cols->token_ids.end()),
-      cols->token_ids.end());
-  TM_CHECK(cols->token_ids.size() < kNoLocal);
+  std::sort(tokens.begin(), tokens.end());
+  tokens.erase(std::unique(tokens.begin(), tokens.end()), tokens.end());
 
-  // RS columns in history order.
-  const size_t m = history.size();
-  TM_CHECK(m < kNoLocal);
-  cols->rs_ids.reserve(m);
-  cols->proposed_at.reserve(m);
-  cols->requirement.reserve(m);
-  cols->rs_local.reserve(m);
-  cols->member_offsets.reserve(m + 1);
-  cols->member_offsets.push_back(0);
-  size_t member_total = 0;
-  for (const chain::RsView& view : history) member_total += view.size();
-  cols->member_tokens.reserve(member_total);
-  for (Local r = 0; r < m; ++r) {
-    const chain::RsView& view = history[r];
-    cols->rs_ids.push_back(view.id);
-    cols->proposed_at.push_back(view.proposed_at);
-    cols->requirement.push_back(view.requirement);
-    cols->rs_local.emplace(view.id, r);
-    for (chain::TokenId t : view.members) {
-      Local local =
-          RankOf(cols->token_ids.data(), cols->token_ids.size(), t);
-      TM_CHECK(local != kNoLocal);
-      cols->member_tokens.push_back(local);
-    }
-    cols->member_offsets.push_back(
-        static_cast<uint32_t>(cols->member_tokens.size()));
-  }
-
-  // Token -> RS inverted index (CSR, two passes; per token ascending
-  // because RSs are scanned in local order).
-  const size_t n = cols->token_ids.size();
-  cols->token_rs_offsets.assign(n + 1, 0);
-  for (Local t : cols->member_tokens) ++cols->token_rs_offsets[t + 1];
-  for (size_t i = 0; i < n; ++i) {
-    cols->token_rs_offsets[i + 1] += cols->token_rs_offsets[i];
-  }
-  cols->token_rs.resize(cols->member_tokens.size());
-  {
-    std::vector<uint32_t> cursor(cols->token_rs_offsets.begin(),
-                                 cols->token_rs_offsets.end() - 1);
-    for (Local r = 0; r < m; ++r) {
-      uint32_t begin = cols->member_offsets[r];
-      uint32_t end = cols->member_offsets[r + 1];
-      for (uint32_t k = begin; k < end; ++k) {
-        cols->token_rs[cursor[cols->member_tokens[k]]++] = r;
-      }
-    }
-  }
-
-  // Flat token -> HT column, HTs interned in first-appearance order.
-  cols->token_ht.assign(n, kNoLocal);
-  if (index != nullptr) {
-    std::unordered_map<chain::TxId, Local> ht_local;
-    for (size_t i = 0; i < n; ++i) {
-      auto ht = index->TryHtOf(cols->token_ids[i]);
-      if (!ht.has_value()) continue;
-      auto [it, inserted] =
-          ht_local.emplace(*ht, static_cast<Local>(cols->ht_ids.size()));
-      if (inserted) cols->ht_ids.push_back(*ht);
-      cols->token_ht[i] = it->second;
-    }
-  }
-
-  // Columns are final: derive the pointer surface, then hand ownership to
-  // the context (no vector may grow past this point).
-  AnalysisContext ctx;
-  ctx.token_ids_ = cols->token_ids.data();
-  ctx.rs_ids_ = cols->rs_ids.data();
-  ctx.proposed_at_ = cols->proposed_at.data();
-  ctx.requirement_ = cols->requirement.data();
-  ctx.rs_local_ = &cols->rs_local;
-  ctx.member_offsets_ = cols->member_offsets.data();
-  ctx.member_tokens_ = cols->member_tokens.data();
-  ctx.token_rs_offsets_ = cols->token_rs_offsets.data();
-  ctx.token_rs_ = cols->token_rs.data();
-  ctx.token_ht_ = cols->token_ht.data();
-  ctx.ht_ids_ = cols->ht_ids.data();
-  ctx.token_count_ = n;
-  ctx.rs_count_ = m;
-  ctx.ht_count_ = cols->ht_ids.size();
-  ctx.storage_ = std::move(cols);
-  return ctx;
+  EpochChain chain;
+  chain.Append(history, index, tokens);
+  return chain.View();
 }
 
 AnalysisContext::Local AnalysisContext::LocalOfToken(
     chain::TokenId id) const {
-  return RankOf(token_ids_, token_count_, id);
+  // Local == rank in the sorted token column.
+  const chain::TokenId* end = token_ids_ + token_count_;
+  const chain::TokenId* it = std::lower_bound(token_ids_, end, id);
+  if (it == end || *it != id) return kNoLocal;
+  return static_cast<Local>(it - token_ids_);
 }
 
 AnalysisContext::Local AnalysisContext::LocalOfRs(chain::RsId id) const {
-  if (rs_local_ != nullptr) {
-    auto it = rs_local_->find(id);
-    return it == rs_local_->end() ? kNoLocal : it->second;
-  }
-  // Chained mode: the epoch chain enforces ascending RS ids, so the RS
-  // column doubles as its own index.
+  // The epoch chain enforces ascending RS ids, so the RS column doubles
+  // as its own index.
   const chain::RsId* end = rs_ids_ + rs_count_;
   const chain::RsId* it = std::lower_bound(rs_ids_, end, id);
   if (it == end || *it != id) return kNoLocal;
   return static_cast<Local>(it - rs_ids_);
 }
 
-std::span<const AnalysisContext::Local> AnalysisContext::TailRsOfToken(
+std::span<const AnalysisContext::Local> AnalysisContext::RsOfToken(
     Local token) const {
   // tm-consumes(rs_tail_slot)
   const Local* buf = rs_tails_[token].load(std::memory_order_acquire);

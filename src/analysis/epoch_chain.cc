@@ -71,8 +71,7 @@ void EpochChain::Append(std::span<const chain::RsView> views,
   EpochCore& core = *core_;
 
   // Token column extension: ascending, strictly past every interned token,
-  // so Local == rank stays true without re-sorting (byte-compatible with
-  // Build's sort-based interning).
+  // so Local == rank stays true without re-sorting.
   chain::TokenId last_token =
       core.token_ids.size() == 0
           ? 0
@@ -82,7 +81,7 @@ void EpochChain::Append(std::span<const chain::RsView> views,
     last_token = t + 1;
     core.token_ids.Append(t);
     // HT column tail: first-appearance interning over the ascending token
-    // column, exactly Build's order.
+    // column.
     Local ht = AnalysisContext::kNoLocal;
     if (index != nullptr) {
       if (auto tx = index->TryHtOf(t); tx.has_value()) {

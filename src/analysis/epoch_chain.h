@@ -1,16 +1,16 @@
-// Epoch-chained incremental AnalysisContext producer.
+// Epoch-chained AnalysisContext producer: the one interning path.
 //
-// AnalysisContext::Build re-interns the whole history, so rebuilding per
-// mined block makes a chain of N blocks pay O(history) N times. EpochChain
-// is the O(delta) producer: each Append() seals one *epoch segment* —
-// dense-id extensions of the token/RS columns, a CSR segment for the new
-// RS -> member edges, per-token tail entries for the token -> RS inverted
-// index, and the token -> HT column tail — onto shared append-only
-// storage, and View() returns an ordinary AnalysisContext over the sealed
-// prefix in O(1). Sealed views are immutable and keep the shared core
-// alive, so they stay valid (and byte-identical to a from-scratch Build of
-// the same prefix — the equivalence suite asserts this at every height)
-// across any number of later appends.
+// Each Append() seals one *epoch segment* — dense-id extensions of the
+// token/RS columns, a CSR segment for the new RS -> member edges,
+// per-token tail entries for the token -> RS inverted index, and the
+// token -> HT column tail — onto shared append-only storage, and View()
+// returns an AnalysisContext over the sealed prefix in O(1). A chain of N
+// blocks therefore pays O(delta) per block instead of O(history), and
+// AnalysisContext::Build is simply a one-epoch chain over a from-scratch
+// history. Sealed views are immutable and keep the shared core alive, so
+// they stay valid and unchanged across any number of later appends (the
+// equivalence suite checks every height against a sort-based reference
+// interning kept in tests/).
 //
 // Dense-id preconditions (TM_CHECKed): appended tokens are ascending and
 // greater than every interned token; appended RS ids are ascending and
@@ -18,8 +18,8 @@
 // already interned (append the epoch's tokens and views in one call).
 // These hold on every producer path — tokens are minted densely in block
 // order and ledger RS ids are dense ledger indices — and they are what
-// makes append-only interning byte-compatible with Build's sort-based
-// interning.
+// makes append-only interning equal to sort-based interning of the same
+// prefix.
 //
 // Threading: single writer, any number of sealed-view readers. Append()
 // and View() must be externally serialized with each other (node::Node
@@ -187,7 +187,7 @@ class EpochChain {
   // tm-owns: the shared column storage (owner id: core_).
   std::shared_ptr<EpochCore> core_;
   /// Writer-side HT interner (first-appearance order over the ascending
-  /// token column, matching Build exactly).
+  /// token column).
   std::unordered_map<chain::TxId, Local> ht_local_;
   std::vector<EpochMeta> epochs_;
 };

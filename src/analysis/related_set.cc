@@ -1,8 +1,6 @@
 #include "analysis/related_set.h"
 
 #include <deque>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 namespace tokenmagic::analysis {
@@ -24,49 +22,10 @@ std::vector<chain::RsId> RelatedSetResult::IdsAtLevel(size_t level) const {
 
 RelatedSetResult ComputeRelatedSet(
     std::span<const chain::TokenId> target_tokens,
-    std::span<const chain::RsView> history) {
-  // Token -> indices of history RSs containing it.
-  std::unordered_map<chain::TokenId, std::vector<size_t>> token_to_rs;
-  for (size_t i = 0; i < history.size(); ++i) {
-    for (chain::TokenId t : history[i].members) {
-      token_to_rs[t].push_back(i);
-    }
-  }
-
-  RelatedSetResult result;
-  std::unordered_set<size_t> visited;
-  std::deque<std::pair<size_t, size_t>> frontier;  // (history index, level)
-
-  auto enqueue_for_tokens = [&](std::span<const chain::TokenId> tokens,
-                                size_t level) {
-    for (chain::TokenId t : tokens) {
-      auto it = token_to_rs.find(t);
-      if (it == token_to_rs.end()) continue;
-      for (size_t idx : it->second) {
-        if (visited.insert(idx).second) {
-          frontier.emplace_back(idx, level);
-        }
-      }
-    }
-  };
-
-  enqueue_for_tokens(target_tokens, 0);
-  while (!frontier.empty()) {
-    auto [idx, level] = frontier.front();
-    frontier.pop_front();
-    result.related.push_back(RelatedRs{history[idx].id, level});
-    enqueue_for_tokens(history[idx].members, level + 1);
-  }
-  return result;
-}
-
-RelatedSetResult ComputeRelatedSet(
-    std::span<const chain::TokenId> target_tokens,
     const AnalysisContext& context) {
-  // Identical BFS to the legacy path (same visit order: per token the CSR
-  // RS list is ascending == history order, and RsView members are stored
-  // sorted so Members(rs) iterates the same sequence), but with the
-  // inverted index prebuilt and a bitset frontier instead of hashing.
+  // Per token the RS list is ascending (== history order) and Members(rs)
+  // iterates in ascending token order, so the emission order is a pure
+  // function of the history.
   using Local = AnalysisContext::Local;
   RelatedSetResult result;
   std::vector<bool> visited(context.rs_count(), false);

@@ -5,13 +5,10 @@
 // r_k. Level 0 contains the RSs sharing a token with r_k directly; level i
 // contains RSs sharing a token with some level-(i-1) RS.
 //
-// Two implementations with identical output (the equivalence suite in
-// tests/analysis/context_test.cc asserts byte-identical BFS order):
-//  * the legacy span-based entry point, which rebuilds the token -> RS
-//    inverted index on every call, and
-//  * the AnalysisContext-based entry point, which reuses the snapshot's
-//    CSR inverted index and a bitset frontier — build the context once per
-//    block, then each query is O(|reached incidence|).
+// The walk reads the snapshot's inverted index with a bitset frontier, so
+// each query is O(|reached incidence|) over a context sealed once per
+// block. The equivalence suite (tests/analysis/context_test.cc) pins its
+// BFS order against a span-based reference kept in tests/.
 #pragma once
 
 #include <cstddef>
@@ -40,16 +37,10 @@ struct RelatedSetResult {
   std::vector<chain::RsId> IdsAtLevel(size_t level) const;
 };
 
-/// Computes the related RS set of `target_tokens` over `history`
-/// (all RSs proposed so far, e.g. Ledger::Views()). Legacy path: interns
-/// the inverted index on the fly, O(|history incidence|) per call.
-RelatedSetResult ComputeRelatedSet(
-    std::span<const chain::TokenId> target_tokens,
-    std::span<const chain::RsView> history);
-
-/// Context path: same result, using the snapshot's inverted index.
-/// Target tokens unknown to the context are ignored (they can have no
-/// neighbor RSs in the snapshot's history).
+/// Computes the related RS set of `target_tokens` over the context's
+/// history (all RSs proposed so far), in BFS order. Target tokens unknown
+/// to the context are ignored (they can have no neighbor RSs in the
+/// snapshot's history).
 RelatedSetResult ComputeRelatedSet(
     std::span<const chain::TokenId> target_tokens,
     const AnalysisContext& context);

@@ -82,6 +82,7 @@ common::Result<SelectionResult> MoneroSelector::Select(
   if (DeadlineExpired(input)) {
     return Status::Timeout("selection deadline already expired");
   }
+  TM_RETURN_NOT_OK(RequireContext(input));
   if (std::find(input.universe.begin(), input.universe.end(), input.target) ==
       input.universe.end()) {
     return Status::InvalidArgument("target token not in the mixin universe");

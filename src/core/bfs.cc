@@ -23,30 +23,19 @@ using analysis::RsFamily;
 std::vector<chain::RsView> FamilyViews(
     const SelectionInput& input, const std::vector<chain::TokenId>& members,
     chain::RsId* candidate_id) {
-  // With a shared snapshot the related-set walk reuses the interned CSR
-  // index and each related id resolves to its history position in O(1)
-  // instead of a full history scan per id.
+  // The related-set walk reuses the snapshot's inverted index, and each
+  // related id resolves to its history position by local.
   analysis::RelatedSetResult related =
-      input.context != nullptr
-          ? analysis::ComputeRelatedSet(members, *input.context)
-          : analysis::ComputeRelatedSet(members, input.history);
+      analysis::ComputeRelatedSet(members, *input.context);
   std::vector<chain::RsView> views;
   chain::RsId max_id = 0;
   for (const chain::RsView& view : input.history) {
     max_id = std::max(max_id, view.id);
   }
-  if (input.context != nullptr) {
-    for (chain::RsId id : related.Ids()) {
-      analysis::AnalysisContext::Local rs = input.context->LocalOfRs(id);
-      TM_CHECK(rs != analysis::AnalysisContext::kNoLocal);
-      views.push_back(input.history[rs]);
-    }
-  } else {
-    for (chain::RsId id : related.Ids()) {
-      for (const chain::RsView& view : input.history) {
-        if (view.id == id) views.push_back(view);
-      }
-    }
+  for (chain::RsId id : related.Ids()) {
+    analysis::AnalysisContext::Local rs = input.context->LocalOfRs(id);
+    TM_CHECK(rs != analysis::AnalysisContext::kNoLocal);
+    views.push_back(input.history[rs]);
   }
   chain::RsView candidate;
   candidate.id = max_id + 1;
@@ -100,6 +89,7 @@ common::Result<SelectionResult> BfsSelector::Select(
   if (input.index == nullptr) {
     return Status::InvalidArgument("SelectionInput.index must be set");
   }
+  TM_RETURN_NOT_OK(RequireContext(input));
   if (options_.max_universe != 0 &&
       input.universe.size() > options_.max_universe) {
     return Status::InvalidArgument(common::StrFormat(

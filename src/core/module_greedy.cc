@@ -14,6 +14,7 @@ common::Result<ModuleSelectionState> InitModuleState(
   if (input.index == nullptr) {
     return Status::InvalidArgument("SelectionInput.index must be set");
   }
+  TM_RETURN_NOT_OK(RequireContext(input));
   if (std::find(input.universe.begin(), input.universe.end(), input.target) ==
       input.universe.end()) {
     return Status::InvalidArgument("target token not in the mixin universe");
@@ -21,10 +22,7 @@ common::Result<ModuleSelectionState> InitModuleState(
 
   TM_ASSIGN_OR_RETURN(
       ModuleUniverse mu,
-      input.context != nullptr
-          ? ModuleUniverse::Build(input.universe, input.history,
-                                  *input.context)
-          : ModuleUniverse::Build(input.universe, input.history));
+      ModuleUniverse::Build(input.universe, input.history, *input.context));
 
   ModuleSelectionState state{std::move(mu), 0, {}, {}, {}, 0};
   state.target_module = state.mu.ModuleOfToken(input.target);

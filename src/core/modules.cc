@@ -1,8 +1,6 @@
 #include "core/modules.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "analysis/context.h"
 #include "common/macros.h"
@@ -12,15 +10,15 @@ namespace tokenmagic::core {
 
 namespace {
 
-/// True when sorted vector `a` is a subset of sorted vector `b`.
-bool SortedSubset(const std::vector<chain::TokenId>& a,
-                  const std::vector<chain::TokenId>& b) {
+using Local = analysis::AnalysisContext::Local;
+
+/// True when sorted span `a` is a subset of sorted span `b`.
+bool SortedSubset(std::span<const Local> a, std::span<const Local> b) {
   return std::includes(b.begin(), b.end(), a.begin(), a.end());
 }
 
-/// True when sorted vectors `a` and `b` share no element.
-bool SortedDisjoint(const std::vector<chain::TokenId>& a,
-                    const std::vector<chain::TokenId>& b) {
+/// True when sorted spans `a` and `b` share no element.
+bool SortedDisjoint(std::span<const Local> a, std::span<const Local> b) {
   size_t i = 0, j = 0;
   while (i < a.size() && j < b.size()) {
     if (a[i] < b[j]) {
@@ -34,124 +32,36 @@ bool SortedDisjoint(const std::vector<chain::TokenId>& a,
   return true;
 }
 
-}  // namespace
-
-common::Result<ModuleUniverse> ModuleUniverse::Build(
-    std::span<const chain::TokenId> universe,
-    std::span<const chain::RsView> history) {
-  using common::Status;
-  ModuleUniverse mu;
-
-  std::unordered_set<chain::TokenId> universe_set(universe.begin(),
-                                                  universe.end());
-  mu.token_count_ = universe_set.size();
-
-  // Validate that history tokens live in the universe and the first
-  // practical configuration holds pairwise (superset or disjoint).
-  for (const chain::RsView& view : history) {
-    for (chain::TokenId t : view.members) {
-      if (universe_set.count(t) == 0) {
-        return Status::InvalidArgument(common::StrFormat(
-            "rs %llu contains token %llu outside the universe",
-            static_cast<unsigned long long>(view.id),
-            static_cast<unsigned long long>(t)));
-      }
-    }
-  }
-  for (size_t i = 0; i < history.size(); ++i) {
-    for (size_t j = i + 1; j < history.size(); ++j) {
-      const auto& a = history[i].members;
-      const auto& b = history[j].members;
+/// The first-practical-configuration violation of the context's history:
+/// the first partially overlapping pair in history order. Only called once
+/// a violation is known to exist, so the pairwise scan is off the common
+/// path.
+common::Status PartialOverlap(const analysis::AnalysisContext& context) {
+  const Local m = static_cast<Local>(context.rs_count());
+  for (Local i = 0; i < m; ++i) {
+    for (Local j = i + 1; j < m; ++j) {
+      std::span<const Local> a = context.Members(i);
+      std::span<const Local> b = context.Members(j);
       if (!SortedDisjoint(a, b) && !SortedSubset(a, b) &&
           !SortedSubset(b, a)) {
-        return Status::InvalidArgument(common::StrFormat(
+        return common::Status::InvalidArgument(common::StrFormat(
             "history violates the first practical configuration: rs %llu "
             "and rs %llu partially overlap",
-            static_cast<unsigned long long>(history[i].id),
-            static_cast<unsigned long long>(history[j].id)));
+            static_cast<unsigned long long>(context.rs_id(i)),
+            static_cast<unsigned long long>(context.rs_id(j))));
       }
     }
   }
-
-  // Super RSs (Definition 7): scan from the latest proposal backwards; an
-  // RS none of whose tokens is already covered by a later RS is maximal.
-  std::vector<size_t> order(history.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return history[a].proposed_at > history[b].proposed_at;
-  });
-
-  std::unordered_set<chain::TokenId> covered;
-  std::vector<size_t> super_indices;  // indices into history
-  for (size_t idx : order) {
-    const auto& members = history[idx].members;
-    bool any_covered = false;
-    for (chain::TokenId t : members) {
-      if (covered.count(t) > 0) {
-        any_covered = true;
-        break;
-      }
-    }
-    if (!any_covered) {
-      super_indices.push_back(idx);
-      covered.insert(members.begin(), members.end());
-    }
-    // A partially-covered RS is impossible here: the configuration check
-    // above guarantees it is a subset of the covering (later) RS.
-  }
-
-  // Emit super-RS modules (in original proposal order for determinism).
-  std::sort(super_indices.begin(), super_indices.end());
-  for (size_t idx : super_indices) {
-    const chain::RsView& view = history[idx];
-    Module module;
-    module.index = mu.modules_.size();
-    module.is_fresh = false;
-    module.super_rs = view.id;
-    module.tokens = view.members;
-    std::vector<chain::RsId> subsets;
-    for (const chain::RsView& other : history) {
-      if (SortedSubset(other.members, view.members)) {
-        subsets.push_back(other.id);
-      }
-    }
-    module.subset_count = subsets.size();
-    for (chain::TokenId t : module.tokens) {
-      mu.token_to_module_.emplace(t, module.index);
-    }
-    mu.modules_.push_back(std::move(module));
-    mu.subset_rs_.push_back(std::move(subsets));
-  }
-
-  // Fresh tokens (Definition 8): universe tokens in no RS.
-  std::vector<chain::TokenId> fresh;
-  for (chain::TokenId t : universe) {
-    if (covered.count(t) == 0 && mu.token_to_module_.count(t) == 0) {
-      fresh.push_back(t);
-    }
-  }
-  std::sort(fresh.begin(), fresh.end());
-  fresh.erase(std::unique(fresh.begin(), fresh.end()), fresh.end());
-  for (chain::TokenId t : fresh) {
-    Module module;
-    module.index = mu.modules_.size();
-    module.is_fresh = true;
-    module.tokens = {t};
-    module.subset_count = 0;
-    mu.token_to_module_.emplace(t, module.index);
-    mu.modules_.push_back(std::move(module));
-    mu.subset_rs_.emplace_back();
-  }
-
-  return mu;
+  return common::Status::OK();
 }
+
+}  // namespace
 
 common::Result<ModuleUniverse> ModuleUniverse::Build(
     std::span<const chain::TokenId> universe,
     std::span<const chain::RsView> history,
     const analysis::AnalysisContext& context) {
   using common::Status;
-  using Local = analysis::AnalysisContext::Local;
   constexpr Local kNoLocal = analysis::AnalysisContext::kNoLocal;
   TM_CHECK(context.rs_count() == history.size());
 
@@ -183,12 +93,12 @@ common::Result<ModuleUniverse> ModuleUniverse::Build(
     }
   }
 
-  // First practical configuration via the inverted index: a partial
-  // overlap needs a shared token, and among the RSs sharing one token
-  // laminarity means a subset chain, so checking size-adjacent pairs per
-  // token is exact. Near-linear in the incidence instead of O(|history|²);
-  // on a violation, defer to the pairwise scan so the reported offending
-  // pair matches the legacy diagnostics.
+  // First practical configuration (every pair superset or disjoint) via
+  // the inverted index: a partial overlap needs a shared token, and among
+  // the RSs sharing one token laminarity means a subset chain, so checking
+  // size-adjacent pairs per token is exact. Near-linear in the incidence
+  // instead of O(|history|²); only a violation pays the pairwise scan that
+  // names the first offending pair.
   {
     std::vector<Local> chain_rs;
     for (Local t = 0; t < static_cast<Local>(context.token_count()); ++t) {
@@ -201,18 +111,18 @@ common::Result<ModuleUniverse> ModuleUniverse::Build(
                                 context.Members(b).size();
                        });
       for (size_t k = 0; k + 1 < chain_rs.size(); ++k) {
-        std::span<const Local> small = context.Members(chain_rs[k]);
-        std::span<const Local> big = context.Members(chain_rs[k + 1]);
-        if (!std::includes(big.begin(), big.end(), small.begin(),
-                           small.end())) {
-          return Build(universe, history);
+        if (!SortedSubset(context.Members(chain_rs[k]),
+                          context.Members(chain_rs[k + 1]))) {
+          return PartialOverlap(context);
         }
       }
     }
   }
 
-  // Super RS scan, identical to the legacy path but over a dense covered
-  // bitmap instead of a hash set.
+  // Super RSs (Definition 7): scan from the latest proposal backwards; an
+  // RS none of whose tokens is already covered by a later RS is maximal.
+  // A partially covered RS cannot occur: the configuration check above
+  // makes it a subset of the covering (later) RS.
   std::vector<size_t> order(history.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
@@ -236,13 +146,13 @@ common::Result<ModuleUniverse> ModuleUniverse::Build(
       for (Local t : members) covered[t] = 1;
     }
   }
+  // Super-RS modules are emitted in proposal order for determinism.
   std::sort(super_indices.begin(), super_indices.end());
 
-  // Subset lists without the per-super history scan: supers partition the
-  // covered tokens, so an RS can only be a subset of the super covering
-  // its first member; one inclusion test per history RS settles it. An
-  // empty member set would be a subset of every super — the legacy scan
-  // semantics — so that degenerate shape goes through the legacy path.
+  // Subset lists, in history order: supers partition the covered tokens,
+  // so a non-empty RS can only be a subset of the super covering its
+  // first member, and one inclusion test settles it. An empty RS is a
+  // subset of every super.
   std::vector<uint32_t> super_of_token(context.token_count(), kNoLocal);
   for (size_t s = 0; s < super_indices.size(); ++s) {
     for (Local t : context.Members(static_cast<Local>(super_indices[s]))) {
@@ -252,13 +162,16 @@ common::Result<ModuleUniverse> ModuleUniverse::Build(
   std::vector<std::vector<chain::RsId>> subsets(super_indices.size());
   for (size_t i = 0; i < history.size(); ++i) {
     std::span<const Local> members = context.Members(static_cast<Local>(i));
-    if (members.empty()) return Build(universe, history);
+    if (members.empty()) {
+      for (std::vector<chain::RsId>& list : subsets) {
+        list.push_back(history[i].id);
+      }
+      continue;
+    }
     uint32_t s = super_of_token[members.front()];
     if (s == kNoLocal) continue;  // token uncovered: subset of no super
-    std::span<const Local> super_members =
-        context.Members(static_cast<Local>(super_indices[s]));
-    if (std::includes(super_members.begin(), super_members.end(),
-                      members.begin(), members.end())) {
+    if (SortedSubset(members,
+                     context.Members(static_cast<Local>(super_indices[s])))) {
       subsets[s].push_back(history[i].id);
     }
   }
@@ -278,7 +191,7 @@ common::Result<ModuleUniverse> ModuleUniverse::Build(
     mu.subset_rs_.push_back(std::move(subsets[s]));
   }
 
-  // Fresh tokens: universe tokens covered by no super.
+  // Fresh tokens (Definition 8): universe tokens covered by no super.
   std::vector<chain::TokenId> fresh;
   for (chain::TokenId t : universe) {
     if (covered[context.LocalOfToken(t)] == 0) fresh.push_back(t);

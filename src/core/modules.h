@@ -41,22 +41,14 @@ struct Module {
 /// The module decomposition of a mixin universe plus its RS history.
 class ModuleUniverse {
  public:
-  /// Builds the decomposition. `history` must be the RSs over `universe`
-  /// (e.g. the related RS set of the batch) in proposal order and must
-  /// respect the first practical configuration; a violating history yields
-  /// an InvalidArgument status.
-  [[nodiscard]] static common::Result<ModuleUniverse> Build(
-      std::span<const chain::TokenId> universe,
-      std::span<const chain::RsView> history);
-
-  /// Context fast path: identical output, but the practical-configuration
-  /// check and the subset counting walk the snapshot's inverted index
-  /// instead of comparing all RS pairs — near-linear in the history
-  /// incidence rather than quadratic in |history|. `context` must have
-  /// been built from exactly this `history` span (and a universe covering
-  /// `universe`); on a configuration violation this falls back to the
-  /// pairwise scan so the reported offending pair matches the legacy
-  /// path.
+  /// Builds the decomposition over the snapshot `context`. `history` must
+  /// be the RSs over `universe` (e.g. the related RS set of the batch) in
+  /// proposal order, and `context` must have been interned from exactly
+  /// this `history` span with a universe covering `universe`. The
+  /// practical-configuration check and the subset counting walk the
+  /// context's inverted index, near-linear in the history incidence. A
+  /// history that violates the first practical configuration yields an
+  /// InvalidArgument naming the first partially overlapping pair.
   [[nodiscard]] static common::Result<ModuleUniverse> Build(
       std::span<const chain::TokenId> universe,
       std::span<const chain::RsView> history,

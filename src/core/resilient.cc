@@ -69,6 +69,7 @@ common::Result<ResilientSelection> ResilientSelector::SelectWithReport(
   if (input.index == nullptr) {
     return Status::InvalidArgument("SelectionInput.index must be set");
   }
+  TM_RETURN_NOT_OK(RequireContext(input));
 
   const common::Clock* clock = options_.clock;
   if (clock == nullptr && input.deadline != nullptr) {

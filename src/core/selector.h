@@ -41,11 +41,10 @@ struct SelectionInput {
   std::span<const chain::RsView> history;
   chain::DiversityRequirement requirement;
   const chain::HtIndex* index = nullptr;
-  /// Optional interned snapshot of `history` (+ `universe` tokens), built
-  /// once per block/batch and shared by every target and ladder stage.
-  /// When set, it must have been built from exactly the same history span;
-  /// selectors then take the context fast paths (CSR related-set walks,
-  /// dense cascade) instead of re-interning per call.
+  /// Interned snapshot of `history` (+ `universe` tokens), sealed once per
+  /// block/batch and shared by every target and ladder stage. Required:
+  /// every selector returns InvalidArgument when it is null. It must have
+  /// been interned from exactly the same history span.
   // tm-borrows(caller): owned by the caller's batch snapshot alongside
   // the `history` storage it was interned from.
   const analysis::AnalysisContext* context = nullptr;
@@ -68,6 +67,15 @@ struct SelectionInput {
 /// entry and at every iteration boundary.
 inline bool DeadlineExpired(const SelectionInput& input) {
   return input.deadline != nullptr && input.deadline->Expired();
+}
+
+/// InvalidArgument when the instance carries no interned snapshot.
+inline common::Status RequireContext(const SelectionInput& input) {
+  if (input.context == nullptr) {
+    return common::Status::InvalidArgument(
+        "SelectionInput.context must be set");
+  }
+  return common::Status::OK();
 }
 
 /// Consumes iteration budget from the instance deadline, if any.

@@ -117,6 +117,14 @@ common::Result<Dataset> DatasetFromCsv(const std::string& tokens_csv,
         return Status::IoError(
             common::StrFormat("rings.csv line %zu: bad scalars", i + 1));
       }
+      // Ring ids must ascend strictly: analysis interns the history in
+      // file order and looks RSs up by id.
+      if (!ds.history.empty() &&
+          static_cast<chain::RsId>(id) <= ds.history.back().id) {
+        return Status::IoError(common::StrFormat(
+            "rings.csv line %zu: rs_id %lld not strictly ascending", i + 1,
+            static_cast<long long>(id)));
+      }
       chain::RsView view;
       view.id = static_cast<chain::RsId>(id);
       view.proposed_at = static_cast<chain::Timestamp>(at);

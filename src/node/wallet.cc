@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "analysis/epoch_chain.h"
 #include "common/macros.h"
 #include "common/strings.h"
 
@@ -112,18 +113,22 @@ common::Result<SignedTransaction> Wallet::BuildSpendMulti(
     // Single-input spends (the common case) borrow the node's shared
     // per-batch snapshot and context. With sibling rings from earlier
     // inputs of this transaction the history differs from the snapshot,
-    // so a local combined copy owns the span and no context is set.
-    std::vector<chain::RsView> combined;
+    // so a local chain interns the combined history over the batch
+    // universe: batch tokens ascend, and the synthetic sibling ids ascend
+    // past every ledger id. Its view keeps the chain's core (and so the
+    // combined history) alive.
+    analysis::AnalysisContext combined;
     if (siblings.empty()) {
       input.history = snapshot->history;
       input.context = &snapshot->context;
       input.owner = snapshot;
     } else {
-      combined.reserve(snapshot->history.size() + siblings.size());
-      combined.insert(combined.end(), snapshot->history.begin(),
-                      snapshot->history.end());
-      combined.insert(combined.end(), siblings.begin(), siblings.end());
-      input.history = combined;
+      analysis::EpochChain epochs;
+      epochs.Append(snapshot->history, &node_->ht_index(), input.universe);
+      epochs.Append(siblings, nullptr, {});
+      combined = epochs.View();
+      input.history = epochs.History();
+      input.context = &combined;
     }
     TM_ASSIGN_OR_RETURN(core::SelectionResult selection,
                         selector.Select(input, &rng_));

@@ -112,7 +112,7 @@ SimulationResult RunSimulation(const SimulationConfig& config,
         static_cast<chain::TokenId>(the_node.blockchain().token_count());
     views_routed = views.size();
     analysis::AnalysisContext context = adversary_chain.View();
-    auto analysis = analysis::ChainReactionAnalyzer::Analyze(views);
+    auto analysis = analysis::ChainReactionAnalyzer::Analyze(context);
     report.rings_on_ledger = views.size();
     report.stats = analysis::SummarizeAnonymity(analysis);
     for (const auto& view : views) {

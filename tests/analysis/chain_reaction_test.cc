@@ -19,13 +19,24 @@ RsView View(RsId id, std::vector<TokenId> members) {
   return v;
 }
 
+/// The production cascade over a from-scratch interning of `history`.
+AnalysisResult CascadeOf(std::span<const RsView> history) {
+  return ChainReactionAnalyzer::Cascade(AnalysisContext::Build(history));
+}
+
+/// The exact analysis over a from-scratch interning of `history`.
+AnalysisResult AnalyzeOf(std::span<const RsView> history,
+                         const SideInformation& si = {}) {
+  return ChainReactionAnalyzer::Analyze(AnalysisContext::Build(history), si);
+}
+
 // Paper Example 1, second solution: r1 = r2 = {t1, t2}, r3 = {t2, t3}.
 // Chain reaction: t1 and t2 are both spent by r1/r2, so r3's spend must
 // be t3 — t2 is eliminated from r3.
 TEST(AnalyzeTest, PaperExample1ChainReaction) {
   std::vector<RsView> history = {View(1, {1, 2}), View(2, {1, 2}),
                                  View(3, {2, 3})};
-  auto result = ChainReactionAnalyzer::Analyze(history);
+  auto result = AnalyzeOf(history);
   EXPECT_FALSE(result.NoTokenEliminated());
   ASSERT_TRUE(result.revealed_spends.count(3));
   EXPECT_EQ(result.revealed_spends.at(3), 3u);
@@ -42,7 +53,7 @@ TEST(AnalyzeTest, PaperExample1ChainReaction) {
 TEST(AnalyzeTest, PaperExample1GoodSolution) {
   std::vector<RsView> history = {View(1, {1, 2}), View(2, {1, 2}),
                                  View(3, {3, 4})};
-  auto result = ChainReactionAnalyzer::Analyze(history);
+  auto result = AnalyzeOf(history);
   EXPECT_TRUE(result.NoTokenEliminated());
   EXPECT_TRUE(result.revealed_spends.empty());
   EXPECT_EQ(result.possible_spends.at(3),
@@ -55,12 +66,12 @@ TEST(AnalyzeTest, PaperSection31NewRsBreaksOldOnes) {
   std::vector<RsView> history = {
       View(1, {1, 2, 5}), View(2, {1, 3}), View(3, {1, 3}),
       View(4, {2, 4}),    View(5, {4, 5, 6})};
-  auto before = ChainReactionAnalyzer::Analyze(history);
+  auto before = AnalyzeOf(history);
   EXPECT_FALSE(before.revealed_spends.count(1));
   EXPECT_FALSE(before.revealed_spends.count(5));
 
   history.push_back(View(6, {2, 4}));
-  auto after = ChainReactionAnalyzer::Analyze(history);
+  auto after = AnalyzeOf(history);
   ASSERT_TRUE(after.revealed_spends.count(1));
   EXPECT_EQ(after.revealed_spends.at(1), 5u);
   ASSERT_TRUE(after.revealed_spends.count(5));
@@ -72,7 +83,7 @@ TEST(AnalyzeTest, SideInformationEliminatesAndReveals) {
   std::vector<RsView> history = {View(0, {1, 2}), View(1, {2, 3})};
   SideInformation si;
   si.revealed.push_back(TokenRsPair{2, 0});
-  auto result = ChainReactionAnalyzer::Analyze(history, si);
+  auto result = AnalyzeOf(history, si);
   ASSERT_TRUE(result.revealed_spends.count(1));
   EXPECT_EQ(result.revealed_spends.at(1), 3u);
   // Token 1 is eliminated from r0 by the side info itself.
@@ -80,7 +91,7 @@ TEST(AnalyzeTest, SideInformationEliminatesAndReveals) {
 }
 
 TEST(AnalyzeTest, EmptyHistory) {
-  auto result = ChainReactionAnalyzer::Analyze({});
+  auto result = AnalyzeOf({});
   EXPECT_TRUE(result.spent_tokens.empty());
   EXPECT_TRUE(result.revealed_spends.empty());
   EXPECT_TRUE(result.NoTokenEliminated());
@@ -88,7 +99,7 @@ TEST(AnalyzeTest, EmptyHistory) {
 
 TEST(AnalyzeTest, SingleRsFullyAmbiguous) {
   std::vector<RsView> history = {View(0, {1, 2, 3})};
-  auto result = ChainReactionAnalyzer::Analyze(history);
+  auto result = AnalyzeOf(history);
   EXPECT_TRUE(result.NoTokenEliminated());
   EXPECT_EQ(result.possible_spends.at(0), (std::vector<TokenId>{1, 2, 3}));
 }
@@ -97,7 +108,7 @@ TEST(AnalyzeTest, SingleRsFullyAmbiguous) {
 TEST(CascadeTest, Theorem41Closure) {
   std::vector<RsView> history = {View(0, {1, 2}), View(1, {2, 3}),
                                  View(2, {1, 3})};
-  auto result = ChainReactionAnalyzer::Cascade(history);
+  auto result = CascadeOf(history);
   EXPECT_EQ(result.spent_tokens.size(), 3u);
   EXPECT_TRUE(result.spent_tokens.count(1));
   EXPECT_TRUE(result.spent_tokens.count(2));
@@ -107,7 +118,7 @@ TEST(CascadeTest, Theorem41Closure) {
 TEST(CascadeTest, NoFalsePositives) {
   // 2 RSs over 4 tokens: nothing is provably spent.
   std::vector<RsView> history = {View(0, {1, 2}), View(1, {3, 4})};
-  auto result = ChainReactionAnalyzer::Cascade(history);
+  auto result = CascadeOf(history);
   EXPECT_TRUE(result.spent_tokens.empty());
 }
 
@@ -116,7 +127,7 @@ TEST(CascadeTest, ZeroMixinCascade) {
   // spend 2; then r2={2,3} must spend 3.
   std::vector<RsView> history = {View(0, {1}), View(1, {1, 2}),
                                  View(2, {2, 3})};
-  auto result = ChainReactionAnalyzer::Cascade(history);
+  auto result = CascadeOf(history);
   EXPECT_EQ(result.revealed_spends.at(0), 1u);
   EXPECT_EQ(result.revealed_spends.at(1), 2u);
   EXPECT_EQ(result.revealed_spends.at(2), 3u);
@@ -132,8 +143,8 @@ TEST(CascadeTest, SoundWithRespectToExactAnalysis) {
       {View(0, {1}), View(1, {1, 2, 3})},
   };
   for (const auto& history : cases) {
-    auto cascade = ChainReactionAnalyzer::Cascade(history);
-    auto exact = ChainReactionAnalyzer::Analyze(history);
+    auto cascade = CascadeOf(history);
+    auto exact = AnalyzeOf(history);
     for (const auto& [rs, token] : cascade.revealed_spends) {
       ASSERT_TRUE(exact.possible_spends.count(rs));
       EXPECT_EQ(exact.possible_spends.at(rs),
@@ -145,9 +156,11 @@ TEST(CascadeTest, SoundWithRespectToExactAnalysis) {
 TEST(CountInferableSpentTest, MatchesCascade) {
   std::vector<RsView> history = {View(0, {1, 2}), View(1, {1, 2}),
                                  View(2, {5, 6})};
-  EXPECT_EQ(ChainReactionAnalyzer::CountInferableSpent(history), 2u);
   EXPECT_EQ(ChainReactionAnalyzer::CountInferableSpent(
-                std::span<const RsView>{}),
+                AnalysisContext::Build(history)),
+            2u);
+  EXPECT_EQ(ChainReactionAnalyzer::CountInferableSpent(
+                AnalysisContext::Build({})),
             0u);
 }
 

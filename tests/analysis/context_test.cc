@@ -1,8 +1,9 @@
 // Equivalence suite for the interned columnar AnalysisContext: every
 // context-based read path must produce byte-identical results to the
-// legacy vector/hash-map path on randomized histories. This is the
-// contract that lets TokenMagic, node::Node, and the selectors share one
-// snapshot per batch without changing any analysis outcome.
+// span-based reference oracles (tests/oracle/) on randomized histories.
+// This is the contract that lets TokenMagic, node::Node, and the
+// selectors share one snapshot per batch without changing any analysis
+// outcome.
 #include "analysis/context.h"
 
 #include <gtest/gtest.h>
@@ -16,10 +17,10 @@
 #include "analysis/diversity.h"
 #include "analysis/dtrs.h"
 #include "analysis/homogeneity.h"
-#include "analysis/incremental.h"
 #include "analysis/related_set.h"
 #include "chain/ht_index.h"
 #include "common/rng.h"
+#include "oracle/analysis_oracle.h"
 
 namespace tokenmagic::analysis {
 namespace {
@@ -45,8 +46,8 @@ RsView View(RsId id, std::vector<TokenId> members) {
 }
 
 /// One randomized instance: a token universe with HT assignments and a
-/// ring history over it. RS ids are deliberately non-dense so the
-/// LocalOfRs interning is exercised.
+/// ring history over it. RS ids ascend but are deliberately non-dense so
+/// the LocalOfRs search is exercised.
 struct RandomHistory {
   std::vector<TokenId> universe;
   HtIndex index;
@@ -90,51 +91,17 @@ TEST(AnalysisContextTest, InterningRoundTripsStructure) {
   common::Rng rng(2026);
   RandomHistory instance(&rng, 20, 8);
   AnalysisContext context = instance.Context();
-
-  ASSERT_EQ(context.rs_count(), instance.history.size());
   EXPECT_EQ(context.token_count(), instance.universe.size());
-  for (size_t i = 0; i < instance.history.size(); ++i) {
-    const RsView& view = instance.history[i];
-    auto rs = static_cast<AnalysisContext::Local>(i);
-    EXPECT_EQ(context.rs_id(rs), view.id);
-    EXPECT_EQ(context.LocalOfRs(view.id), rs);
-    EXPECT_EQ(context.proposed_at(rs), view.proposed_at);
-
-    // Member lists round-trip in the canonical ascending order.
-    auto members = context.Members(rs);
-    ASSERT_EQ(members.size(), view.members.size());
-    for (size_t k = 0; k < members.size(); ++k) {
-      EXPECT_EQ(context.token_id(members[k]), view.members[k]);
-      EXPECT_TRUE(context.RsContains(rs, members[k]));
-    }
-    RsView reconstructed = context.ViewOf(rs);
-    EXPECT_EQ(reconstructed.id, view.id);
-    EXPECT_EQ(reconstructed.members, view.members);
-  }
-  for (TokenId t : instance.universe) {
-    auto token = context.LocalOfToken(t);
-    ASSERT_NE(token, AnalysisContext::kNoLocal);
-    EXPECT_EQ(context.token_id(token), t);
-    EXPECT_EQ(context.HtOf(token), instance.index.HtOf(t));
-    // The inverted index lists exactly the RSs whose member list holds t.
-    std::vector<RsId> expected;
-    for (const RsView& view : instance.history) {
-      if (std::binary_search(view.members.begin(), view.members.end(), t)) {
-        expected.push_back(view.id);
-      }
-    }
-    std::vector<RsId> actual;
-    for (auto rs : context.RsOfToken(token)) actual.push_back(context.rs_id(rs));
-    EXPECT_EQ(actual, expected);
-  }
+  oracle::ExpectInterned(context, instance.history, &instance.index,
+                         instance.universe);
   EXPECT_EQ(context.LocalOfToken(999999), AnalysisContext::kNoLocal);
   EXPECT_EQ(context.LocalOfRs(999999), AnalysisContext::kNoLocal);
 }
 
-// The central equivalence property: related set, cascade (with and
-// without side information), homogeneity, diversity, and the practical
-// DTRS checks agree byte-for-byte with the legacy path on >= 100 seeded
-// randomized histories.
+// The central equivalence property: interning, related set, cascade (with
+// and without side information), homogeneity, diversity, and the
+// practical DTRS checks agree byte-for-byte with the span-based oracles
+// and index paths on >= 100 seeded randomized histories.
 TEST(AnalysisContextTest, EquivalentToLegacyOnRandomHistories) {
   common::Rng rng(20260806);
   for (int trial = 0; trial < 120; ++trial) {
@@ -143,6 +110,8 @@ TEST(AnalysisContextTest, EquivalentToLegacyOnRandomHistories) {
     RandomHistory instance(&rng, num_tokens, num_rs);
     AnalysisContext context = instance.Context();
     std::span<const RsView> history = instance.history;
+    oracle::ExpectInterned(context, history, &instance.index,
+                           instance.universe);
 
     // Related set: identical BFS emission order (ids AND levels).
     std::vector<TokenId> targets;
@@ -150,7 +119,8 @@ TEST(AnalysisContextTest, EquivalentToLegacyOnRandomHistories) {
     for (size_t i = 0; i < num_targets; ++i) {
       targets.push_back(rng.NextBounded(num_tokens + 2));  // may be absent
     }
-    RelatedSetResult legacy_rel = ComputeRelatedSet(targets, history);
+    RelatedSetResult legacy_rel =
+        oracle::ComputeRelatedSet(targets, history);
     RelatedSetResult dense_rel = ComputeRelatedSet(targets, context);
     ASSERT_EQ(legacy_rel.related.size(), dense_rel.related.size())
         << "trial " << trial;
@@ -162,15 +132,15 @@ TEST(AnalysisContextTest, EquivalentToLegacyOnRandomHistories) {
     }
 
     // Cascade without side information.
-    AnalysisResult baseline = ChainReactionAnalyzer::Cascade(history);
+    AnalysisResult baseline = oracle::Cascade(history);
     ExpectSameAnalysis(baseline, ChainReactionAnalyzer::Cascade(context),
                        "cascade", trial);
-    EXPECT_EQ(ChainReactionAnalyzer::CountInferableSpent(history),
+    EXPECT_EQ(oracle::CountInferableSpent(history),
               ChainReactionAnalyzer::CountInferableSpent(context))
         << "trial " << trial;
 
     // Cascade under side information, including pairs naming unknown RSs
-    // and duplicate pairs for one RS (both have defined legacy semantics).
+    // and duplicate pairs for one RS (both have defined oracle semantics).
     SideInformation si;
     size_t num_pairs = rng.NextBounded(4);
     for (size_t i = 0; i < num_pairs; ++i) {
@@ -180,33 +150,9 @@ TEST(AnalysisContextTest, EquivalentToLegacyOnRandomHistories) {
       pair.token = view.members[rng.NextBounded(view.members.size())];
       si.revealed.push_back(pair);
     }
-    ExpectSameAnalysis(ChainReactionAnalyzer::Cascade(history, si),
+    ExpectSameAnalysis(oracle::Cascade(history, si),
                        ChainReactionAnalyzer::Cascade(context, si),
                        "cascade+si", trial);
-
-    // Incremental bulk-load constructor == batch cascade over the same
-    // history. Sequential Adds can soundly infer strictly more: a
-    // sub-family that is tight over some prefix stays provably spent
-    // even after later RSs grow its component past tightness, so the
-    // per-insertion fixpoints accumulate facts the single batch pass
-    // cannot rediscover. Hence superset — not equality — vs sequential.
-    IncrementalCascade bulk(context);
-    EXPECT_EQ(bulk.InferableSpentCount(), baseline.spent_tokens.size())
-        << "trial " << trial;
-    EXPECT_EQ(bulk.revealed(), baseline.revealed_spends)
-        << "trial " << trial;
-    IncrementalCascade sequential;
-    for (const RsView& view : instance.history) sequential.Add(view);
-    for (TokenId t : instance.universe) {
-      EXPECT_EQ(bulk.IsProvablySpent(t), baseline.spent_tokens.count(t) > 0)
-          << "trial " << trial << " token " << t;
-      if (bulk.IsProvablySpent(t)) {
-        EXPECT_TRUE(sequential.IsProvablySpent(t))
-            << "trial " << trial << " token " << t;
-      }
-    }
-    EXPECT_GE(sequential.InferableSpentCount(), bulk.InferableSpentCount())
-        << "trial " << trial;
 
     // Per-RS probes: homogeneity, diversity, practical DTRS, Theorem 6.2.
     for (const RsView& view : instance.history) {

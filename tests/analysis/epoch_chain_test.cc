@@ -1,10 +1,10 @@
 // Equivalence and lifetime suite for the epoch-chained AnalysisContext:
 // at every block height, the chained View() must be observationally
-// byte-identical to a from-scratch AnalysisContext::Build over the same
-// prefix, and sealed views must stay valid and unchanged while the chain
-// keeps growing. This is the contract that lets node::Node and TokenMagic
-// replace rebuild-per-block with O(delta) epoch appends without changing
-// any selection or analysis outcome.
+// byte-identical to a sort-based from-scratch interning of the same prefix
+// (the tests/oracle reference), and sealed views must stay valid and
+// unchanged while the chain keeps growing. This is the contract that lets
+// node::Node and TokenMagic use O(delta) epoch appends per block without
+// changing any selection or analysis outcome.
 #include "analysis/epoch_chain.h"
 
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 #include "analysis/chain_reaction.h"
 #include "chain/ht_index.h"
 #include "common/rng.h"
+#include "oracle/analysis_oracle.h"
 
 namespace tokenmagic::analysis {
 namespace {
@@ -27,42 +28,6 @@ using chain::RsId;
 using chain::RsView;
 using chain::TokenId;
 using Local = AnalysisContext::Local;
-
-/// Asserts every read-surface accessor of `got` matches `want` exactly.
-void ExpectSameContext(const AnalysisContext& got,
-                       const AnalysisContext& want) {
-  ASSERT_EQ(got.token_count(), want.token_count());
-  ASSERT_EQ(got.rs_count(), want.rs_count());
-  ASSERT_EQ(got.ht_count(), want.ht_count());
-  for (Local t = 0; t < want.token_count(); ++t) {
-    ASSERT_EQ(got.token_id(t), want.token_id(t));
-    ASSERT_EQ(got.HtLocalOf(t), want.HtLocalOf(t));
-    ASSERT_EQ(got.HtOf(t), want.HtOf(t));
-    ASSERT_EQ(got.LocalOfToken(want.token_id(t)), t);
-    std::span<const Local> a = got.RsOfToken(t);
-    std::span<const Local> b = want.RsOfToken(t);
-    ASSERT_EQ(std::vector<Local>(a.begin(), a.end()),
-              std::vector<Local>(b.begin(), b.end()));
-  }
-  for (Local h = 0; h < want.ht_count(); ++h) {
-    ASSERT_EQ(got.ht_id(h), want.ht_id(h));
-  }
-  for (Local r = 0; r < want.rs_count(); ++r) {
-    ASSERT_EQ(got.rs_id(r), want.rs_id(r));
-    ASSERT_EQ(got.proposed_at(r), want.proposed_at(r));
-    ASSERT_EQ(got.requirement(r).c, want.requirement(r).c);
-    ASSERT_EQ(got.requirement(r).ell, want.requirement(r).ell);
-    ASSERT_EQ(got.LocalOfRs(want.rs_id(r)), r);
-    std::span<const Local> a = got.Members(r);
-    std::span<const Local> b = want.Members(r);
-    ASSERT_EQ(std::vector<Local>(a.begin(), a.end()),
-              std::vector<Local>(b.begin(), b.end()));
-    ASSERT_EQ(got.ViewOf(r).members, want.ViewOf(r).members);
-  }
-  // Misses answer identically too.
-  ASSERT_EQ(got.LocalOfToken(1u << 30), want.LocalOfToken(1u << 30));
-  ASSERT_EQ(got.LocalOfRs(1u << 30), want.LocalOfRs(1u << 30));
-}
 
 /// A growing randomized chain: each block mints a few dense tokens and
 /// proposes a few RSs (dense ascending ids) over the tokens minted so far.
@@ -117,9 +82,8 @@ TEST(EpochChainTest, MatchesFromScratchBuildAtEveryHeightManySeeds) {
       std::vector<TokenId> tokens;
       gen.NextBlock(&views, &tokens);
       chain.Append(views, &gen.index, tokens);
-      AnalysisContext want =
-          AnalysisContext::Build(gen.history, &gen.index, gen.universe);
-      ExpectSameContext(chain.View(), want);
+      oracle::ExpectInterned(chain.View(), gen.history, &gen.index,
+                             gen.universe);
       ASSERT_EQ(chain.rs_count(), gen.history.size());
       ASSERT_EQ(chain.token_count(), gen.universe.size());
     }
@@ -149,9 +113,8 @@ TEST(EpochChainTest, SealedViewsSurviveAndIgnoreLaterAppends) {
   // Only after the chain fully grew (forcing column generations and tail
   // regrows) is every sealed view checked against its own prefix.
   for (size_t b = 0; b < sealed.size(); ++b) {
-    AnalysisContext want = AnalysisContext::Build(
-        prefixes[b].history, &gen.index, prefixes[b].universe);
-    ExpectSameContext(sealed[b], want);
+    oracle::ExpectInterned(sealed[b], prefixes[b].history, &gen.index,
+                           prefixes[b].universe);
     ASSERT_EQ(sealed_history[b], prefixes[b].history.size());
   }
   // Sealed views keep the core alive even after the chain itself dies.
@@ -162,9 +125,8 @@ TEST(EpochChainTest, SealedViewsSurviveAndIgnoreLaterAppends) {
     EpochChain graveyard;  // scope marker: original chain destroyed below
     std::swap(graveyard, chain);
   }
-  AnalysisContext want = AnalysisContext::Build(
-      prefixes.back().history, &gen.index, prefixes.back().universe);
-  ExpectSameContext(survivor, want);
+  oracle::ExpectInterned(survivor, prefixes.back().history, &gen.index,
+                         prefixes.back().universe);
   ASSERT_EQ(history.size(), prefixes.back().history.size());
   for (size_t r = 0; r < history.size(); ++r) {
     ASSERT_EQ(history[r].members, prefixes.back().history[r].members);
@@ -173,7 +135,7 @@ TEST(EpochChainTest, SealedViewsSurviveAndIgnoreLaterAppends) {
 
 TEST(EpochChainTest, ChainedContextDrivesAnalysisIdentically) {
   // The cascade (the heaviest consumer of the inverted index) must see no
-  // difference between the two storage modes.
+  // difference between a multi-epoch view and the reference fixpoint.
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     GrowingChain gen(7000 + seed);
     EpochChain chain;
@@ -183,10 +145,8 @@ TEST(EpochChainTest, ChainedContextDrivesAnalysisIdentically) {
       gen.NextBlock(&views, &tokens);
       chain.Append(views, &gen.index, tokens);
     }
-    AnalysisContext built =
-        AnalysisContext::Build(gen.history, &gen.index, gen.universe);
     AnalysisResult a = ChainReactionAnalyzer::Cascade(chain.View());
-    AnalysisResult b = ChainReactionAnalyzer::Cascade(built);
+    AnalysisResult b = oracle::Cascade(gen.history);
     ASSERT_EQ(a.spent_tokens, b.spent_tokens);
     ASSERT_EQ(a.revealed_spends, b.revealed_spends);
   }
@@ -194,7 +154,7 @@ TEST(EpochChainTest, ChainedContextDrivesAnalysisIdentically) {
 
 TEST(EpochChainTest, OverlayCascadeMatchesRebuiltExtendedContext) {
   // The liquidity probe's overlay cascade must count exactly what a
-  // from-scratch intern of history + prospective RS counts.
+  // from-scratch cascade over history + prospective RS counts.
   for (uint64_t seed = 1; seed <= 24; ++seed) {
     GrowingChain gen(4000 + seed);
     EpochChain chain;
@@ -217,10 +177,9 @@ TEST(EpochChainTest, OverlayCascadeMatchesRebuiltExtendedContext) {
 
     std::vector<RsView> extended = gen.history;
     extended.push_back(prospective);
-    AnalysisContext rebuilt = AnalysisContext::Build(extended);
     ASSERT_EQ(ChainReactionAnalyzer::CountInferableSpent(chain.View(),
                                                          prospective),
-              ChainReactionAnalyzer::CountInferableSpent(rebuilt))
+              oracle::CountInferableSpent(extended))
         << "seed " << seed;
   }
 }
@@ -228,13 +187,12 @@ TEST(EpochChainTest, OverlayCascadeMatchesRebuiltExtendedContext) {
 TEST(EpochChainTest, EmptyAndTokenOnlyEpochs) {
   EpochChain chain;
   chain.Append({}, nullptr, {});
-  ExpectSameContext(chain.View(), AnalysisContext::Build({}, nullptr, {}));
+  oracle::ExpectInterned(chain.View(), {}, nullptr, {});
   HtIndex index;
   std::vector<TokenId> tokens{0, 1, 2};
   for (TokenId t : tokens) index.Set(t, 500);
   chain.Append({}, &index, tokens);
-  AnalysisContext want = AnalysisContext::Build({}, &index, tokens);
-  ExpectSameContext(chain.View(), want);
+  oracle::ExpectInterned(chain.View(), {}, &index, tokens);
   ASSERT_EQ(chain.View().RsOfToken(0).size(), 0u);
   ASSERT_EQ(chain.epoch_count(), 2u);
   ASSERT_EQ(chain.epoch(1).token_end, 3u);
@@ -283,9 +241,7 @@ TEST(EpochChainTest, ConcurrentSealedReadersRaceAppends) {
   }
   stop.store(true);
   for (std::thread& t : readers) t.join();
-  AnalysisContext want = AnalysisContext::Build(
-      sealed_history, &gen.index, sealed_universe);
-  ExpectSameContext(sealed, want);
+  oracle::ExpectInterned(sealed, sealed_history, &gen.index, sealed_universe);
 }
 
 }  // namespace

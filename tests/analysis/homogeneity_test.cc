@@ -75,7 +75,7 @@ RsView View(chain::RsId id, std::vector<TokenId> members) {
 TEST(AnonymityStatsTest, SummarizesAnalysis) {
   std::vector<RsView> history = {View(0, {1, 2}), View(1, {1, 2}),
                                  View(2, {2, 3})};
-  auto result = ChainReactionAnalyzer::Analyze(history);
+  auto result = ChainReactionAnalyzer::Analyze(AnalysisContext::Build(history));
   auto stats = SummarizeAnonymity(result);
   EXPECT_EQ(stats.rs_count, 3u);
   EXPECT_EQ(stats.fully_revealed, 1u);  // r2 -> t3
@@ -95,7 +95,7 @@ TEST(AnonymityStatsTest, EmptyResult) {
 TEST(DeanonymizationRateTest, CountsExactHits) {
   std::vector<RsView> history = {View(0, {1, 2}), View(1, {1, 2}),
                                  View(2, {2, 3})};
-  auto result = ChainReactionAnalyzer::Analyze(history);
+  auto result = ChainReactionAnalyzer::Analyze(AnalysisContext::Build(history));
   // Truth: r2 spends 3 (matches the forced inference), r0 spends 1.
   std::vector<TokenRsPair> truth = {{1, 0}, {2, 1}, {3, 2}};
   EXPECT_NEAR(DeanonymizationRate(result, truth), 1.0 / 3.0, 1e-12);

@@ -26,7 +26,8 @@ TEST(RelatedSetTest, PaperExample2) {
       View(1, {1, 2, 5}), View(2, {1, 3}), View(3, {1, 3}),
       View(5, {4, 5, 6})};
   // Target = r4's members {t2, t4}.
-  auto result = ComputeRelatedSet(std::vector<TokenId>{2, 4}, history);
+  auto result = ComputeRelatedSet(std::vector<TokenId>{2, 4},
+                                  AnalysisContext::Build(history));
   auto level0 = result.IdsAtLevel(0);
   auto level1 = result.IdsAtLevel(1);
   std::sort(level0.begin(), level0.end());
@@ -40,13 +41,14 @@ TEST(RelatedSetTest, PaperExample2) {
 
 TEST(RelatedSetTest, DisjointHistoryIsUnrelated) {
   std::vector<RsView> history = {View(0, {10, 11}), View(1, {12, 13})};
-  auto result = ComputeRelatedSet(std::vector<TokenId>{1, 2}, history);
+  auto result = ComputeRelatedSet(std::vector<TokenId>{1, 2},
+                                  AnalysisContext::Build(history));
   EXPECT_TRUE(result.related.empty());
 }
 
 TEST(RelatedSetTest, EmptyHistory) {
   auto result = ComputeRelatedSet(std::vector<TokenId>{1, 2},
-                                  std::span<const RsView>{});
+                                  AnalysisContext::Build({}));
   EXPECT_TRUE(result.related.empty());
 }
 
@@ -54,7 +56,8 @@ TEST(RelatedSetTest, ChainOfSharingDiscoversTransitively) {
   // 0-{1,2}, 1-{2,3}, 2-{3,4}, 3-{4,5}: target {1} pulls the whole chain.
   std::vector<RsView> history = {View(0, {1, 2}), View(1, {2, 3}),
                                  View(2, {3, 4}), View(3, {4, 5})};
-  auto result = ComputeRelatedSet(std::vector<TokenId>{1}, history);
+  auto result = ComputeRelatedSet(std::vector<TokenId>{1},
+                                  AnalysisContext::Build(history));
   EXPECT_EQ(result.related.size(), 4u);
   EXPECT_EQ(result.IdsAtLevel(0), (std::vector<RsId>{0}));
   EXPECT_EQ(result.IdsAtLevel(1), (std::vector<RsId>{1}));
@@ -66,7 +69,8 @@ TEST(RelatedSetTest, EachRsDiscoveredOnce) {
   // Diamond: two paths to rs 2; it must appear once at the lower level.
   std::vector<RsView> history = {View(0, {1, 2}), View(1, {1, 3}),
                                  View(2, {2, 3})};
-  auto result = ComputeRelatedSet(std::vector<TokenId>{1}, history);
+  auto result = ComputeRelatedSet(std::vector<TokenId>{1},
+                                  AnalysisContext::Build(history));
   EXPECT_EQ(result.related.size(), 3u);
   size_t count_rs2 = 0;
   for (const auto& r : result.related) {
@@ -80,7 +84,8 @@ TEST(RelatedSetTest, BatchDisjointnessKeepsSetsLocal) {
   // first batch never reaches the second.
   std::vector<RsView> history = {View(0, {1, 2}), View(1, {2, 3}),
                                  View(2, {100, 101}), View(3, {101, 102})};
-  auto result = ComputeRelatedSet(std::vector<TokenId>{3}, history);
+  auto result = ComputeRelatedSet(std::vector<TokenId>{3},
+                                  AnalysisContext::Build(history));
   auto ids = result.Ids();
   std::sort(ids.begin(), ids.end());
   EXPECT_EQ(ids, (std::vector<RsId>{0, 1}));

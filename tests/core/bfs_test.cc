@@ -4,6 +4,7 @@
 
 #include "analysis/chain_reaction.h"
 #include "analysis/diversity.h"
+#include "support/snapshot.h"
 
 namespace tokenmagic::core {
 namespace {
@@ -11,6 +12,7 @@ namespace {
 using chain::DiversityRequirement;
 using chain::RsView;
 using chain::TokenId;
+using test_support::AttachContext;
 
 RsView View(chain::RsId id, std::vector<TokenId> members,
             DiversityRequirement req = {2.0, 1}) {
@@ -48,6 +50,7 @@ TEST(BfsTest, PaperExample1FindsGoodSolution) {
   input.history = history;
   input.requirement = {2.0, 2};
   input.index = &idx;
+  AttachContext(&input);
   common::Rng rng(1);
   BfsSelector selector;
   auto result = selector.Select(input, &rng);
@@ -65,6 +68,7 @@ TEST(BfsTest, ReturnsMinimumSizeSolution) {
   input.universe = universe;
   input.requirement = {2.0, 2};
   input.index = &idx;
+  AttachContext(&input);
   common::Rng rng(1);
   BfsSelector selector;
   auto result = selector.Select(input, &rng);
@@ -82,6 +86,7 @@ TEST(BfsTest, ResultPassesExactNonEliminationCheck) {
   input.history = history;
   input.requirement = {2.0, 2};
   input.index = &idx;
+  AttachContext(&input);
   common::Rng rng(1);
   BfsSelector selector;
   auto result = selector.Select(input, &rng);
@@ -90,7 +95,8 @@ TEST(BfsTest, ResultPassesExactNonEliminationCheck) {
   // Re-run the adversary on history + the new RS: nothing eliminated.
   std::vector<RsView> after = history;
   after.push_back(View(99, result->members, input.requirement));
-  auto analysis = analysis::ChainReactionAnalyzer::Analyze(after);
+  auto analysis = analysis::ChainReactionAnalyzer::Analyze(
+      analysis::AnalysisContext::Build(after));
   EXPECT_TRUE(analysis.NoTokenEliminated());
 }
 
@@ -105,6 +111,7 @@ TEST(BfsTest, RespectsDiversityRequirement) {
   input.universe = universe;
   input.requirement = {1.5, 2};
   input.index = &idx;
+  AttachContext(&input);
   common::Rng rng(1);
   BfsSelector selector;
   auto result = selector.Select(input, &rng);
@@ -122,6 +129,7 @@ TEST(BfsTest, UnsatisfiableWhenUniverseTooHomogeneous) {
   input.universe = universe;
   input.requirement = {1.0, 2};
   input.index = &idx;
+  AttachContext(&input);
   common::Rng rng(1);
   BfsSelector selector;
   auto result = selector.Select(input, &rng);
@@ -137,6 +145,7 @@ TEST(BfsTest, UniverseCapRejectsHugeInstances) {
   input.universe = universe;
   input.requirement = {2.0, 2};
   input.index = &idx;
+  AttachContext(&input);
   BfsSelector::Options options;
   options.max_universe = 20;
   BfsSelector selector(options);
@@ -156,6 +165,7 @@ TEST(BfsTest, BudgetExpiryReturnsTimeout) {
   input.universe = universe;
   input.requirement = {1.0, 2};
   input.index = &idx;
+  AttachContext(&input);
   BfsSelector::Options options;
   options.budget_seconds = 0.05;
   BfsSelector selector(options);
@@ -177,6 +187,7 @@ TEST(BfsTest, MatchesPracticalSelectorsOnEasyInstance) {
   input.universe = universe;
   input.requirement = {1.5, 3};
   input.index = &idx;
+  AttachContext(&input);
   common::Rng rng(1);
   BfsSelector bfs;
   auto exact = bfs.Select(input, &rng);

@@ -1,4 +1,5 @@
 #include "core/eligibility.h"
+#include "support/snapshot.h"
 
 #include <gtest/gtest.h>
 
@@ -40,7 +41,7 @@ TEST(EffectiveRequirementTest, StrictModeBumpsEll) {
 TEST(MaterializeCandidateTest, UnionsAndSorts) {
   std::vector<TokenId> universe = {1, 2, 3, 4, 5};
   std::vector<RsView> history = {View(0, {3, 4}), View(1, {1, 2})};
-  auto mu = ModuleUniverse::Build(universe, history);
+  auto mu = test_support::BuildModules(universe, history);
   ASSERT_TRUE(mu.ok());
   size_t m34 = mu->ModuleOfToken(3);
   size_t m12 = mu->ModuleOfToken(1);
@@ -54,7 +55,7 @@ TEST(CandidateSubsetCountTest, CountsItselfPlusCoveredRs) {
                                  View(1, {1, 2, 3}, {1.0, 1}),
                                  View(2, {4, 5}, {1.0, 1})};
   std::vector<TokenId> universe = {1, 2, 3, 4, 5, 6};
-  auto mu = ModuleUniverse::Build(universe, history);
+  auto mu = test_support::BuildModules(universe, history);
   ASSERT_TRUE(mu.ok());
   size_t m123 = mu->ModuleOfToken(1);  // super RS with v=2
   size_t m45 = mu->ModuleOfToken(4);   // super RS with v=1
@@ -70,7 +71,7 @@ TEST(CheckCandidateTest, DiversityViolationDetected) {
   idx.Set(1, 100);
   idx.Set(2, 100);
   std::vector<TokenId> universe = {1, 2};
-  auto mu = ModuleUniverse::Build(universe, {});
+  auto mu = test_support::BuildModules(universe, {});
   ASSERT_TRUE(mu.ok());
   EligibilityPolicy policy;
   policy.strict_dtrs = false;
@@ -84,7 +85,7 @@ TEST(CheckCandidateTest, DiversityViolationDetected) {
 TEST(CheckCandidateTest, EligibleWhenDiverse) {
   chain::HtIndex idx = IdentityIndex({1, 2, 3, 4});
   std::vector<TokenId> universe = {1, 2, 3, 4};
-  auto mu = ModuleUniverse::Build(universe, {});
+  auto mu = test_support::BuildModules(universe, {});
   ASSERT_TRUE(mu.ok());
   EligibilityPolicy policy;
   policy.strict_dtrs = false;
@@ -99,7 +100,7 @@ TEST(CheckCandidateTest, EligibleWhenDiverse) {
 TEST(CheckCandidateTest, StrictModeIsStricter) {
   chain::HtIndex idx = IdentityIndex({1, 2, 3});
   std::vector<TokenId> universe = {1, 2, 3};
-  auto mu = ModuleUniverse::Build(universe, {});
+  auto mu = test_support::BuildModules(universe, {});
   ASSERT_TRUE(mu.ok());
   std::vector<size_t> all = {mu->ModuleOfToken(1), mu->ModuleOfToken(2),
                              mu->ModuleOfToken(3)};
@@ -121,7 +122,7 @@ TEST(CheckCandidateTest, ExplicitDtrsCheckCatchesViolations) {
   std::vector<RsView> history = {View(0, {1, 2, 3}), View(1, {1, 2, 3}),
                                  View(2, {1, 2, 3})};
   std::vector<TokenId> universe = {1, 2, 3};
-  auto mu = ModuleUniverse::Build(universe, history);
+  auto mu = test_support::BuildModules(universe, history);
   ASSERT_TRUE(mu.ok());
   std::vector<size_t> chosen = {mu->ModuleOfToken(1)};
   EligibilityPolicy policy;
@@ -149,7 +150,7 @@ TEST(CheckCandidateTest, ImmutabilityCheckProtectsCoveredRs) {
   idx.Set(4, 400);
   std::vector<RsView> history = {View(0, {1, 2}, {1.0, 1})};
   std::vector<TokenId> universe = {1, 2, 3, 4};
-  auto mu = ModuleUniverse::Build(universe, history);
+  auto mu = test_support::BuildModules(universe, history);
   ASSERT_TRUE(mu.ok());
   std::vector<size_t> chosen = {mu->ModuleOfToken(1), mu->ModuleOfToken(3),
                                 mu->ModuleOfToken(4)};

@@ -1,4 +1,5 @@
 #include "core/module_greedy.h"
+#include "support/snapshot.h"
 
 #include <gtest/gtest.h>
 
@@ -41,6 +42,7 @@ struct Fixture {
     input.requirement = {2.0, 2};
     input.index = &index;
     input.policy.strict_dtrs = false;
+    test_support::AttachContext(&input);
   }
 };
 
@@ -100,6 +102,7 @@ TEST(ChooseUnchooseTest, SharedHtSurvivesRemoval) {
   input.universe = universe;
   input.requirement = {2.0, 1};
   input.index = &index;
+  test_support::AttachContext(&input);
   auto state = InitModuleState(input);
   ASSERT_TRUE(state.ok());
   size_t m1 = state->mu.ModuleOfToken(1);

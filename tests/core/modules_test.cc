@@ -4,6 +4,8 @@
 
 #include "analysis/context.h"
 #include "common/rng.h"
+#include "oracle/analysis_oracle.h"
+#include "support/snapshot.h"
 
 namespace tokenmagic::core {
 namespace {
@@ -28,7 +30,7 @@ TEST(ModuleUniverseTest, PaperSection61Example) {
   std::vector<TokenId> universe = {1, 2, 3, 4, 5, 6};
   std::vector<RsView> history = {View(1, {1, 2}, 10), View(2, {1, 2, 3}, 11),
                                  View(3, {4, 5}, 12)};
-  auto mu = ModuleUniverse::Build(universe, history);
+  auto mu = test_support::BuildModules(universe, history);
   ASSERT_TRUE(mu.ok());
 
   auto supers = mu->SuperRsModuleIndices();
@@ -49,7 +51,7 @@ TEST(ModuleUniverseTest, PaperSection61Example) {
 
 TEST(ModuleUniverseTest, EmptyHistoryIsAllFresh) {
   std::vector<TokenId> universe = {1, 2, 3};
-  auto mu = ModuleUniverse::Build(universe, {});
+  auto mu = test_support::BuildModules(universe, {});
   ASSERT_TRUE(mu.ok());
   EXPECT_EQ(mu->FreshModuleIndices().size(), 3u);
   EXPECT_TRUE(mu->SuperRsModuleIndices().empty());
@@ -59,7 +61,7 @@ TEST(ModuleUniverseTest, RejectsPartialOverlap) {
   // {1,2} and {2,3} violate the first practical configuration.
   std::vector<TokenId> universe = {1, 2, 3};
   std::vector<RsView> history = {View(0, {1, 2}), View(1, {2, 3})};
-  auto mu = ModuleUniverse::Build(universe, history);
+  auto mu = test_support::BuildModules(universe, history);
   EXPECT_FALSE(mu.ok());
   EXPECT_TRUE(mu.status().IsInvalidArgument());
 }
@@ -67,7 +69,7 @@ TEST(ModuleUniverseTest, RejectsPartialOverlap) {
 TEST(ModuleUniverseTest, RejectsTokensOutsideUniverse) {
   std::vector<TokenId> universe = {1, 2};
   std::vector<RsView> history = {View(0, {1, 2, 99})};
-  auto mu = ModuleUniverse::Build(universe, history);
+  auto mu = test_support::BuildModules(universe, history);
   EXPECT_FALSE(mu.ok());
   EXPECT_TRUE(mu.status().IsInvalidArgument());
 }
@@ -77,7 +79,7 @@ TEST(ModuleUniverseTest, NestedChainsCollapseToLatestSuper) {
   std::vector<RsView> history = {View(0, {1}, 1), View(1, {1, 2}, 2),
                                  View(2, {1, 2, 3}, 3)};
   std::vector<TokenId> universe = {1, 2, 3, 4};
-  auto mu = ModuleUniverse::Build(universe, history);
+  auto mu = test_support::BuildModules(universe, history);
   ASSERT_TRUE(mu.ok());
   auto supers = mu->SuperRsModuleIndices();
   ASSERT_EQ(supers.size(), 1u);
@@ -92,7 +94,7 @@ TEST(ModuleUniverseTest, EqualSetsLaterWins) {
   // RS that a later superset covers; ⊇ includes equality).
   std::vector<RsView> history = {View(0, {1, 2}, 1), View(1, {1, 2}, 2)};
   std::vector<TokenId> universe = {1, 2};
-  auto mu = ModuleUniverse::Build(universe, history);
+  auto mu = test_support::BuildModules(universe, history);
   ASSERT_TRUE(mu.ok());
   auto supers = mu->SuperRsModuleIndices();
   ASSERT_EQ(supers.size(), 1u);
@@ -103,7 +105,7 @@ TEST(ModuleUniverseTest, EqualSetsLaterWins) {
 TEST(ModuleUniverseTest, ModuleOfTokenCoversEveryToken) {
   std::vector<RsView> history = {View(0, {1, 2}), View(1, {3, 4, 5})};
   std::vector<TokenId> universe = {1, 2, 3, 4, 5, 6, 7};
-  auto mu = ModuleUniverse::Build(universe, history);
+  auto mu = test_support::BuildModules(universe, history);
   ASSERT_TRUE(mu.ok());
   for (TokenId t : {1, 2, 3, 4, 5, 6, 7}) {
     size_t index = mu->ModuleOfToken(t);
@@ -113,12 +115,12 @@ TEST(ModuleUniverseTest, ModuleOfTokenCoversEveryToken) {
   }
 }
 
-void ExpectSameUniverse(const ModuleUniverse& legacy,
+void ExpectSameUniverse(const oracle::ModuleDecomposition& legacy,
                         const ModuleUniverse& fast, int trial) {
-  ASSERT_EQ(legacy.module_count(), fast.module_count()) << "trial " << trial;
-  EXPECT_EQ(legacy.token_count(), fast.token_count()) << "trial " << trial;
-  for (size_t i = 0; i < legacy.module_count(); ++i) {
-    const Module& a = legacy.module(i);
+  ASSERT_EQ(legacy.modules.size(), fast.module_count()) << "trial " << trial;
+  EXPECT_EQ(legacy.token_count, fast.token_count()) << "trial " << trial;
+  for (size_t i = 0; i < legacy.modules.size(); ++i) {
+    const Module& a = legacy.modules[i];
     const Module& b = fast.module(i);
     EXPECT_EQ(a.index, b.index) << "trial " << trial << " module " << i;
     EXPECT_EQ(a.is_fresh, b.is_fresh) << "trial " << trial << " module " << i;
@@ -126,20 +128,19 @@ void ExpectSameUniverse(const ModuleUniverse& legacy,
     EXPECT_EQ(a.tokens, b.tokens) << "trial " << trial << " module " << i;
     EXPECT_EQ(a.subset_count, b.subset_count)
         << "trial " << trial << " module " << i;
-    EXPECT_EQ(legacy.SubsetRsOf(i), fast.SubsetRsOf(i))
+    EXPECT_EQ(legacy.subset_rs[i], fast.SubsetRsOf(i))
         << "trial " << trial << " module " << i;
-  }
-  for (size_t i = 0; i < legacy.module_count(); ++i) {
-    for (TokenId t : legacy.module(i).tokens) {
-      EXPECT_EQ(legacy.ModuleOfToken(t), fast.ModuleOfToken(t))
+    for (TokenId t : a.tokens) {
+      EXPECT_EQ(fast.ModuleOfToken(t), i)
           << "trial " << trial << " token " << t;
     }
   }
 }
 
-// The context-aware Build replaces the O(|history|²) configuration check
-// and the per-super subset scans with inverted-index walks; the output
-// must be byte-identical to the legacy path on random laminar histories.
+// Build replaces the O(|history|²) configuration check and the per-super
+// subset scans with inverted-index walks; the output must be
+// byte-identical to the pairwise reference (tests/oracle) on random
+// laminar histories.
 TEST(ModuleUniverseTest, ContextBuildMatchesLegacyOnRandomHistories) {
   common::Rng rng(20260806);
   for (int trial = 0; trial < 100; ++trial) {
@@ -174,7 +175,7 @@ TEST(ModuleUniverseTest, ContextBuildMatchesLegacyOnRandomHistories) {
       cursor += static_cast<TokenId>(group);
     }
 
-    auto legacy = ModuleUniverse::Build(universe, history);
+    auto legacy = oracle::BuildModules(universe, history);
     ASSERT_TRUE(legacy.ok()) << "trial " << trial;
     analysis::AnalysisContext context =
         analysis::AnalysisContext::Build(history, &index, universe);
@@ -184,14 +185,26 @@ TEST(ModuleUniverseTest, ContextBuildMatchesLegacyOnRandomHistories) {
   }
 }
 
+TEST(ModuleUniverseTest, ContextBuildMatchesLegacyWithEmptyRs) {
+  // An empty RS is a super of its own and a subset of every super.
+  std::vector<TokenId> universe = {1, 2, 3, 4};
+  std::vector<RsView> history = {View(0, {1, 2}, 1), View(1, {}, 2),
+                                 View(2, {3}, 3), View(3, {}, 4)};
+  auto legacy = oracle::BuildModules(universe, history);
+  ASSERT_TRUE(legacy.ok());
+  auto fast = test_support::BuildModules(universe, history);
+  ASSERT_TRUE(fast.ok());
+  ExpectSameUniverse(*legacy, *fast, 0);
+}
+
 TEST(ModuleUniverseTest, ContextBuildRejectsLikeLegacy) {
-  // Partial overlap: the fast path detects it via the inverted index and
-  // defers to the pairwise scan, so the diagnostics match exactly.
+  // Partial overlap: Build detects it via the inverted index and only
+  // then runs the pairwise scan, so the diagnostics match exactly.
   std::vector<TokenId> universe = {1, 2, 3};
   std::vector<RsView> history = {View(0, {1, 2}), View(1, {2, 3})};
   analysis::AnalysisContext context =
       analysis::AnalysisContext::Build(history, nullptr, universe);
-  auto legacy = ModuleUniverse::Build(universe, history);
+  auto legacy = oracle::BuildModules(universe, history);
   auto fast = ModuleUniverse::Build(universe, history, context);
   ASSERT_FALSE(fast.ok());
   EXPECT_TRUE(fast.status().IsInvalidArgument());
@@ -202,7 +215,7 @@ TEST(ModuleUniverseTest, ContextBuildRejectsLikeLegacy) {
   std::vector<RsView> outside = {View(0, {1, 2, 99})};
   analysis::AnalysisContext outside_context =
       analysis::AnalysisContext::Build(outside, nullptr, small_universe);
-  auto legacy_outside = ModuleUniverse::Build(small_universe, outside);
+  auto legacy_outside = oracle::BuildModules(small_universe, outside);
   auto fast_outside =
       ModuleUniverse::Build(small_universe, outside, outside_context);
   ASSERT_FALSE(fast_outside.ok());
@@ -214,7 +227,7 @@ TEST(ModuleUniverseTest, ContextBuildRejectsLikeLegacy) {
 TEST(ModuleUniverseTest, ModuleIndicesAreDense) {
   std::vector<RsView> history = {View(0, {1, 2})};
   std::vector<TokenId> universe = {1, 2, 3};
-  auto mu = ModuleUniverse::Build(universe, history);
+  auto mu = test_support::BuildModules(universe, history);
   ASSERT_TRUE(mu.ok());
   for (size_t i = 0; i < mu->module_count(); ++i) {
     EXPECT_EQ(mu->module(i).index, i);

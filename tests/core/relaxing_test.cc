@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include "core/progressive.h"
+#include "support/snapshot.h"
 
 namespace tokenmagic::core {
 namespace {
 
 using chain::DiversityRequirement;
 using chain::TokenId;
+using test_support::AttachContext;
 
 chain::HtIndex TwoHtIndex() {
   // Tokens 1-4 from HT 100, tokens 5-6 from HT 200: only 2 distinct HTs.
@@ -27,6 +29,7 @@ SelectionInput TwoHtInput(const chain::HtIndex* idx,
   input.requirement = req;
   input.index = idx;
   input.policy.strict_dtrs = false;
+  AttachContext(&input);
   return input;
 }
 
@@ -85,6 +88,7 @@ TEST(RelaxingTest, UnsatisfiableAtFloorIsReported) {
   input.requirement = {0.5, 4};
   input.index = &idx;
   input.policy.strict_dtrs = false;
+  AttachContext(&input);
   ProgressiveSelector inner;
   RelaxationPolicy policy;
   policy.ell_min = 2;  // never reaches the trivially-satisfiable ell=1
@@ -125,6 +129,7 @@ TEST(RelaxingTest, NonUnsatisfiableErrorsPassThrough) {
   input.target = 1;
   std::vector<TokenId> universe = {1};
   input.universe = universe;
+  AttachContext(&input);
   common::Rng rng(1);
   auto result = relaxing.Select(input, &rng);
   EXPECT_FALSE(result.ok());

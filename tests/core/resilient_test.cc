@@ -12,6 +12,7 @@
 #include "core/bfs.h"
 #include "core/game_theoretic.h"
 #include "core/progressive.h"
+#include "support/snapshot.h"
 
 namespace tokenmagic::core {
 namespace {
@@ -66,6 +67,7 @@ struct RandomInstance {
     input.policy.strict_dtrs = false;
     input.policy.check_dtrs_explicitly = false;
     input.policy.check_immutability = false;
+    test_support::AttachContext(&input);
   }
 };
 
@@ -97,6 +99,7 @@ struct HardInstance {
     input.policy.strict_dtrs = false;
     input.policy.check_dtrs_explicitly = false;
     input.policy.check_immutability = false;
+    test_support::AttachContext(&input);
   }
 };
 

@@ -1,9 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
 #include "core/baselines.h"
+#include "core/bfs.h"
 #include "core/game_theoretic.h"
 #include "core/module_greedy.h"
 #include "core/progressive.h"
+#include "core/relaxing.h"
+#include "core/resilient.h"
+#include "support/snapshot.h"
 
 namespace tokenmagic::core {
 namespace {
@@ -12,6 +19,7 @@ using chain::DiversityRequirement;
 using chain::RsView;
 using chain::TokenId;
 using chain::TxId;
+using test_support::AttachContext;
 
 RsView View(chain::RsId id, std::vector<TokenId> members) {
   RsView v;
@@ -63,6 +71,7 @@ struct Example3 {
     input.policy.strict_dtrs = false;
     input.policy.check_dtrs_explicitly = false;
     input.policy.check_immutability = false;
+    AttachContext(&input);
   }
 };
 
@@ -158,6 +167,7 @@ TEST(SelectorsTest, UnsatisfiableUniverseReported) {
   input.requirement = {1.0, 4};
   input.index = &idx;
   input.policy.strict_dtrs = false;
+  AttachContext(&input);
   common::Rng rng(1);
   ProgressiveSelector progressive;
   GameTheoreticSelector game;
@@ -181,6 +191,7 @@ TEST(SelectorsTest, TargetOutsideUniverseIsInvalid) {
   input.universe = universe;
   input.requirement = {1.0, 1};
   input.index = &idx;
+  AttachContext(&input);
   common::Rng rng(1);
   ProgressiveSelector selector;
   EXPECT_TRUE(selector.Select(input, &rng).status().IsInvalidArgument());
@@ -191,6 +202,7 @@ TEST(SelectorsTest, MissingIndexIsInvalid) {
   input.target = 1;
   std::vector<TokenId> universe = {1};
   input.universe = universe;
+  AttachContext(&input);
   common::Rng rng(1);
   ProgressiveSelector selector;
   EXPECT_TRUE(selector.Select(input, &rng).status().IsInvalidArgument());
@@ -212,6 +224,7 @@ TEST(SmallestTest, PrefersSmallModules) {
   input.requirement = {2.0, 3};
   input.index = &idx;
   input.policy.strict_dtrs = false;
+  AttachContext(&input);
   common::Rng rng(1);
   SmallestSelector selector;
   auto result = selector.Select(input, &rng);
@@ -243,6 +256,7 @@ TEST(MoneroSelectorTest, ProducesFixedSizeRing) {
   input.universe = universe;
   input.target = 50;
   input.index = &idx;
+  AttachContext(&input);
   common::Rng rng(3);
   MoneroSelector selector(11);
   auto result = selector.Select(input, &rng);
@@ -273,6 +287,7 @@ TEST(GameTheoreticTest, FallsBackToFeasibleProfileOnNonMonotoneInstance) {
   input.requirement = {1.0, 4};
   input.index = &idx;
   input.policy.strict_dtrs = false;
+  AttachContext(&input);
   // Whole universe: q1 = 12, tail(4) = sum of ranks >= 4 over 9 HTs of
   // frequency 1 => 12 < 1*6? No: infeasible. Subset of singletons only:
   // q1 = 1 < 1*(theta - 3): feasible for theta >= 5.
@@ -298,10 +313,50 @@ TEST(MoneroSelectorTest, SmallUniverseUnsatisfiable) {
   input.universe = universe;
   input.target = 0;
   input.index = &idx;
+  AttachContext(&input);
   common::Rng rng(3);
   MoneroSelector selector(11);
   EXPECT_TRUE(selector.Select(input, &rng).status().IsUnsatisfiable());
 }
+
+/// Runs the selector named `name` on `input` and returns its status.
+common::Status SelectStatus(const std::string& name,
+                            const SelectionInput& input) {
+  common::Rng rng(1);
+  if (name == "Relaxing") {
+    ProgressiveSelector inner;
+    return RelaxingSelector(&inner).Select(input, &rng).status();
+  }
+  std::unique_ptr<MixinSelector> selector;
+  if (name == "TM_P") selector = std::make_unique<ProgressiveSelector>();
+  if (name == "TM_G") selector = std::make_unique<GameTheoreticSelector>();
+  if (name == "TM_S") selector = std::make_unique<SmallestSelector>();
+  if (name == "TM_R") selector = std::make_unique<RandomSelector>();
+  if (name == "TM_B") selector = std::make_unique<BfsSelector>();
+  if (name == "TM_M") selector = std::make_unique<MoneroSelector>(4);
+  if (name == "Resilient") selector = std::make_unique<ResilientSelector>();
+  if (selector == nullptr) {
+    ADD_FAILURE() << "unknown selector " << name;
+    return common::Status::OK();
+  }
+  return selector->Select(input, &rng).status();
+}
+
+class MissingContextTest : public ::testing::TestWithParam<std::string> {};
+
+// The context is required: no selector may fall back to re-interning the
+// history span when the snapshot is missing.
+TEST_P(MissingContextTest, IsInvalidArgument) {
+  Example3 fx;
+  fx.input.context = nullptr;
+  common::Status status = SelectStatus(GetParam(), fx.input);
+  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+}
+
+INSTANTIATE_TEST_SUITE_P(AllSelectors, MissingContextTest,
+                         ::testing::Values("TM_P", "TM_G", "TM_S", "TM_R",
+                                           "TM_B", "TM_M", "Resilient",
+                                           "Relaxing"));
 
 }  // namespace
 }  // namespace tokenmagic::core

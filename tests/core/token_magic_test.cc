@@ -86,8 +86,8 @@ TEST(TokenMagicTest, SequentialSpendsKeepHistoryAnalysisClean) {
   }
   // The adversary's exact analysis on the resulting history eliminates
   // nothing and reveals nothing.
-  auto result =
-      analysis::ChainReactionAnalyzer::Analyze(tm.ledger().Views());
+  auto result = analysis::ChainReactionAnalyzer::Analyze(
+      analysis::AnalysisContext::Build(tm.ledger().Views()));
   EXPECT_TRUE(result.NoTokenEliminated());
   EXPECT_TRUE(result.revealed_spends.empty());
 }

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <string>
+
 #include "analysis/diversity.h"
 #include "common/histogram.h"
 #include "data/csv.h"
@@ -211,6 +215,37 @@ TEST(CsvTest, MalformedInputRejected) {
                               "rs_id,proposed_at,c,ell,members\n"
                               "0,0,1.0,1,1;2\n")
                    .ok());
+}
+
+/// Writes a one-HT tokens.csv and the given rings.csv body into a fresh
+/// directory and loads it back.
+common::Result<Dataset> LoadRings(const std::string& name,
+                                  const std::string& rings_body) {
+  std::string dir = ::testing::TempDir() + "/" + name;
+  std::filesystem::create_directories(dir);
+  std::ofstream(dir + "/tokens.csv") << "token_id,ht_id\n1,1\n2,1\n3,1\n";
+  std::ofstream(dir + "/rings.csv")
+      << "rs_id,proposed_at,c,ell,members\n" << rings_body;
+  return LoadDataset(dir);
+}
+
+TEST(CsvTest, ReversedRingIdsRejected) {
+  auto loaded = LoadRings("tm_csv_reversed", "5,0,1.0,1,1;2\n4,1,1.0,1,2;3\n");
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), common::StatusCode::kIoError);
+  EXPECT_NE(loaded.status().message().find("rings.csv line 3"),
+            std::string::npos)
+      << loaded.status().ToString();
+}
+
+TEST(CsvTest, DuplicateRingIdsRejected) {
+  auto loaded = LoadRings("tm_csv_duplicate",
+                          "0,0,1.0,1,1;2\n1,1,1.0,1,2;3\n1,2,1.0,1,1;3\n");
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), common::StatusCode::kIoError);
+  EXPECT_NE(loaded.status().message().find("rings.csv line 4"),
+            std::string::npos)
+      << loaded.status().ToString();
 }
 
 TEST(CsvTest, LoadMissingDirectoryFails) {

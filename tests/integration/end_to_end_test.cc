@@ -11,6 +11,7 @@
 #include "crypto/lsag.h"
 #include "data/monero_like.h"
 #include "data/synthetic.h"
+#include "support/snapshot.h"
 
 namespace tokenmagic {
 namespace {
@@ -71,6 +72,7 @@ TEST(EndToEndTest, MoneroLikeWorkloadSelectionsAreWellFormed) {
   input.history = ds.history;
   input.requirement = {0.6, 20};
   input.index = &ds.index;
+  test_support::AttachContext(&input);
 
   auto unspent = ds.UnspentTokens();
   for (int trial = 0; trial < 5; ++trial) {
@@ -96,6 +98,7 @@ TEST(EndToEndTest, SyntheticWorkloadBothAlgorithmsAgreeOnFeasibility) {
   input.history = ds.history;
   input.requirement = {0.6, 20};
   input.index = &ds.index;
+  test_support::AttachContext(&input);
   input.target = ds.UnspentTokens().front();
 
   ProgressiveSelector progressive;
@@ -124,7 +127,8 @@ TEST(EndToEndTest, AttackFailsAgainstDaMsSelections) {
         << "token " << t;
   }
   auto views = tm.ledger().Views();
-  auto result = analysis::ChainReactionAnalyzer::Analyze(views);
+  auto result = analysis::ChainReactionAnalyzer::Analyze(
+      analysis::AnalysisContext::Build(views));
   EXPECT_TRUE(result.NoTokenEliminated());
   EXPECT_TRUE(result.revealed_spends.empty());
   for (const auto& view : views) {
@@ -146,8 +150,8 @@ TEST(EndToEndTest, LedgerGroundTruthIsConsistentWithAnalysis) {
   for (chain::TokenId t : {1u, 4u, 8u}) {
     ASSERT_TRUE(tm.GenerateRs(t, {2.0, 2}, selector, &rng).ok());
   }
-  auto result =
-      analysis::ChainReactionAnalyzer::Analyze(tm.ledger().Views());
+  auto result = analysis::ChainReactionAnalyzer::Analyze(
+      analysis::AnalysisContext::Build(tm.ledger().Views()));
   for (const auto& view : tm.ledger().Views()) {
     chain::TokenId truth = tm.ledger().GroundTruthSpent(view.id);
     const auto& possible = result.possible_spends.at(view.id);

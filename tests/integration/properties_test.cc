@@ -12,6 +12,7 @@
 #include "core/game_theoretic.h"
 #include "core/progressive.h"
 #include "data/synthetic.h"
+#include "support/snapshot.h"
 
 namespace tokenmagic {
 namespace {
@@ -98,8 +99,8 @@ TEST_P(TheoremSweep, Theorem64DtrsDiversityFollowsFromStrictRs) {
 // from) every existing RS cannot newly reveal any existing spend.
 TEST_P(TheoremSweep, Theorem63NewRsDoesNotRevealOldSpends) {
   RandomInstance instance(GetParam());
-  auto before =
-      analysis::ChainReactionAnalyzer::Analyze(instance.history);
+  auto before = analysis::ChainReactionAnalyzer::Analyze(
+      analysis::AnalysisContext::Build(instance.history));
 
   // Candidate: union of ALL history RSs plus any free tokens — a strict
   // superset of every RS, trivially respecting the configuration.
@@ -111,7 +112,8 @@ TEST_P(TheoremSweep, Theorem63NewRsDoesNotRevealOldSpends) {
 
   std::vector<RsView> after_views = instance.history;
   after_views.push_back(candidate);
-  auto after = analysis::ChainReactionAnalyzer::Analyze(after_views);
+  auto after = analysis::ChainReactionAnalyzer::Analyze(
+      analysis::AnalysisContext::Build(after_views));
 
   for (const auto& view : instance.history) {
     bool revealed_before = before.revealed_spends.count(view.id) > 0;
@@ -188,6 +190,7 @@ TEST_P(SelectorPropertySweep, SelectionsSatisfyAllPracticalConstraints) {
   input.history = ds.history;
   input.requirement = {1.0, 6};
   input.index = &ds.index;
+  test_support::AttachContext(&input);
   input.policy.check_dtrs_explicitly = true;
   input.policy.check_immutability = true;
   input.target = ds.UnspentTokens()[rng.NextBounded(20)];
@@ -246,6 +249,7 @@ TEST_P(SelectorPropertySweep, GameRespectsTheorem67SizeBound) {
   input.history = ds.history;
   input.requirement = req;
   input.index = &ds.index;
+  test_support::AttachContext(&input);
   // The bound is stated for the raw requirement (no strict-mode bump).
   input.policy.strict_dtrs = false;
   input.target = ds.UnspentTokens()[0];
@@ -292,6 +296,7 @@ TEST(SelectorAggregateTest, GameBeatsRandomOnAverage) {
     input.history = ds.history;
     input.requirement = {1.0, 8};
     input.index = &ds.index;
+    test_support::AttachContext(&input);
     input.target = ds.UnspentTokens()[0];
 
     core::GameTheoreticSelector game;

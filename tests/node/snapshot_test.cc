@@ -68,8 +68,9 @@ TEST(SnapshotTest, RoundTripPreservesChainState) {
   EXPECT_EQ(r.spent_images().size(), live.node.spent_images().size());
   // HT structure survives: the same adversary analysis results.
   auto a1 = analysis::ChainReactionAnalyzer::Analyze(
-      live.node.ledger().Views());
-  auto a2 = analysis::ChainReactionAnalyzer::Analyze(r.ledger().Views());
+      analysis::AnalysisContext::Build(live.node.ledger().Views()));
+  auto a2 = analysis::ChainReactionAnalyzer::Analyze(
+      analysis::AnalysisContext::Build(r.ledger().Views()));
   EXPECT_EQ(a1.spent_tokens.size(), a2.spent_tokens.size());
 }
 

@@ -27,9 +27,15 @@ CHECKER = ROOT / "tools" / "bench" / "check_bench_regression.py"
 CONTEXT_BASE = {
     "bench": "context_throughput",
     "scales": [
-        {"num_rs": 1000, "speedup": 4.0,
-         "phases": [{"name": "diversity", "speedup": 3.5}]},
-        {"num_rs": 10000, "speedup": 6.0, "phases": []},
+        {"num_rs": 1000, "speedup": 4.0, "context_build_ms": 5.0,
+         "phases": [{"name": "related_set", "queries": 64,
+                     "reintern_ms": 350.0, "context_ms": 0.125,
+                     "speedup": 2800.0},
+                    {"name": "selection_round", "queries": 16,
+                     "reintern_ms": 160.0, "context_ms": 80.0,
+                     "speedup": 2.0}]},
+        {"num_rs": 10000, "speedup": 6.0, "context_build_ms": 50.0,
+         "phases": []},
     ],
 }
 
@@ -96,11 +102,19 @@ class ContextGateTest(CheckerTest):
     def test_identical_run_passes(self):
         self.assert_ok(self.run_checker(copy.deepcopy(CONTEXT_BASE)))
 
+    def test_prints_absolute_context_ms(self):
+        proc = self.run_checker(copy.deepcopy(CONTEXT_BASE))
+        self.assert_ok(proc)
+        self.assertIn("related_set      2800.00x  context 0.125 ms",
+                      proc.stdout)
+        self.assertIn("selection_round  2.00x  context 80.000 ms",
+                      proc.stdout)
+
     def test_speedup_below_one_fails(self):
         fresh = copy.deepcopy(CONTEXT_BASE)
         fresh["scales"][0]["speedup"] = 0.9
         proc = self.run_checker(fresh, baseline=CONTEXT_BASE)
-        self.assert_fail(proc, "slower than")
+        self.assert_fail(proc, "slower than re-interning")
 
     def test_regression_past_factor_fails(self):
         fresh = copy.deepcopy(CONTEXT_BASE)

@@ -5,13 +5,19 @@ root and fail on regression. Dispatches on the fresh log's "bench" field:
   context_throughput  (bench_context_throughput -> BENCH_context.json)
     Raw milliseconds are machine-dependent, so the gate compares the one
     machine-independent number the bench is built around: the end-to-end
-    speedup of the shared AnalysisContext over legacy per-call
-    interning, per scale. A fresh per-scale speedup below `factor`
-    (default 0.8, i.e. a >20% regression) of the committed baseline
-    fails; per-phase numbers are printed for diagnosis but not gated
-    (single phases are too noisy on shared CI runners). The fresh run
-    must also keep every scale at >= 1.0x — the context must never be
-    slower than what it replaced.
+    speedup of one shared AnalysisContext over re-interning the history
+    (AnalysisContext::Build) inside every query, per scale. A fresh
+    per-scale speedup below `factor` (default 0.8, i.e. a >20%
+    regression) of the committed baseline fails; per-phase speedups and
+    absolute context_ms are printed for diagnosis but not gated (single
+    phases are too noisy on shared CI runners). The fresh run must also
+    keep every scale at >= 1.0x — sharing a sealed context must never be
+    slower than re-interning per query.
+    Both sides run the same query code and the re-interning side also
+    runs Build, so the speedup is (Build + query) / query: it measures
+    Build cost against query cost. It catches a query-side slowdown, but
+    a slower Build *raises* it, so this gate cannot catch a Build
+    regression (context_build_ms is recorded, not gated).
 
   chain_growth  (bench_chain_growth -> BENCH_chain_growth.json)
     The epoch-chain contract is gated machine-independently on growth
@@ -83,10 +89,12 @@ def check_context(baseline_data: dict, fresh_data: dict,
         print(f"scale {num_rs:>6} RS: baseline {base_speedup:.2f}x, "
               f"fresh {fresh_speedup:.2f}x (ratio {ratio:.2f})")
         for phase in fresh_scale.get("phases", []):
-            print(f"    {phase['name']:<16} {phase['speedup']:.2f}x")
+            print(f"    {phase['name']:<16} {phase['speedup']:.2f}x  "
+                  f"context {phase['context_ms']:.3f} ms")
         if fresh_speedup < 1.0:
-            print(f"FAIL: {num_rs}-RS scale: context path is slower than "
-                  f"legacy ({fresh_speedup:.2f}x)", file=sys.stderr)
+            print(f"FAIL: {num_rs}-RS scale: shared context is slower than "
+                  f"re-interning per query ({fresh_speedup:.2f}x)",
+                  file=sys.stderr)
             failures += 1
         elif ratio < factor:
             print(f"FAIL: {num_rs}-RS scale regressed to {ratio:.2f} of "

@@ -146,7 +146,6 @@ FLOAT_BANNED_FILES = {
     "analysis/matching.h", "analysis/matching.cc",
     "analysis/related_set.h", "analysis/related_set.cc",
     "analysis/chain_reaction.h", "analysis/chain_reaction.cc",
-    "analysis/incremental.h", "analysis/incremental.cc",
     "analysis/context.h", "analysis/context.cc",
     "chain/ht_index.h", "chain/ht_index.cc",
 }

@@ -20,6 +20,7 @@
 
 #include "analysis/anonymity.h"
 #include "analysis/chain_reaction.h"
+#include "analysis/context.h"
 #include "analysis/dtrs.h"
 #include "analysis/diversity.h"
 #include "common/histogram.h"
@@ -161,10 +162,13 @@ int Select(const Args& args) {
   }
   if (!args.Has("target")) return Usage();
 
+  const analysis::AnalysisContext context =
+      analysis::AnalysisContext::Build(ds->history, &ds->index, ds->universe);
   core::SelectionInput input;
   input.target = static_cast<chain::TokenId>(args.GetInt("target", 0));
   input.universe = ds->universe;
   input.history = ds->history;
+  input.context = &context;
   input.requirement = {args.GetDouble("c", 0.6),
                        static_cast<int>(args.GetInt("ell", 30))};
   input.index = &ds->index;
@@ -257,7 +261,8 @@ int Report(const Args& args) {
                  ds.status().ToString().c_str());
     return 1;
   }
-  auto result = analysis::ChainReactionAnalyzer::Analyze(ds->history);
+  auto result = analysis::ChainReactionAnalyzer::Analyze(
+      analysis::AnalysisContext::Build(ds->history, &ds->index));
   std::printf("ring  size  possible  eliminated  hts  si_threshold\n");
   for (const auto& view : ds->history) {
     size_t possible = result.possible_spends.count(view.id)
@@ -283,7 +288,8 @@ int Attack(const Args& args) {
     return 1;
   }
   common::StopWatch watch;
-  auto result = analysis::ChainReactionAnalyzer::Analyze(ds->history);
+  auto result = analysis::ChainReactionAnalyzer::Analyze(
+      analysis::AnalysisContext::Build(ds->history, &ds->index));
   auto stats = analysis::SummarizeAnonymity(result);
   std::printf("chain-reaction analysis over %zu rings (%.1f ms):\n",
               ds->history.size(), watch.ElapsedMillis());
