@@ -36,7 +36,7 @@ common::Result<SelectionResult> AddUntilEligible(
     }
     size_t position = pick(*state);
     TM_CHECK(position < state->remaining.size());
-    ChooseModule(state, index, state->remaining[position]);
+    ChooseModule(state, state->remaining[position]);
     ++result.iterations;
   }
   result.members = MaterializeCandidate(state->mu, state->chosen);

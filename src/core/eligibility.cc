@@ -1,7 +1,6 @@
 #include "core/eligibility.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "analysis/dtrs.h"
 #include "common/macros.h"
@@ -66,14 +65,18 @@ EligibilityVerdict CheckCandidate(
 
   if (policy.check_immutability) {
     // Every history RS inside a chosen super module gets the candidate as
-    // its new super RS, whose subset count is v_candidate.
-    std::unordered_map<chain::RsId, const chain::RsView*> by_id;
-    for (const chain::RsView& view : history) by_id.emplace(view.id, &view);
+    // its new super RS, whose subset count is v_candidate. History ids are
+    // strictly ascending (the snapshot precondition), so a binary search
+    // finds each covered RS.
     for (size_t module_index : chosen_modules) {
       for (chain::RsId rs : mu.SubsetRsOf(module_index)) {
-        auto it = by_id.find(rs);
-        TM_CHECK(it != by_id.end());
-        const chain::RsView& covered = *it->second;
+        auto it = std::lower_bound(
+            history.begin(), history.end(), rs,
+            [](const chain::RsView& view, chain::RsId id) {
+              return view.id < id;
+            });
+        TM_CHECK(it != history.end() && it->id == rs);
+        const chain::RsView& covered = *it;
         if (!analysis::PracticalDtrsDiversityHolds(
                 covered.members, v_candidate, index, covered.requirement)) {
           verdict.violation = EligibilityVerdict::Violation::kImmutability;

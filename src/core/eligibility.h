@@ -47,7 +47,8 @@ struct EligibilityVerdict {
 };
 
 /// Checks a candidate assembled from `chosen_modules` of `mu`.
-/// `history` is the same RS list `mu` was built from (for immutability).
+/// `history` is the same RS list `mu` was built from, ids strictly
+/// ascending (for immutability).
 EligibilityVerdict CheckCandidate(
     const ModuleUniverse& mu, const std::vector<size_t>& chosen_modules,
     std::span<const chain::RsView> history, const chain::HtIndex& index,

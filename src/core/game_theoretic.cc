@@ -25,7 +25,7 @@ common::Result<SelectionResult> GameTheoreticSelector::Select(
   // Initialization (lines 2-4): the same HT-covering greedy as Algorithm 4.
   TM_ASSIGN_OR_RETURN(
       size_t init_steps,
-      GreedyCoverHts(&state, index, effective.ell, input.deadline));
+      GreedyCoverHts(&state, effective.ell, input.deadline));
   result.iterations += init_steps;
 
   const bool initially_eligible =
@@ -74,9 +74,9 @@ common::Result<SelectionResult> GameTheoreticSelector::Select(
 
       // Cost with the flipped strategy.
       if (currently_chosen) {
-        UnchooseModule(&state, index, player);
+        UnchooseModule(&state, player);
       } else {
-        ChooseModule(&state, index, player);
+        ChooseModule(&state, player);
       }
       bool eligible_flipped =
           CheckCandidate(state.mu, state.chosen, input.history, index,
@@ -103,9 +103,9 @@ common::Result<SelectionResult> GameTheoreticSelector::Select(
       } else {
         // Revert the flip.
         if (currently_chosen) {
-          ChooseModule(&state, index, player);
+          ChooseModule(&state, player);
         } else {
-          UnchooseModule(&state, index, player);
+          UnchooseModule(&state, player);
         }
       }
     }
@@ -145,7 +145,7 @@ common::Result<SelectionResult> GameTheoreticSelector::Select(
     std::vector<size_t> to_drop = state.chosen;
     for (size_t module_index : to_drop) {
       if (module_index != state.target_module) {
-        UnchooseModule(&state, index, module_index);
+        UnchooseModule(&state, module_index);
       }
     }
     std::vector<char> want(state.mu.module_count(), 0);
@@ -155,7 +155,7 @@ common::Result<SelectionResult> GameTheoreticSelector::Select(
     for (size_t module_index = 0; module_index < want.size();
          ++module_index) {
       if (want[module_index] && module_index != state.target_module) {
-        ChooseModule(&state, index, module_index);
+        ChooseModule(&state, module_index);
       }
     }
     TM_RETURN_NOT_OK(run_dynamics());

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
+#include <unordered_map>
 
+#include "analysis/diversity.h"
 #include "common/macros.h"
 #include "common/strings.h"
 
@@ -24,97 +27,110 @@ common::Result<ModuleSelectionState> InitModuleState(
       ModuleUniverse mu,
       ModuleUniverse::Build(input.universe, input.history, *input.context));
 
-  ModuleSelectionState state{std::move(mu), 0, {}, {}, {}, 0};
+  ModuleSelectionState state;
+  state.mu = std::move(mu);
   state.target_module = state.mu.ModuleOfToken(input.target);
 
+  // Resolve every universe token's HT once. TryHtOf validates and fetches
+  // in one hash lookup, so a universe token the index does not know is an
+  // InvalidArgument, not a crash.
+  std::unordered_map<chain::TxId, uint32_t> dense;
+  std::vector<uint32_t> module_dense;
+  state.module_ht_offsets.reserve(state.mu.module_count() + 1);
+  state.module_ht_offsets.push_back(0);
+  for (const Module& module : state.mu.modules()) {
+    module_dense.clear();
+    for (chain::TokenId t : module.tokens) {
+      std::optional<chain::TxId> ht = input.index->TryHtOf(t);
+      if (!ht.has_value()) {
+        return Status::InvalidArgument(common::StrFormat(
+            "universe token %llu has no HT in the index",
+            static_cast<unsigned long long>(t)));
+      }
+      auto [it, inserted] =
+          dense.try_emplace(*ht, static_cast<uint32_t>(state.ht_ids.size()));
+      if (inserted) state.ht_ids.push_back(*ht);
+      module_dense.push_back(it->second);
+    }
+    std::sort(module_dense.begin(), module_dense.end());
+    for (size_t i = 0; i < module_dense.size();) {
+      size_t j = i;
+      while (j < module_dense.size() && module_dense[j] == module_dense[i]) {
+        ++j;
+      }
+      state.module_hts.push_back(
+          {module_dense[i], static_cast<uint32_t>(j - i)});
+      i = j;
+    }
+    state.module_ht_offsets.push_back(
+        static_cast<uint32_t>(state.module_hts.size()));
+  }
+  state.ht_count.assign(state.ht_ids.size(), 0);
+
+  // Seed with the target's module (x_τ / a_τ in the paper).
   state.remaining.reserve(state.mu.module_count());
   for (size_t i = 0; i < state.mu.module_count(); ++i) {
-    if (i != state.target_module) state.remaining.push_back(i);
+    state.remaining.push_back(i);
   }
-  // Seed with the target's module (x_τ / a_τ in the paper).
-  const Module& target_module = state.mu.module(state.target_module);
-  state.chosen.push_back(state.target_module);
-  state.token_size += target_module.size();
-  for (chain::TokenId t : target_module.tokens) {
-    // TryHtOf: validate-and-fetch in one hash lookup, so a universe token
-    // the index does not know is an InvalidArgument, not a crash.
-    std::optional<chain::TxId> ht = input.index->TryHtOf(t);
-    if (!ht.has_value()) {
-      return Status::InvalidArgument(common::StrFormat(
-          "universe token %llu has no HT in the index",
-          static_cast<unsigned long long>(t)));
-    }
-    state.covered_hts.insert(*ht);
-  }
+  ChooseModule(&state, state.target_module);
   return state;
 }
 
-std::unordered_set<chain::TxId> ModuleHts(const Module& module,
-                                          const chain::HtIndex& index) {
-  std::unordered_set<chain::TxId> out;
-  for (chain::TokenId t : module.tokens) out.insert(index.HtOf(t));
-  return out;
-}
-
-void ChooseModule(ModuleSelectionState* state, const chain::HtIndex& index,
-                  size_t module_index) {
+void ChooseModule(ModuleSelectionState* state, size_t module_index) {
   auto it = std::find(state->remaining.begin(), state->remaining.end(),
                       module_index);
   TM_CHECK(it != state->remaining.end());
   state->remaining.erase(it);
   state->chosen.push_back(module_index);
-  const Module& module = state->mu.module(module_index);
-  state->token_size += module.size();
-  for (chain::TokenId t : module.tokens) {
-    state->covered_hts.insert(index.HtOf(t));
+  state->token_size += state->mu.module(module_index).size();
+  for (HtTokens pair : state->HtsOf(module_index)) {
+    if (state->ht_count[pair.ht] == 0) ++state->covered_ht_count;
+    state->ht_count[pair.ht] += pair.tokens;
   }
 }
 
-void UnchooseModule(ModuleSelectionState* state,
-                    const chain::HtIndex& index, size_t module_index) {
+void UnchooseModule(ModuleSelectionState* state, size_t module_index) {
   TM_CHECK(module_index != state->target_module);
   auto it = std::find(state->chosen.begin(), state->chosen.end(),
                       module_index);
   TM_CHECK(it != state->chosen.end());
   state->chosen.erase(it);
   state->remaining.push_back(module_index);
-  const Module& module = state->mu.module(module_index);
-  state->token_size -= module.size();
-  // Recompute covered HTs (a removed module may share HTs with others).
-  state->covered_hts.clear();
-  for (size_t chosen_index : state->chosen) {
-    for (chain::TokenId t : state->mu.module(chosen_index).tokens) {
-      state->covered_hts.insert(index.HtOf(t));
-    }
+  state->token_size -= state->mu.module(module_index).size();
+  // An HT another chosen module shares keeps a non-zero count.
+  for (HtTokens pair : state->HtsOf(module_index)) {
+    state->ht_count[pair.ht] -= pair.tokens;
+    if (state->ht_count[pair.ht] == 0) --state->covered_ht_count;
   }
 }
 
-common::Result<size_t> GreedyCoverHts(ModuleSelectionState* state,
-                                      const chain::HtIndex& index,
-                                      int ell,
+size_t FreshHtCount(const ModuleSelectionState& state, size_t module_index) {
+  size_t fresh = 0;
+  for (HtTokens pair : state.HtsOf(module_index)) {
+    if (state.ht_count[pair.ht] == 0) ++fresh;
+  }
+  return fresh;
+}
+
+common::Result<size_t> GreedyCoverHts(ModuleSelectionState* state, int ell,
                                       common::Deadline* deadline) {
   size_t steps = 0;
-  while (state->covered_hts.size() < static_cast<size_t>(ell)) {
+  while (state->covered_ht_count < static_cast<size_t>(ell)) {
     if (deadline != nullptr) {
       deadline->Tick();
       if (deadline->Expired()) {
         return common::Status::Timeout("HT-cover greedy budget exhausted");
       }
     }
-    size_t deficit = static_cast<size_t>(ell) - state->covered_hts.size();
+    size_t deficit = static_cast<size_t>(ell) - state->covered_ht_count;
     double best_alpha = std::numeric_limits<double>::infinity();
     size_t best_module = static_cast<size_t>(-1);
     for (size_t candidate : state->remaining) {
-      const Module& module = state->mu.module(candidate);
-      std::unordered_set<chain::TxId> fresh_hts;
-      for (chain::TokenId t : module.tokens) {
-        chain::TxId ht = index.HtOf(t);
-        if (state->covered_hts.count(ht) == 0) fresh_hts.insert(ht);
-      }
-      size_t new_hts = fresh_hts.size();
+      size_t new_hts = FreshHtCount(*state, candidate);
       if (new_hts == 0) continue;  // α would be infinite
-      double alpha = static_cast<double>(module.size()) /
-                     static_cast<double>(std::min(deficit, new_hts));
+      double alpha =
+          static_cast<double>(state->mu.module(candidate).size()) /
+          static_cast<double>(std::min(deficit, new_hts));
       if (alpha < best_alpha) {
         best_alpha = alpha;
         best_module = candidate;
@@ -124,10 +140,56 @@ common::Result<size_t> GreedyCoverHts(ModuleSelectionState* state,
       return common::Status::Unsatisfiable(common::StrFormat(
           "universe covers fewer than %d distinct HTs", ell));
     }
-    ChooseModule(state, index, best_module);
+    ChooseModule(state, best_module);
     ++steps;
   }
   return steps;
+}
+
+ChosenFrequencies ChosenFrequenciesOf(const ModuleSelectionState& state) {
+  ChosenFrequencies out;
+  out.slot.assign(state.ht_count.size(), ChosenFrequencies::kNoSlot);
+  std::vector<uint32_t> covered;
+  covered.reserve(state.covered_ht_count);
+  for (uint32_t ht = 0; ht < state.ht_count.size(); ++ht) {
+    if (state.ht_count[ht] != 0) covered.push_back(ht);
+  }
+  // Which of two equal counts takes which slot does not matter: bumping
+  // either yields the same multiset.
+  std::sort(covered.begin(), covered.end(), [&](uint32_t a, uint32_t b) {
+    return state.ht_count[a] > state.ht_count[b];
+  });
+  out.sorted.reserve(covered.size());
+  for (uint32_t ht : covered) {
+    out.slot[ht] = static_cast<uint32_t>(out.sorted.size());
+    out.sorted.push_back(state.ht_count[ht]);
+  }
+  return out;
+}
+
+double SlackWith(const ChosenFrequencies& chosen,
+                 std::span<const HtTokens> candidate,
+                 const chain::DiversityRequirement& req,
+                 std::vector<int64_t>* scratch) {
+  scratch->assign(chosen.sorted.begin(), chosen.sorted.end());
+  for (HtTokens pair : candidate) {
+    uint32_t slot = chosen.slot[pair.ht];
+    if (slot == ChosenFrequencies::kNoSlot) {
+      scratch->push_back(pair.tokens);
+    } else {
+      (*scratch)[slot] += pair.tokens;
+    }
+  }
+  // Only the bumped and appended entries are out of place, so an
+  // insertion pass restores descending order in O(θ + displacement).
+  std::vector<int64_t>& q = *scratch;
+  for (size_t i = 1; i < q.size(); ++i) {
+    int64_t value = q[i];
+    size_t j = i;
+    for (; j > 0 && q[j - 1] < value; --j) q[j] = q[j - 1];
+    q[j] = value;
+  }
+  return analysis::DiversitySlack(q, req);
 }
 
 }  // namespace tokenmagic::core

@@ -66,6 +66,7 @@ common::Result<ModuleUniverse> ModuleUniverse::Build(
   TM_CHECK(context.rs_count() == history.size());
 
   ModuleUniverse mu;
+  mu.context_ = context;
 
   // Universe membership as a dense bitmap over token locals. Every
   // universe token must be interned (the Build precondition), while a
@@ -176,6 +177,8 @@ common::Result<ModuleUniverse> ModuleUniverse::Build(
     }
   }
 
+  // Super modules keep their super's index, so super_of_token doubles as
+  // the module-of-local column for covered tokens.
   for (size_t s = 0; s < super_indices.size(); ++s) {
     const chain::RsView& view = history[super_indices[s]];
     Module module;
@@ -184,30 +187,24 @@ common::Result<ModuleUniverse> ModuleUniverse::Build(
     module.super_rs = view.id;
     module.tokens = view.members;
     module.subset_count = subsets[s].size();
-    for (chain::TokenId t : module.tokens) {
-      mu.token_to_module_.emplace(t, module.index);
-    }
     mu.modules_.push_back(std::move(module));
     mu.subset_rs_.push_back(std::move(subsets[s]));
   }
 
-  // Fresh tokens (Definition 8): universe tokens covered by no super.
-  std::vector<chain::TokenId> fresh;
-  for (chain::TokenId t : universe) {
-    if (covered[context.LocalOfToken(t)] == 0) fresh.push_back(t);
-  }
-  std::sort(fresh.begin(), fresh.end());
-  fresh.erase(std::unique(fresh.begin(), fresh.end()), fresh.end());
-  for (chain::TokenId t : fresh) {
+  // Fresh tokens (Definition 8): universe tokens covered by no super, in
+  // one scan over the token locals (rank order == ascending TokenId).
+  for (Local t = 0; t < static_cast<Local>(context.token_count()); ++t) {
+    if (in_universe[t] == 0 || covered[t] != 0) continue;
     Module module;
     module.index = mu.modules_.size();
     module.is_fresh = true;
-    module.tokens = {t};
+    module.tokens = {context.token_id(t)};
     module.subset_count = 0;
-    mu.token_to_module_.emplace(t, module.index);
+    super_of_token[t] = static_cast<uint32_t>(module.index);
     mu.modules_.push_back(std::move(module));
     mu.subset_rs_.emplace_back();
   }
+  mu.module_of_local_ = std::move(super_of_token);
 
   return mu;
 }
@@ -218,9 +215,11 @@ const Module& ModuleUniverse::module(size_t index) const {
 }
 
 size_t ModuleUniverse::ModuleOfToken(chain::TokenId token) const {
-  auto it = token_to_module_.find(token);
-  TM_CHECK(it != token_to_module_.end());
-  return it->second;
+  Local local = context_.LocalOfToken(token);
+  TM_CHECK(local != analysis::AnalysisContext::kNoLocal);
+  uint32_t module = module_of_local_[local];
+  TM_CHECK(module != analysis::AnalysisContext::kNoLocal);
+  return module;
 }
 
 std::vector<size_t> ModuleUniverse::FreshModuleIndices() const {

@@ -9,16 +9,13 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
+#include "analysis/context.h"
 #include "chain/types.h"
 #include "common/status.h"
-
-namespace tokenmagic::analysis {
-class AnalysisContext;
-}  // namespace tokenmagic::analysis
 
 namespace tokenmagic::core {
 
@@ -76,7 +73,11 @@ class ModuleUniverse {
  private:
   std::vector<Module> modules_;
   std::vector<std::vector<chain::RsId>> subset_rs_;  // per module
-  std::unordered_map<chain::TokenId, size_t> token_to_module_;
+  // tm-owns: shared keep-alive of the snapshot whose token locals
+  // module_of_local_ is indexed by (a copy of Build's context).
+  analysis::AnalysisContext context_;
+  /// Module of each context token local; kNoLocal outside the universe.
+  std::vector<uint32_t> module_of_local_;
   size_t token_count_ = 0;
 };
 

@@ -9,23 +9,6 @@
 
 namespace tokenmagic::core {
 
-namespace {
-
-/// Diversity slack of the chosen modules' token multiset.
-double SlackOf(const ModuleUniverse& mu, const std::vector<size_t>& chosen,
-               const chain::HtIndex& index,
-               const chain::DiversityRequirement& req) {
-  std::vector<chain::TokenId> members;
-  for (size_t i : chosen) {
-    const auto& tokens = mu.module(i).tokens;
-    members.insert(members.end(), tokens.begin(), tokens.end());
-  }
-  return analysis::DiversitySlack(analysis::HtFrequencies(members, index),
-                                  req);
-}
-
-}  // namespace
-
 common::Result<SelectionResult> ProgressiveSelector::Select(
     const SelectionInput& input, common::Rng* rng) const {
   (void)rng;  // the Progressive Algorithm is deterministic
@@ -42,7 +25,7 @@ common::Result<SelectionResult> ProgressiveSelector::Select(
   // Phase 1: reach ℓ distinct HTs (lines 2-4 of Algorithm 4).
   TM_ASSIGN_OR_RETURN(
       size_t phase1_steps,
-      GreedyCoverHts(&state, index, effective.ell, input.deadline));
+      GreedyCoverHts(&state, effective.ell, input.deadline));
   result.iterations += phase1_steps;
 
   // Phase 2: close the diversity gap (lines 5-7).
@@ -51,18 +34,21 @@ common::Result<SelectionResult> ProgressiveSelector::Select(
                           input.requirement, input.policy)
         .eligible;
   };
+  std::vector<int64_t> scratch;
   while (!eligible()) {
     TickDeadline(input);
     if (DeadlineExpired(input)) {
       return common::Status::Timeout("Progressive budget exhausted");
     }
-    double delta = SlackOf(state.mu, state.chosen, index, effective);
+    // δ and every δ_i come from the chosen HT counts plus the
+    // candidate's (HT, count) pairs; no ring is materialized.
+    ChosenFrequencies chosen = ChosenFrequenciesOf(state);
+    double delta = analysis::DiversitySlack(chosen.sorted, effective);
     double best_beta = -std::numeric_limits<double>::infinity();
     size_t best_module = static_cast<size_t>(-1);
     for (size_t candidate : state.remaining) {
-      std::vector<size_t> tentative = state.chosen;
-      tentative.push_back(candidate);
-      double delta_i = SlackOf(state.mu, tentative, index, effective);
+      double delta_i =
+          SlackWith(chosen, state.HtsOf(candidate), effective, &scratch);
       double beta = (delta - delta_i) /
                     static_cast<double>(state.mu.module(candidate).size());
       if (beta > best_beta) {
@@ -74,7 +60,7 @@ common::Result<SelectionResult> ProgressiveSelector::Select(
       return common::Status::Unsatisfiable(
           "no module assembly satisfies the diversity constraint");
     }
-    ChooseModule(&state, index, best_module);
+    ChooseModule(&state, best_module);
     ++result.iterations;
   }
 

@@ -79,7 +79,7 @@ TEST(GreedyCoverHtsTest, Example3Phase1PicksS2) {
   Example3 fx;
   auto state = InitModuleState(fx.input);
   ASSERT_TRUE(state.ok());
-  auto steps = GreedyCoverHts(&*state, fx.index, 4);
+  auto steps = GreedyCoverHts(&*state, 4);
   ASSERT_TRUE(steps.ok());
   // r_tau = s3 ∪ s2 after the first loop (paper trace).
   auto members = MaterializeCandidate(state->mu, state->chosen);
@@ -357,6 +357,32 @@ INSTANTIATE_TEST_SUITE_P(AllSelectors, MissingContextTest,
                          ::testing::Values("TM_P", "TM_G", "TM_S", "TM_R",
                                            "TM_B", "TM_M", "Resilient",
                                            "Relaxing"));
+
+class UnknownUniverseTokenTest : public ::testing::TestWithParam<std::string> {
+};
+
+// The module selectors resolve every universe token's HT up front, so a
+// token the index does not know is InvalidArgument even when it sits
+// outside the target's module, never a failed HtIndex::HtOf check.
+TEST_P(UnknownUniverseTokenTest, IsInvalidArgument) {
+  chain::HtIndex idx;
+  for (TokenId t = 1; t <= 5; ++t) idx.Set(t, static_cast<TxId>(t));
+  SelectionInput input;
+  input.target = 5;
+  std::vector<TokenId> universe = {1, 2, 3, 4, 5, 6};  // 6 has no HT
+  input.universe = universe;
+  input.requirement = {2.0, 3};
+  input.index = &idx;
+  AttachContext(&input);
+  common::Status status = SelectStatus(GetParam(), input);
+  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+  EXPECT_NE(status.message().find("universe token 6 has no HT"),
+            std::string::npos)
+      << status.ToString();
+}
+
+INSTANTIATE_TEST_SUITE_P(ModuleSelectors, UnknownUniverseTokenTest,
+                         ::testing::Values("TM_P", "TM_G", "TM_S", "TM_R"));
 
 }  // namespace
 }  // namespace tokenmagic::core
