@@ -22,9 +22,10 @@
 // prefix.
 //
 // Threading: single writer, any number of sealed-view readers. Append()
-// and View() must be externally serialized with each other (node::Node
-// runs them under its state_mu_ writer/reader lock; TokenMagic under its
-// snapshot mutex). Readers of *previously sealed* views need no
+// and View() must be externally serialized with each other
+// (core::BatchSnapshots, the per-batch owner behind node::Node and
+// TokenMagic, runs both in its writer, Sync, and hands readers only the
+// sealed views). Readers of *previously sealed* views need no
 // synchronization at all: appends only touch storage past every sealed
 // prefix, and the one boundary the inverted-index tails share between
 // writer and reader is crossed with atomics (see RsTailTable).

@@ -51,10 +51,10 @@ struct SelectionInput {
   EligibilityPolicy policy;
   /// Keep-alive for the snapshot `universe`, `history`, and `context`
   /// point into. Producers with a reseatable snapshot cache
-  /// (TokenMagic::InstanceFor, node wallets) set this so a concurrent
-  /// cache refill for another batch cannot destroy the storage while the
-  /// instance is still selecting; when null, the caller owns the storage
-  /// directly and must outlive every Select() call.
+  /// (TokenMagic::InstanceFor, node wallets) set this so an update that
+  /// replaces the batch's cached snapshot cannot destroy the storage while
+  /// the instance is still selecting; when null, the caller owns the
+  /// storage directly and must outlive every Select() call.
   // tm-owns: shared keep-alive of the snapshot behind the views above.
   std::shared_ptr<const void> owner;
   /// Optional caller-owned budget. Every selector observes it: expiry is

@@ -14,61 +14,7 @@ TokenMagic::TokenMagic(const chain::Blockchain* bc, TokenMagicConfig config)
       batch_index_(*bc, config.lambda),
       ht_index_(chain::HtIndex::FromBlockchain(*bc)) {
   TM_CHECK(bc != nullptr);
-  chains_.resize(batch_index_.batch_count());
-  snapshots_.resize(batch_index_.batch_count());
-}
-
-void TokenMagic::SyncChainsLocked() const {
-  if (ledger_routed_ == ledger_.size()) return;
-  std::vector<std::vector<chain::RsView>> views(batch_index_.batch_count());
-  for (size_t i = ledger_routed_; i < ledger_.size(); ++i) {
-    const chain::RsView& view = ledger_.view(static_cast<chain::RsId>(i));
-    // Batches are disjoint and RSs never span batches, so membership of
-    // the first token decides.
-    if (view.members.empty()) continue;
-    views[batch_index_.BatchOfToken(view.members.front()).index]
-        .push_back(view);
-  }
-  ledger_routed_ = ledger_.size();
-  for (size_t b = 0; b < views.size(); ++b) {
-    if (views[b].empty() || chains_[b] == nullptr) continue;
-    chains_[b]->Append(views[b], &ht_index_, {});
-    snapshots_[b].reset();
-  }
-}
-
-analysis::EpochChain& TokenMagic::ChainForLocked(const Batch& batch) const {
-  std::unique_ptr<analysis::EpochChain>& slot = chains_[batch.index];
-  if (slot == nullptr) {
-    slot = std::make_unique<analysis::EpochChain>();
-    std::vector<chain::RsView> views;
-    for (size_t i = 0; i < ledger_routed_; ++i) {
-      const chain::RsView& view = ledger_.view(static_cast<chain::RsId>(i));
-      if (!view.members.empty() &&
-          batch_index_.BatchOfToken(view.members.front()).index ==
-              batch.index) {
-        views.push_back(view);
-      }
-    }
-    slot->Append(views, &ht_index_, batch.tokens);
-  }
-  return *slot;
-}
-
-std::shared_ptr<const TokenMagic::BatchSnapshot> TokenMagic::SnapshotFor(
-    chain::TokenId token) const {
-  const Batch& batch = batch_index_.BatchOfToken(token);
-  common::MutexLock lock(&snapshot_mu_);
-  SyncChainsLocked();
-  std::shared_ptr<const BatchSnapshot>& slot = snapshots_[batch.index];
-  if (slot == nullptr) {
-    const analysis::EpochChain& chain = ChainForLocked(batch);
-    auto snapshot = std::make_shared<BatchSnapshot>();
-    snapshot->history = chain.History();
-    snapshot->context = chain.View();
-    slot = std::move(snapshot);
-  }
-  return slot;
+  snapshots_.Sync(ledger_, batch_index_, ht_index_);
 }
 
 common::Result<SelectionInput> TokenMagic::InstanceFor(
@@ -79,7 +25,8 @@ common::Result<SelectionInput> TokenMagic::InstanceFor(
   if (ledger_.IsSpent(target)) {
     return common::Status::AlreadyExists("token already spent");
   }
-  std::shared_ptr<const BatchSnapshot> snapshot = SnapshotFor(target);
+  std::shared_ptr<const BatchSnapshot> snapshot =
+      snapshots_.Get(batch_index_.BatchOfToken(target).index);
   SelectionInput input;
   input.target = target;
   input.universe = batch_index_.MixinUniverse(target);
@@ -88,10 +35,9 @@ common::Result<SelectionInput> TokenMagic::InstanceFor(
   input.requirement = req;
   input.index = &ht_index_;
   input.policy = config_.policy;
-  // The instance co-owns the snapshot: a concurrent probe for a token of
-  // another batch reseats the single-slot cache, and without this the
-  // cache slot would be the last owner — history/context would dangle
-  // before the caller ever ran Select().
+  // The instance co-owns the snapshot: the next proposal in this batch
+  // replaces the cached one, and without this the cache would be the last
+  // owner — history/context would dangle under a caller still selecting.
   input.owner = std::move(snapshot);
   return input;
 }
@@ -99,7 +45,8 @@ common::Result<SelectionInput> TokenMagic::InstanceFor(
 bool TokenMagic::LiquidityAllows(
     chain::TokenId target,
     const std::vector<chain::TokenId>& members) const {
-  std::shared_ptr<const BatchSnapshot> snapshot = SnapshotFor(target);
+  std::shared_ptr<const BatchSnapshot> snapshot =
+      snapshots_.Get(batch_index_.BatchOfToken(target).index);
   chain::RsView prospective;
   prospective.id = chain::kInvalidRs - 1;
   prospective.members = members;
@@ -160,6 +107,7 @@ common::Result<GeneratedRs> TokenMagic::GenerateRs(
 
   TM_ASSIGN_OR_RETURN(chain::RsId id,
                       ledger_.Propose(members, target, req));
+  snapshots_.Sync(ledger_, batch_index_, ht_index_);
   GeneratedRs out;
   out.id = id;
   out.members = ledger_.view(id).members;
@@ -199,6 +147,7 @@ common::Result<GeneratedRs> TokenMagic::GenerateRsResilient(
       chain::RsId id,
       ledger_.Propose(members, target,
                       selection.report.satisfied_requirement));
+  snapshots_.Sync(ledger_, batch_index_, ht_index_);
   GeneratedRs out;
   out.id = id;
   out.members = ledger_.view(id).members;

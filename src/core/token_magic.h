@@ -13,18 +13,13 @@
 //      checked so future users can still spend their tokens.
 #pragma once
 
-#include <memory>
-#include <span>
 #include <vector>
 
-#include "analysis/context.h"
-#include "analysis/epoch_chain.h"
 #include "chain/ht_index.h"
 #include "chain/blockchain.h"
 #include "chain/ledger.h"
-#include "common/annotations.h"
-#include "common/mutex.h"
 #include "core/batch.h"
+#include "core/batch_snapshots.h"
 #include "core/resilient.h"
 #include "core/selector.h"
 
@@ -85,9 +80,9 @@ class TokenMagic {
   /// (used by benchmarks to time the bare selector). The instance
   /// co-owns the framework's per-batch snapshot (SelectionInput::owner):
   /// its universe/history spans and context pointer stay valid for the
-  /// instance's whole lifetime, even when a concurrent probe for a token
-  /// of a *different* batch reseats the snapshot cache. Re-fetch after a
-  /// proposal to observe the new ledger state.
+  /// instance's whole lifetime, even after a later proposal replaces the
+  /// batch's cached snapshot. Re-fetch after a proposal to observe the
+  /// new ledger state.
   [[nodiscard]] common::Result<SelectionInput> InstanceFor(
       chain::TokenId target, chain::DiversityRequirement req) const;
 
@@ -101,70 +96,18 @@ class TokenMagic {
                        const std::vector<chain::TokenId>& members) const;
 
  private:
-  /// The per-batch analysis snapshot: the batch's ledger views plus their
-  /// interned AnalysisContext, sealed O(1) off the batch's epoch chain and
-  /// shared by every instance, ladder stage, and liquidity probe until the
-  /// next proposal touching the batch invalidates it. SelectionInput spans
-  /// point into the chain's shared core, which `context` co-owns, so a
-  /// snapshot stays valid (and unchanged) across any number of later
-  /// proposals. Immutable once sealed.
-  struct BatchSnapshot {
-    // tm-borrows(context): the batch's RS views live in the epoch core
-    // the context keeps alive (as does every span derived from them).
-    std::span<const chain::RsView> history;
-    // tm-owns: shared keep-alive of the epoch core behind `history` and
-    // every span derived from this snapshot.
-    analysis::AnalysisContext context;
-  };
-
-  /// Returns the snapshot for `token`'s batch, first routing any ledger
-  /// delta into the per-batch epoch chains (O(delta), not O(ledger)). The
-  /// returned pointer keeps the snapshot alive for the caller even after
-  /// the cache drops it (concurrent const probes each hold their own).
-  // tm-invalidates(TokenMagic::snapshots_): drops the cache slots of
-  // batches the ledger delta touched; outstanding shared_ptrs keep the
-  // superseded snapshots alive for their holders.
-  std::shared_ptr<const BatchSnapshot> SnapshotFor(chain::TokenId token)
-      const TM_EXCLUDES(snapshot_mu_);
-
-  /// Routes ledger views [ledger_routed_, ledger_.size()) into the
-  /// already-created batch chains (one epoch per touched batch) and drops
-  /// those batches' cached snapshots. Chains not yet created pick their
-  /// prefix up on creation instead.
-  // tm-invalidates(TokenMagic::snapshots_): touched entries only.
-  void SyncChainsLocked() const TM_REQUIRES(snapshot_mu_);
-
-  /// The (lazily created) epoch chain of `batch`; creation seals one
-  /// epoch over the batch's tokens plus its whole routed ledger prefix —
-  /// the one remaining O(ledger) scan, paid once per batch.
-  analysis::EpochChain& ChainForLocked(const Batch& batch) const
-      TM_REQUIRES(snapshot_mu_);
-
   const chain::Blockchain* bc_;
   TokenMagicConfig config_;
   BatchIndex batch_index_;
   chain::HtIndex ht_index_;
   chain::Ledger ledger_;
-
-  /// Guards only the snapshot cache below. The chain/ledger state itself
-  /// follows a single-writer contract: the mutating GenerateRs* entry
-  /// points must be externally serialized with each other, while the
-  /// const probes (InstanceFor, LiquidityAllows) are safe to run
-  /// concurrently with each other between mutations.
-  mutable common::Mutex snapshot_mu_;  // tm-lock-rank(40)
-  /// Per-batch epoch chains, lazily created (the batch partition is fixed
-  /// because bc_ is immutable here). A GenerateRs* ledger commit bumps
-  /// ledger_.size(); the next SnapshotFor routes the delta.
-  // tm-owns: the per-batch epoch chains (owner id: chains_).
-  mutable std::vector<std::unique_ptr<analysis::EpochChain>> chains_
-      TM_GUARDED_BY(snapshot_mu_);
-  /// Ledger prefix already routed into the created chains.
-  mutable size_t ledger_routed_ TM_GUARDED_BY(snapshot_mu_) = 0;
-  /// Cached per-batch snapshots, dropped whenever the batch's chain
-  /// gains an epoch.
-  // tm-owns: the per-batch snapshot cache (owner id: snapshots_).
-  mutable std::vector<std::shared_ptr<const BatchSnapshot>> snapshots_
-      TM_GUARDED_BY(snapshot_mu_);
+  /// The per-batch chains and snapshots, synced by the constructor and
+  /// after every ledger proposal. The chain/ledger state follows a
+  /// single-writer contract: the mutating GenerateRs* entry points must be
+  /// externally serialized with each other, while the const probes
+  /// (InstanceFor, LiquidityAllows) are safe to run concurrently with each
+  /// other between mutations.
+  BatchSnapshots snapshots_;
 };
 
 }  // namespace tokenmagic::core

@@ -16,11 +16,8 @@ Node::Node(NodeConfig config) : config_(config) {
 void Node::RebuildIndices() {
   ht_index_ = chain::HtIndex::FromBlockchain(bc_);
   batches_ = std::make_unique<core::BatchIndex>(bc_, config_.lambda);
-  analysis_chains_.clear();
-  ledger_routed_ = 0;
-  RouteLedgerDelta();
-  common::MutexLock lock(&snapshots_mu_);
-  analysis_snapshots_.clear();
+  snapshots_.Reset();
+  snapshots_.Sync(ledger_, *batches_, ht_index_);
 }
 
 void Node::AppendIndices() {
@@ -33,77 +30,15 @@ void Node::AppendIndices() {
     ht_index_.Set(t, bc_.HistoricalTransactionOf(t));
   }
   batches_->AppendBlocks(bc_);
-  std::vector<size_t> touched = RouteLedgerDelta();
-  // Only the touched batches' cached snapshots went stale; untouched
-  // batches keep serving theirs.
-  common::MutexLock lock(&snapshots_mu_);
-  for (size_t b : touched) analysis_snapshots_.erase(b);
-}
-
-std::vector<size_t> Node::RouteLedgerDelta() {
-  while (analysis_chains_.size() < batches_->batch_count()) {
-    analysis_chains_.push_back(std::make_unique<analysis::EpochChain>());
-  }
-  // Group the unrouted ledger tail by batch. Batches are disjoint and RSs
-  // never span batches, so membership of the first token decides.
-  std::vector<std::vector<chain::RsView>> views(batches_->batch_count());
-  for (size_t i = ledger_routed_; i < ledger_.size(); ++i) {
-    const chain::RsView& view = ledger_.view(static_cast<chain::RsId>(i));
-    if (view.members.empty()) continue;
-    views[batches_->BatchOfToken(view.members.front()).index].push_back(view);
-  }
-  ledger_routed_ = ledger_.size();
-  // Seal one epoch per batch that gained tokens or views. Appending a
-  // batch's new tokens together with its new views keeps the chain's
-  // dense-id preconditions: every member of a routed view is already in
-  // batch.tokens by the time the view exists.
-  std::vector<size_t> touched;
-  for (size_t b = 0; b < batches_->batch_count(); ++b) {
-    analysis::EpochChain& chain = *analysis_chains_[b];
-    const std::vector<chain::TokenId>& tokens = batches_->batch(b).tokens;
-    std::span<const chain::TokenId> new_tokens(
-        tokens.data() + chain.token_count(),
-        tokens.size() - chain.token_count());
-    if (new_tokens.empty() && views[b].empty()) continue;
-    chain.Append(views[b], &ht_index_, new_tokens);
-    touched.push_back(b);
-  }
-  return touched;
+  snapshots_.Sync(ledger_, *batches_, ht_index_);
 }
 
 std::shared_ptr<const Node::BatchAnalysisSnapshot> Node::AnalysisSnapshotShared(
     size_t batch_index) const {
-  // Shared state lock first (writers exclude us while mutating), then the
-  // cache lock — the same order RebuildIndices uses from under a writer.
+  // Writers hold state_mu_ exclusively across Reset + Sync, so a reader
+  // never sees the snapshots half rebuilt.
   common::ReaderMutexLock state_lock(&state_mu_);
-  {
-    common::MutexLock cache_lock(&snapshots_mu_);
-    auto it = analysis_snapshots_.find(batch_index);
-    if (it != analysis_snapshots_.end()) return it->second;
-  }
-  // Seal outside snapshots_mu_ so readers filling *different* batches
-  // run concurrently and only serialize on the map itself. The batch's
-  // epoch chain already holds the routed history (writers route before
-  // releasing state_mu_), so sealing is O(1): both members alias the
-  // chain's shared core, which `context` keeps alive.
-  TM_CHECK(batch_index < analysis_chains_.size());
-  const analysis::EpochChain& chain = *analysis_chains_[batch_index];
-  auto snapshot = std::make_shared<BatchAnalysisSnapshot>();
-  snapshot->history = chain.History();
-  snapshot->context = chain.View();
-  // Two readers may have raced on the same batch: emplace keeps the
-  // winner's snapshot and this one is discarded in favor of it.
-  common::MutexLock cache_lock(&snapshots_mu_);
-  return analysis_snapshots_.emplace(batch_index, std::move(snapshot))
-      .first->second;
-}
-
-const Node::BatchAnalysisSnapshot& Node::AnalysisSnapshotFor(
-    size_t batch_index) const {
-  // The cache map holds a reference until the next mutation invalidates
-  // this batch's entry, which is exactly the documented lifetime of the
-  // returned reference.
-  return *AnalysisSnapshotShared(batch_index);
+  return snapshots_.Get(batch_index);
 }
 
 size_t Node::mempool_size() const {

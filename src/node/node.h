@@ -7,21 +7,19 @@
 //    `state_mu_` exclusively and may run concurrently with any number of
 //    snapshot readers.
 //  * `AnalysisSnapshotShared` is the concurrent read path: it returns a
-//    shared_ptr to an immutable, self-contained snapshot (owning history
-//    copy + owning AnalysisContext), so a reader keeps its snapshot alive
-//    across a concurrent RebuildIndices and never observes a torn one.
-//  * The reference-returning accessors (blockchain(), ledger(), ...,
-//    AnalysisSnapshotFor) are the single-threaded convenience surface:
-//    the references they return are stable only while no writer runs.
+//    shared_ptr to an immutable, self-contained snapshot (history span +
+//    AnalysisContext co-owning their epoch core), so a reader keeps its
+//    snapshot alive across a concurrent RebuildIndices and never observes
+//    a torn one.
+//  * The reference-returning accessors (blockchain(), ledger(), ...) are
+//    the single-threaded convenience surface: the references they return
+//    are stable only while no writer runs.
 #pragma once
 
 #include <deque>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
-#include "analysis/context.h"
-#include "analysis/epoch_chain.h"
 #include "chain/ht_index.h"
 #include "chain/blockchain.h"
 #include "common/annotations.h"
@@ -29,6 +27,7 @@
 #include "common/status.h"
 #include "chain/ledger.h"
 #include "core/batch.h"
+#include "core/batch_snapshots.h"
 #include "crypto/lsag.h"
 #include "node/types.h"
 #include "node/verifier.h"
@@ -70,7 +69,7 @@ class Node {
   /// Seeds the chain with a genesis block of `grants` transactions, the
   /// i-th minting grants[i].size() tokens with the given output keys.
   /// Returns the minted token ids per grant.
-  // tm-invalidates(Node::analysis_snapshots_): appends a block.
+  // tm-invalidates(BatchSnapshots::snapshots_): appends a block.
   std::vector<std::vector<chain::TokenId>> Genesis(
       const std::vector<std::vector<crypto::Point>>& grants)
       TM_EXCLUDES(state_mu_);
@@ -86,7 +85,7 @@ class Node {
   /// Mines every pooled transaction into one block: re-verifies (state
   /// may have changed), registers key images, appends rings to the
   /// ledger, and mints outputs with their announced keys.
-  // tm-invalidates(Node::analysis_snapshots_): appends a block.
+  // tm-invalidates(BatchSnapshots::snapshots_): appends a block.
   MinedBlock MineBlock() TM_EXCLUDES(state_mu_);
 
   // Read-only chain state (single-threaded surface; see file comment).
@@ -108,66 +107,35 @@ class Node {
   /// A fresh verifier bound to the current state.
   Verifier MakeVerifier() const;
 
-  /// Interned per-batch analysis snapshot of the current chain state: the
-  /// batch's ledger views plus their AnalysisContext. Immutable and
-  /// self-contained once sealed: both members read the batch's epoch
-  /// chain's shared core, which `context` co-owns, so a snapshot
-  /// references no reseatable node state and outlives any later chain
-  /// mutation (later epochs only ever append past this snapshot's sealed
-  /// prefix).
-  struct BatchAnalysisSnapshot {
-    // tm-borrows(context): the batch's RS views live in the epoch core
-    // the context keeps alive (as does every span derived from them).
-    std::span<const chain::RsView> history;
-    // tm-owns: shared keep-alive of the epoch core behind `history` and
-    // every span derived from this snapshot.
-    analysis::AnalysisContext context;
-  };
+  /// Per-batch analysis snapshot of the current chain state: the batch's
+  /// ledger views plus their AnalysisContext (core/batch_snapshots.h).
+  using BatchAnalysisSnapshot = core::BatchSnapshot;
 
-  /// The snapshot of batch `batch_index`, sealed O(1) off the batch's
-  /// epoch chain on first use after a block touched the batch and cached
-  /// until the next such block — so every wallet selection and analysis
-  /// probe of one block shares exactly one AnalysisContext per batch.
-  /// Concurrent-reader safe: the returned pointer keeps the snapshot
-  /// alive across a concurrent Genesis/MineBlock (which invalidates the
-  /// *cache*, not outstanding snapshots). Callers must re-fetch after a
-  /// mutation to observe it.
+  /// The snapshot of batch `batch_index`, sealed by the block that last
+  /// touched the batch and shared until the next such block — so every
+  /// wallet selection and analysis probe of one block shares exactly one
+  /// AnalysisContext per batch. Concurrent-reader safe: the returned
+  /// pointer keeps the snapshot alive across a concurrent
+  /// Genesis/MineBlock (which replaces the *cached* snapshot, not
+  /// outstanding ones). Callers must re-fetch after a mutation to observe
+  /// it.
   std::shared_ptr<const BatchAnalysisSnapshot> AnalysisSnapshotShared(
       size_t batch_index) const TM_EXCLUDES(state_mu_);
 
-  /// Single-threaded convenience overload of AnalysisSnapshotShared: the
-  /// reference (and the spans derived from it) stays valid until the next
-  /// Genesis/MineBlock call drops the cache's reference. Concurrent
-  /// readers must hold a shared_ptr via AnalysisSnapshotShared instead.
-  const BatchAnalysisSnapshot& AnalysisSnapshotFor(size_t batch_index) const
-      TM_EXCLUDES(state_mu_);
-
  private:
   /// Full rebuild of every derived index and per-batch epoch chain from
-  /// the raw chain state, dropping every cached analysis snapshot
+  /// the raw chain state, replacing every cached analysis snapshot
   /// (outstanding shared_ptrs stay valid). This is the O(history)
   /// fallback for paths with no incremental delta: construction, Genesis,
   /// snapshot restore, and any future reorg. Block-append paths
   /// (MineBlock) use AppendIndices instead.
-  // tm-invalidates(Node::analysis_snapshots_): cached contexts describe
-  // the pre-mutation ledger; borrowers must re-fetch.
-  // tm-invalidates(Node::analysis_chains_): the chains are rebuilt from
-  // scratch; outstanding sealed views stay alive via their shared cores.
-  void RebuildIndices() TM_REQUIRES(state_mu_) TM_EXCLUDES(snapshots_mu_);
+  void RebuildIndices() TM_REQUIRES(state_mu_);
 
   /// O(delta) index maintenance after mining one block: extends the
-  /// HtIndex and BatchIndex over the new blocks, appends one epoch to
-  /// every touched batch's chain (new tokens, new ledger RSs), and drops
-  /// only the touched batches' cached snapshots — untouched batches keep
-  /// serving their cached (still-current) snapshot.
-  // tm-invalidates(Node::analysis_snapshots_): touched entries only.
-  void AppendIndices() TM_REQUIRES(state_mu_) TM_EXCLUDES(snapshots_mu_);
-
-  /// Routes ledger views [ledger_routed_, ledger_.size()) into the
-  /// per-batch epoch chains together with each touched batch's new
-  /// tokens, sealing one epoch per touched batch. Returns the touched
-  /// batch indices.
-  std::vector<size_t> RouteLedgerDelta() TM_REQUIRES(state_mu_);
+  /// HtIndex and BatchIndex over the new blocks and syncs the per-batch
+  /// snapshots, which re-seal only the batches the block touched —
+  /// untouched batches keep serving their (still-current) snapshot.
+  void AppendIndices() TM_REQUIRES(state_mu_);
 
   /// Snapshot restore rebuilds private state directly (node/snapshot.h).
   friend common::Result<std::unique_ptr<Node>> NodeFromSnapshot(
@@ -188,36 +156,15 @@ class Node {
   };
 
   /// Writer lock for every chain mutation; shared by snapshot readers so
-  /// a cache fill observes a consistent ledger. Ordered before
-  /// snapshots_mu_ (never acquire state_mu_ while holding snapshots_mu_).
+  /// they never observe the snapshots between RebuildIndices' Reset and
+  /// Sync. Ordered before the snapshot service's own lock.
   mutable common::SharedMutex state_mu_;  // tm-lock-rank(20)
   std::deque<PendingTx> mempool_ TM_GUARDED_BY(state_mu_);
   chain::Timestamp clock_ TM_GUARDED_BY(state_mu_) = 0;
 
-  /// One epoch chain per batch, created eagerly by RebuildIndices and
-  /// extended by AppendIndices, so snapshot readers (under state_mu_
-  /// shared) only ever call the const read surface (View/History).
-  // tm-owns: the per-batch epoch chains (owner id: analysis_chains_).
-  std::vector<std::unique_ptr<analysis::EpochChain>> analysis_chains_
-      TM_GUARDED_BY(state_mu_);
-  /// Ledger prefix already routed into the per-batch chains.
-  size_t ledger_routed_ TM_GUARDED_BY(state_mu_) = 0;
-
-  /// Guards only the snapshot cache map. Snapshot fills happen outside
-  /// this lock (under state_mu_ shared), so concurrent readers filling
-  /// different batches build in parallel and serialize only on the map
-  /// lookup/insert itself.
-  mutable common::Mutex snapshots_mu_;  // tm-lock-rank(30)
-  /// Lazily sealed per-batch snapshots; RebuildIndices drops every entry,
-  /// AppendIndices drops only the entries of batches the new block
-  /// touched. The ledger only changes inside Genesis / MineBlock, both of
-  /// which run one of the two, so a cached snapshot can never be stale;
-  /// outstanding shared_ptrs keep pre-mutation snapshots alive for
-  /// readers that still hold them.
-  // tm-owns: the per-batch snapshot cache (owner id: analysis_snapshots_).
-  mutable std::unordered_map<size_t,
-                             std::shared_ptr<const BatchAnalysisSnapshot>>
-      analysis_snapshots_ TM_GUARDED_BY(snapshots_mu_);
+  /// The per-batch epoch chains and sealed snapshots, synced by
+  /// RebuildIndices/AppendIndices under the writer lock.
+  core::BatchSnapshots snapshots_ TM_GUARDED_BY(state_mu_);
 };
 
 }  // namespace tokenmagic::node

@@ -9,6 +9,7 @@
 #include "common/macros.h"
 #include "common/mutex.h"
 #include "common/strings.h"
+#include "core/batch.h"
 #include "crypto/sha256.h"
 #include "node/fault_injection.h"
 
@@ -297,6 +298,29 @@ common::Result<std::unique_ptr<Node>> NodeFromSnapshot(
     return Status::IoError("snapshot truncated: missing end trailer");
   }
   close_block();
+  // Every ring must name minted tokens of one batch — the rules Verifier
+  // applies on the live path. The checksums cannot vouch for that, and
+  // RebuildIndices routes each ring into its batch's epoch chain, which
+  // requires it.
+  const core::BatchIndex batches(node->bc_, config.lambda);
+  for (size_t i = 0; i < node->ledger_.size(); ++i) {
+    const std::vector<chain::TokenId>& members =
+        node->ledger_.view(static_cast<chain::RsId>(i)).members;
+    for (chain::TokenId t : members) {
+      if (!node->bc_.HasToken(t)) {
+        return Status::IoError(common::StrFormat(
+            "rs record %zu references unminted token %llu", i,
+            static_cast<unsigned long long>(t)));
+      }
+    }
+    size_t batch = batches.BatchOfToken(members.front()).index;
+    for (chain::TokenId t : members) {
+      if (batches.BatchOfToken(t).index != batch) {
+        return Status::IoError(common::StrFormat(
+            "rs record %zu spans multiple batches", i));
+      }
+    }
+  }
   {
     // The node is private to this restore; the lock satisfies
     // RebuildIndices' thread-safety contract.

@@ -105,8 +105,8 @@ common::Result<SignedTransaction> Wallet::BuildSpendMulti(
     const core::Batch& batch = node_->batches().BatchOfToken(token);
     // Hold the snapshot via the shared_ptr surface: wallets are part of
     // the node's concurrent-reader contract, and a Spend racing a
-    // Genesis/MineBlock writer must keep its snapshot alive across the
-    // writer's RebuildIndices dropping the cache's reference.
+    // Genesis/MineBlock writer must keep its snapshot alive after the
+    // writer replaces the cached one.
     std::shared_ptr<const Node::BatchAnalysisSnapshot> snapshot =
         node_->AnalysisSnapshotShared(batch.index);
     const std::vector<chain::RsView>& siblings = extra_history[batch.index];

@@ -6,8 +6,8 @@
 // wallets may build and submit spends concurrently with each other and
 // with the node's snapshot readers: selection holds the per-batch
 // analysis snapshot through Node::AnalysisSnapshotShared (and pins it
-// via SelectionInput::owner), so a concurrent chain mutation dropping
-// the node's snapshot cache cannot free the history mid-selection.
+// via SelectionInput::owner), so a concurrent chain mutation replacing
+// the batch's cached snapshot cannot free the history mid-selection.
 // The batch, HT, and key directories are still borrowed from the
 // node's single-threaded reference surface, so Genesis/MineBlock must
 // be externally serialized with spend *building*; SubmitTransaction is

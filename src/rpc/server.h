@@ -29,7 +29,7 @@
 //
 // Node contract: the server reads the node through blockchain() /
 // batches() / ht_index() plus the concurrent AnalysisSnapshotShared
-// surface. In read-only mode (const Node* ctor) the node must be
+// surface (per-batch snapshots served by core::BatchSnapshots). In read-only mode (const Node* ctor) the node must be
 // *quiescent* while serving — no Genesis/MineBlock between Start() and
 // Stop(). In cluster mode (NodeHost ctor) the server itself is the only
 // writer: cluster ops (Genesis/SubmitTx/Mine/Snapshot/InstallSnapshot)
@@ -193,7 +193,8 @@ class Server {
   /// before stats_mu_. In read-only mode node_ never changes and the
   /// shared lock is uncontended.
   /// Root of the server's lock order: held across calls into the node
-  /// (state_mu_/snapshots_mu_) and across per-request stats updates.
+  /// (Node::state_mu_, then BatchSnapshots::snapshots_mu_) and across
+  /// per-request stats updates.
   mutable common::SharedMutex node_mu_;  // tm-lock-rank(10)
   const node::Node* node_ TM_GUARDED_BY(node_mu_);
   ServerConfig config_;

@@ -1,5 +1,6 @@
 #include "testnet/checker.h"
 
+#include <memory>
 #include <span>
 #include <string>
 #include <utility>
@@ -43,10 +44,10 @@ common::Result<NodeReport> AnalyzeSnapshot(std::string name,
       continue;
     }
     const core::Batch& batch = node.batches().BatchOfToken(view.members[0]);
-    const node::Node::BatchAnalysisSnapshot& analysis =
-        node.AnalysisSnapshotFor(batch.index);
+    std::shared_ptr<const node::Node::BatchAnalysisSnapshot> analysis =
+        node.AnalysisSnapshotShared(batch.index);
     bool ok = analysis::SatisfiesRecursiveDiversity(
-        std::span<const chain::TokenId>(view.members), analysis.context,
+        std::span<const chain::TokenId>(view.members), analysis->context,
         view.requirement);
     verdicts += ok ? '1' : '0';
     if (!ok) ++report.diversity_violations;

@@ -60,6 +60,30 @@ TEST(TokenMagicTest, GenerateCommitsToLedger) {
       generated->members, tm.ht_index(), {2.0, 3}));
 }
 
+// A proposal re-seals only its own batch's snapshot: instances of another
+// batch keep co-owning the very same snapshot object.
+TEST(TokenMagicTest, GenerateKeepsOtherBatchSnapshot) {
+  chain::Blockchain bc = MakeChain();
+  TokenMagicConfig config;
+  config.lambda = 16;
+  TokenMagic tm(&bc, config);
+  auto batch_a = tm.InstanceFor(3, {2.0, 3});
+  auto batch_b = tm.InstanceFor(20, {2.0, 3});
+  ASSERT_TRUE(batch_a.ok());
+  ASSERT_TRUE(batch_b.ok());
+  ProgressiveSelector selector;
+  common::Rng rng(6);
+  ASSERT_TRUE(tm.GenerateRs(3, {2.0, 3}, selector, &rng).ok());
+
+  auto after_b = tm.InstanceFor(20, {2.0, 3});
+  ASSERT_TRUE(after_b.ok());
+  EXPECT_EQ(after_b->owner.get(), batch_b->owner.get());
+  auto after_a = tm.InstanceFor(5, {2.0, 3});
+  ASSERT_TRUE(after_a.ok());
+  EXPECT_NE(after_a->owner.get(), batch_a->owner.get());
+  EXPECT_EQ(after_a->history.size(), batch_a->history.size() + 1);
+}
+
 TEST(TokenMagicTest, DoubleSpendRejected) {
   chain::Blockchain bc = MakeChain();
   TokenMagicConfig config;

@@ -15,6 +15,7 @@
 #include "core/progressive.h"
 #include "node/snapshot.h"
 #include "node/wallet.h"
+#include "support/crafted_snapshot.h"
 
 namespace tokenmagic::node {
 namespace {
@@ -247,6 +248,26 @@ TEST(SnapshotFaultTest, HandCraftedCorpusIsRejected) {
   size_t end_pos = miscounted.rfind("end,");
   miscounted.replace(end_pos, std::string::npos, "end,9999\n");
   EXPECT_FALSE(NodeFromSnapshot(miscounted, {}).ok());
+
+  // Rings that pass every checksum (the rs section's sum is recomputed)
+  // but break the rules Verifier enforces live: a member that was never
+  // minted, first or later in the ring, and members of two batches. With
+  // lambda 20 the genesis block (20 tokens) is batch 0 and the first
+  // mined output (token 20) opens batch 1.
+  NodeConfig two_batches;
+  two_batches.lambda = 20;
+  std::string in_batch = test_support::WithRsMembers(snapshot, 1, "0;1");
+  ASSERT_FALSE(in_batch.empty());
+  ASSERT_TRUE(NodeFromSnapshot(in_batch, two_batches).ok());  // control
+  for (const char* members : {"99999", "0;99999"}) {
+    auto unminted = NodeFromSnapshot(
+        test_support::WithRsMembers(snapshot, 1, members), {});
+    EXPECT_TRUE(unminted.status().IsIoError())
+        << members << ": " << unminted.status().ToString();
+  }
+  auto spanning = NodeFromSnapshot(
+      test_support::WithRsMembers(snapshot, 1, "0;20"), two_batches);
+  EXPECT_TRUE(spanning.status().IsIoError()) << spanning.status().ToString();
 }
 
 // Crash consistency: a write that dies mid-stream must leave the previous

@@ -81,6 +81,38 @@ TEST(NodeTest, SpendSubmitMineLifecycle) {
   EXPECT_EQ(net.bob.balance(), 13u);
 }
 
+// A block re-seals the snapshots of the batches it touched and no other:
+// an untouched batch keeps serving the very same snapshot object.
+TEST(NodeTest, MineBlockKeepsUntouchedBatchSnapshot) {
+  Network net(12, /*lambda=*/4);  // genesis seals batch 0 (24 tokens)
+  core::ProgressiveSelector selector;
+  // Block 1 mints four outputs: batch 1, sealed.
+  ASSERT_TRUE(net.alice
+                  .Spend(&net.node, net.alice.SpendableTokens()[0], {2.0, 3},
+                         selector,
+                         {net.bob.NewOutputKey(), net.bob.NewOutputKey(),
+                          net.bob.NewOutputKey(), net.bob.NewOutputKey()},
+                         "open batch 1")
+                  .ok());
+  net.node.MineBlock();
+  ASSERT_EQ(net.node.batches().batch_count(), 2u);
+  auto batch0 = net.node.AnalysisSnapshotShared(0);
+  auto batch1 = net.node.AnalysisSnapshotShared(1);
+
+  // Block 2 rings a batch-0 token and mints into a new batch 2.
+  ASSERT_TRUE(net.alice
+                  .Spend(&net.node, net.alice.SpendableTokens()[0], {2.0, 3},
+                         selector, {net.bob.NewOutputKey()}, "touch batch 0")
+                  .ok());
+  MinedBlock block = net.node.MineBlock();
+  ASSERT_EQ(block.transactions, 1u);
+  ASSERT_EQ(net.node.batches().batch_count(), 3u);
+  EXPECT_EQ(net.node.AnalysisSnapshotShared(1).get(), batch1.get());
+  auto touched = net.node.AnalysisSnapshotShared(0);
+  EXPECT_NE(touched.get(), batch0.get());
+  EXPECT_EQ(touched->history.size(), batch0->history.size() + 1);
+}
+
 TEST(NodeTest, DoubleSpendRejectedAtSubmit) {
   Network net(12);
   core::ProgressiveSelector selector;

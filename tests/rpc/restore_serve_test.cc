@@ -19,6 +19,7 @@
 #include "rpc/client.h"
 #include "rpc/server.h"
 #include "rpc/testbed.h"
+#include "support/crafted_snapshot.h"
 #include "testnet/node_host.h"
 
 namespace tokenmagic::testnet {
@@ -114,6 +115,34 @@ TEST(RestoreServeTest, CorruptSnapshotFailsTypedAtOpen) {
   auto host = FileNodeHost::Open(path, {});
   ASSERT_TRUE(host.ok()) << host.status().ToString();
   EXPECT_EQ(node::SnapshotToString(*host.value()->mutable_node()), good);
+}
+
+TEST(RestoreServeTest, InstallingRingOfUnmintedTokenFailsTypedAndKeepsServing) {
+  // The blob passes every checksum, but its first ring names a token the
+  // chain never minted: the install must fail typed, and the server must
+  // keep serving the node it had.
+  rpc::Testbed testbed = SmallTestbed();
+  std::string path = TestPath("unminted", "snapshot");
+  ASSERT_TRUE(node::SaveSnapshot(*testbed.node, path).ok());
+  auto host = FileNodeHost::Open(path, {});
+  ASSERT_TRUE(host.ok()) << host.status().ToString();
+  node::Node* live = host.value()->mutable_node();
+  std::string crafted =
+      test_support::WithRsMembers(node::SnapshotToString(*live), 0, "99999");
+  ASSERT_FALSE(crafted.empty());
+
+  rpc::ServerConfig config;
+  config.socket_path = TestPath("unminted", "sock");
+  rpc::Server server(host.value().get(), config);
+  ASSERT_TRUE(server.Start().ok());
+  auto client = rpc::Client::Connect(config.socket_path);
+  ASSERT_TRUE(client.ok());
+  auto installed = client->InstallSnapshot(crafted);
+  ASSERT_TRUE(installed.ok()) << installed.status().ToString();
+  EXPECT_FALSE(installed.value().status.ok());
+  EXPECT_EQ(host.value()->mutable_node(), live);
+  EXPECT_TRUE(client->Ping().ok());
+  server.Stop();
 }
 
 TEST(RestoreServeTest, InstallingIdenticalSnapshotKeepsCachedAnalysis) {

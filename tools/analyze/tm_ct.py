@@ -87,6 +87,8 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "lint"))
 import sarif  # noqa: E402
+from frontend import (  # noqa: E402
+    balanced_args, body_segments, comment_annotation, strip_comments)
 
 TOOL_NAME = "tm_ct"
 TOOL_VERSION = "1.0.0"
@@ -133,13 +135,6 @@ DECLASSIFY_BARE_RE = re.compile(r'//\s*tm-declassify\b(?!\()')
 LADDER_RE = re.compile(r'^\s*//\s*tm-ct-ladder\b')
 SECRET_TRAIL_RE = re.compile(r'//\s*tm-secret\b')
 
-
-def comment_annotation(line: str, pattern: re.Pattern):
-    """Matches `pattern` only right after the line's first `//` opener."""
-    idx = line.find("//")
-    if idx == -1:
-        return None
-    return pattern.match(line, idx)
 
 # -- lexical patterns --------------------------------------------------------
 
@@ -214,65 +209,6 @@ LADDER_BANNED = [
 LADDER_FLOW_RE = re.compile(r'\b(?:if|while|for|switch)\s*\(|\?')
 
 
-def strip_comments(lines: list[str]) -> list[str]:
-    """Per-line copy with comments, strings, and preprocessor blanked."""
-    out = []
-    in_block = False
-    for line in lines:
-        result = []
-        i = 0
-        if not in_block and line.lstrip().startswith("#"):
-            out.append("")
-            continue
-        while i < len(line):
-            if in_block:
-                end = line.find("*/", i)
-                if end == -1:
-                    i = len(line)
-                else:
-                    in_block = False
-                    i = end + 2
-                continue
-            ch = line[i]
-            if ch == "/" and line.startswith("//", i):
-                break
-            if ch == "/" and line.startswith("/*", i):
-                in_block = True
-                i += 2
-                continue
-            if ch in "\"'":
-                quote = ch
-                result.append(quote)
-                i += 1
-                while i < len(line):
-                    if line[i] == "\\":
-                        i += 2
-                        continue
-                    if line[i] == quote:
-                        break
-                    i += 1
-                result.append(quote)
-                i += 1
-                continue
-            result.append(ch)
-            i += 1
-        out.append("".join(result))
-    return out
-
-
-def balanced_args(text: str, open_idx: int) -> str | None:
-    """Returns the text between text[open_idx] == '(' and its match."""
-    depth = 0
-    for i in range(open_idx, len(text)):
-        if text[i] == "(":
-            depth += 1
-        elif text[i] == ")":
-            depth -= 1
-            if depth == 0:
-                return text[open_idx + 1:i]
-    return None
-
-
 def first_ident(text: str) -> str | None:
     m = IDENT_RE.search(text)
     return m.group(0) if m else None
@@ -314,34 +250,6 @@ def split_params(params_text: str) -> list[str]:
                                          "uint64_t", "uint8_t", "U256"):
             names.append(idents[-1])
     return names
-
-
-def body_segments(code: list[str], open_line: int, open_col: int
-                  ) -> tuple[list[tuple[int, str]], int]:
-    """Segments from the '{' at (open_line, open_col) to its match."""
-    segments = []
-    depth = 0
-    line_i, col = open_line, open_col
-    start_col = open_col
-    while line_i < len(code):
-        text = code[line_i]
-        for j in range(start_col, len(text)):
-            if text[j] == "{":
-                depth += 1
-                if depth == 1:
-                    body_from = j + 1
-            elif text[j] == "}":
-                depth -= 1
-                if depth == 0:
-                    begin = body_from if line_i == open_line else 0
-                    segments.append((line_i, text[begin:j]))
-                    return segments, line_i
-        begin = open_col + 1 if line_i == open_line else 0
-        if depth >= 1:
-            segments.append((line_i, text[begin:]))
-        line_i += 1
-        start_col = 0
-    return segments, line_i
 
 
 def lexical_functions(path: str, raw: list[str], code: list[str]
