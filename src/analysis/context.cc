@@ -24,6 +24,21 @@ AnalysisContext AnalysisContext::Build(
   return chain.View();
 }
 
+std::shared_ptr<const void> SealMemo::GetOrBuild(
+    Builder build, const AnalysisContext& view) const {
+  std::call_once(once_, [&] {
+    value_ = build(view);
+    // tm-publishes(seal_memo_value)
+    built_.store(true, std::memory_order_release);
+  });
+  return value_;
+}
+
+bool SealMemo::built() const {
+  // tm-consumes(seal_memo_value)
+  return built_.load(std::memory_order_acquire);
+}
+
 AnalysisContext::Local AnalysisContext::LocalOfToken(
     chain::TokenId id) const {
   // Local == rank in the sorted token column.

@@ -19,11 +19,17 @@
 // without locks. The shared core is kept alive by `storage_`, so a sealed
 // view outlives any later epoch append. Interning is per-history, not
 // global — see DESIGN.md decisions 8 and 12.
+//
+// Every view of one seal (one EpochChain::Append) also shares that seal's
+// SealMemo: one lazily built derived index (the module index of
+// core/modules.h), built on first use behind one once-flag and freed with
+// the last view of the seal. See DESIGN.md decision 16.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
 
 #include "chain/ht_index.h"
@@ -31,7 +37,34 @@
 
 namespace tokenmagic::analysis {
 
+class AnalysisContext;
 class EpochChain;
+
+/// The derived-index slot of one sealed epoch, shared by every view of
+/// that seal. It holds one immutable value, built by the first GetOrBuild
+/// call on any thread (concurrent first callers block until it exists)
+/// and freed with the last view of the seal. The slot must not be reached
+/// from the value it holds: a value that co-owned its slot would never be
+/// freed. Its one user is core::ModuleIndexOf, which keeps the analysis
+/// layer free of core types.
+class SealMemo {
+ public:
+  /// Builds the memoized value from a view of the seal.
+  using Builder = std::shared_ptr<const void> (*)(const AnalysisContext&);
+
+  /// The value: `build(view)` on the first call, the same pointer after.
+  std::shared_ptr<const void> GetOrBuild(Builder build,
+                                         const AnalysisContext& view) const;
+
+  /// True once the value exists (a later GetOrBuild will not build).
+  bool built() const;
+
+ private:
+  mutable std::once_flag once_;
+  // The memoized value, written once inside once_.
+  mutable std::shared_ptr<const void> value_;
+  mutable std::atomic<bool> built_{false};
+};
 
 class AnalysisContext {
  public:
@@ -77,9 +110,20 @@ class AnalysisContext {
   /// Reconstructs the adversary-visible view of RS `rs` (adapter paths).
   chain::RsView ViewOf(Local rs) const;
 
+  /// The interned history as RsViews in RS-local order, aliasing the
+  /// epoch core (the same storage as EpochChain::History at seal time).
+  std::span<const chain::RsView> History() const {
+    return {history_, rs_count_};
+  }
+
   // -- token column ------------------------------------------------------
 
   chain::TokenId token_id(Local token) const { return token_ids_[token]; }
+
+  /// The whole token column (ascending external ids; index == local).
+  std::span<const chain::TokenId> Tokens() const {
+    return {token_ids_, token_count_};
+  }
 
   /// Local of an external TokenId (binary search over the sorted token
   /// column), or kNoLocal when the token is not interned.
@@ -106,12 +150,26 @@ class AnalysisContext {
 
   chain::TxId ht_id(Local ht) const { return ht_ids_[ht]; }
 
+  // -- seal identity -----------------------------------------------------
+
+  /// The keep-alive of the epoch core every column above points into. A
+  /// holder of spans into this view that must outlive it keeps this
+  /// instead of a context copy (which would also co-own the memo slot).
+  const std::shared_ptr<const void>& storage() const { return storage_; }
+
+  /// The seal's derived-index slot, shared by every view of the seal;
+  /// null only for a default-constructed context.
+  const SealMemo* memo() const { return memo_.get(); }
+
  private:
   friend class EpochChain;
 
   // tm-owns: keep-alive of the shared EpochCore every pointer below
   // reads. Shared, so copying a context is cheap and always safe.
   std::shared_ptr<const void> storage_;
+  // tm-owns: shared slot of this view's seal (every View() of one epoch
+  // holds the same one; the chain drops its reference on the next Append).
+  std::shared_ptr<const SealMemo> memo_;
 
   // Pointer read surface into the epoch core's sealed column prefixes.
   // All spans handed out alias this storage.
@@ -120,6 +178,8 @@ class AnalysisContext {
   const chain::RsId* rs_ids_ = nullptr;
   const chain::Timestamp* proposed_at_ = nullptr;
   const chain::DiversityRequirement* requirement_ = nullptr;
+  // tm-borrows(storage_): the epoch core's owned RsView copies.
+  const chain::RsView* history_ = nullptr;
   // tm-borrows(storage_): RS -> member CSR columns.
   const uint32_t* member_offsets_ = nullptr;
   const Local* member_tokens_ = nullptr;

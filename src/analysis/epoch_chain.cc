@@ -61,7 +61,9 @@ void RsTailTable::Push(Local token, Local rs) {
 
 }  // namespace internal
 
-EpochChain::EpochChain() : core_(std::make_shared<EpochCore>()) {
+EpochChain::EpochChain()
+    : core_(std::make_shared<EpochCore>()),
+      memo_(std::make_shared<SealMemo>()) {
   core_->member_offsets.Append(0);
 }
 
@@ -120,6 +122,9 @@ void EpochChain::Append(std::span<const chain::RsView> views,
         static_cast<uint32_t>(core.member_tokens.size()));
   }
 
+  // A new seal: views from here on share a fresh, unbuilt memo slot.
+  memo_ = std::make_shared<SealMemo>();
+
   EpochMeta meta;
   meta.token_end = core.token_ids.size();
   meta.rs_end = core.rs_ids.size();
@@ -135,6 +140,7 @@ AnalysisContext EpochChain::View() const {
   ctx.rs_ids_ = core.rs_ids.data();
   ctx.proposed_at_ = core.proposed_at.data();
   ctx.requirement_ = core.requirement.data();
+  ctx.history_ = core.history.data();
   ctx.member_offsets_ = core.member_offsets.data();
   ctx.member_tokens_ = core.member_tokens.data();
   ctx.rs_tails_ = core.tails.slots();
@@ -144,6 +150,7 @@ AnalysisContext EpochChain::View() const {
   ctx.rs_count_ = core.rs_ids.size();
   ctx.ht_count_ = core.ht_ids.size();
   ctx.storage_ = core_;
+  ctx.memo_ = memo_;
   return ctx;
 }
 

@@ -28,7 +28,11 @@
 // sealed views). Readers of *previously sealed* views need no
 // synchronization at all: appends only touch storage past every sealed
 // prefix, and the one boundary the inverted-index tails share between
-// writer and reader is crossed with atomics (see RsTailTable).
+// writer and reader is crossed with atomics (see RsTailTable). The one
+// thing readers write is the seal's SealMemo (analysis/context.h): each
+// Append starts a fresh slot, and the first reader to ask for the seal's
+// module index builds it under the slot's once-flag while any concurrent
+// asker waits for that one build.
 #pragma once
 
 #include <atomic>
@@ -154,7 +158,9 @@ class EpochChain {
 
   /// O(1): an AnalysisContext over everything appended so far. The view
   /// is sealed — immutable, co-owns the shared core, and stays valid and
-  /// unchanged across later Append() calls.
+  /// unchanged across later Append() calls. Every View() between two
+  /// appends shares the seal's SealMemo, so the seal's module index is
+  /// built at most once however many views are taken.
   AnalysisContext View() const;
 
   /// The interned history as RsViews in append order, aliasing the shared
@@ -187,6 +193,11 @@ class EpochChain {
 
   // tm-owns: the shared column storage (owner id: core_).
   std::shared_ptr<EpochCore> core_;
+  // The current seal's memo slot, replaced by every Append (the old
+  // seal's views keep theirs). Held here, never in EpochCore: the
+  // memoized index keeps the core alive, so a core-owned slot would be a
+  // cycle.
+  std::shared_ptr<SealMemo> memo_;
   /// Writer-side HT interner (first-appearance order over the ascending
   /// token column).
   std::unordered_map<chain::TxId, Local> ht_local_;

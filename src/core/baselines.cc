@@ -18,7 +18,7 @@ common::Result<SelectionResult> AddUntilEligible(
   const chain::HtIndex& index = *input.index;
   SelectionResult result;
   auto eligible = [&]() {
-    return CheckCandidate(state->mu, state->chosen, input.history, index,
+    return CheckCandidate(*state->mu, state->chosen, input.history, index,
                           input.requirement, input.policy)
         .eligible;
   };
@@ -39,7 +39,7 @@ common::Result<SelectionResult> AddUntilEligible(
     ChooseModule(state, state->remaining[position]);
     ++result.iterations;
   }
-  result.members = MaterializeCandidate(state->mu, state->chosen);
+  result.members = MaterializeCandidate(*state->mu, state->chosen);
   result.chosen_modules = state->chosen;
   return result;
 }
@@ -55,7 +55,7 @@ common::Result<SelectionResult> SmallestSelector::Select(
         size_t best_pos = 0;
         size_t best_size = std::numeric_limits<size_t>::max();
         for (size_t pos = 0; pos < s.remaining.size(); ++pos) {
-          size_t size = s.mu.module(s.remaining[pos]).size();
+          size_t size = s.mu->ModuleSize(s.remaining[pos]);
           if (size < best_size) {
             best_size = size;
             best_pos = pos;

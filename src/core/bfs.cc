@@ -10,6 +10,7 @@
 #include "common/macros.h"
 #include "common/deadline.h"
 #include "common/strings.h"
+#include "core/modules.h"
 
 namespace tokenmagic::core {
 
@@ -90,6 +91,8 @@ common::Result<SelectionResult> BfsSelector::Select(
     return Status::InvalidArgument("SelectionInput.index must be set");
   }
   TM_RETURN_NOT_OK(RequireContext(input));
+  TM_RETURN_NOT_OK(
+      CheckSnapshotShape(input.universe, input.history, *input.context));
   if (options_.max_universe != 0 &&
       input.universe.size() > options_.max_universe) {
     return Status::InvalidArgument(common::StrFormat(

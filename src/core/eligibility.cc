@@ -19,7 +19,7 @@ std::vector<chain::TokenId> MaterializeCandidate(
     const ModuleUniverse& mu, const std::vector<size_t>& chosen_modules) {
   std::vector<chain::TokenId> out;
   for (size_t index : chosen_modules) {
-    const Module& module = mu.module(index);
+    Module module = mu.module(index);
     out.insert(out.end(), module.tokens.begin(), module.tokens.end());
   }
   std::sort(out.begin(), out.end());
@@ -31,7 +31,7 @@ size_t CandidateSubsetCount(const ModuleUniverse& mu,
                             const std::vector<size_t>& chosen_modules) {
   size_t count = 1;  // the candidate itself
   for (size_t index : chosen_modules) {
-    count += mu.module(index).subset_count;
+    count += mu.SubsetRsOf(index).size();
   }
   return count;
 }

@@ -29,7 +29,7 @@ common::Result<SelectionResult> GameTheoreticSelector::Select(
   result.iterations += init_steps;
 
   const bool initially_eligible =
-      CheckCandidate(state.mu, state.chosen, input.history, index,
+      CheckCandidate(*state.mu, state.chosen, input.history, index,
                      input.requirement, input.policy)
           .eligible;
 
@@ -46,7 +46,7 @@ common::Result<SelectionResult> GameTheoreticSelector::Select(
   // reconsider; the potential function Φ = cost strictly decreases on
   // every strategy change, so this terminates. A hard cap guards against
   // pathological inputs.
-  const size_t player_count = state.mu.module_count();
+  const size_t player_count = state.mu->module_count();
   const size_t max_passes = 2 * player_count + 8;
   auto run_dynamics = [&]() -> common::Status {
   bool changed = true;
@@ -67,7 +67,7 @@ common::Result<SelectionResult> GameTheoreticSelector::Select(
 
       // Cost with the current strategy.
       bool eligible_now =
-          CheckCandidate(state.mu, state.chosen, input.history, index,
+          CheckCandidate(*state.mu, state.chosen, input.history, index,
                          input.requirement, input.policy)
               .eligible;
       auto cost_now = profile_cost(eligible_now, state.token_size);
@@ -79,7 +79,7 @@ common::Result<SelectionResult> GameTheoreticSelector::Select(
         ChooseModule(&state, player);
       }
       bool eligible_flipped =
-          CheckCandidate(state.mu, state.chosen, input.history, index,
+          CheckCandidate(*state.mu, state.chosen, input.history, index,
                          input.requirement, input.policy)
               .eligible;
       auto cost_flipped = profile_cost(eligible_flipped, state.token_size);
@@ -116,7 +116,7 @@ common::Result<SelectionResult> GameTheoreticSelector::Select(
   TM_RETURN_NOT_OK(run_dynamics());
 
   auto eligible_now = [&]() {
-    return CheckCandidate(state.mu, state.chosen, input.history, index,
+    return CheckCandidate(*state.mu, state.chosen, input.history, index,
                           input.requirement, input.policy)
         .eligible;
   };
@@ -140,17 +140,17 @@ common::Result<SelectionResult> GameTheoreticSelector::Select(
           "no module assembly satisfies the diversity constraint");
     }
     // Reset the profile to the Progressive module set (module indices are
-    // recovered from member tokens: both selectors build the module
-    // universe from the identical (universe, history) pair).
+    // recovered from member tokens: both selectors read the seal's one
+    // module index).
     std::vector<size_t> to_drop = state.chosen;
     for (size_t module_index : to_drop) {
       if (module_index != state.target_module) {
         UnchooseModule(&state, module_index);
       }
     }
-    std::vector<char> want(state.mu.module_count(), 0);
+    std::vector<char> want(state.mu->module_count(), 0);
     for (chain::TokenId t : seed->members) {
-      want[state.mu.ModuleOfToken(t)] = 1;
+      want[state.mu->ModuleOfToken(t)] = 1;
     }
     for (size_t module_index = 0; module_index < want.size();
          ++module_index) {
@@ -165,7 +165,7 @@ common::Result<SelectionResult> GameTheoreticSelector::Select(
     }
   }
 
-  result.members = MaterializeCandidate(state.mu, state.chosen);
+  result.members = MaterializeCandidate(*state.mu, state.chosen);
   result.chosen_modules = state.chosen;
   return result;
 }

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <limits>
-#include <optional>
-#include <unordered_map>
+#include <memory>
 
 #include "analysis/diversity.h"
 #include "common/macros.h"
@@ -18,58 +17,31 @@ common::Result<ModuleSelectionState> InitModuleState(
     return Status::InvalidArgument("SelectionInput.index must be set");
   }
   TM_RETURN_NOT_OK(RequireContext(input));
-  if (std::find(input.universe.begin(), input.universe.end(), input.target) ==
-      input.universe.end()) {
+  const analysis::AnalysisContext& context = *input.context;
+  TM_RETURN_NOT_OK(
+      CheckSnapshotShape(input.universe, input.history, context));
+  // The universe is the token column, so the target is in it iff interned.
+  analysis::AnalysisContext::Local target = context.LocalOfToken(input.target);
+  if (target == analysis::AnalysisContext::kNoLocal) {
     return Status::InvalidArgument("target token not in the mixin universe");
   }
 
-  TM_ASSIGN_OR_RETURN(
-      ModuleUniverse mu,
-      ModuleUniverse::Build(input.universe, input.history, *input.context));
+  // The input's context keeps the seal's memo slot, and so the index,
+  // alive for the whole selection.
+  std::shared_ptr<const common::Result<ModuleUniverse>> index =
+      ModuleIndexOf(context);
+  if (!index->ok()) return index->status();
+  TM_RETURN_NOT_OK((*index)->HtStatus());
 
   ModuleSelectionState state;
-  state.mu = std::move(mu);
-  state.target_module = state.mu.ModuleOfToken(input.target);
-
-  // Resolve every universe token's HT once. TryHtOf validates and fetches
-  // in one hash lookup, so a universe token the index does not know is an
-  // InvalidArgument, not a crash.
-  std::unordered_map<chain::TxId, uint32_t> dense;
-  std::vector<uint32_t> module_dense;
-  state.module_ht_offsets.reserve(state.mu.module_count() + 1);
-  state.module_ht_offsets.push_back(0);
-  for (const Module& module : state.mu.modules()) {
-    module_dense.clear();
-    for (chain::TokenId t : module.tokens) {
-      std::optional<chain::TxId> ht = input.index->TryHtOf(t);
-      if (!ht.has_value()) {
-        return Status::InvalidArgument(common::StrFormat(
-            "universe token %llu has no HT in the index",
-            static_cast<unsigned long long>(t)));
-      }
-      auto [it, inserted] =
-          dense.try_emplace(*ht, static_cast<uint32_t>(state.ht_ids.size()));
-      if (inserted) state.ht_ids.push_back(*ht);
-      module_dense.push_back(it->second);
-    }
-    std::sort(module_dense.begin(), module_dense.end());
-    for (size_t i = 0; i < module_dense.size();) {
-      size_t j = i;
-      while (j < module_dense.size() && module_dense[j] == module_dense[i]) {
-        ++j;
-      }
-      state.module_hts.push_back(
-          {module_dense[i], static_cast<uint32_t>(j - i)});
-      i = j;
-    }
-    state.module_ht_offsets.push_back(
-        static_cast<uint32_t>(state.module_hts.size()));
-  }
-  state.ht_count.assign(state.ht_ids.size(), 0);
+  state.mu = &index->value();
+  state.context = &context;
+  state.target_module = state.mu->ModuleOfLocal(target);
+  state.ht_count.assign(context.ht_count(), 0);
 
   // Seed with the target's module (x_τ / a_τ in the paper).
-  state.remaining.reserve(state.mu.module_count());
-  for (size_t i = 0; i < state.mu.module_count(); ++i) {
+  state.remaining.reserve(state.mu->module_count());
+  for (size_t i = 0; i < state.mu->module_count(); ++i) {
     state.remaining.push_back(i);
   }
   ChooseModule(&state, state.target_module);
@@ -82,7 +54,7 @@ void ChooseModule(ModuleSelectionState* state, size_t module_index) {
   TM_CHECK(it != state->remaining.end());
   state->remaining.erase(it);
   state->chosen.push_back(module_index);
-  state->token_size += state->mu.module(module_index).size();
+  state->token_size += state->mu->ModuleSize(module_index);
   for (HtTokens pair : state->HtsOf(module_index)) {
     if (state->ht_count[pair.ht] == 0) ++state->covered_ht_count;
     state->ht_count[pair.ht] += pair.tokens;
@@ -96,7 +68,7 @@ void UnchooseModule(ModuleSelectionState* state, size_t module_index) {
   TM_CHECK(it != state->chosen.end());
   state->chosen.erase(it);
   state->remaining.push_back(module_index);
-  state->token_size -= state->mu.module(module_index).size();
+  state->token_size -= state->mu->ModuleSize(module_index);
   // An HT another chosen module shares keeps a non-zero count.
   for (HtTokens pair : state->HtsOf(module_index)) {
     state->ht_count[pair.ht] -= pair.tokens;
@@ -129,7 +101,7 @@ common::Result<size_t> GreedyCoverHts(ModuleSelectionState* state, int ell,
       size_t new_hts = FreshHtCount(*state, candidate);
       if (new_hts == 0) continue;  // α would be infinite
       double alpha =
-          static_cast<double>(state->mu.module(candidate).size()) /
+          static_cast<double>(state->mu->ModuleSize(candidate)) /
           static_cast<double>(std::min(deficit, new_hts));
       if (alpha < best_alpha) {
         best_alpha = alpha;

@@ -1,18 +1,22 @@
 // Shared machinery for the module-based selectors (Progressive, Game-
-// theoretic, Smallest, Random): building the module decomposition for an
-// instance and the phase-1 greedy that reaches ℓ distinct HTs.
+// theoretic, Smallest, Random): the per-selection state over the seal's
+// shared module index and the phase-1 greedy that reaches ℓ distinct HTs.
 //
-// The state resolves every universe token's HT once, into dense HT ids
-// over the universe's distinct HTs, and keeps integer per-HT token counts
-// of the chosen modules. Choosing or unchoosing a module, a candidate's
-// fresh-HT count and a candidate's diversity slack then cost O(distinct
-// HTs of the module) or O(covered HTs), with no hashing.
+// The modules and every module's (HT, token count) pairs live in the
+// seal's module index (core/modules.h, ModuleIndexOf), built once per
+// sealed snapshot; HT ids are the context's own HT locals. A selection
+// validates its input against the snapshot in O(|T|) and then keeps only
+// its own choice: the chosen and remaining modules and integer per-HT
+// token counts of the chosen ones. Choosing or unchoosing a module, a
+// candidate's fresh-HT count and a candidate's diversity slack then cost
+// O(distinct HTs of the module) or O(covered HTs), with no hashing.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "analysis/context.h"
 #include "chain/types.h"
 #include "common/status.h"
 #include "core/modules.h"
@@ -20,15 +24,14 @@
 
 namespace tokenmagic::core {
 
-/// One module's tokens of one HT: (dense HT id, token count).
-struct HtTokens {
-  uint32_t ht = 0;
-  uint32_t tokens = 0;
-};
-
 /// Working state of a module-based selection.
 struct ModuleSelectionState {
-  ModuleUniverse mu;
+  /// The seal's module index, owned by the memo slot of the input's
+  /// context (every stage and relaxation step of a selection reads it).
+  const ModuleUniverse* mu = nullptr;
+  // tm-borrows(caller): the input's snapshot context, which outlives the
+  // selection and names the external HT of each HT local.
+  const analysis::AnalysisContext* context = nullptr;
   /// Module containing the target token (always chosen).
   size_t target_module = 0;
   /// Chosen module indices (includes target_module).
@@ -37,28 +40,26 @@ struct ModuleSelectionState {
   std::vector<size_t> remaining;
   /// Current candidate size in tokens.
   size_t token_size = 0;
-  /// External HT of each dense HT id (first appearance in module order).
-  std::vector<chain::TxId> ht_ids;
-  /// Module m's HT multiset is module_hts[module_ht_offsets[m] ..
-  /// module_ht_offsets[m + 1]), ascending by dense HT id.
-  std::vector<uint32_t> module_ht_offsets;
-  std::vector<HtTokens> module_hts;
-  /// Tokens of each dense HT among the chosen modules.
+  /// Tokens of each context HT local among the chosen modules.
   std::vector<uint32_t> ht_count;
-  /// Dense HTs with a non-zero ht_count.
+  /// HTs with a non-zero ht_count.
   size_t covered_ht_count = 0;
 
-  /// The (dense HT, token count) pairs of module `module_index`.
+  /// The (HT local, token count) pairs of module `module_index`.
   std::span<const HtTokens> HtsOf(size_t module_index) const {
-    return {module_hts.data() + module_ht_offsets[module_index],
-            module_ht_offsets[module_index + 1] -
-                module_ht_offsets[module_index]};
+    return mu->HtsOf(module_index);
   }
+
+  /// External HT of HT local `ht`.
+  chain::TxId ht_id(uint32_t ht) const { return context->ht_id(ht); }
 };
 
-/// Builds the initial state from an instance (validates the universe /
-/// history, resolves every universe token's HT, and locates the target's
-/// module). A universe token the index does not know is InvalidArgument.
+/// Builds the initial state from an instance: checks that the universe
+/// and history are exactly the context's token column and RSs
+/// (CheckSnapshotShape), fetches the seal's module index (building it on
+/// the seal's first selection) and seeds the target's module. A shape
+/// mismatch, a history outside the first practical configuration and a
+/// universe token without an HT are InvalidArgument.
 [[nodiscard]] common::Result<ModuleSelectionState> InitModuleState(
     const SelectionInput& input);
 
@@ -86,7 +87,7 @@ size_t FreshHtCount(const ModuleSelectionState& state, size_t module_index);
 struct ChosenFrequencies {
   /// Token counts of the covered HTs, sorted descending (q_1 >= ...).
   std::vector<int64_t> sorted;
-  /// Position in `sorted` of each dense HT; kNoSlot when uncovered.
+  /// Position in `sorted` of each HT local; kNoSlot when uncovered.
   std::vector<uint32_t> slot;
   static constexpr uint32_t kNoSlot = 0xFFFFFFFFu;
 };

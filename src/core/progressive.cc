@@ -30,7 +30,7 @@ common::Result<SelectionResult> ProgressiveSelector::Select(
 
   // Phase 2: close the diversity gap (lines 5-7).
   auto eligible = [&]() {
-    return CheckCandidate(state.mu, state.chosen, input.history, index,
+    return CheckCandidate(*state.mu, state.chosen, input.history, index,
                           input.requirement, input.policy)
         .eligible;
   };
@@ -50,7 +50,7 @@ common::Result<SelectionResult> ProgressiveSelector::Select(
       double delta_i =
           SlackWith(chosen, state.HtsOf(candidate), effective, &scratch);
       double beta = (delta - delta_i) /
-                    static_cast<double>(state.mu.module(candidate).size());
+                    static_cast<double>(state.mu->ModuleSize(candidate));
       if (beta > best_beta) {
         best_beta = beta;
         best_module = candidate;
@@ -64,7 +64,7 @@ common::Result<SelectionResult> ProgressiveSelector::Select(
     ++result.iterations;
   }
 
-  result.members = MaterializeCandidate(state.mu, state.chosen);
+  result.members = MaterializeCandidate(*state.mu, state.chosen);
   result.chosen_modules = state.chosen;
   return result;
 }

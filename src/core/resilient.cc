@@ -8,6 +8,7 @@
 #include "common/strings.h"
 #include "core/baselines.h"
 #include "core/bfs.h"
+#include "core/modules.h"
 #include "core/progressive.h"
 
 namespace tokenmagic::core {
@@ -70,6 +71,10 @@ common::Result<ResilientSelection> ResilientSelector::SelectWithReport(
     return Status::InvalidArgument("SelectionInput.index must be set");
   }
   TM_RETURN_NOT_OK(RequireContext(input));
+  // A universe or history that disagrees with the snapshot is a caller
+  // error whatever the ladder holds, not a stage to fall past.
+  TM_RETURN_NOT_OK(
+      CheckSnapshotShape(input.universe, input.history, *input.context));
 
   const common::Clock* clock = options_.clock;
   if (clock == nullptr && input.deadline != nullptr) {

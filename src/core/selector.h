@@ -23,6 +23,14 @@ namespace tokenmagic::core {
 /// One DA-MS problem instance: pick mixins for `target` out of `universe`
 /// given the RS history over that universe.
 ///
+/// `universe`, `history` and `context` describe one sealed snapshot: the
+/// universe is the context's token column and the history its RSs.
+/// Module selectors, BFS and the resilient ladder check that in O(|T|)
+/// (CheckSnapshotShape in core/modules.h) and answer InvalidArgument on
+/// a mismatch. They read the seal's module index, which the first
+/// selection on the seal builds and every later one shares (see
+/// ModuleIndexOf).
+///
 /// The instance does not own the universe or the history: both are spans
 /// into snapshot storage (the batch snapshot in TokenMagic/node, the
 /// dataset in benches) that must outlive every Select() call. Producers
@@ -42,9 +50,10 @@ struct SelectionInput {
   chain::DiversityRequirement requirement;
   const chain::HtIndex* index = nullptr;
   /// Interned snapshot of `history` (+ `universe` tokens), sealed once per
-  /// block/batch and shared by every target and ladder stage. Required:
-  /// every selector returns InvalidArgument when it is null. It must have
-  /// been interned from exactly the same history span.
+  /// block/batch and shared by every target and ladder stage, together
+  /// with its seal's module index. Required: every selector returns
+  /// InvalidArgument when it is null. Its token column must be the
+  /// universe and its RSs the history.
   // tm-borrows(caller): owned by the caller's batch snapshot alongside
   // the `history` storage it was interned from.
   const analysis::AnalysisContext* context = nullptr;
@@ -86,7 +95,7 @@ inline void TickDeadline(const SelectionInput& input, uint64_t steps = 1) {
 /// A selected ring signature (member set including the target).
 struct SelectionResult {
   std::vector<chain::TokenId> members;  ///< sorted ascending
-  /// Modules chosen (indices into the ModuleUniverse the selector built);
+  /// Modules chosen (indices into the seal's module index);
   /// empty for selectors that do not use the module decomposition (BFS).
   std::vector<size_t> chosen_modules;
   /// Selector-reported iteration count (greedy steps / best-response

@@ -11,6 +11,7 @@
 #include "common/macros.h"
 #include "common/strings.h"
 #include "core/batch.h"
+#include "core/modules.h"
 #include "crypto/sha256.h"
 #include "node/fault_injection.h"
 #include "node/snapshot.h"
@@ -45,7 +46,7 @@ std::string ServerStats::ToJson() const {
   return common::StrFormat(
       "{\"connections_accepted\":%llu,\"frames_received\":%llu,"
       "\"decode_errors\":%llu,\"admitted\":%llu,\"ok\":%llu,"
-      "\"degraded\":%llu,\"shed_overloaded\":%llu,\"cancelled\":%llu,"
+      "\"module_index_cold\":%llu,\"degraded\":%llu,\"shed_overloaded\":%llu,\"cancelled\":%llu,"
       "\"timeouts\":%llu,\"unsatisfiable\":%llu,\"invalid_argument\":%llu,"
       "\"internal_errors\":%llu,\"write_failures\":%llu,"
       "\"latency_micros\":%s,\"queue_wait_micros\":%s}",
@@ -54,6 +55,7 @@ std::string ServerStats::ToJson() const {
       static_cast<unsigned long long>(decode_errors),
       static_cast<unsigned long long>(admitted),
       static_cast<unsigned long long>(ok),
+      static_cast<unsigned long long>(module_index_cold),
       static_cast<unsigned long long>(degraded),
       static_cast<unsigned long long>(shed_overloaded),
       static_cast<unsigned long long>(cancelled),
@@ -286,6 +288,7 @@ Response Server::ProcessSelect(const Request& request, int64_t admitted_nanos,
   input.history = snapshot->history;
   input.context = &snapshot->context;
   input.owner = snapshot;
+  const bool index_cold = !core::ModuleIndexBuilt(snapshot->context);
 
   auto selected = resilient_.SelectWithReport(input, rng);
 
@@ -298,6 +301,7 @@ Response Server::ProcessSelect(const Request& request, int64_t admitted_nanos,
     common::MutexLock lock(&stats_mu_);
     stats_.latency_micros.Add(
         static_cast<int64_t>(response.server_micros));
+    if (index_cold) ++stats_.module_index_cold;
   }
 
   if (!selected.ok()) {

@@ -103,6 +103,10 @@ struct ServerStats {
   uint64_t decode_errors = 0;
   uint64_t admitted = 0;
   uint64_t ok = 0;
+  /// Selects whose batch snapshot had no module index yet when acquired
+  /// (the first Select per sealed snapshot builds it; a healthy cache
+  /// keeps this near the number of snapshots served).
+  uint64_t module_index_cold = 0;
   uint64_t degraded = 0;  ///< subset of ok that used a fallback/relaxation
   uint64_t shed_overloaded = 0;
   uint64_t cancelled = 0;

@@ -19,9 +19,10 @@ using chain::TxId;
 
 /// True when a chosen module holds a token of external HT `ht`.
 bool Covers(const ModuleSelectionState& state, TxId ht) {
-  auto it = std::find(state.ht_ids.begin(), state.ht_ids.end(), ht);
-  return it != state.ht_ids.end() &&
-         state.ht_count[static_cast<size_t>(it - state.ht_ids.begin())] > 0;
+  for (uint32_t h = 0; h < state.ht_count.size(); ++h) {
+    if (state.ht_id(h) == ht) return state.ht_count[h] > 0;
+  }
+  return false;
 }
 
 RsView View(chain::RsId id, std::vector<TokenId> members) {
@@ -70,7 +71,7 @@ TEST(InitModuleStateTest, SeedsWithTargetModule) {
   EXPECT_EQ(state->covered_ht_count, 1u);
   EXPECT_TRUE(Covers(*state, 500));
   // 4 modules total (2 supers + 2 fresh); 3 remaining.
-  EXPECT_EQ(state->mu.module_count(), 4u);
+  EXPECT_EQ(state->mu->module_count(), 4u);
   EXPECT_EQ(state->remaining.size(), 3u);
 }
 
@@ -121,8 +122,8 @@ TEST(ChooseUnchooseTest, SharedHtSurvivesRemoval) {
   test_support::AttachContext(&input);
   auto state = InitModuleState(input);
   ASSERT_TRUE(state.ok());
-  size_t m1 = state->mu.ModuleOfToken(1);
-  size_t m2 = state->mu.ModuleOfToken(2);
+  size_t m1 = state->mu->ModuleOfToken(1);
+  size_t m2 = state->mu->ModuleOfToken(2);
   ChooseModule(&*state, m1);
   ChooseModule(&*state, m2);
   EXPECT_TRUE(Covers(*state, 100));
@@ -151,7 +152,7 @@ TEST(GreedyCoverHtsTest, PrefersCheapHtsPerToken) {
   auto steps = GreedyCoverHts(&*state, 2);
   ASSERT_TRUE(steps.ok());
   EXPECT_EQ(*steps, 1u);
-  auto members = MaterializeCandidate(state->mu, state->chosen);
+  auto members = MaterializeCandidate(*state->mu, state->chosen);
   EXPECT_EQ(members, (std::vector<TokenId>{5, 6}));
 }
 
@@ -168,12 +169,112 @@ TEST(ModuleHtsTest, DistinctHtsOfModule) {
   Fixture fx;
   auto state = InitModuleState(fx.input);
   ASSERT_TRUE(state.ok());
-  auto hts = state->HtsOf(state->mu.ModuleOfToken(1));
+  auto hts = state->HtsOf(state->mu->ModuleOfToken(1));
   ASSERT_EQ(hts.size(), 1u);
-  EXPECT_EQ(state->ht_ids[hts[0].ht], 100u);
+  EXPECT_EQ(state->ht_id(hts[0].ht), 100u);
   EXPECT_EQ(hts[0].tokens, 2u);
 }
 
+
+/// A random laminar instance: 4-43 tokens over 1-12 HTs, a history of
+/// groups of consecutive tokens, each with a chain of nested prefixes (so
+/// supers and fresh tokens both occur), and a random target.
+struct RandomInstance {
+  chain::HtIndex index;
+  std::vector<TokenId> universe;
+  std::vector<RsView> history;
+  SelectionInput input;
+
+  explicit RandomInstance(common::Rng* rng) {
+    size_t num_tokens = 4 + rng->NextBounded(40);
+    uint64_t ht_pool = 1 + rng->NextBounded(12);
+    for (TokenId t = 0; t < static_cast<TokenId>(num_tokens); ++t) {
+      universe.push_back(t);
+      index.Set(t, 1000 + rng->NextBounded(ht_pool));
+    }
+    chain::RsId next_id = 1;
+    TokenId cursor = 0;
+    while (cursor < static_cast<TokenId>(num_tokens)) {
+      size_t group = std::min<size_t>(1 + rng->NextBounded(6),
+                                      num_tokens - cursor);
+      size_t chain_len = rng->NextBounded(3);
+      for (size_t c = 0; c < chain_len; ++c) {
+        size_t prefix = 1 + rng->NextBounded(group);
+        std::vector<TokenId> members;
+        for (size_t k = 0; k < prefix; ++k) {
+          members.push_back(cursor + static_cast<TokenId>(k));
+        }
+        history.push_back(View(next_id++, members));
+      }
+      cursor += static_cast<TokenId>(group);
+    }
+    input.target = universe[rng->NextBounded(universe.size())];
+    input.universe = universe;
+    input.history = history;
+    input.index = &index;
+    test_support::AttachContext(&input);
+  }
+};
+
+/// Asserts that the state's per-HT counts equal a recount of the chosen
+/// modules' materialized tokens.
+void ExpectCountsMatchOracle(const ModuleSelectionState& state,
+                             const chain::HtIndex& index) {
+  std::map<TxId, int64_t> recount =
+      oracle::HtCounts(*state.mu, state.chosen, index);
+  ASSERT_EQ(state.covered_ht_count, recount.size());
+  for (uint32_t h = 0; h < state.ht_count.size(); ++h) {
+    auto it = recount.find(state.ht_id(h));
+    ASSERT_EQ(static_cast<int64_t>(state.ht_count[h]),
+              it == recount.end() ? 0 : it->second)
+        << "ht " << h;
+  }
+}
+
+// The seal's module index against the from-scratch oracles: over the same
+// seeded instances as the kernel test below, every module's (HT, count)
+// pairs equal a recount of its tokens, and the state after
+// InitModuleState and after GreedyCoverHts matches a recount of the
+// chosen ring.
+TEST(ModuleIndexHtsTest, MatchFromScratchOracle) {
+  common::Rng rng(20261017);
+  common::Rng ell_rng(17);
+  for (int trial = 0; trial < 120; ++trial) {
+    SCOPED_TRACE(trial);
+    RandomInstance fx(&rng);
+    auto state = InitModuleState(fx.input);
+    ASSERT_TRUE(state.ok()) << state.status().ToString();
+    for (size_t m = 0; m < state->mu->module_count(); ++m) {
+      std::map<TxId, int64_t> pairs;
+      uint32_t previous = 0;
+      for (HtTokens pair : state->HtsOf(m)) {
+        if (!pairs.empty()) {
+          EXPECT_GT(pair.ht, previous) << "module " << m;
+        }
+        previous = pair.ht;
+        pairs[state->ht_id(pair.ht)] = pair.tokens;
+      }
+      EXPECT_EQ(pairs, oracle::HtCounts(*state->mu, {m}, fx.index))
+          << "module " << m;
+    }
+    ExpectCountsMatchOracle(*state, fx.index);
+
+    std::map<TxId, int64_t> all = oracle::HtCounts(
+        *state->mu, state->mu->SuperRsModuleIndices(), fx.index);
+    for (size_t m : state->mu->FreshModuleIndices()) {
+      ++all[fx.index.HtOf(state->mu->module(m).tokens.front())];
+    }
+    int ell = 1 + static_cast<int>(ell_rng.NextBounded(8));
+    auto steps = GreedyCoverHts(&*state, ell);
+    if (static_cast<size_t>(ell) > all.size()) {
+      EXPECT_TRUE(steps.status().IsUnsatisfiable());
+      continue;
+    }
+    ASSERT_TRUE(steps.ok()) << steps.status().ToString();
+    EXPECT_GE(state->covered_ht_count, static_cast<size_t>(ell));
+    ExpectCountsMatchOracle(*state, fx.index);
+  }
+}
 
 // The incremental kernel against the from-scratch oracles: over random
 // laminar module universes and random choose/unchoose walks, every
@@ -184,40 +285,9 @@ TEST(IncrementalKernelTest, MatchesFromScratchOracle) {
   const double kCs[] = {0.35, 0.6, 1.0, 1.3, 2.0, 3.7};
   std::vector<int64_t> scratch;
   for (int trial = 0; trial < 120; ++trial) {
-    size_t num_tokens = 4 + rng.NextBounded(40);
-    uint64_t ht_pool = 1 + rng.NextBounded(12);
-    chain::HtIndex index;
-    std::vector<TokenId> universe;
-    for (TokenId t = 0; t < static_cast<TokenId>(num_tokens); ++t) {
-      universe.push_back(t);
-      index.Set(t, 1000 + rng.NextBounded(ht_pool));
-    }
-    // Laminar history: groups of consecutive tokens, each with a chain of
-    // nested prefixes, so supers and fresh tokens both occur.
-    std::vector<RsView> history;
-    chain::RsId next_id = 1;
-    TokenId cursor = 0;
-    while (cursor < static_cast<TokenId>(num_tokens)) {
-      size_t group = std::min<size_t>(1 + rng.NextBounded(6),
-                                      num_tokens - cursor);
-      size_t chain_len = rng.NextBounded(3);
-      for (size_t c = 0; c < chain_len; ++c) {
-        size_t prefix = 1 + rng.NextBounded(group);
-        std::vector<TokenId> members;
-        for (size_t k = 0; k < prefix; ++k) {
-          members.push_back(cursor + static_cast<TokenId>(k));
-        }
-        history.push_back(View(next_id++, members));
-      }
-      cursor += static_cast<TokenId>(group);
-    }
-
-    SelectionInput input;
-    input.target = universe[rng.NextBounded(universe.size())];
-    input.universe = universe;
-    input.history = history;
-    input.index = &index;
-    test_support::AttachContext(&input);
+    RandomInstance fx(&rng);
+    const chain::HtIndex& index = fx.index;
+    const SelectionInput& input = fx.input;
     chain::DiversityRequirement req{kCs[rng.NextBounded(6)],
                                     1 + static_cast<int>(rng.NextBounded(6))};
     auto state = InitModuleState(input);
@@ -226,11 +296,11 @@ TEST(IncrementalKernelTest, MatchesFromScratchOracle) {
     for (int step = 0; step < 24; ++step) {
       // The per-HT counts equal a recount of the materialized ring.
       std::map<TxId, int64_t> recount =
-          oracle::HtCounts(state->mu, state->chosen, index);
+          oracle::HtCounts(*state->mu, state->chosen, index);
       ASSERT_EQ(state->covered_ht_count, recount.size())
           << "trial " << trial << " step " << step;
       for (size_t h = 0; h < state->ht_count.size(); ++h) {
-        auto it = recount.find(state->ht_ids[h]);
+        auto it = recount.find(state->ht_id(h));
         ASSERT_EQ(static_cast<int64_t>(state->ht_count[h]),
                   it == recount.end() ? 0 : it->second)
             << "trial " << trial << " step " << step << " ht " << h;
@@ -238,18 +308,18 @@ TEST(IncrementalKernelTest, MatchesFromScratchOracle) {
 
       ChosenFrequencies chosen = ChosenFrequenciesOf(*state);
       ASSERT_EQ(analysis::DiversitySlack(chosen.sorted, req),
-                oracle::SlackOf(state->mu, state->chosen, index, req))
+                oracle::SlackOf(*state->mu, state->chosen, index, req))
           << "trial " << trial << " step " << step;
       for (size_t candidate : state->remaining) {
         ASSERT_EQ(FreshHtCount(*state, candidate),
-                  oracle::FreshHtCount(state->mu, state->chosen, candidate,
+                  oracle::FreshHtCount(*state->mu, state->chosen, candidate,
                                        index))
             << "trial " << trial << " step " << step << " module "
             << candidate;
         std::vector<size_t> tentative = state->chosen;
         tentative.push_back(candidate);
         ASSERT_EQ(SlackWith(chosen, state->HtsOf(candidate), req, &scratch),
-                  oracle::SlackOf(state->mu, tentative, index, req))
+                  oracle::SlackOf(*state->mu, tentative, index, req))
             << "trial " << trial << " step " << step << " module "
             << candidate;
       }

@@ -82,7 +82,7 @@ TEST(GreedyCoverHtsTest, Example3Phase1PicksS2) {
   auto steps = GreedyCoverHts(&*state, 4);
   ASSERT_TRUE(steps.ok());
   // r_tau = s3 ∪ s2 after the first loop (paper trace).
-  auto members = MaterializeCandidate(state->mu, state->chosen);
+  auto members = MaterializeCandidate(*state->mu, state->chosen);
   EXPECT_EQ(members, (std::vector<TokenId>{7, 8, 9, 10, 11, 12}));
 }
 
@@ -356,6 +356,51 @@ TEST_P(MissingContextTest, IsInvalidArgument) {
 INSTANTIATE_TEST_SUITE_P(AllSelectors, MissingContextTest,
                          ::testing::Values("TM_P", "TM_G", "TM_S", "TM_R",
                                            "TM_B", "TM_M", "Resilient",
+                                           "Relaxing"));
+
+class MismatchedSnapshotTest
+    : public ::testing::TestWithParam<std::string> {};
+
+/// Four tokens of four HTs and one RS {1, 2}, interned from that history
+/// and universe {1, 2, 3, 4}.
+struct SmallSnapshot {
+  chain::HtIndex index;
+  std::vector<TokenId> universe = {1, 2, 3, 4};
+  std::vector<RsView> history = {View(1, {1, 2})};
+  SelectionInput input;
+
+  SmallSnapshot() {
+    for (TokenId t = 1; t <= 9; ++t) index.Set(t, static_cast<TxId>(t));
+    input.target = 3;
+    input.universe = universe;
+    input.history = history;
+    input.requirement = {2.0, 2};
+    input.index = &index;
+    AttachContext(&input);
+  }
+};
+
+// A universe holding a token the context never interned is a caller
+// error, not a failed interning check.
+TEST_P(MismatchedSnapshotTest, UninternedUniverseTokenIsInvalidArgument) {
+  SmallSnapshot fx;
+  std::vector<TokenId> universe = {1, 2, 3, 4, 9};
+  fx.input.universe = universe;
+  common::Status status = SelectStatus(GetParam(), fx.input);
+  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+}
+
+// So is a history span whose length differs from the context's RS count.
+TEST_P(MismatchedSnapshotTest, HistoryLengthMismatchIsInvalidArgument) {
+  SmallSnapshot fx;
+  fx.input.history = {};
+  common::Status status = SelectStatus(GetParam(), fx.input);
+  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+}
+
+INSTANTIATE_TEST_SUITE_P(AllSelectors, MismatchedSnapshotTest,
+                         ::testing::Values("TM_P", "TM_G", "TM_S", "TM_R",
+                                           "TM_B", "Resilient",
                                            "Relaxing"));
 
 class UnknownUniverseTokenTest : public ::testing::TestWithParam<std::string> {

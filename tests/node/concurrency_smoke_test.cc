@@ -15,6 +15,8 @@
 #include <gtest/gtest.h>
 
 #include "analysis/chain_reaction.h"
+#include "core/module_greedy.h"
+#include "core/modules.h"
 #include "core/progressive.h"
 #include "core/token_magic.h"
 #include "node/fault_injection.h"
@@ -334,6 +336,59 @@ TEST(ConcurrencySmokeTest, SelectorProbesRaceEpochSealsAcrossBatches) {
 
 // A shared FaultInjector consumes exactly the armed number of verdict
 // flips across racing threads — no lost or duplicated faults.
+// The first selections on a freshly sealed snapshot race to build its
+// module index: the seal's once-flag lets exactly one build run, every
+// racing selection reads that one index, and the rings agree.
+TEST(ConcurrencySmokeTest, ConcurrentSelectsShareOneModuleIndex) {
+  Network net(24);
+  const chain::TokenId target = 3;
+  const core::Batch& batch = net.node.batches().BatchOfToken(target);
+  std::shared_ptr<const Node::BatchAnalysisSnapshot> snapshot =
+      net.node.AnalysisSnapshotShared(batch.index);
+  ASSERT_FALSE(core::ModuleIndexBuilt(snapshot->context));
+
+  core::SelectionInput input;
+  input.target = target;
+  input.universe = net.node.batches().MixinUniverse(target);
+  input.requirement = {2.0, 3};
+  input.index = &net.node.ht_index();
+  input.history = snapshot->history;
+  input.context = &snapshot->context;
+  input.owner = snapshot;
+
+  constexpr int kThreads = 8;
+  std::vector<const core::ModuleUniverse*> indices(kThreads, nullptr);
+  std::vector<std::vector<chain::TokenId>> rings(kThreads);
+  std::atomic<int> arrived{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      // Line every thread up so the first InitModuleState calls overlap.
+      arrived.fetch_add(1);
+      while (arrived.load() < kThreads) std::this_thread::yield();
+      auto state = core::InitModuleState(input);
+      ASSERT_TRUE(state.ok()) << state.status().ToString();
+      indices[i] = state->mu;
+      core::ProgressiveSelector selector;
+      common::Rng rng(static_cast<uint64_t>(i));
+      auto selected = selector.Select(input, &rng);
+      ASSERT_TRUE(selected.ok()) << selected.status().ToString();
+      rings[i] = selected->members;
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  EXPECT_TRUE(core::ModuleIndexBuilt(snapshot->context));
+  const core::ModuleUniverse* index =
+      &core::ModuleIndexOf(snapshot->context)->value();
+  for (int i = 0; i < kThreads; ++i) {
+    EXPECT_EQ(indices[i], index) << "thread " << i;
+    EXPECT_EQ(rings[i], rings[0]) << "thread " << i;
+  }
+  EXPECT_FALSE(rings[0].empty());
+}
+
 TEST(ConcurrencySmokeTest, FaultInjectorSharedAcrossThreads) {
   FaultInjector faults(7);
   constexpr int kArmed = 10;

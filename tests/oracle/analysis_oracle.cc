@@ -300,7 +300,7 @@ common::Result<ModuleDecomposition> BuildModules(
   std::sort(super_indices.begin(), super_indices.end());
   for (size_t idx : super_indices) {
     const chain::RsView& view = history[idx];
-    core::Module module;
+    OracleModule module;
     module.index = mu.modules.size();
     module.is_fresh = false;
     module.super_rs = view.id;
@@ -329,7 +329,7 @@ common::Result<ModuleDecomposition> BuildModules(
   std::sort(fresh.begin(), fresh.end());
   fresh.erase(std::unique(fresh.begin(), fresh.end()), fresh.end());
   for (chain::TokenId t : fresh) {
-    core::Module module;
+    OracleModule module;
     module.index = mu.modules.size();
     module.is_fresh = true;
     module.tokens = {t};

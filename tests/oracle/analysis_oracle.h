@@ -20,7 +20,6 @@
 #include "chain/ht_index.h"
 #include "chain/types.h"
 #include "common/status.h"
-#include "core/modules.h"
 
 namespace tokenmagic::oracle {
 
@@ -39,9 +38,18 @@ analysis::AnalysisResult Cascade(
 /// μ_i: the number of tokens Cascade proves spent.
 size_t CountInferableSpent(std::span<const chain::RsView> history);
 
+/// One module of the reference decomposition, owning its tokens.
+struct OracleModule {
+  size_t index = 0;
+  bool is_fresh = false;
+  chain::RsId super_rs = chain::kInvalidRs;
+  std::vector<chain::TokenId> tokens;
+  size_t subset_count = 0;
+};
+
 /// Section 6.1 module decomposition, as plain data.
 struct ModuleDecomposition {
-  std::vector<core::Module> modules;
+  std::vector<OracleModule> modules;
   std::vector<std::vector<chain::RsId>> subset_rs;  // per module
   size_t token_count = 0;
 };

@@ -13,7 +13,7 @@ std::vector<chain::TokenId> Members(const core::ModuleUniverse& mu,
                                     const std::vector<size_t>& chosen) {
   std::vector<chain::TokenId> members;
   for (size_t i : chosen) {
-    const std::vector<chain::TokenId>& tokens = mu.module(i).tokens;
+    std::span<const chain::TokenId> tokens = mu.module(i).tokens;
     members.insert(members.end(), tokens.begin(), tokens.end());
   }
   return members;

@@ -100,6 +100,44 @@ TEST(ServerTest, PingAndStatsControlOps) {
   server.Stop();
 }
 
+TEST(ServerTest, StatsCountOneColdModuleIndexPerSnapshot) {
+  // Two batches of more than 24 tokens each, so the default ladder's BFS
+  // stage refuses them and TM_P reads each batch's module index.
+  TestbedConfig testbed_config;
+  testbed_config.num_wallets = 8;
+  testbed_config.tokens_per_wallet = 4;
+  testbed_config.lambda = 32;
+  testbed_config.spend_rounds = 8;
+  testbed_config.seed = 11;
+  Testbed testbed = BuildTestbed(testbed_config);
+  const core::BatchIndex& batches = testbed.node->batches();
+  ASSERT_EQ(batches.batch_count(), 2u);
+  for (size_t b = 0; b < batches.batch_count(); ++b) {
+    ASSERT_GT(batches.batch(b).tokens.size(), 24u);
+  }
+
+  ServerConfig config;
+  config.socket_path = TestSocketPath("coldindex");
+  config.workers = 1;
+  Server server(testbed.node.get(), config);
+  ASSERT_TRUE(server.Start().ok());
+  auto client = Client::Connect(config.socket_path);
+  ASSERT_TRUE(client.ok());
+  for (int pass = 0; pass < 3; ++pass) {
+    for (chain::TokenId target : testbed.targets) {
+      ASSERT_TRUE(client->Select(target, {2.0, 2}).ok());
+    }
+  }
+  // The counter is bumped before the response is written, so every
+  // Select above is already counted.
+  EXPECT_EQ(server.StatsSnapshot().module_index_cold, 2u);
+  auto json = client->Stats();
+  ASSERT_TRUE(json.ok());
+  EXPECT_NE(json->find("\"module_index_cold\":2,"), std::string::npos)
+      << *json;
+  server.Stop();
+}
+
 TEST(ServerTest, UnknownTargetAnswersInvalidArgument) {
   Testbed testbed = BuildTestbed(SmallTestbed());
   ServerConfig config;
