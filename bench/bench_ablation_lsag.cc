@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "crypto/field.h"
 #include "crypto/lsag.h"
 #include "crypto/schnorr.h"
 #include "crypto/sha256.h"
@@ -55,6 +56,35 @@ void BM_LsagVerify(benchmark::State& state) {
 BENCHMARK(BM_LsagVerify)->Arg(2)->Arg(5)->Arg(11)->Arg(16)->Arg(32)
     ->Unit(benchmark::kMillisecond);
 
+// Per-primitive rows: the kernels a ring member costs. Sign pays one
+// HashToPoint and two MulAdd per simulated member plus MulCT twice and
+// MulBaseCT once for the signer; verify pays one HashToPoint and two
+// MulAdd per member. Every ToAffine costs one FieldInv.
+crypto::U256 BenchScalar(uint64_t seed) {
+  common::Rng rng(seed);
+  return crypto::ScalarReduce(
+      crypto::U256(rng.Next(), rng.Next(), rng.Next(), rng.Next()));
+}
+
+void BM_FieldMul(benchmark::State& state) {
+  crypto::U256 a = BenchScalar(3);
+  crypto::U256 b = BenchScalar(4);
+  for (auto _ : state) {
+    a = crypto::FieldMul(a, b);
+    benchmark::DoNotOptimize(&a);
+  }
+}
+BENCHMARK(BM_FieldMul)->Unit(benchmark::kNanosecond);
+
+void BM_FieldInv(benchmark::State& state) {
+  crypto::U256 a = BenchScalar(5);
+  for (auto _ : state) {
+    a = crypto::FieldInv(a);
+    benchmark::DoNotOptimize(&a);
+  }
+}
+BENCHMARK(BM_FieldInv)->Unit(benchmark::kMicrosecond);
+
 void BM_ScalarMulBase(benchmark::State& state) {
   common::Rng rng(9);
   crypto::U256 k(rng.Next(), rng.Next(), rng.Next(), 0);
@@ -64,6 +94,49 @@ void BM_ScalarMulBase(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ScalarMulBase)->Unit(benchmark::kMicrosecond);
+
+// The verifier's shape: s*G + c*P for a ring key P.
+void BM_MulAdd(benchmark::State& state) {
+  crypto::Point p = crypto::Secp256k1::MulBase(BenchScalar(6));
+  crypto::U256 s = BenchScalar(7);
+  crypto::U256 c = BenchScalar(8);
+  for (auto _ : state) {
+    auto r = crypto::Secp256k1::MulAdd(s, crypto::Secp256k1::Generator(), c,
+                                       p);
+    benchmark::DoNotOptimize(&r);
+  }
+}
+BENCHMARK(BM_MulAdd)->Unit(benchmark::kMicrosecond);
+
+void BM_MulCT(benchmark::State& state) {
+  crypto::Point p = crypto::Secp256k1::MulBase(BenchScalar(10));
+  crypto::U256 k = BenchScalar(11);
+  for (auto _ : state) {
+    auto r = crypto::Secp256k1::MulCT(k, p);
+    benchmark::DoNotOptimize(&r);
+  }
+}
+BENCHMARK(BM_MulCT)->Unit(benchmark::kMicrosecond);
+
+void BM_MulBaseCT(benchmark::State& state) {
+  crypto::U256 k = BenchScalar(12);
+  for (auto _ : state) {
+    auto r = crypto::Secp256k1::MulBaseCT(k);
+    benchmark::DoNotOptimize(&r);
+  }
+}
+BENCHMARK(BM_MulBaseCT)->Unit(benchmark::kMicrosecond);
+
+void BM_HashToPoint(benchmark::State& state) {
+  uint64_t counter = 0;
+  for (auto _ : state) {
+    auto r = crypto::Secp256k1::HashToPoint(
+        reinterpret_cast<const uint8_t*>(&counter), sizeof(counter));
+    ++counter;
+    benchmark::DoNotOptimize(&r);
+  }
+}
+BENCHMARK(BM_HashToPoint)->Unit(benchmark::kMicrosecond);
 
 void BM_SchnorrSignVerify(benchmark::State& state) {
   common::Rng rng(11);

@@ -17,7 +17,7 @@
 //     of the same property the static analyzer proves at source level.
 //     CtDeclassify marks bytes defined again at the audited exits
 //     (published signature responses, rejection-sampling verdicts, the
-//     scalar entry of the Montgomery ladder); each call site carries a
+//     scalar entry of MulCT/MulBaseCT); each call site carries a
 //     matching `// tm-declassify(<reason>)` annotation so the static and
 //     dynamic declassification points are the same, by construction.
 //     Outside valgrind/MSan both hooks compile to a few no-op

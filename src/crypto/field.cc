@@ -86,22 +86,44 @@ U256 FieldMul(const U256& a, const U256& b) {
 
 U256 FieldSqr(const U256& a) { return FieldMul(a, a); }
 
-U256 FieldPow(const U256& a, const U256& e) {
-  U256 base = a;
-  U256 result = U256::One();
-  int top = e.HighestBit();
-  for (int i = 0; i <= top; ++i) {
-    if (e.Bit(i)) result = FieldMul(result, base);
-    base = FieldSqr(base);
-  }
-  return result;
+namespace {
+
+// a^(2^n) by n squarings.
+U256 SqrN(U256 a, int n) {
+  for (int i = 0; i < n; ++i) a = FieldSqr(a);
+  return a;
 }
+
+// The runs of ones shared by the exponents p - 2 and (p + 1) / 4: sets
+// *x2 = a^(2^2 - 1), *x22 = a^(2^22 - 1) and returns a^(2^223 - 1), via
+// the chain 1, 2, 3, 6, 9, 11, 22, 44, 88, 176, 220, 223 (libsecp256k1's
+// field_impl.h).
+U256 OnesChain(const U256& a, U256* x2, U256* x22) {
+  *x2 = FieldMul(FieldSqr(a), a);
+  U256 x3 = FieldMul(FieldSqr(*x2), a);
+  U256 x6 = FieldMul(SqrN(x3, 3), x3);
+  U256 x9 = FieldMul(SqrN(x6, 3), x3);
+  U256 x11 = FieldMul(SqrN(x9, 2), *x2);
+  *x22 = FieldMul(SqrN(x11, 11), x11);
+  U256 x44 = FieldMul(SqrN(*x22, 22), *x22);
+  U256 x88 = FieldMul(SqrN(x44, 44), x44);
+  U256 x176 = FieldMul(SqrN(x88, 88), x88);
+  U256 x220 = FieldMul(SqrN(x176, 44), x44);
+  return FieldMul(SqrN(x220, 3), x3);
+}
+
+}  // namespace
 
 U256 FieldInv(const U256& a) {
   TM_CHECK(!a.IsZero());
-  U256 exponent;
-  U256::Sub(kPrime, U256(2), &exponent);
-  return FieldPow(a, exponent);
+  // p - 2 = [223 ones] 0 [22 ones] 0000 1 0 11 0 1: 255 squarings and
+  // 15 multiplies in all.
+  U256 x2, x22;
+  U256 t = OnesChain(a, &x2, &x22);
+  t = FieldMul(SqrN(t, 23), x22);
+  t = FieldMul(SqrN(t, 5), a);
+  t = FieldMul(SqrN(t, 3), x2);
+  return FieldMul(SqrN(t, 2), a);
 }
 
 U256 FieldNeg(const U256& a) {
@@ -113,24 +135,20 @@ U256 FieldNeg(const U256& a) {
 
 bool FieldSqrt(const U256& a, U256* root) {
   TM_CHECK(root != nullptr);
-  // (p + 1) / 4, precomputable since p ≡ 3 (mod 4).
-  U256 exponent;
-  U256::Add(kPrime, U256::One(), &exponent);
-  // Divide by 4 = shift right twice.
-  for (int shift = 0; shift < 2; ++shift) {
-    uint64_t carry = 0;
-    for (int i = 3; i >= 0; --i) {
-      uint64_t next = exponent.limbs[i] & 1;
-      exponent.limbs[i] = (exponent.limbs[i] >> 1) | (carry << 63);
-      carry = next;
-    }
-  }
-  U256 candidate = FieldPow(a, exponent);
-  if (FieldSqr(candidate) == U256::Mod(a, kPrime)) {
-    *root = candidate;
-    return true;
-  }
-  return false;
+  // (p + 1) / 4 = [223 ones] 0 [22 ones] 0000 11 00: 253 squarings and
+  // 13 multiplies.
+  U256 x2, x22;
+  U256 t = OnesChain(a, &x2, &x22);
+  t = FieldMul(SqrN(t, 23), x22);
+  t = FieldMul(SqrN(t, 6), x2);
+  U256 candidate = SqrN(t, 2);
+  // a < 2^256 < 2p, so one subtraction brings it into [0, p) for the
+  // comparison.
+  U256 reduced = a;
+  if (reduced >= kPrime) U256::Sub(a, kPrime, &reduced);
+  if (FieldSqr(candidate) != reduced) return false;
+  *root = candidate;
+  return true;
 }
 
 U256 ScalarAdd(const U256& a, const U256& b) { return AddMod(a, b, kOrder); }
@@ -188,7 +206,19 @@ U256 ScalarMul(const U256& a, const U256& b) {
   return ScalarReduce512(U256::Mul(a, b));
 }
 
-U256 ScalarInv(const U256& a) { return InvMod(a, kOrder); }
+U256 ScalarInv(const U256& a) {
+  TM_CHECK(!a.IsZero());
+  // Fermat: a^(n - 2), left-to-right square-and-multiply over the public
+  // exponent with the folding ScalarMul.
+  U256 exponent;
+  U256::Sub(kOrder, U256(2), &exponent);
+  U256 result = a;
+  for (int i = exponent.HighestBit() - 1; i >= 0; --i) {
+    result = ScalarMul(result, result);
+    if (exponent.Bit(i)) result = ScalarMul(result, a);
+  }
+  return result;
+}
 
 U256 ScalarReduce(const U256& a) {
   // a < 2^256 < 2n, so one masked subtraction fully reduces.

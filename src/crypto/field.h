@@ -24,13 +24,13 @@ U256 FieldAdd(const U256& a, const U256& b);
 U256 FieldSub(const U256& a, const U256& b);
 U256 FieldMul(const U256& a, const U256& b);
 U256 FieldSqr(const U256& a);
-/// a^e mod p.
-U256 FieldPow(const U256& a, const U256& e);
-/// Multiplicative inverse via Fermat (a must be non-zero).
+/// Multiplicative inverse a^(p-2) (a must be non-zero), by the standard
+/// secp256k1 addition chain: 255 squarings and 15 multiplies.
 U256 FieldInv(const U256& a);
 /// Negation: p - a (or 0 for a == 0).
 U256 FieldNeg(const U256& a);
-/// Square root when it exists: since p ≡ 3 (mod 4), r = a^((p+1)/4).
+/// Square root when it exists: since p ≡ 3 (mod 4), r = a^((p+1)/4), by
+/// an addition chain of 253 squarings and 13 multiplies.
 /// Returns true and sets *root iff r*r == a.
 bool FieldSqrt(const U256& a, U256* root);
 
@@ -39,8 +39,8 @@ bool FieldSqrt(const U256& a, U256* root);
 /// are usually secrets — keys, nonces, blindings — so ScalarAdd/Sub/Mul/
 /// Reduce run a fixed instruction stream with no secret-dependent branch
 /// (AddMod/SubMod masked corrections, fold-based reduction mod n).
-/// ScalarInv remains variable-time and must only see public or
-/// declassified values.
+/// ScalarInv (Fermat, square-and-multiply over ScalarMul) remains
+/// variable-time and must only see public or declassified values.
 U256 ScalarAdd(const U256& a, const U256& b);
 U256 ScalarSub(const U256& a, const U256& b);
 U256 ScalarMul(const U256& a, const U256& b);

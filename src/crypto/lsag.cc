@@ -90,7 +90,7 @@ common::Result<LsagSignature> Lsag::Sign(const std::vector<Point>& ring,
   Point hp_signer = HashPointOfKey(signer.pub);
 
   // Key image and commitment: every scalar multiple of the secret key x
-  // and the nonce u goes through the constant-time ladder.
+  // and the nonce u goes through the constant-time kernels.
   sig.key_image = Secp256k1::MulCT(signer.secret, hp_signer);
 
   // Start the chain at the signer with a fresh commitment nonce u:

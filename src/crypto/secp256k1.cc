@@ -93,60 +93,311 @@ Jacobian JacobianAdd(const Jacobian& p, const Jacobian& q) {
   return out;
 }
 
-Jacobian JacobianMul(const U256& k, const Jacobian& p) {
+// Affine coordinates of a precomputed table entry.
+struct Affine {
+  U256 x;
+  U256 y;
+};
+
+Affine ToAffineEntry(const Jacobian& j) {
+  Point p = ToAffine(j);
+  return Affine{p.x, p.y};
+}
+
+// Mixed addition p + (q.x, q.y, 1) ("madd-2007-bl"): the affine operand
+// saves four of add-2007-bl's multiplies. q is never the identity.
+Jacobian JacobianAddAffine(const Jacobian& p, const Affine& q) {
+  if (p.IsIdentity()) return Jacobian{q.x, q.y, U256::One()};
+  U256 z1z1 = FieldSqr(p.z);
+  U256 u2 = FieldMul(q.x, z1z1);
+  U256 s2 = FieldMul(FieldMul(q.y, p.z), z1z1);
+  if (p.x == u2) {
+    if (p.y == s2) return JacobianDouble(p);
+    return Jacobian::Identity();  // P + (-P)
+  }
+  U256 h = FieldSub(u2, p.x);
+  U256 hh = FieldSqr(h);
+  U256 i = FieldAdd(hh, hh);
+  i = FieldAdd(i, i);                         // 4*H^2
+  U256 j = FieldMul(h, i);
+  U256 r = FieldSub(s2, p.y);
+  r = FieldAdd(r, r);
+  U256 v = FieldMul(p.x, i);
+  Jacobian out;
+  out.x = FieldSub(FieldSub(FieldSqr(r), j), FieldAdd(v, v));
+  U256 y1j = FieldMul(p.y, j);
+  out.y = FieldSub(FieldMul(r, FieldSub(v, out.x)), FieldAdd(y1j, y1j));
+  U256 z1h = FieldMul(p.z, h);
+  out.z = FieldAdd(z1h, z1h);                 // 2*Z1*H
+  return out;
+}
+
+// -- variable-time kernel (public scalars only) ------------------------------
+
+// wNAF widths: 2^(w-2) odd multiples per table. G's table is static and
+// affine, so it affords the wider window.
+constexpr int kWindowP = 5;  // P, 3P, ..., 15P
+constexpr int kWindowG = 8;  // G, 3G, ..., 127G
+// A 256-bit scalar's wNAF can carry into bit 256.
+constexpr int kWnafLen = 257;
+
+using Wnaf = std::array<int, kWnafLen>;
+
+// Bits [bit, bit + count) of k, reading bits past 255 as zero; count <= 8.
+int BitsAt(const U256& k, int bit, int count) {
+  uint64_t word = 0;
+  if (bit < 256) {
+    word = k.limbs[bit >> 6] >> (bit & 63);
+    if ((bit & 63) + count > 64 && (bit >> 6) < 3) {
+      word |= k.limbs[(bit >> 6) + 1] << (64 - (bit & 63));
+    }
+  }
+  return static_cast<int>(word & ((uint64_t{1} << count) - 1));
+}
+
+// Width-w NAF of k: every digit is 0 or odd in (-2^(w-1), 2^(w-1)), and
+// each nonzero digit is followed by at least w - 1 zeros. Returns the
+// digit count (index of the top nonzero digit + 1; 0 for k == 0).
+int ComputeWnaf(const U256& k, int w, Wnaf* digits) {
+  digits->fill(0);
+  int len = 0;
+  int carry = 0;
+  for (int bit = 0; bit < kWnafLen;) {
+    if (BitsAt(k, bit, 1) == carry) {
+      ++bit;
+      continue;
+    }
+    int now = std::min(w, kWnafLen - bit);
+    int word = BitsAt(k, bit, now) + carry;
+    carry = (word >> (w - 1)) & 1;
+    word -= carry << w;
+    (*digits)[bit] = word;
+    len = bit + 1;
+    bit += now;
+  }
+  TM_DCHECK(carry == 0);
+  return len;
+}
+
+// G, 3G, ..., (2^(kWindowG-1) - 1)G in affine form, built once.
+const std::array<Affine, 1 << (kWindowG - 2)>& GeneratorOddMultiples() {
+  static const auto kTable = [] {
+    std::array<Affine, 1 << (kWindowG - 2)> table;
+    Jacobian g = ToJacobian(Secp256k1::Generator());
+    Jacobian g2 = JacobianDouble(g);
+    Jacobian acc = g;
+    for (size_t i = 0; i < table.size(); ++i) {
+      table[i] = ToAffineEntry(acc);
+      acc = JacobianAdd(acc, g2);
+    }
+    return table;
+  }();
+  return kTable;
+}
+
+Affine NegateIf(bool negate, Affine e) {
+  if (negate) e.y = FieldNeg(e.y);
+  return e;
+}
+
+Jacobian NegateIf(bool negate, Jacobian e) {
+  if (negate) e.y = FieldNeg(e.y);
+  return e;
+}
+
+// a*P + b*Q by interleaved wNAF: one shared doubling chain, one table
+// addition per nonzero digit of either scalar. P or Q equal to G reads
+// the static affine table (mixed additions, width 8); any other point
+// gets a width-5 Jacobian table of its odd multiples. Variable-time in
+// every scalar bit and in the points: public inputs only.
+Jacobian WnafMul(const U256& a, const Point& p, const U256& b,
+                 const Point& q) {
+  struct Term {
+    Wnaf digits;
+    int len = 0;
+    bool is_g = false;
+    std::array<Jacobian, 1 << (kWindowP - 2)> table;
+  };
+  std::array<Term, 2> terms;
+  const U256* scalars[2] = {&a, &b};
+  const Point* points[2] = {&p, &q};
+  int top = 0;
+  for (int t = 0; t < 2; ++t) {
+    Term& term = terms[t];
+    if (points[t]->infinity) continue;
+    term.is_g = *points[t] == Secp256k1::Generator();
+    term.len = ComputeWnaf(*scalars[t], term.is_g ? kWindowG : kWindowP,
+                           &term.digits);
+    top = std::max(top, term.len);
+    if (term.is_g || term.len == 0) continue;
+    Jacobian base = ToJacobian(*points[t]);
+    Jacobian twice = JacobianDouble(base);
+    term.table[0] = base;
+    for (size_t i = 1; i < term.table.size(); ++i) {
+      term.table[i] = JacobianAdd(term.table[i - 1], twice);
+    }
+  }
+  const auto& g_table = GeneratorOddMultiples();
   Jacobian acc = Jacobian::Identity();
-  int top = k.HighestBit();
-  for (int i = top; i >= 0; --i) {
+  for (int i = top - 1; i >= 0; --i) {
     acc = JacobianDouble(acc);
-    if (k.Bit(i)) acc = JacobianAdd(acc, p);
+    for (const Term& term : terms) {
+      int d = i < term.len ? term.digits[i] : 0;
+      if (d == 0) continue;
+      size_t slot = static_cast<size_t>(std::abs(d) / 2);
+      acc = term.is_g ? JacobianAddAffine(acc, NegateIf(d < 0, g_table[slot]))
+                      : JacobianAdd(acc, NegateIf(d < 0, term.table[slot]));
+    }
   }
   return acc;
 }
 
-// Swaps a and b when `swap` is 1, leaves them untouched when 0, with no
-// branch: mask is all-ones or all-zero and the XOR trick moves limbs
-// unconditionally through the same instruction stream.
+// -- constant-time kernels (secret scalars) ----------------------------------
+
+// All-ones when a == b, zero otherwise, without a branch.
+uint64_t EqMask(uint64_t a, uint64_t b) {
+  uint64_t diff = a ^ b;
+  return ((diff | (0 - diff)) >> 63) - 1;
+}
+
+// *dst = mask ? src : *dst, limb by limb through the same instructions
+// whatever the mask.
 // tm-ct-ladder
-void JacobianCondSwap(uint64_t swap, Jacobian* a, Jacobian* b) {
-  uint64_t mask = 0 - swap;
-  // tm-declassify(fixed four-limb trip count, independent of swap mask)
+void MaskedMove(uint64_t mask, const U256& src, U256* dst) {
+  // tm-declassify(fixed four-limb trip count, independent of the mask)
   for (int i = 0; i < 4; ++i) {
-    uint64_t tx = mask & (a->x.limbs[i] ^ b->x.limbs[i]);
-    a->x.limbs[i] ^= tx;
-    b->x.limbs[i] ^= tx;
-    uint64_t ty = mask & (a->y.limbs[i] ^ b->y.limbs[i]);
-    a->y.limbs[i] ^= ty;
-    b->y.limbs[i] ^= ty;
-    uint64_t tz = mask & (a->z.limbs[i] ^ b->z.limbs[i]);
-    a->z.limbs[i] ^= tz;
-    b->z.limbs[i] ^= tz;
+    dst->limbs[i] ^= mask & (dst->limbs[i] ^ src.limbs[i]);
   }
 }
 
-// RFC 7748-style ladder with lazy conditional swaps: all 256 iterations run
-// regardless of where the highest set bit of k falls, and each iteration
-// executes exactly one JacobianAdd and one JacobianDouble. The underlying
-// field routines still take value-dependent paths (identity handling,
-// modular-reduction borrows), so this is source-level scalar-bit hygiene,
-// not a full machine-level constant-time guarantee. tm_ct's ladder-hygiene
-// rule audits this body: no scalar .Bit() extraction outside a masked
-// expression, no non-CT multiply, no unannotated control flow.
 // tm-ct-ladder
-Jacobian JacobianMulCT(const U256& k, const Jacobian& p) {
-  Jacobian r0 = Jacobian::Identity();
-  Jacobian r1 = p;
-  uint64_t swap = 0;
-  // tm-declassify(fixed 256-iteration trip count, independent of scalar)
-  for (int i = 255; i >= 0; --i) {
-    uint64_t bit = (k.limbs[i >> 6] >> (i & 63)) & 1;
-    swap ^= bit;
-    JacobianCondSwap(swap, &r0, &r1);
-    swap = bit;
-    r1 = JacobianAdd(r0, r1);
-    r0 = JacobianDouble(r0);
+void MaskedMove(uint64_t mask, const Jacobian& src, Jacobian* dst) {
+  MaskedMove(mask, src.x, &dst->x);
+  MaskedMove(mask, src.y, &dst->y);
+  MaskedMove(mask, src.z, &dst->z);
+}
+
+// table[digit] by a masked scan: every entry is read, so the memory trace
+// does not depend on the digit.
+// tm-ct-ladder
+Jacobian LookupJacobian(const std::array<Jacobian, 16>& table,
+                        uint64_t digit) {
+  Jacobian out;
+  // tm-declassify(fixed 16-entry scan, independent of the digit)
+  for (uint64_t j = 0; j < 16; ++j) {
+    MaskedMove(EqMask(j, digit), table[j], &out);
   }
-  JacobianCondSwap(swap, &r0, &r1);
-  return r0;
+  return out;
+}
+
+// tm-ct-ladder
+Affine LookupAffine(const std::array<Affine, 16>& table, uint64_t digit) {
+  Affine out;
+  // tm-declassify(fixed 16-entry scan, independent of the digit)
+  for (uint64_t j = 0; j < 16; ++j) {
+    uint64_t mask = EqMask(j, digit);
+    MaskedMove(mask, table[j].x, &out.x);
+    MaskedMove(mask, table[j].y, &out.y);
+  }
+  return out;
+}
+
+// Digit w (0 = least significant) of k in base 16.
+uint64_t Nibble(const U256& k, int w) {
+  return (k.limbs[w >> 4] >> ((w & 15) * 4)) & 15;
+}
+
+// k*p by a fixed 4-bit window: table entry j is j*p, then for each of the
+// 64 windows, top first, four doublings and one addition of the
+// masked-scan table entry. Entry 0 is a stand-in (p itself), so the
+// addition never meets an identity operand from the table: a zero digit
+// still runs its scan and its addition, and the sum is then discarded
+// under a mask. Only while the accumulator is still the identity, in the
+// scalar's leading zero nibbles, do the doubling and the addition take
+// their identity shortcut, so the run time reveals the scalar's length
+// and not its other digits. The field routines still take
+// value-dependent paths (modular-reduction borrows), so this is
+// source-level scalar-bit hygiene, not a full machine-level constant-time
+// guarantee. tm_ct's ladder-hygiene rule audits this body: no scalar
+// .Bit() extraction, no non-CT multiply, no unannotated control flow.
+// tm-ct-ladder
+Jacobian FixedWindowMul(const U256& k, const Jacobian& p) {
+  std::array<Jacobian, 16> table;
+  table[0] = p;
+  table[1] = p;
+  // tm-declassify(fixed 14-entry table build from the public point)
+  for (size_t j = 2; j < table.size(); ++j) {
+    table[j] = JacobianAdd(table[j - 1], p);
+  }
+  Jacobian acc = Jacobian::Identity();
+  // tm-declassify(fixed 64-window trip count, independent of scalar)
+  for (int w = 63; w >= 0; --w) {
+    // tm-declassify(fixed four doublings per window)
+    for (int d = 0; d < 4; ++d) acc = JacobianDouble(acc);
+    uint64_t digit = Nibble(k, w);
+    Jacobian sum = JacobianAdd(acc, LookupJacobian(table, digit));
+    MaskedMove(~EqMask(digit, 0), sum, &acc);
+  }
+  return acc;
+}
+
+// comb[w][j] = j * 16^w * G for 64 windows w and digits j, affine. Entry
+// 0 of each window stands for the identity, stored as (0, 0); the comb
+// never keeps a sum with it (see CombMulBase). 64 KB, built once.
+using CombTable = std::array<std::array<Affine, 16>, 64>;
+
+const CombTable& GeneratorComb() {
+  static const CombTable kComb = [] {
+    CombTable comb;
+    Jacobian base = ToJacobian(Secp256k1::Generator());  // 16^w * G
+    for (auto& window : comb) {
+      window[0] = Affine{};
+      Jacobian acc = base;
+      for (size_t j = 1; j < window.size(); ++j) {
+        window[j] = ToAffineEntry(acc);
+        acc = JacobianAdd(acc, base);
+      }
+      base = acc;
+    }
+    return comb;
+  }();
+  return kComb;
+}
+
+// k*G as the sum over the 64 base-16 digits d_w of comb[w][d_w]: 64 mixed
+// additions and 64 full-window scans, no doublings. A zero digit still
+// runs its scan and its addition (of the (0, 0) stand-in, which is not a
+// curve point, so the addition takes no shortcut); the sum is then
+// discarded under a mask. The windows run top first, so the accumulator
+// is the identity only in the scalar's leading zero nibbles, as in
+// FixedWindowMul. Same source-level hygiene as FixedWindowMul.
+// tm-ct-ladder
+Jacobian CombMulBase(const U256& k) {
+  const CombTable& comb = GeneratorComb();
+  Jacobian acc = Jacobian::Identity();
+  // tm-declassify(fixed 64-window trip count, independent of scalar)
+  for (int w = 63; w >= 0; --w) {
+    uint64_t digit = Nibble(k, w);
+    Jacobian sum = JacobianAddAffine(acc, LookupAffine(comb[w], digit));
+    MaskedMove(~EqMask(digit, 0), sum, &acc);
+  }
+  return acc;
+}
+
+// The audited boundary of MulCT (p != nullptr) and MulBaseCT. The kernels
+// are branch-free at the scalar-bit level, but their field arithmetic
+// takes value-dependent paths, so the dynamic oracle would flag every
+// limb of a poisoned scalar. Declassify a private copy here — the static
+// analyzer mirrors this by treating MulCT/MulBaseCT as taint sinks — and
+// wipe the copy before returning.
+Point MulSecretScalar(const U256& k, const Point* p) {
+  U256 k_ct = k;
+  // tm-declassify(audited ladder boundary: scalar bits drive only masked scans)
+  CtDeclassify(&k_ct, sizeof(k_ct));
+  Point out = ToAffine(p == nullptr ? CombMulBase(k_ct)
+                                    : FixedWindowMul(k_ct, ToJacobian(*p)));
+  SecureWipe(k_ct.limbs.data(), sizeof(k_ct.limbs));
+  return out;
 }
 
 }  // namespace
@@ -235,54 +486,24 @@ Point Secp256k1::Negate(const Point& p) {
 }
 
 Point Secp256k1::Mul(const U256& k, const Point& p) {
-  if (k.IsZero() || p.infinity) return Point::Infinity();
-  return ToAffine(JacobianMul(k, ToJacobian(p)));
+  return ToAffine(WnafMul(k, p, U256::Zero(), Point::Infinity()));
 }
 
 Point Secp256k1::MulBase(const U256& k) { return Mul(k, Generator()); }
 
 Point Secp256k1::MulCT(const U256& k, const Point& p) {
-  // No early-out on k == 0: the ladder runs all 256 iterations for every
-  // scalar and lands on the identity by itself.
-  //
-  // Audited ladder boundary. The ladder is branch-free at the scalar-bit
-  // level, but its field arithmetic takes value-dependent paths, so the
-  // dynamic oracle would flag every limb of a poisoned scalar. Declassify
-  // a private copy here — the static analyzer mirrors this by treating
-  // MulCT as a taint sink — and wipe the copy before returning.
-  U256 k_ladder = k;
-  // tm-declassify(audited ladder boundary: scalar bits drive only masked swaps)
-  CtDeclassify(&k_ladder, sizeof(k_ladder));
-  Point out = ToAffine(JacobianMulCT(k_ladder, ToJacobian(p)));
-  SecureWipe(k_ladder.limbs.data(), sizeof(k_ladder.limbs));
-  return out;
+  // No early-out on k == 0 or p == infinity: the window runs all 64
+  // windows for every scalar and lands on the identity by itself.
+  return MulSecretScalar(k, &p);
 }
 
 Point Secp256k1::MulBaseCT(const U256& k) {
-  return MulCT(k, Generator());
+  return MulSecretScalar(k, nullptr);
 }
 
 Point Secp256k1::MulAdd(const U256& a, const Point& p, const U256& b,
                         const Point& q) {
-  // Interleaved double-and-add over both scalars (Shamir's trick).
-  Jacobian jp = ToJacobian(p);
-  Jacobian jq = ToJacobian(q);
-  Jacobian sum = JacobianAdd(jp, jq);
-  Jacobian acc = Jacobian::Identity();
-  int top = std::max(a.HighestBit(), b.HighestBit());
-  for (int i = top; i >= 0; --i) {
-    acc = JacobianDouble(acc);
-    bool bit_a = i <= a.HighestBit() && a.Bit(i);
-    bool bit_b = i <= b.HighestBit() && b.Bit(i);
-    if (bit_a && bit_b) {
-      acc = JacobianAdd(acc, sum);
-    } else if (bit_a) {
-      acc = JacobianAdd(acc, jp);
-    } else if (bit_b) {
-      acc = JacobianAdd(acc, jq);
-    }
-  }
-  return ToAffine(acc);
+  return ToAffine(WnafMul(a, p, b, q));
 }
 
 Point Secp256k1::HashToPoint(const uint8_t* data, size_t size,

@@ -54,25 +54,32 @@ class Secp256k1 {
   /// Additive inverse.
   static Point Negate(const Point& p);
 
-  /// Scalar multiplication k * p (double-and-add, k taken mod n implicitly
-  /// only in the sense that the caller passes reduced scalars).
+  /// Scalar multiplication k * p by width-5 wNAF (any k < 2^256).
   /// Variable-time: the bit pattern of `k` shapes the instruction stream, so
   /// this must only ever see public scalars (verification, test vectors).
   static Point Mul(const U256& k, const Point& p);
 
-  /// k * G with the fixed generator. Variable-time; public scalars only.
+  /// k * G with the fixed generator, through Mul's wNAF kernel on a static
+  /// width-8 table of G's odd multiples. Variable-time; public scalars only.
   static Point MulBase(const U256& k);
 
-  /// k * p via a Montgomery ladder whose source contains no branch or
-  /// memory access indexed by the bits of `k`: every iteration performs the
-  /// same add + double and selects operands with arithmetic masking. Use for
-  /// every secret scalar (signing nonces, private keys, key images).
+  /// k * p by a fixed 4-bit window whose source contains no branch or
+  /// memory access indexed by the bits of `k`: every scalar runs 64
+  /// windows of four doublings and one addition, a zero digit included
+  /// (its sum is discarded under a mask), and each window's table entry is
+  /// picked by a masked scan of all 16. The point routines short-circuit
+  /// only while the accumulator is the identity, i.e. in the scalar's
+  /// leading zero nibbles. Use for every secret scalar (signing nonces,
+  /// private keys, key images).
   static Point MulCT(const U256& k, const Point& p);
 
-  /// k * G, constant-time with respect to the bits of `k` (see MulCT).
+  /// k * G, constant-time with respect to the bits of `k`: a fixed-base
+  /// comb over a static table of j * 16^w * G (64 windows of 16), one
+  /// masked-scan lookup and one addition per window, no doublings.
   static Point MulBaseCT(const U256& k);
 
-  /// Shamir's trick: a*P + b*Q in one pass (used by signature verification).
+  /// a*P + b*Q for public scalars: Mul's interleaved wNAF kernel with one
+  /// shared doubling chain (signature verification).
   static Point MulAdd(const U256& a, const Point& p, const U256& b,
                       const Point& q);
 

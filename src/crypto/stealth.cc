@@ -33,8 +33,8 @@ StealthOutput Stealth::Derive(const StealthAddress::Public& recipient,
   TM_CHECK(!recipient.view.infinity && !recipient.spend.infinity);
   // Fresh transaction key r (never reused across outputs).
   Keypair tx_key = Keypair::Generate(rng);
-  // Shared secret r·A, hashed to a scalar. The ladder result is public as
-  // far as the ladder is concerned; re-mark it secret, because knowing the
+  // Shared secret r·A, hashed to a scalar. The MulCT result is public as
+  // far as the kernel is concerned; re-mark it secret, because knowing the
   // shared point links the output to the recipient.
   // tm-secret
   Point shared = Secp256k1::MulCT(tx_key.secret, recipient.view);
@@ -66,7 +66,7 @@ bool Stealth::IsMine(const StealthAddress& wallet,
   SecureWipe(shared.y.limbs.data(), sizeof(shared.y.limbs));
   SecureWipe(h.limbs.data(), sizeof(h.limbs));
   // Whether an output belongs to this wallet is the protocol-level answer
-  // the scan exists to produce; the candidate point is ladder output.
+  // the scan exists to produce; the candidate point is MulCT output.
   return candidate == output.one_time_key;
 }
 

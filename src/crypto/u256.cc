@@ -1,7 +1,5 @@
 #include "crypto/u256.h"
 
-#include "common/macros.h"
-
 namespace tokenmagic::crypto {
 
 namespace {
@@ -121,54 +119,6 @@ U512 U256::Mul(const U256& a, const U256& b) {
   return out;
 }
 
-uint64_t U256::Shl1() {
-  uint64_t carry = 0;
-  for (auto& limb : limbs) {
-    uint64_t next = limb >> 63;
-    limb = (limb << 1) | carry;
-    carry = next;
-  }
-  return carry;
-}
-
-U256 U256::Mod(const U256& a, const U256& m) {
-  TM_CHECK(!m.IsZero());
-  if (a < m) return a;
-  U256 remainder;
-  for (int i = a.HighestBit(); i >= 0; --i) {
-    remainder.Shl1();
-    if (a.Bit(i)) remainder.limbs[0] |= 1;
-    if (remainder >= m) {
-      U256 tmp;
-      U256::Sub(remainder, m, &tmp);
-      remainder = tmp;
-    }
-  }
-  return remainder;
-}
-
-U256 U512::Mod(const U512& a, const U256& m) {
-  TM_CHECK(!m.IsZero());
-  U256 remainder;
-  bool started = false;
-  for (int i = 511; i >= 0; --i) {
-    if (!started) {
-      if (!a.Bit(i)) continue;
-      started = true;
-    }
-    uint64_t overflow = remainder.Shl1();
-    if (a.Bit(i)) remainder.limbs[0] |= 1;
-    // `overflow` can only be set if m uses all 256 bits and remainder grew
-    // past it; in that case remainder-with-overflow >= m always holds.
-    if (overflow != 0 || remainder >= m) {
-      U256 tmp;
-      U256::Sub(remainder, m, &tmp);
-      remainder = tmp;
-    }
-  }
-  return remainder;
-}
-
 namespace {
 
 // out = cond ? a : b with full-width masking; no branch, so modular
@@ -205,28 +155,6 @@ U256 SubMod(const U256& a, const U256& b, const U256& m) {
   U256 corrected;
   U256::Add(diff, m, &corrected);
   return MaskedSelect(borrow, corrected, diff);
-}
-
-U256 MulMod(const U256& a, const U256& b, const U256& m) {
-  return U512::Mod(U256::Mul(a, b), m);
-}
-
-U256 PowMod(const U256& a, const U256& e, const U256& m) {
-  U256 base = U256::Mod(a, m);
-  U256 result = U256::One();
-  int top = e.HighestBit();
-  for (int i = 0; i <= top; ++i) {
-    if (e.Bit(i)) result = MulMod(result, base, m);
-    base = MulMod(base, base, m);
-  }
-  return result;
-}
-
-U256 InvMod(const U256& a, const U256& m) {
-  TM_CHECK(!a.IsZero());
-  U256 exponent;
-  U256::Sub(m, U256(2), &exponent);
-  return PowMod(a, exponent, m);
 }
 
 }  // namespace tokenmagic::crypto

@@ -2,9 +2,9 @@
 //
 // This is the arithmetic substrate for the secp256k1 field/group used by the
 // ring-signature layer. It favours clarity and portability (only relies on
-// the compiler's 128-bit multiply) over peak speed; the hot path — reduction
-// modulo the secp256k1 base prime — has a dedicated fast routine in
-// field.h that exploits the prime's special form.
+// the compiler's 128-bit multiply) over peak speed. There is no generic
+// modular reduction: field.h reduces modulo the secp256k1 base prime and
+// group order by folding their special forms.
 #pragma once
 
 #include <array>
@@ -68,37 +68,20 @@ struct U256 {
   static uint64_t Sub(const U256& a, const U256& b, U256* out);
   /// Full 256x256 -> 512-bit product.
   static U512 Mul(const U256& a, const U256& b);
-
-  /// Logical left shift by one bit; the bit shifted out is returned.
-  uint64_t Shl1();
-
-  /// a mod m via binary long division. m must be non-zero.
-  static U256 Mod(const U256& a, const U256& m);
 };
 
 /// 512-bit unsigned integer (product width), eight little-endian limbs.
 struct U512 {
   std::array<uint64_t, 8> limbs{0, 0, 0, 0, 0, 0, 0, 0};
 
-  bool Bit(int i) const { return (limbs[i >> 6] >> (i & 63)) & 1; }
-
   /// Low / high 256-bit halves.
   U256 Low() const { return U256(limbs[0], limbs[1], limbs[2], limbs[3]); }
   U256 High() const { return U256(limbs[4], limbs[5], limbs[6], limbs[7]); }
-
-  /// a mod m via binary long division over all 512 bits. m must be non-zero.
-  static U256 Mod(const U512& a, const U256& m);
 };
 
 /// (a + b) mod m. Inputs must already be < m.
 U256 AddMod(const U256& a, const U256& b, const U256& m);
 /// (a - b) mod m. Inputs must already be < m.
 U256 SubMod(const U256& a, const U256& b, const U256& m);
-/// (a * b) mod m (generic slow path; use field.h for the base field).
-U256 MulMod(const U256& a, const U256& b, const U256& m);
-/// a^e mod m via square-and-multiply.
-U256 PowMod(const U256& a, const U256& e, const U256& m);
-/// a^(m-2) mod m — multiplicative inverse for prime m; a must be non-zero.
-U256 InvMod(const U256& a, const U256& m);
 
 }  // namespace tokenmagic::crypto

@@ -111,10 +111,13 @@ MinedBlock Node::MineBlock() {
     pool.pop_front();
     // Re-verify against the evolving state (an earlier transaction in
     // this very block may have consumed a key image or broken the
-    // configuration). Rejections are recorded, never silently dropped:
-    // a wallet that saw its submission accepted needs to learn why the
-    // spend nonetheless missed the block.
-    common::Status verdict = MakeVerifier().Verify(pending.tx);
+    // configuration). Only the state checks: the signature checks cannot
+    // change their verdict after SubmitTransaction, the pool's only way
+    // in, ran the full Verify (and a restored node starts with an empty
+    // pool). Rejections are recorded, never silently dropped: a wallet
+    // that saw its submission accepted needs to learn why the spend
+    // nonetheless missed the block.
+    common::Status verdict = MakeVerifier().VerifyState(pending.tx);
     if (config_.faults != nullptr) {
       verdict = config_.faults->FilterVerdict(std::move(verdict));
     }

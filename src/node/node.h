@@ -82,8 +82,9 @@ class Node {
 
   size_t mempool_size() const TM_EXCLUDES(state_mu_);
 
-  /// Mines every pooled transaction into one block: re-verifies (state
-  /// may have changed), registers key images, appends rings to the
+  /// Mines every pooled transaction into one block: re-runs the
+  /// verifier's state checks (state may have changed; the signatures were
+  /// checked at submission), registers key images, appends rings to the
   /// ledger, and mints outputs with their announced keys.
   // tm-invalidates(BatchSnapshots::snapshots_): appends a block.
   MinedBlock MineBlock() TM_EXCLUDES(state_mu_);

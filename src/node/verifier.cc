@@ -73,11 +73,8 @@ Verifier::Verifier(const chain::Blockchain* bc, const chain::Ledger* ledger,
            spent_images_ != nullptr);
 }
 
-common::Status Verifier::VerifyInput(const SignedTransaction& tx,
-                                     size_t input_index) const {
-  if (input_index >= tx.inputs.size()) {
-    return Status::InvalidArgument("input index out of range");
-  }
+common::Status Verifier::CheckInputState(const SignedTransaction& tx,
+                                         size_t input_index) const {
   const TxInput& input = tx.inputs[input_index];
   const auto& ring = input.ring;
 
@@ -104,23 +101,6 @@ common::Status Verifier::VerifyInput(const SignedTransaction& tx,
     if (batches_->BatchOfToken(t).index != batch) {
       return Status::VerificationFailed("ring spans multiple batches");
     }
-  }
-
-  // 2. LSAG validity and key binding.
-  if (input.signature.ring.size() != ring.size()) {
-    return Status::VerificationFailed("signature ring size mismatch");
-  }
-  for (size_t i = 0; i < ring.size(); ++i) {
-    if (!keys_->Contains(ring[i])) {
-      return Status::VerificationFailed("token has no registered key");
-    }
-    if (input.signature.ring[i] != keys_->KeyOf(ring[i])) {
-      return Status::VerificationFailed(
-          "signature ring key does not match the chain's output key");
-    }
-  }
-  if (!crypto::Lsag::Verify(input.signature, tx.SigningMessage(input_index))) {
-    return Status::VerificationFailed("LSAG verification failed");
   }
 
   // 3. Fresh key image.
@@ -159,7 +139,40 @@ common::Status Verifier::VerifyInput(const SignedTransaction& tx,
   return Status::OK();
 }
 
-common::Status Verifier::Verify(const SignedTransaction& tx) const {
+common::Status Verifier::CheckInputSignature(const SignedTransaction& tx,
+                                             size_t input_index) const {
+  const TxInput& input = tx.inputs[input_index];
+  const auto& ring = input.ring;
+
+  // 2. Key binding, then LSAG validity over the transaction message.
+  if (input.signature.ring.size() != ring.size()) {
+    return Status::VerificationFailed("signature ring size mismatch");
+  }
+  for (size_t i = 0; i < ring.size(); ++i) {
+    if (!keys_->Contains(ring[i])) {
+      return Status::VerificationFailed("token has no registered key");
+    }
+    if (input.signature.ring[i] != keys_->KeyOf(ring[i])) {
+      return Status::VerificationFailed(
+          "signature ring key does not match the chain's output key");
+    }
+  }
+  if (!crypto::Lsag::Verify(input.signature, tx.SigningMessage(input_index))) {
+    return Status::VerificationFailed("LSAG verification failed");
+  }
+  return Status::OK();
+}
+
+common::Status Verifier::VerifyInput(const SignedTransaction& tx,
+                                     size_t input_index) const {
+  if (input_index >= tx.inputs.size()) {
+    return Status::InvalidArgument("input index out of range");
+  }
+  TM_RETURN_NOT_OK(CheckInputState(tx, input_index));
+  return CheckInputSignature(tx, input_index);
+}
+
+common::Status Verifier::VerifyState(const SignedTransaction& tx) const {
   if (tx.inputs.empty()) {
     return Status::VerificationFailed("transaction has no inputs");
   }
@@ -177,7 +190,17 @@ common::Status Verifier::Verify(const SignedTransaction& tx) const {
     }
   }
   for (size_t i = 0; i < tx.inputs.size(); ++i) {
-    TM_RETURN_NOT_OK(VerifyInput(tx, i));
+    TM_RETURN_NOT_OK(CheckInputState(tx, i));
+  }
+  return Status::OK();
+}
+
+common::Status Verifier::Verify(const SignedTransaction& tx) const {
+  // State first: a transaction the chain would refuse anyway never pays
+  // for curve math.
+  TM_RETURN_NOT_OK(VerifyState(tx));
+  for (size_t i = 0; i < tx.inputs.size(); ++i) {
+    TM_RETURN_NOT_OK(CheckInputSignature(tx, i));
   }
   return Status::OK();
 }

@@ -11,6 +11,15 @@
 //      history (superset-of-or-disjoint-with every existing RS);
 //   5. meets its own declared recursive (c, ℓ)-diversity — at (c, ℓ+1)
 //      when the node enforces the second practical configuration.
+//
+// Check 2 is the signature check: it reads only the transaction and the
+// append-only KeyDirectory (a token's key never changes once
+// registered), so its verdict cannot change after admission. The others
+// are state checks: structure, 1, 3, 4 and 5 depend on the chain and the
+// ledger, which later blocks extend. Verify runs the state checks first,
+// so a rejected transaction never pays for curve math; MineBlock re-runs
+// only VerifyState, because every pooled transaction already passed the
+// full Verify at SubmitTransaction.
 #pragma once
 
 #include <unordered_map>
@@ -57,15 +66,27 @@ class Verifier {
            const crypto::KeyImageRegistry* spent_images,
            VerifierPolicy policy = {});
 
-  /// Full Step-3 check of one transaction. OK means the transaction may
-  /// be mined; the specific failed check is reported otherwise.
+  /// Full Step-3 check of one transaction: VerifyState, then every
+  /// input's key binding and LSAG. OK means the transaction may be mined;
+  /// the specific failed check is reported otherwise.
   [[nodiscard]] common::Status Verify(const SignedTransaction& tx) const;
 
-  /// Checks one input in isolation (exposed for tests/tools).
+  /// The state checks alone (structure, batch, key image, first practical
+  /// configuration, declared diversity): no curve math. Sound on its own
+  /// only for a transaction that already passed Verify.
+  [[nodiscard]] common::Status VerifyState(const SignedTransaction& tx) const;
+
+  /// Checks one input in isolation, state then signature (exposed for
+  /// tests/tools).
   [[nodiscard]] common::Status VerifyInput(const SignedTransaction& tx,
                              size_t input_index) const;
 
  private:
+  [[nodiscard]] common::Status CheckInputState(const SignedTransaction& tx,
+                                               size_t input_index) const;
+  [[nodiscard]] common::Status CheckInputSignature(
+      const SignedTransaction& tx, size_t input_index) const;
+
   const chain::Blockchain* bc_;
   const chain::Ledger* ledger_;
   const core::BatchIndex* batches_;

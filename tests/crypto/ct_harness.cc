@@ -7,7 +7,8 @@
 // reported by the tool as a use of uninitialised data — the machine-level
 // counterpart of what tools/analyze/tm_ct.py proves at source level. The
 // audited CtDeclassify exits (published responses, rejection verdicts,
-// the ladder's scalar entry) are the only places poison may escape.
+// the scalar entry of MulCT/MulBaseCT) are the only places poison may
+// escape.
 //
 // Run under the oracle:
 //   valgrind --error-exitcode=99 ./ct_harness

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/progressive.h"
+#include "crypto/field.h"
 #include "node/wallet.h"
 
 namespace tokenmagic::node {
@@ -165,6 +166,95 @@ TEST(NodeTest, TamperedSignatureRejected) {
   auto verdict =
       net.node.SubmitTransaction(std::move(bad), {net.bob.NewOutputKey()});
   EXPECT_TRUE(verdict.IsVerificationFailed());
+}
+
+// Verify-once-at-admission: a forged signature is refused by
+// SubmitTransaction, so it never sits in the pool that MineBlock
+// re-checks with the state checks alone.
+TEST(NodeTest, ForgedSignatureNeverReachesTheMempool) {
+  Network net(12);
+  core::ProgressiveSelector selector;
+  chain::TokenId token = net.alice.SpendableTokens()[0];
+  auto tx = net.alice.BuildSpend(token, {2.0, 3}, selector,
+                                 {net.bob.NewOutputKey()}, "pay");
+  ASSERT_TRUE(tx.ok());
+  SignedTransaction forged = std::move(tx).value();
+  forged.inputs[0].signature.responses[0] =
+      crypto::ScalarAdd(forged.inputs[0].signature.responses[0],
+                        crypto::U256::One());
+  // The forgery passes every state check: only the LSAG can refuse it.
+  ASSERT_TRUE(net.node.MakeVerifier().VerifyState(forged).ok());
+  auto verdict =
+      net.node.SubmitTransaction(std::move(forged), {net.bob.NewOutputKey()});
+  EXPECT_TRUE(verdict.IsVerificationFailed());
+  EXPECT_NE(verdict.message().find("LSAG"), std::string::npos)
+      << verdict.ToString();
+  EXPECT_EQ(net.node.mempool_size(), 0u);
+  MinedBlock block = net.node.MineBlock();
+  EXPECT_EQ(block.transactions, 0u);
+  EXPECT_TRUE(block.rejected.empty());
+  EXPECT_EQ(net.node.ledger().size(), 0u);
+}
+
+// Returns one fixed ring whatever the input: lets a test build two
+// transactions whose rings partially overlap.
+class FixedRingSelector : public core::MixinSelector {
+ public:
+  explicit FixedRingSelector(std::vector<chain::TokenId> ring)
+      : ring_(std::move(ring)) {
+    std::sort(ring_.begin(), ring_.end());
+  }
+  common::Result<core::SelectionResult> Select(
+      const core::SelectionInput& /*input*/,
+      common::Rng* /*rng*/) const override {
+    core::SelectionResult result;
+    result.members = ring_;
+    return result;
+  }
+  std::string_view name() const override { return "FIXED"; }
+
+ private:
+  std::vector<chain::TokenId> ring_;
+};
+
+// Two spends built against the same snapshot, each valid on its own,
+// whose rings partially overlap: both are admitted, and the second is
+// refused at mine time by the first practical configuration, at pool
+// index 1. MineBlock's state-only re-check must still see the conflict.
+TEST(NodeTest, ConflictingSameSnapshotSpendsRejectedAtMineTime) {
+  Network net(12);
+  auto a = net.alice.SpendableTokens();
+  auto b = net.bob.SpendableTokens();
+  // Every token has its own HT: five-token rings meet (2, 3) at ell + 1.
+  FixedRingSelector first({a[0], b[0], a[1], b[1], a[2]});
+  FixedRingSelector second({b[0], a[1], b[2], a[3], b[3]});
+  auto tx1 = net.alice.BuildSpend(a[0], {2.0, 3}, first,
+                                  {net.bob.NewOutputKey()}, "first");
+  auto tx2 = net.bob.BuildSpend(b[2], {2.0, 3}, second,
+                                {net.alice.NewOutputKey()}, "second");
+  ASSERT_TRUE(tx1.ok()) << tx1.status().ToString();
+  ASSERT_TRUE(tx2.ok()) << tx2.status().ToString();
+  ASSERT_TRUE(net.node
+                  .SubmitTransaction(std::move(tx1).value(),
+                                     {net.bob.NewOutputKey()})
+                  .ok());
+  ASSERT_TRUE(net.node
+                  .SubmitTransaction(std::move(tx2).value(),
+                                     {net.alice.NewOutputKey()})
+                  .ok());
+  ASSERT_EQ(net.node.mempool_size(), 2u);
+
+  MinedBlock block = net.node.MineBlock();
+  EXPECT_EQ(block.transactions, 1u);
+  ASSERT_EQ(block.rejected.size(), 1u);
+  EXPECT_EQ(block.rejected[0].index, 1u);
+  EXPECT_TRUE(block.rejected[0].status.IsVerificationFailed());
+  EXPECT_NE(block.rejected[0].status.message().find(
+                "first practical configuration"),
+            std::string::npos)
+      << block.rejected[0].status.ToString();
+  EXPECT_EQ(net.node.ledger().size(), 1u);
+  EXPECT_EQ(net.node.mempool_size(), 0u);
 }
 
 TEST(NodeTest, ForeignTokenCannotBeSpent) {

@@ -128,6 +128,51 @@ TEST(VerifierTest, ConfigurationEnforcementToggle) {
   EXPECT_TRUE(fx.node.MakeVerifier().Verify(*tx2).ok());
 }
 
+// Verify runs the state checks before the curve math: a transaction that
+// fails both is rejected, and the state failure is the one reported.
+TEST(VerifierTest, StateAndSignatureFailureIsVerificationFailed) {
+  VerifierFixture fx;
+  SignedTransaction bad = fx.valid_tx;
+  bad.memo = "tampered";                         // breaks the LSAG message
+  bad.inputs[0].requirement = {0.0001, 50};      // and declared diversity
+  Verifier verifier = fx.node.MakeVerifier();
+  common::Status verdict = verifier.Verify(bad);
+  EXPECT_TRUE(verdict.IsVerificationFailed());
+  EXPECT_NE(verdict.message().find("violates its declared"),
+            std::string::npos)
+      << verdict.ToString();
+  EXPECT_TRUE(verifier.VerifyState(bad).IsVerificationFailed());
+  EXPECT_TRUE(verifier.VerifyInput(bad, 0).IsVerificationFailed());
+
+  // Either failure alone is still caught by Verify; only the LSAG one
+  // gets past VerifyState.
+  SignedTransaction lsag_only = fx.valid_tx;
+  lsag_only.memo = "tampered";
+  EXPECT_TRUE(verifier.VerifyState(lsag_only).ok());
+  common::Status lsag_verdict = verifier.Verify(lsag_only);
+  EXPECT_TRUE(lsag_verdict.IsVerificationFailed());
+  EXPECT_NE(lsag_verdict.message().find("LSAG"), std::string::npos)
+      << lsag_verdict.ToString();
+  SignedTransaction state_only = fx.valid_tx;
+  state_only.inputs[0].requirement = {0.0001, 50};
+  EXPECT_TRUE(verifier.Verify(state_only).IsVerificationFailed());
+}
+
+// A signature whose ring keys are not the chain's keys for the ring's
+// tokens fails the (stateless) key binding, not a state check.
+TEST(VerifierTest, KeyBindingIsASignatureCheck) {
+  VerifierFixture fx;
+  SignedTransaction bad = fx.valid_tx;
+  std::swap(bad.inputs[0].signature.ring.front(),
+            bad.inputs[0].signature.ring.back());
+  Verifier verifier = fx.node.MakeVerifier();
+  EXPECT_TRUE(verifier.VerifyState(bad).ok());
+  common::Status verdict = verifier.Verify(bad);
+  EXPECT_TRUE(verdict.IsVerificationFailed());
+  EXPECT_NE(verdict.message().find("output key"), std::string::npos)
+      << verdict.ToString();
+}
+
 TEST(VerifierTest, VerifyInputIndexOutOfRange) {
   VerifierFixture fx;
   EXPECT_TRUE(fx.node.MakeVerifier()

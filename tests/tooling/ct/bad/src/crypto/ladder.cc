@@ -1,5 +1,6 @@
-// Ladder fixtures: .Bit() extraction and unannotated control flow
-// inside a tm-ct-ladder body must each fire ladder-hygiene.
+// Ladder fixtures: .Bit() extraction, unannotated control flow and a
+// call of the variable-time wNAF kernel inside a tm-ct-ladder body must
+// each fire ladder-hygiene.
 #include "crypto/types.h"
 
 namespace tokenmagic::crypto {
@@ -10,6 +11,7 @@ Point LadderFixture(const U256& scalar) {
   for (int i = 0; i < 256; ++i) {
     uint64_t bit = scalar.Bit(i);
     (void)bit;
+    acc = ToAffine(WnafMul(scalar, acc, U256(), acc));
   }
   return acc;
 }

@@ -34,9 +34,10 @@ Rules:
                     timing oracle).
   variable-time-op  `/` or `%` on tainted operands, or a tainted argument
                     passed to a variable-time routine (Secp256k1::Mul /
-                    MulBase / MulAdd, MulMod, PowMod, InvMod, ScalarInv,
-                    U256 Mod). Secret scalars must route through the
-                    audited ladder (MulCT / MulBaseCT).
+                    MulBase / MulAdd and their wNAF kernel WnafMul,
+                    ScalarInv, FieldInv). Secret
+                    scalars must route through the audited constant-time
+                    kernels (MulCT / MulBaseCT).
   secret-libcall    memcmp/strcmp/printf-family/HexEncode/ToHex on tainted
                     bytes; use crypto::CtEquals for secret comparisons.
   wipe-on-exit      a tainted local must reach SecureWipe / WipeScalars (or
@@ -67,7 +68,7 @@ not parsed as a use):
                                 ladder-hygiene rule scans it.
 
 The model deliberately treats the outputs of MulCT/MulBaseCT as public:
-every curve point the ladder produces is either published by the protocol
+every curve point those kernels produce is either published by the protocol
 (public keys, key images, one-time keys) or — like the stealth shared
 point — explicitly re-classified with CtPoison + tm-secret at the call
 site. Amounts (Commitment::value, range-proof bit indices) are outside the
@@ -154,7 +155,6 @@ DECL_RE = re.compile(
 ASSIGN_RE = re.compile(
     r'(?<![<>!=+\-*/%&|^])\s*=(?!=)')
 IDENT_RE = re.compile(r'[A-Za-z_]\w*')
-SUBSCRIPT_RE = re.compile(r'\[([^\][]*)\]')
 COND_KEYWORD_RE = re.compile(r'\b(if|while|switch)\s*\(')
 FOR_RE = re.compile(r'\bfor\s*\(')
 CHECK_MACRO_RE = re.compile(r'\bTM_D?CHECK\s*\(')
@@ -178,13 +178,9 @@ VAR_TIME_CALLS = [
     ("Secp256k1::Mul", re.compile(r'\bSecp256k1::Mul\s*\(')),
     ("Secp256k1::MulBase", re.compile(r'\bSecp256k1::MulBase\s*\(')),
     ("Secp256k1::MulAdd", re.compile(r'\bSecp256k1::MulAdd\s*\(')),
-    ("JacobianMul", re.compile(r'\bJacobianMul\s*\(')),
-    ("MulMod", re.compile(r'\bMulMod\s*\(')),
-    ("PowMod", re.compile(r'\bPowMod\s*\(')),
-    ("InvMod", re.compile(r'\bInvMod\s*\(')),
+    ("WnafMul", re.compile(r'\bWnafMul\s*\(')),
     ("ScalarInv", re.compile(r'\bScalarInv\s*\(')),
     ("FieldInv", re.compile(r'\bFieldInv\s*\(')),
-    ("Mod", re.compile(r'\.\s*Mod\s*\(|\bU256::Mod\s*\(|\bU512::Mod\s*\(')),
 ]
 
 # Variable-time library calls on secret bytes.
@@ -199,14 +195,30 @@ LIBCALL_RES = [
 ]
 
 # Non-CT forms banned inside tm-ct-ladder bodies (unqualified forms
-# included: the ladder lives next to them in secp256k1.cc).
+# included: the CT kernels live next to them in secp256k1.cc).
 LADDER_BANNED = [
     (".Bit() scalar bit extraction", re.compile(r'\.\s*Bit\s*\(')),
     ("non-CT multiply", re.compile(
         r'\bSecp256k1::Mul(?:Base)?\s*\(|(?<![:\w.])Mul(?:Base)?\s*\(|'
-        r'\bJacobianMul\s*\(')),
+        r'\bWnafMul\s*\(')),
 ]
 LADDER_FLOW_RE = re.compile(r'\b(?:if|while|for|switch)\s*\(|\?')
+
+
+def subscripts(text: str) -> list[str]:
+    """Contents of every balanced [...] in text, outer and nested alike.
+
+    `table[(k.limbs[0] & 15) >> 1]` yields both the outer index
+    expression and the inner `0`, so a secret index is seen even when it
+    wraps another subscript.
+    """
+    out, opens = [], []
+    for i, ch in enumerate(text):
+        if ch == "[":
+            opens.append(i)
+        elif ch == "]" and opens:
+            out.append(text[opens.pop() + 1:i])
+    return out
 
 
 def first_ident(text: str) -> str | None:
@@ -705,8 +717,8 @@ def analyze_function(fn: FnDef, raw: list[str], ctx: Context,
                            "compute a branch-free verdict (CtIsZero/"
                            "CtValidScalar) and CtDeclassify it first")
 
-        for m in SUBSCRIPT_RE.finditer(masked):
-            if is_tainted(m.group(1), pre_masked=True):
+        for index in subscripts(masked):
+            if is_tainted(index, pre_masked=True):
                 report("secret-index", line,
                        "array subscript depends on a secret-tainted value "
                        "(cache-timing oracle)")
