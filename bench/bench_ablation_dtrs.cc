@@ -4,10 +4,14 @@
 // token-RS combinations (exponential) while the practical path scans the
 // RS's HT groups (linear). This bench is the paper's Section 6.1
 // motivation in numbers.
+#include <benchmark/benchmark.h>
+
 #include <vector>
 
-#include "bench_common.h"
 #include "analysis/dtrs.h"
+#include "chain/ht_index.h"
+#include "chain/types.h"
+#include "common/rng.h"
 
 namespace tokenmagic::bench {
 namespace {

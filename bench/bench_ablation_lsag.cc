@@ -3,13 +3,18 @@
 // unchanged and argues only Step 3 affects chain throughput; this bench
 // quantifies sign (offline) and verify (online) costs for our LSAG over
 // secp256k1, plus the primitive operations they decompose into.
+#include <benchmark/benchmark.h>
+
 #include <vector>
 
-#include "bench_common.h"
+#include "common/rng.h"
 #include "crypto/field.h"
+#include "crypto/keys.h"
 #include "crypto/lsag.h"
 #include "crypto/schnorr.h"
+#include "crypto/secp256k1.h"
 #include "crypto/sha256.h"
+#include "crypto/u256.h"
 
 namespace tokenmagic::bench {
 namespace {

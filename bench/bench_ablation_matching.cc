@@ -4,13 +4,15 @@
 // the quantitative argument for the practical configurations: exact
 // checks blow up exponentially while the matching-based tests stay
 // polynomial.
+#include <benchmark/benchmark.h>
+
 #include <vector>
 
-#include "bench_common.h"
 #include "analysis/chain_reaction.h"
 #include "analysis/context.h"
 #include "analysis/epoch_chain.h"
 #include "analysis/matching.h"
+#include "chain/types.h"
 
 namespace tokenmagic::bench {
 namespace {

@@ -7,7 +7,11 @@
 // beyond single instances. The Monero-style sampler runs with the node's
 // configuration checks disabled — it models the status quo the paper
 // argues against.
-#include "bench_common.h"
+#include <benchmark/benchmark.h>
+
+#include "core/baselines.h"
+#include "core/game_theoretic.h"
+#include "core/progressive.h"
 #include "sim/simulation.h"
 
 namespace tokenmagic::bench {

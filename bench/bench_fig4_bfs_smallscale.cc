@@ -7,12 +7,16 @@
 // tokens and i sweeps 1..TM_FIG4_MAX_I (default 5); each BFS call is
 // bounded by a wall-clock budget. The exponential shape — each successive
 // RS costing a multiple of the previous — is what this figure checks.
+#include <benchmark/benchmark.h>
+
 #include <cstdio>
+#include <cstdlib>
+#include <string>
 #include <vector>
 
-#include "bench_common.h"
 #include "analysis/epoch_chain.h"
 #include "chain/ht_index.h"
+#include "common/rng.h"
 #include "core/bfs.h"
 
 namespace tokenmagic::bench {
@@ -30,6 +34,14 @@ struct SmallScale {
     }
   }
 };
+
+/// Reads a positive number from the environment (the TM_FIG4_* knobs).
+double EnvOr(const char* name, double fallback) {
+  const char* value = std::getenv(name);
+  if (value == nullptr) return fallback;
+  double parsed = std::atof(value);
+  return parsed > 0 ? parsed : fallback;
+}
 
 size_t Fig4Tokens() {
   return static_cast<size_t>(EnvOr("TM_FIG4_TOKENS", 14));

@@ -15,6 +15,10 @@ namespace tokenmagic::core {
 
 namespace {
 
+/// Every stage but the last is granted this share of the wall budget
+/// still remaining; the last stage gets everything left.
+constexpr double kStageBudgetShare = 0.5;
+
 /// The winning ring must hold up under the requirement the report claims
 /// for it: contain the target and satisfy recursive (c, ℓ)-diversity.
 /// Degradation may weaken the requirement, never the validity.
@@ -94,21 +98,15 @@ common::Result<ResilientSelection> ResilientSelector::SelectWithReport(
     const MixinSelector* stage_selector = ladder_[stage_index];
     const bool last_stage = stage_index + 1 == ladder_.size();
 
-    // Per-stage wall budget: a fraction of what is left, everything for
+    // Per-stage wall budget: a share of what is left, everything for
     // the last stage. 0 stays "unlimited" when the overall budget is.
+    // Stages have no iteration cap of their own; the overall one binds.
     double stage_budget = 0.0;
     if (overall.budget_seconds() > 0.0) {
       double remaining = std::max(overall.RemainingSeconds(), 0.0);
-      stage_budget =
-          last_stage ? remaining
-                     : remaining * options_.stage_budget_fraction;
+      stage_budget = last_stage ? remaining : remaining * kStageBudgetShare;
     }
-    uint64_t stage_iterations =
-        stage_index < options_.stage_iteration_budgets.size()
-            ? options_.stage_iteration_budgets[stage_index]
-            : 0;
-    common::Deadline stage_deadline =
-        overall.Stage(stage_budget, stage_iterations);
+    common::Deadline stage_deadline = overall.Stage(stage_budget, 0);
 
     SelectionInput attempt = input;
     attempt.deadline = &stage_deadline;

@@ -72,11 +72,6 @@ struct ResilientOptions {
   double total_budget_seconds = 0.0;
   /// Overall iteration budget across all stages (0 = unlimited).
   uint64_t total_iteration_budget = 0;
-  /// Every stage but the last is granted this fraction of the budget
-  /// still remaining; the last stage gets everything left.
-  double stage_budget_fraction = 0.5;
-  /// Optional per-stage iteration caps (missing/0 entries = unlimited).
-  std::vector<uint64_t> stage_iteration_budgets;
   /// Retry Unsatisfiable stages with the Section-4 relaxation schedule.
   bool allow_relaxation = true;
   RelaxationPolicy relaxation;

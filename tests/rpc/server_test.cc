@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/deadline.h"
 #include "common/strings.h"
 #include "gtest/gtest.h"
 #include "node/fault_injection.h"
@@ -48,6 +49,37 @@ template <typename Pred>
   }
   return false;
 }
+
+/// A steady clock that pins the server's worker until the test releases
+/// it. Once armed, the first reading taken on a second thread blocks.
+/// With one request in flight that is the worker picking the request up
+/// (the reader thread took the first reading when it admitted the
+/// request), so the worker stays busy exactly as long as the test needs.
+class PinClock final : public common::Clock {
+ public:
+  void Arm() { armed_.store(true); }
+  void Release() { released_.store(true); }
+  bool holding() const { return holding_.load(); }
+
+  int64_t NowNanos() const override {
+    if (armed_.load()) {
+      std::thread::id none;
+      const std::thread::id self = std::this_thread::get_id();
+      if (!first_reader_.compare_exchange_strong(none, self) &&
+          none != self && armed_.exchange(false)) {
+        holding_.store(true);
+        (void)WaitUntil([this] { return released_.load(); });
+      }
+    }
+    return common::SteadyClock::Instance()->NowNanos();
+  }
+
+ private:
+  mutable std::atomic<bool> armed_{false};
+  mutable std::atomic<bool> holding_{false};
+  std::atomic<bool> released_{false};
+  mutable std::atomic<std::thread::id> first_reader_{};
+};
 
 TEST(ServerTest, ServesValidRingsForEveryTarget) {
   Testbed testbed = BuildTestbed(SmallTestbed());
@@ -259,23 +291,21 @@ TEST(ServerTest, MalformedPayloadAnsweredTypedThenConnectionDropped) {
 
 TEST(ServerTest, OverloadShedsTypedOverloadedResponses) {
   Testbed testbed = BuildTestbed(SmallTestbed());
-  node::FaultInjector faults(1);
+  PinClock clock;
   ServerConfig config;
   config.socket_path = TestSocketPath("overload");
   config.workers = 1;
   config.queue_capacity = 2;
-  config.faults = &faults;
+  config.clock = &clock;
   Server server(testbed.node.get(), config);
   ASSERT_TRUE(server.Start().ok());
 
-  // Pin the single worker inside a delayed response write, then flood
-  // the 2-slot queue from a second connection: everything past the
-  // queue capacity must shed with a typed Overloaded, immediately.
-  faults.ArmTransportFaults(
-      1, {node::FaultInjector::TransportFault::kDelayResponse},
-      /*delay_millis=*/300);
+  // Pin the single worker on the request it picks up, then flood the
+  // 2-slot queue from a second connection: everything past the queue
+  // capacity must shed with a typed Overloaded, immediately.
   auto pinned = Client::Connect(config.socket_path);
   ASSERT_TRUE(pinned.ok());
+  clock.Arm();
   std::thread pinned_call([&] {
     auto response = pinned->Select(testbed.targets.front(), {2.0, 2});
     EXPECT_TRUE(response.ok());
@@ -284,10 +314,7 @@ TEST(ServerTest, OverloadShedsTypedOverloadedResponses) {
   auto flood = ConnectUnix(config.socket_path);
   ASSERT_TRUE(flood.ok());
   ASSERT_TRUE(SetRecvTimeout(flood.value(), 5000).ok());
-  // Wait until the worker has picked up the pinned request (queue-wait
-  // is recorded at pickup) so the flood really races an occupied worker.
-  ASSERT_TRUE(WaitUntil(
-      [&] { return server.StatsSnapshot().queue_wait_micros.count() >= 1; }));
+  ASSERT_TRUE(WaitUntil([&] { return clock.holding(); }));
   constexpr int kFlood = 10;
   for (int i = 0; i < kFlood; ++i) {
     Request request;
@@ -297,6 +324,12 @@ TEST(ServerTest, OverloadShedsTypedOverloadedResponses) {
     request.requirement = {2.0, 2};
     ASSERT_TRUE(WriteFrame(flood.value(), EncodeRequest(request)).ok());
   }
+  // Release the worker only once every flood frame was admitted or shed.
+  ASSERT_TRUE(WaitUntil([&] {
+    ServerStats stats = server.StatsSnapshot();
+    return stats.admitted + stats.shed_overloaded >= 1 + kFlood;
+  }));
+  clock.Release();
   int ok = 0, overloaded = 0, timed_out = 0, other = 0;
   for (int i = 0; i < kFlood; ++i) {
     std::string payload;

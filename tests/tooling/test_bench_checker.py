@@ -213,6 +213,142 @@ class ServeGateTest(CheckerTest):
                                         factor=0.8))
 
 
+def figures_base() -> dict:
+    return json.loads((ROOT / "BENCH_figures.json").read_text())
+
+
+def result(data: dict, figure: str, x: float, approach: str) -> dict:
+    points = data["figures"][figure]["points"]
+    return next(p for p in points if p["x"] == x)["approaches"][approach]
+
+
+def set_size(data: dict, figure: str, x: float, approach: str,
+             size: float) -> None:
+    result(data, figure, x, approach)["mean_ring_size"] = size
+
+
+def size_of(data: dict, figure: str, x: float, approach: str) -> float:
+    return result(data, figure, x, approach)["mean_ring_size"]
+
+
+def rising_fig5_progressive(data: dict) -> None:
+    set_size(data, "fig5", 0.8, "TM_P",
+             size_of(data, "fig5", 0.6, "TM_P") * 1.02)
+
+
+def rising_fig7_game(data: dict) -> None:
+    set_size(data, "fig7", 16, "TM_G", size_of(data, "fig7", 14, "TM_G") + 5)
+
+
+def baseline_solving_at_sigma8(data: dict) -> None:
+    random = result(data, "fig7", 8, "TM_R")
+    random["solved"], random["unsat"] = 1, random["unsat"] - 1
+
+
+def nonlinear_fig6(data: dict) -> None:
+    set_size(data, "fig6", 60, "TM_S", 150.0)
+
+
+def fig8_progressive_rising(data: dict) -> None:
+    set_size(data, "fig8", 90, "TM_P", size_of(data, "fig8", 70, "TM_P") + 0.1)
+
+
+def fig8_random_outside_band(data: dict) -> None:
+    low = min(p["approaches"]["TM_R"]["mean_ring_size"]
+              for p in data["figures"]["fig8"]["points"])
+    set_size(data, "fig8", 90, "TM_R", low * 1.2)
+
+
+def falling_fig9_progressive(data: dict) -> None:
+    set_size(data, "fig9", 30, "TM_P", size_of(data, "fig9", 25, "TM_P") * 0.98)
+
+
+def fig10_no_drift(data: dict) -> None:
+    set_size(data, "fig10", 20, "TM_G", size_of(data, "fig10", 0, "TM_G"))
+
+
+def fig10_random_outside_band(data: dict) -> None:
+    set_size(data, "fig10", 0, "TM_R", size_of(data, "fig10", 5, "TM_R") * 1.3)
+
+
+def fig3_mode_three(data: dict) -> None:
+    data["figures"]["fig3"]["mode"] = 3
+
+
+def game_above_progressive(data: dict) -> None:
+    set_size(data, "fig5", 0.4, "TM_G", size_of(data, "fig5", 0.4, "TM_P") + 1)
+
+
+class FiguresGateTest(CheckerTest):
+    def test_identical_run_passes(self):
+        proc = self.run_checker(figures_base())
+        self.assert_ok(proc)
+        self.assertIn("claim ok: 7.5: TM_G <= TM_P on the real data",
+                      proc.stdout)
+
+    def test_changed_ring_digest_fails_and_names_point(self):
+        fresh = figures_base()
+        result(fresh, "fig8", 50, "TM_S")["ring_digest"] = "0" * 64
+        proc = self.run_checker(fresh, baseline=figures_base())
+        self.assert_fail(proc, "fig8 super_rs=50 TM_S: ring_digest")
+
+    def test_changed_ring_members_total_fails_and_names_point(self):
+        fresh = figures_base()
+        result(fresh, "fig5", 0.6, "TM_P")["ring_members_total"] += 1
+        proc = self.run_checker(fresh, baseline=figures_base())
+        self.assert_fail(proc, "fig5 c=0.6 TM_P: ring_members_total")
+
+    def test_changed_figure3_counts_fail(self):
+        fresh = figures_base()
+        fresh["figures"]["fig3"]["outputs"]["3"] += 1
+        proc = self.run_checker(fresh, baseline=figures_base())
+        self.assert_fail(proc, "fig3 outputs")
+
+    def test_each_broken_claim_fails_by_name(self):
+        # The fresh run is its own baseline, so only the claim can fail.
+        cases = (
+            (rising_fig5_progressive, "fig5: TM_P, TM_G non-increasing"),
+            (nonlinear_fig6, "fig6: every approach linear in ell"),
+            (rising_fig7_game, "fig7: TM_P, TM_G non-increasing"),
+            (baseline_solving_at_sigma8, "fig7: TM_S, TM_R unsat"),
+            (fig8_progressive_rising, "fig8: TM_P non-increasing"),
+            (fig8_random_outside_band, "fig8: TM_R flat"),
+            (falling_fig9_progressive, "fig9: TM_P, TM_G non-decreasing"),
+            (fig10_no_drift, "fig10: TM_P, TM_G drift down"),
+            (fig10_random_outside_band, "fig10: TM_R flat"),
+            (fig3_mode_three, "fig3: mode 2 outputs"),
+            (game_above_progressive, "7.5: TM_G <= TM_P"),
+        )
+        for mutate, claim in cases:
+            with self.subTest(claim=claim):
+                fresh = figures_base()
+                mutate(fresh)
+                proc = self.run_checker(fresh)
+                self.assert_fail(proc, f"claim '{claim}")
+                self.assertIn("1 failure(s)", proc.stderr)
+
+    def test_step_within_tolerance_passes(self):
+        fresh = figures_base()
+        set_size(fresh, "fig5", 0.8, "TM_P",
+                 size_of(fresh, "fig5", 0.6, "TM_P") * 1.005)
+        self.assert_ok(self.run_checker(fresh))
+
+    def test_unknown_figure_rejected(self):
+        fresh = figures_base()
+        fresh["figures"]["fig11"] = fresh["figures"]["fig10"]
+        proc = self.run_checker(fresh)
+        self.assertNotEqual(proc.returncode, 0)
+        self.assertIn("unknown figure 'fig11'", proc.stderr)
+
+    def test_unknown_approach_rejected(self):
+        fresh = figures_base()
+        approaches = fresh["figures"]["fig6"]["points"][0]["approaches"]
+        approaches["TM_X"] = approaches.pop("TM_R")
+        proc = self.run_checker(fresh)
+        self.assertNotEqual(proc.returncode, 0)
+        self.assertIn("unknown or missing approach", proc.stderr)
+
+
 class DispatchTest(CheckerTest):
     def test_unknown_bench_kind_rejected(self):
         proc = self.run_checker({"bench": "nonsense"})
@@ -229,7 +365,7 @@ class DispatchTest(CheckerTest):
         # A committed baseline compared against itself must pass: this
         # exercises the kind -> repo-root BENCH_*.json dispatch for real.
         for name in ("BENCH_context.json", "BENCH_chain_growth.json",
-                     "BENCH_serve.json"):
+                     "BENCH_serve.json", "BENCH_figures.json"):
             with self.subTest(baseline=name):
                 fresh = json.loads((ROOT / name).read_text())
                 proc = self.run_checker(fresh, use_default_baseline=True)
