@@ -90,6 +90,19 @@ void BM_FieldInv(benchmark::State& state) {
 }
 BENCHMARK(BM_FieldInv)->Unit(benchmark::kMicrosecond);
 
+// The endomorphism split every Mul, MulBase, MulAdd and MulCT runs first.
+void BM_ScalarSplitLambda(benchmark::State& state) {
+  crypto::U256 k = BenchScalar(13);
+  crypto::U256 k1, k2;
+  for (auto _ : state) {
+    crypto::ScalarSplitLambda(k, &k1, &k2);
+    benchmark::DoNotOptimize(&k1);
+    benchmark::DoNotOptimize(&k2);
+    k.limbs[0] ^= k1.limbs[0];
+  }
+}
+BENCHMARK(BM_ScalarSplitLambda)->Unit(benchmark::kNanosecond);
+
 void BM_ScalarMulBase(benchmark::State& state) {
   common::Rng rng(9);
   crypto::U256 k(rng.Next(), rng.Next(), rng.Next(), 0);

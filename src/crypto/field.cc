@@ -18,6 +18,25 @@ constexpr uint64_t kFold = 0x1000003d1ull;
 const U256 kOrderFold(0x402da1732fc9bebfull, 0x4551231950b75fc4ull, 0x1ull,
                       0x0ull);
 
+// The endomorphism phi(x, y) = (beta*x, y) = lambda*(x, y), with beta a
+// cube root of unity mod p and lambda one mod n (the matching pair), and
+// the lattice constants of the scalar split: -b1, -b2 from the reduced
+// basis (a1, b1), (a2, b2) of {(a, b) : a + b*lambda = 0 mod n}, and
+// g1 = round(2^384 * b2 / n), g2 = round(2^384 * -b1 / n).
+// libsecp256k1's values.
+const U256 kLambda(0xdf02967c1b23bd72ull, 0x122e22ea20816678ull,
+                   0xa5261c028812645aull, 0x5363ad4cc05c30e0ull);
+const U256 kBeta(0xc1396c28719501eeull, 0x9cf0497512f58995ull,
+                 0x6e64479eac3434e9ull, 0x7ae96a2b657c0710ull);
+const U256 kMinusB1(0x6f547fa90abfe4c3ull, 0xe4437ed6010e8828ull, 0x0ull,
+                    0x0ull);
+const U256 kMinusB2(0xd765cda83db1562cull, 0x8a280ac50774346dull,
+                    0xfffffffffffffffeull, 0xffffffffffffffffull);
+const U256 kG1(0xe893209a45dbb031ull, 0x3daa8a1471e8ca7full,
+               0xe86c90e49284eb15ull, 0x3086d221a7d46bcdull);
+const U256 kG2(0x1571b4ae8ac47f71ull, 0x221208ac9df506c6ull,
+               0x6f547fa90abfe4c4ull, 0xe4437ed6010e8828ull);
+
 // r = take ? a : b without a branch (full-width masking), so the scalar
 // reductions below never branch on their (typically secret) operands.
 U256 FieldMaskedSelect(uint64_t take, const U256& a, const U256& b) {
@@ -228,5 +247,30 @@ U256 ScalarReduce(const U256& a) {
 }
 
 bool IsValidScalar(const U256& a) { return !a.IsZero() && a < kOrder; }
+
+const U256& EndomorphismLambda() { return kLambda; }
+const U256& EndomorphismBeta() { return kBeta; }
+
+namespace {
+
+// round(k * g / 2^384): the product's top two limbs plus its bit 383,
+// added without a branch.
+U256 MulShift384Round(const U256& k, const U256& g) {
+  U512 product = U256::Mul(k, g);
+  U256 out;
+  U256::Add(U256(product.limbs[6], product.limbs[7], 0, 0),
+            U256(product.limbs[5] >> 63), &out);
+  return out;
+}
+
+}  // namespace
+
+void ScalarSplitLambda(const U256& k, U256* k1, U256* k2) {
+  U256 reduced = ScalarReduce(k);
+  U256 c1 = MulShift384Round(reduced, kG1);
+  U256 c2 = MulShift384Round(reduced, kG2);
+  *k2 = ScalarAdd(ScalarMul(c1, kMinusB1), ScalarMul(c2, kMinusB2));
+  *k1 = ScalarSub(reduced, ScalarMul(*k2, kLambda));
+}
 
 }  // namespace tokenmagic::crypto

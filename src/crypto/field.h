@@ -54,4 +54,15 @@ U256 ScalarReduce512(const U512& x);
 /// use crypto::CtValidScalar (ct.h) when the scalar is secret.
 bool IsValidScalar(const U256& a);
 
+/// The secp256k1 endomorphism phi(x, y) = (beta*x, y) = lambda*(x, y):
+/// lambda is a cube root of unity mod n and beta the matching one mod p.
+const U256& EndomorphismLambda();
+const U256& EndomorphismBeta();
+
+/// Splits k (any 256-bit value, reduced mod n first) into halves with
+/// k = k1 + k2*lambda (mod n) and min(ki, n - ki) < 2^128 for both, by
+/// rounding k onto the reduced lattice basis (libsecp256k1's
+/// scalar_split_lambda). Branch-free: a fixed ScalarMul/Add/Sub sequence.
+void ScalarSplitLambda(const U256& k, U256* k1, U256* k2);
+
 }  // namespace tokenmagic::crypto

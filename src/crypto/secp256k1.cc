@@ -132,16 +132,31 @@ Jacobian JacobianAddAffine(const Jacobian& p, const Affine& q) {
   return out;
 }
 
+// -- the endomorphism split -------------------------------------------------
+
+// phi(x, y) = (beta*x, y) = lambda*(x, y); on Jacobian coordinates only X
+// changes, since x = X/Z^2.
+Jacobian Phi(Jacobian e) {
+  e.x = FieldMul(e.x, EndomorphismBeta());
+  return e;
+}
+
+// (n - 1) / 2: a split half above it is applied negated, as n - h.
+const U256 kHalfOrder(0xdfe92f46681b20a0ull, 0x5d576e7357a4501dull,
+                      0xffffffffffffffffull, 0x7fffffffffffffffull);
+
 // -- variable-time kernel (public scalars only) ------------------------------
 
-// wNAF widths: 2^(w-2) odd multiples per table. G's table is static and
-// affine, so it affords the wider window.
+// wNAF widths: 2^(w-2) odd multiples per table. G's tables are static and
+// affine, so they afford the wider window.
 constexpr int kWindowP = 5;  // P, 3P, ..., 15P
 constexpr int kWindowG = 8;  // G, 3G, ..., 127G
-// A 256-bit scalar's wNAF can carry into bit 256.
-constexpr int kWnafLen = 257;
+// A split half's magnitude is below 2^128; its wNAF can carry into bit 128.
+constexpr int kWnafLen = 129;
 
 using Wnaf = std::array<int, kWnafLen>;
+using JacobianTable = std::array<Jacobian, 1 << (kWindowP - 2)>;
+using AffineTable = std::array<Affine, 1 << (kWindowG - 2)>;
 
 // Bits [bit, bit + count) of k, reading bits past 255 as zero; count <= 8.
 int BitsAt(const U256& k, int bit, int count) {
@@ -155,10 +170,12 @@ int BitsAt(const U256& k, int bit, int count) {
   return static_cast<int>(word & ((uint64_t{1} << count) - 1));
 }
 
-// Width-w NAF of k: every digit is 0 or odd in (-2^(w-1), 2^(w-1)), and
-// each nonzero digit is followed by at least w - 1 zeros. Returns the
-// digit count (index of the top nonzero digit + 1; 0 for k == 0).
+// Width-w NAF of k < 2^128: every digit is 0 or odd in (-2^(w-1),
+// 2^(w-1)), and each nonzero digit is followed by at least w - 1 zeros.
+// Returns the digit count (index of the top nonzero digit + 1; 0 for
+// k == 0).
 int ComputeWnaf(const U256& k, int w, Wnaf* digits) {
+  TM_DCHECK(k.HighestBit() < kWnafLen - 1);
   digits->fill(0);
   int len = 0;
   int carry = 0;
@@ -179,20 +196,39 @@ int ComputeWnaf(const U256& k, int w, Wnaf* digits) {
   return len;
 }
 
-// G, 3G, ..., (2^(kWindowG-1) - 1)G in affine form, built once.
-const std::array<Affine, 1 << (kWindowG - 2)>& GeneratorOddMultiples() {
-  static const auto kTable = [] {
-    std::array<Affine, 1 << (kWindowG - 2)> table;
+// The wNAF of a split half h: a half above n/2 is recoded as n - h with
+// every digit negated, since h*P = -(n - h)*P.
+int HalfWnaf(const U256& h, int w, Wnaf* digits) {
+  if (h <= kHalfOrder) return ComputeWnaf(h, w, digits);
+  U256 magnitude;
+  U256::Sub(GroupOrder(), h, &magnitude);
+  int len = ComputeWnaf(magnitude, w, digits);
+  for (int& d : *digits) d = -d;
+  return len;
+}
+
+// G, 3G, ..., (2^(kWindowG-1) - 1)G in affine form and their images under
+// phi (the same entries with x*beta), built once.
+struct GeneratorTables {
+  AffineTable g;
+  AffineTable phi_g;
+};
+
+const GeneratorTables& GeneratorOddMultiples() {
+  static const GeneratorTables kTables = [] {
+    GeneratorTables tables;
     Jacobian g = ToJacobian(Secp256k1::Generator());
     Jacobian g2 = JacobianDouble(g);
     Jacobian acc = g;
-    for (size_t i = 0; i < table.size(); ++i) {
-      table[i] = ToAffineEntry(acc);
+    for (size_t i = 0; i < tables.g.size(); ++i) {
+      tables.g[i] = ToAffineEntry(acc);
+      tables.phi_g[i] = Affine{FieldMul(tables.g[i].x, EndomorphismBeta()),
+                               tables.g[i].y};
       acc = JacobianAdd(acc, g2);
     }
-    return table;
+    return tables;
   }();
-  return kTable;
+  return kTables;
 }
 
 Affine NegateIf(bool negate, Affine e) {
@@ -205,39 +241,57 @@ Jacobian NegateIf(bool negate, Jacobian e) {
   return e;
 }
 
-// a*P + b*Q by interleaved wNAF: one shared doubling chain, one table
-// addition per nonzero digit of either scalar. P or Q equal to G reads
-// the static affine table (mixed additions, width 8); any other point
-// gets a width-5 Jacobian table of its odd multiples. Variable-time in
-// every scalar bit and in the points: public inputs only.
+// a*P + b*Q by interleaved wNAF over the endomorphism split: a = a1 +
+// a2*lambda and b = b1 + b2*lambda, so the sum is a1*P + a2*phi(P) + b1*Q
+// + b2*phi(Q), four terms of at most 128 bits that share one doubling
+// chain of at most 129 doublings, with one table addition per nonzero
+// digit. P or Q equal to G reads the static affine tables of G and phi(G)
+// (mixed additions, width 8); any other point gets a width-5 Jacobian
+// table of its odd multiples, and phi's table is that table with X*beta.
+// Variable-time in every scalar bit and in the points: public inputs only.
 Jacobian WnafMul(const U256& a, const Point& p, const U256& b,
                  const Point& q) {
   struct Term {
     Wnaf digits;
     int len = 0;
-    bool is_g = false;
-    std::array<Jacobian, 1 << (kWindowP - 2)> table;
+    const Affine* affine = nullptr;      // G's static tables
+    const Jacobian* jacobian = nullptr;  // a point's own tables
   };
-  std::array<Term, 2> terms;
+  std::array<Term, 4> terms;  // a1*P, a2*phi(P), b1*Q, b2*phi(Q)
+  std::array<JacobianTable, 4> tables;
   const U256* scalars[2] = {&a, &b};
   const Point* points[2] = {&p, &q};
+  const GeneratorTables& g_tables = GeneratorOddMultiples();
   int top = 0;
   for (int t = 0; t < 2; ++t) {
-    Term& term = terms[t];
     if (points[t]->infinity) continue;
-    term.is_g = *points[t] == Secp256k1::Generator();
-    term.len = ComputeWnaf(*scalars[t], term.is_g ? kWindowG : kWindowP,
-                           &term.digits);
-    top = std::max(top, term.len);
-    if (term.is_g || term.len == 0) continue;
+    bool is_g = *points[t] == Secp256k1::Generator();
+    U256 halves[2];
+    ScalarSplitLambda(*scalars[t], &halves[0], &halves[1]);
+    Term* pair = &terms[2 * t];
+    for (int h = 0; h < 2; ++h) {
+      pair[h].len = HalfWnaf(halves[h], is_g ? kWindowG : kWindowP,
+                             &pair[h].digits);
+      top = std::max(top, pair[h].len);
+    }
+    if (is_g) {
+      pair[0].affine = g_tables.g.data();
+      pair[1].affine = g_tables.phi_g.data();
+      continue;
+    }
+    if (pair[0].len == 0 && pair[1].len == 0) continue;
+    JacobianTable& table = tables[2 * t];
+    JacobianTable& phi_table = tables[2 * t + 1];
     Jacobian base = ToJacobian(*points[t]);
     Jacobian twice = JacobianDouble(base);
-    term.table[0] = base;
-    for (size_t i = 1; i < term.table.size(); ++i) {
-      term.table[i] = JacobianAdd(term.table[i - 1], twice);
+    table[0] = base;
+    for (size_t i = 1; i < table.size(); ++i) {
+      table[i] = JacobianAdd(table[i - 1], twice);
     }
+    for (size_t i = 0; i < table.size(); ++i) phi_table[i] = Phi(table[i]);
+    pair[0].jacobian = table.data();
+    pair[1].jacobian = phi_table.data();
   }
-  const auto& g_table = GeneratorOddMultiples();
   Jacobian acc = Jacobian::Identity();
   for (int i = top - 1; i >= 0; --i) {
     acc = JacobianDouble(acc);
@@ -245,8 +299,9 @@ Jacobian WnafMul(const U256& a, const Point& p, const U256& b,
       int d = i < term.len ? term.digits[i] : 0;
       if (d == 0) continue;
       size_t slot = static_cast<size_t>(std::abs(d) / 2);
-      acc = term.is_g ? JacobianAddAffine(acc, NegateIf(d < 0, g_table[slot]))
-                      : JacobianAdd(acc, NegateIf(d < 0, term.table[slot]));
+      acc = term.affine != nullptr
+                ? JacobianAddAffine(acc, NegateIf(d < 0, term.affine[slot]))
+                : JacobianAdd(acc, NegateIf(d < 0, term.jacobian[slot]));
     }
   }
   return acc;
@@ -307,19 +362,52 @@ uint64_t Nibble(const U256& k, int w) {
   return (k.limbs[w >> 4] >> ((w & 15) * 4)) & 15;
 }
 
-// k*p by a fixed 4-bit window: table entry j is j*p, then for each of the
-// 64 windows, top first, four doublings and one addition of the
-// masked-scan table entry. Entry 0 is a stand-in (p itself), so the
-// addition never meets an identity operand from the table: a zero digit
-// still runs its scan and its addition, and the sum is then discarded
-// under a mask. Only while the accumulator is still the identity, in the
-// scalar's leading zero nibbles, do the doubling and the addition take
-// their identity shortcut, so the run time reveals the scalar's length
-// and not its other digits. The field routines still take
-// value-dependent paths (modular-reduction borrows), so this is
-// source-level scalar-bit hygiene, not a full machine-level constant-time
-// guarantee. tm_ct's ladder-hygiene rule audits this body: no scalar
-// .Bit() extraction, no non-CT multiply, no unannotated control flow.
+// The sign mask of a split half h (all ones when h > n/2) and its
+// magnitude min(h, n - h) < 2^128, without a branch.
+// tm-ct-ladder
+uint64_t SignedHalf(const U256& h, U256* magnitude) {
+  uint64_t sign = 0 - CtLess(kHalfOrder, h);
+  U256 negated;
+  U256::Sub(GroupOrder(), h, &negated);
+  *magnitude = h;
+  MaskedMove(sign, negated, magnitude);
+  SecureWipe(negated.limbs.data(), sizeof(negated.limbs));
+  return sign;
+}
+
+// *acc += entry with entry's y negated under `sign`, kept unless the digit
+// is zero. The negation is p - y under a mask (y is never zero: the curve
+// has no point of order 2, and an identity entry keeps Y = 1), so it has
+// no zero test; a zero digit's entry is the stand-in and its sum is
+// discarded under a mask.
+// tm-ct-ladder
+void AddSignedEntry(uint64_t digit, uint64_t sign, Jacobian entry,
+                    Jacobian* acc) {
+  U256 negated_y;
+  U256::Sub(FieldPrime(), entry.y, &negated_y);
+  MaskedMove(sign, negated_y, &entry.y);
+  Jacobian sum = JacobianAdd(*acc, entry);
+  MaskedMove(~EqMask(digit, 0), sum, acc);
+}
+
+// k*p by a fixed 4-bit window over the endomorphism split k = k1 +
+// k2*lambda: table entry j is j*p, and each half runs as its sign and its
+// magnitude below 2^128. For each of the 32 windows, top first: four
+// doublings, then per half one masked-scan lookup of the table (the
+// second half's entry mapped through phi by x*beta) and one addition of
+// the entry, negated under the half's sign mask. Entry 0 is a stand-in (p
+// itself), so the addition never meets an identity operand from the
+// table: a zero digit still runs its scan and its addition, and the sum
+// is then discarded under a mask. Only while the accumulator is still the
+// identity, in the halves' common leading zero nibbles, do the doubling
+// and the addition take their identity shortcut, so the run time reveals
+// the longer half's length to the nibble (and, in that top window,
+// whether the first half's digit is zero), not the other digits. The
+// field routines still take value-dependent paths (modular-reduction
+// borrows), so this is source-level scalar-bit hygiene, not a full
+// machine-level constant-time guarantee. tm_ct's ladder-hygiene rule
+// audits this body: no scalar .Bit() extraction, no non-CT multiply, no
+// unannotated control flow.
 // tm-ct-ladder
 Jacobian FixedWindowMul(const U256& k, const Jacobian& p) {
   std::array<Jacobian, 16> table;
@@ -329,15 +417,24 @@ Jacobian FixedWindowMul(const U256& k, const Jacobian& p) {
   for (size_t j = 2; j < table.size(); ++j) {
     table[j] = JacobianAdd(table[j - 1], p);
   }
+  U256 halves[2];
+  ScalarSplitLambda(k, &halves[0], &halves[1]);
+  U256 magnitudes[2];
+  uint64_t signs[2] = {SignedHalf(halves[0], &magnitudes[0]),
+                       SignedHalf(halves[1], &magnitudes[1])};
   Jacobian acc = Jacobian::Identity();
-  // tm-declassify(fixed 64-window trip count, independent of scalar)
-  for (int w = 63; w >= 0; --w) {
+  // tm-declassify(fixed 32-window trip count, independent of scalar)
+  for (int w = 31; w >= 0; --w) {
     // tm-declassify(fixed four doublings per window)
     for (int d = 0; d < 4; ++d) acc = JacobianDouble(acc);
-    uint64_t digit = Nibble(k, w);
-    Jacobian sum = JacobianAdd(acc, LookupJacobian(table, digit));
-    MaskedMove(~EqMask(digit, 0), sum, &acc);
+    uint64_t digit = Nibble(magnitudes[0], w);
+    AddSignedEntry(digit, signs[0], LookupJacobian(table, digit), &acc);
+    digit = Nibble(magnitudes[1], w);
+    AddSignedEntry(digit, signs[1], Phi(LookupJacobian(table, digit)), &acc);
   }
+  SecureWipe(halves, sizeof(halves));
+  SecureWipe(magnitudes, sizeof(magnitudes));
+  SecureWipe(signs, sizeof(signs));
   return acc;
 }
 
@@ -492,7 +589,7 @@ Point Secp256k1::Mul(const U256& k, const Point& p) {
 Point Secp256k1::MulBase(const U256& k) { return Mul(k, Generator()); }
 
 Point Secp256k1::MulCT(const U256& k, const Point& p) {
-  // No early-out on k == 0 or p == infinity: the window runs all 64
+  // No early-out on k == 0 or p == infinity: the window runs all 32
   // windows for every scalar and lands on the identity by itself.
   return MulSecretScalar(k, &p);
 }

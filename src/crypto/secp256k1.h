@@ -54,23 +54,27 @@ class Secp256k1 {
   /// Additive inverse.
   static Point Negate(const Point& p);
 
-  /// Scalar multiplication k * p by width-5 wNAF (any k < 2^256).
+  /// Scalar multiplication k * p (any k < 2^256). The endomorphism split
+  /// k = k1 + k2*lambda turns it into k1*p + k2*phi(p), two width-5 wNAF
+  /// terms of at most 128 bits over one chain of at most 129 doublings.
   /// Variable-time: the bit pattern of `k` shapes the instruction stream, so
   /// this must only ever see public scalars (verification, test vectors).
   static Point Mul(const U256& k, const Point& p);
 
-  /// k * G with the fixed generator, through Mul's wNAF kernel on a static
-  /// width-8 table of G's odd multiples. Variable-time; public scalars only.
+  /// k * G with the fixed generator, through Mul's wNAF kernel on static
+  /// width-8 tables of the odd multiples of G and of phi(G). Variable-time;
+  /// public scalars only.
   static Point MulBase(const U256& k);
 
-  /// k * p by a fixed 4-bit window whose source contains no branch or
-  /// memory access indexed by the bits of `k`: every scalar runs 64
-  /// windows of four doublings and one addition, a zero digit included
-  /// (its sum is discarded under a mask), and each window's table entry is
-  /// picked by a masked scan of all 16. The point routines short-circuit
-  /// only while the accumulator is the identity, i.e. in the scalar's
-  /// leading zero nibbles. Use for every secret scalar (signing nonces,
-  /// private keys, key images).
+  /// k * p by a fixed 4-bit window over the endomorphism split, whose
+  /// source contains no branch or memory access indexed by the bits of
+  /// `k`: every scalar runs 32 windows of four doublings and two masked-
+  /// scan lookups of the 16-entry table (the second mapped through phi),
+  /// each followed by an addition of the entry negated under its half's
+  /// sign mask, a zero digit included (its sum is discarded under a mask).
+  /// The point routines short-circuit only while the accumulator is the
+  /// identity, i.e. in the halves' common leading zero nibbles. Use for
+  /// every secret scalar (signing nonces, private keys, key images).
   static Point MulCT(const U256& k, const Point& p);
 
   /// k * G, constant-time with respect to the bits of `k`: a fixed-base
@@ -78,8 +82,9 @@ class Secp256k1 {
   /// masked-scan lookup and one addition per window, no doublings.
   static Point MulBaseCT(const U256& k);
 
-  /// a*P + b*Q for public scalars: Mul's interleaved wNAF kernel with one
-  /// shared doubling chain (signature verification).
+  /// a*P + b*Q for public scalars: Mul's interleaved wNAF kernel, both
+  /// scalars split, four terms on one shared chain of at most 129
+  /// doublings (signature verification).
   static Point MulAdd(const U256& a, const Point& p, const U256& b,
                       const Point& q);
 

@@ -1,12 +1,17 @@
-// Differential suite: the secp256k1 kernels against the from-scratch
-// oracles in tests/oracle/crypto_oracle.h.
+// Differential suite: the secp256k1 kernels, and the endomorphism split
+// under them, against the from-scratch oracles in
+// tests/oracle/crypto_oracle.h.
 //
 // Each scalar list aims at a boundary of one kernel: the wNAF recoding's
 // carries (runs of ones, 2^k - 1, values near the group order and 2^256),
 // the fixed window's all-zero and all-fifteen digits, and the zero digits
 // between nonzero ones that both constant-time kernels add and discard.
 // The point pairs cover the addition special cases the interleaved kernel
-// can meet: P = Q, P = -Q and an identity operand.
+// can meet: P = Q, P = -Q and an identity operand. The split-boundary list
+// aims at the endomorphism split every kernel but the comb runs first:
+// scalars whose halves sit at 0, at +-1, near n/2 (where a half flips to
+// its negation) and at the +-2^128 edge of the halves' range; the split
+// itself is checked on it and on 100k random scalars.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -189,6 +194,205 @@ TEST(KernelOracleTest, MulAddMatchesOracleOnSpecialPointPairs) {
             << pair.name << ": a = " << a.ToHex() << ", b = " << b.ToHex();
       }
     }
+  }
+}
+
+// -v mod n.
+U256 Negated(const U256& v) { return SubMod(U256::Zero(), v, GroupOrder()); }
+
+std::vector<U256> SplitBoundaryScalars() {
+  const U256& n = GroupOrder();
+  const U256& lambda = EndomorphismLambda();
+  U256 n_minus_1, half_down, half_up, n_plus_1;
+  U256::Sub(n, U256::One(), &n_minus_1);
+  for (int i = 0; i < 4; ++i) {  // (n - 1) / 2
+    half_down.limbs[i] = n_minus_1.limbs[i] >> 1;
+    if (i < 3) half_down.limbs[i] |= n_minus_1.limbs[i + 1] << 63;
+  }
+  U256::Add(half_down, U256::One(), &half_up);
+  U256::Add(n, U256::One(), &n_plus_1);
+  std::vector<U256> out = {U256::Zero(),
+                           U256::One(),
+                           lambda,
+                           Negated(lambda),
+                           n_minus_1,
+                           half_down,
+                           half_up,
+                           PowerOfTwoMinusOne(128),
+                           PowerOfTwo(128),
+                           n,
+                           n_plus_1,
+                           PowerOfTwoMinusOne(256)};
+  // a + b*lambda for a, b in {0, +-1, +-2^127, +-(2^128 - 1)}.
+  std::vector<U256> coefficients = {U256::Zero(), U256::One(),
+                                    PowerOfTwo(127), PowerOfTwoMinusOne(128)};
+  for (size_t i = 1; i < 4; ++i) {
+    coefficients.push_back(Negated(coefficients[i]));
+  }
+  for (const U256& a : coefficients) {
+    for (const U256& b : coefficients) {
+      out.push_back(AddMod(a, oracle::MulMod(b, lambda, n), n));
+    }
+  }
+  return out;
+}
+
+U256 Hex(const char* hex) {
+  U256 out;
+  EXPECT_TRUE(U256::FromHex(hex, &out)) << hex;
+  return out;
+}
+
+// min(h, n - h): the magnitude a half is applied with.
+U256 Magnitude(const U256& h) {
+  U256 neg = Negated(h);
+  return neg < h ? neg : h;
+}
+
+// k = k1 + k2*lambda (mod n), both halves reduced, and both magnitudes
+// below 2^128 and within libsecp256k1's proved bounds (scalar_impl.h),
+// which are tighter: a rounding step dropped from c1 keeps the halves
+// below 2^128 but breaks them.
+::testing::AssertionResult SplitIsValid(const U256& k) {
+  static const U256 kK1Bound = Hex("a2a8918ca85bafe22016d0b917e4dd77");
+  static const U256 kK2Bound = Hex("8a65287bd47179fb2be08846cea267ed");
+  const U256& n = GroupOrder();
+  U256 k1, k2;
+  ScalarSplitLambda(k, &k1, &k2);
+  if (!(k1 < n) || !(k2 < n)) {
+    return ::testing::AssertionFailure() << "unreduced half";
+  }
+  U256 sum = AddMod(k1, oracle::MulMod(k2, EndomorphismLambda(), n), n);
+  if (sum != oracle::Mod(k, n)) {
+    return ::testing::AssertionFailure() << "k1 + k2*lambda != k (mod n)";
+  }
+  U256 m1 = Magnitude(k1);
+  U256 m2 = Magnitude(k2);
+  if (m1.HighestBit() >= 128 || m2.HighestBit() >= 128 || kK1Bound < m1 ||
+      kK2Bound < m2) {
+    return ::testing::AssertionFailure() << "|k1| = " << m1.ToHex()
+                                         << ", |k2| = " << m2.ToHex();
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(ScalarSplitTest, EndomorphismConstantsAreCubeRootsOfUnity) {
+  const U256& lambda = EndomorphismLambda();
+  const U256& beta = EndomorphismBeta();
+  EXPECT_EQ(lambda, Hex("5363ad4cc05c30e0a5261c028812645a"
+                        "122e22ea20816678df02967c1b23bd72"));
+  EXPECT_EQ(beta, Hex("7ae96a2b657c07106e64479eac3434e9"
+                      "9cf0497512f58995c1396c28719501ee"));
+  const U256& n = GroupOrder();
+  const U256& p = FieldPrime();
+  EXPECT_NE(lambda, U256::One());
+  EXPECT_NE(beta, U256::One());
+  EXPECT_EQ(oracle::MulMod(oracle::MulMod(lambda, lambda, n), lambda, n),
+            U256::One());
+  EXPECT_EQ(oracle::MulMod(oracle::MulMod(beta, beta, p), beta, p),
+            U256::One());
+  // LambdaMultipleIsTheEndomorphism checks that this beta, not the other
+  // cube root, is the one that goes with this lambda.
+}
+
+TEST(ScalarSplitTest, KnownAnswers) {
+  // Computed independently: the reduced lattice basis from the extended
+  // Euclidean algorithm on (n, lambda), then k2 = c1*(-b1) + c2*(-b2) with
+  // c1, c2 rounded to nearest. The last three scalars round both c1 and
+  // c2 up.
+  struct Case {
+    const char* k;
+    const char* k1;
+    const char* k2;
+  };
+  const Case cases[] = {
+      {"1", "1", "0"},
+      {"5363ad4cc05c30e0a5261c028812645a122e22ea20816678df02967c1b23bd72",
+       "0", "1"},
+      {"100000000000000000000000000000000",
+       "fffffffffffffffffffffffffffffffea5e48bef0665ac4568114dff32f17169",
+       "fffffffffffffffffffffffffffffffe8a280ac50774346dd765cda83db1562c"},
+      {"ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff",
+       "3086d221a7d46bcde86c90e59284eee6",
+       "fffffffffffffffffffffffffffffffe8a280ac50774346dd765cda83db1562c"},
+      {"795b929e9a9a80fdea7b5bf55eb561a4216363698b529b4a97b750923ceb3ffd",
+       "fffffffffffffffffffffffffffffffe3d574699d75e070a956aa0807c0d8a5c",
+       "26373813e38943b862a7bcae481822a9"},
+      {"8a7d43b578633074b7970386fee29476311624273bfd1d338d0038ec42650644",
+       "fffffffffffffffffffffffffffffffe7b7d6a8e5251624410715d5d3c377c87",
+       "1ce85f88df6a86d58ac28b802e29797c"},
+      {"6d4b9adbebcd1f5ec9c18070b6d13089633a50eee0f9e038eb8f624fb804d820",
+       "fffffffffffffffffffffffffffffffe5829fcdd4fc05ee3981d0c5e4c596416",
+       "fffffffffffffffffffffffffffffffeb7f7321327cad456eca9d37324dfc67a"},
+  };
+  for (const Case& c : cases) {
+    U256 k1, k2;
+    ScalarSplitLambda(Hex(c.k), &k1, &k2);
+    EXPECT_EQ(k1, Hex(c.k1)) << "k = " << c.k;
+    EXPECT_EQ(k2, Hex(c.k2)) << "k = " << c.k;
+  }
+}
+
+TEST(ScalarSplitTest, BoundaryScalars) {
+  for (const U256& k : SplitBoundaryScalars()) {
+    EXPECT_TRUE(SplitIsValid(k)) << "k = " << k.ToHex();
+  }
+}
+
+TEST(ScalarSplitTest, RandomScalars) {
+  common::Rng rng(1913);
+  for (int i = 0; i < 100000; ++i) {
+    U256 k(rng.Next(), rng.Next(), rng.Next(), rng.Next());
+    ASSERT_TRUE(SplitIsValid(k)) << "k = " << k.ToHex();
+  }
+}
+
+// phi(P) = (beta*x, y).
+Point Phi(const Point& p) {
+  Point out = p;
+  out.x = FieldMul(p.x, EndomorphismBeta());
+  return out;
+}
+
+TEST(KernelOracleTest, LambdaMultipleIsTheEndomorphism) {
+  const U256& lambda = EndomorphismLambda();
+  const Point& g = Secp256k1::Generator();
+  // The pairing of beta with lambda, independent of the kernels.
+  EXPECT_EQ(oracle::Mul(lambda, g), Phi(g));
+  EXPECT_EQ(Secp256k1::Mul(lambda, g), Phi(g));
+  EXPECT_EQ(Secp256k1::MulCT(lambda, g), Phi(g));
+  common::Rng rng(433);
+  for (int i = 0; i < 8; ++i) {
+    uint64_t seed = rng.Next();
+    Point p = Secp256k1::HashToPoint(reinterpret_cast<const uint8_t*>(&seed),
+                                     sizeof(seed));
+    EXPECT_EQ(Secp256k1::Mul(lambda, p), Phi(p)) << p.ToString();
+    EXPECT_EQ(Secp256k1::MulCT(lambda, p), Phi(p)) << p.ToString();
+  }
+}
+
+TEST(KernelOracleTest, SplitBoundaryScalarsMatchDoubleAndAdd) {
+  OracleCache oracle;
+  const Point& g = Secp256k1::Generator();
+  const Point r = OtherPoint();
+  const std::vector<U256> scalars = SplitBoundaryScalars();
+  for (const U256& k : scalars) {
+    EXPECT_EQ(Secp256k1::Mul(k, r), oracle.Mul(k, r)) << "k = " << k.ToHex();
+    EXPECT_EQ(Secp256k1::MulBase(k), oracle.Mul(k, g)) << "k = " << k.ToHex();
+    EXPECT_EQ(Secp256k1::MulCT(k, r), oracle.Mul(k, r))
+        << "k = " << k.ToHex();
+    EXPECT_EQ(Secp256k1::MulCT(k, g), oracle.Mul(k, g))
+        << "k = " << k.ToHex();
+  }
+  for (size_t i = 0; i < scalars.size(); ++i) {
+    const U256& a = scalars[i];
+    const U256& b = scalars[(i * 5 + 1) % scalars.size()];
+    EXPECT_EQ(Secp256k1::MulAdd(a, g, b, r),
+              oracle::Add(oracle.Mul(a, g), oracle.Mul(b, r)))
+        << "a = " << a.ToHex() << ", b = " << b.ToHex();
+    EXPECT_EQ(Secp256k1::MulAdd(a, r, b, g),
+              oracle::Add(oracle.Mul(a, r), oracle.Mul(b, g)))
+        << "a = " << a.ToHex() << ", b = " << b.ToHex();
   }
 }
 

@@ -8,13 +8,13 @@
 // references those folds are checked against.
 //
 // The library inverts and takes square roots by fixed addition chains,
-// multiplies public scalars by interleaved wNAF over Jacobian tables and
-// secret scalars by a fixed 4-bit window or a fixed-base comb. The
-// oracles below do the same math the textbook way: generic
-// square-and-multiply exponentiation, chord-and-tangent addition in
-// affine coordinates (one inversion per group operation), and plain
-// double-and-add over the scalar's bits. They share only FieldAdd/Sub/Mul
-// with the code under test.
+// splits scalars by the curve's endomorphism, multiplies public scalars by
+// interleaved wNAF over Jacobian tables and secret scalars by a fixed 4-bit
+// window or a fixed-base comb. The oracles below do the same math the
+// textbook way: generic square-and-multiply exponentiation,
+// chord-and-tangent addition in affine coordinates (one inversion per
+// group operation), and plain double-and-add over the scalar's bits, with
+// no split. They share only FieldAdd/Sub/Mul with the code under test.
 #pragma once
 
 #include "crypto/field.h"
