@@ -239,54 +239,9 @@ bool PracticalDtrsDiversityHolds(std::span<const chain::TokenId> members,
   return true;
 }
 
-bool PracticalDtrsDiversityHolds(std::span<const chain::TokenId> members,
-                                 size_t v_super,
-                                 const AnalysisContext& context,
-                                 const chain::DiversityRequirement& req) {
-  using Local = AnalysisContext::Local;
-  // Resolve each member's dense HT once, then scan per distinct HT.
-  std::vector<Local> member_hts;
-  member_hts.reserve(members.size());
-  for (chain::TokenId t : members) {
-    Local token = context.LocalOfToken(t);
-    TM_CHECK(token != AnalysisContext::kNoLocal);
-    Local ht = context.HtLocalOf(token);
-    TM_CHECK(ht != AnalysisContext::kNoLocal);
-    member_hts.push_back(ht);
-  }
-  std::vector<Local> distinct = member_hts;
-  std::sort(distinct.begin(), distinct.end());
-  distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                 distinct.end());
-
-  for (Local ht : distinct) {
-    size_t same_ht = 0;
-    for (Local h : member_hts) {
-      if (h == ht) ++same_ht;
-    }
-    if (v_super + same_ht < members.size() + 1) continue;
-    std::vector<chain::TokenId> psi;
-    psi.reserve(members.size() - same_ht);
-    for (size_t i = 0; i < members.size(); ++i) {
-      if (member_hts[i] != ht) psi.push_back(members[i]);
-    }
-    if (psi.empty()) return false;
-    if (!SatisfiesRecursiveDiversity(psi, context, req)) return false;
-  }
-  return true;
-}
-
 size_t SideInfoThreshold(std::span<const chain::TokenId> members,
                          const chain::HtIndex& index) {
   std::vector<int64_t> freq = HtFrequencies(members, index);
-  if (freq.empty()) return 0;
-  int64_t q_max = freq.front();
-  return members.size() - static_cast<size_t>(q_max);
-}
-
-size_t SideInfoThreshold(std::span<const chain::TokenId> members,
-                         const AnalysisContext& context) {
-  std::vector<int64_t> freq = HtFrequencies(members, context);
   if (freq.empty()) return 0;
   int64_t q_max = freq.front();
   return members.size() - static_cast<size_t>(q_max);

@@ -22,7 +22,6 @@
 #include <span>
 #include <vector>
 
-#include "analysis/context.h"
 #include "analysis/diversity.h"
 #include "chain/ht_index.h"
 #include "analysis/matching.h"
@@ -83,21 +82,10 @@ bool PracticalDtrsDiversityHolds(std::span<const chain::TokenId> members,
                                  size_t v_super, const chain::HtIndex& index,
                                  const chain::DiversityRequirement& req);
 
-/// Context-based Theorem 6.1 check: identical verdict, grouping members by
-/// the snapshot's flat token -> HT column instead of hashing per member.
-bool PracticalDtrsDiversityHolds(std::span<const chain::TokenId> members,
-                                 size_t v_super,
-                                 const AnalysisContext& context,
-                                 const chain::DiversityRequirement& req);
-
 /// Theorem 6.2 threshold: the minimum side-information cardinality needed
 /// to confirm the spend-HT of an RS: |members| - q_M where q_M is the
 /// highest HT frequency in the RS.
 size_t SideInfoThreshold(std::span<const chain::TokenId> members,
                          const chain::HtIndex& index);
-
-/// Context-based Theorem 6.2 threshold.
-size_t SideInfoThreshold(std::span<const chain::TokenId> members,
-                         const AnalysisContext& context);
 
 }  // namespace tokenmagic::analysis

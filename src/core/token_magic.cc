@@ -112,47 +112,6 @@ common::Result<GeneratedRs> TokenMagic::GenerateRs(
   out.id = id;
   out.members = ledger_.view(id).members;
   out.candidate_count = candidates.size();
-  // Plain generation is a single, non-degraded stage.
-  StageAttempt attempt;
-  attempt.stage = std::string(selector.name());
-  out.degradation.attempts.push_back(attempt);
-  out.degradation.stage = std::string(selector.name());
-  out.degradation.satisfied_requirement = req;
-  return out;
-}
-
-common::Result<GeneratedRs> TokenMagic::GenerateRsResilient(
-    chain::TokenId target, chain::DiversityRequirement req,
-    const ResilientSelector& selector, common::Rng* rng,
-    common::Deadline* deadline) {
-  using common::Status;
-  TM_ASSIGN_OR_RETURN(SelectionInput input, InstanceFor(target, req));
-  input.deadline = deadline;
-
-  TM_ASSIGN_OR_RETURN(ResilientSelection selection,
-                      selector.SelectWithReport(input, rng));
-  const std::vector<chain::TokenId>& members = selection.result.members;
-
-  if (!LiquidityAllows(target, members)) {
-    return Status::Unsatisfiable(common::StrFormat(
-        "liquidity rule violated (eta=%g): proposing this RS would leave "
-        "future spenders without eligible rings",
-        config_.eta));
-  }
-
-  // Commit under the requirement the ladder actually satisfied: the
-  // ledger must never advertise a stronger requirement than the ring
-  // meets, or later verification/analysis would trust a broken ring.
-  TM_ASSIGN_OR_RETURN(
-      chain::RsId id,
-      ledger_.Propose(members, target,
-                      selection.report.satisfied_requirement));
-  snapshots_.Sync(ledger_, batch_index_, ht_index_);
-  GeneratedRs out;
-  out.id = id;
-  out.members = ledger_.view(id).members;
-  out.candidate_count = 1;
-  out.degradation = std::move(selection.report);
   return out;
 }
 

@@ -20,7 +20,6 @@
 #include "chain/ledger.h"
 #include "core/batch.h"
 #include "core/batch_snapshots.h"
-#include "core/resilient.h"
 #include "core/selector.h"
 
 namespace tokenmagic::core {
@@ -44,12 +43,6 @@ struct GeneratedRs {
   std::vector<chain::TokenId> members;
   /// Candidates Algorithm 1 collected for the target (>= 1).
   size_t candidate_count = 0;
-  /// How the selection was obtained. Populated by the resilient overload
-  /// of GenerateRs; the plain overload reports a single non-degraded
-  /// stage named after the selector. Callers must inspect
-  /// `degradation.degraded` / `degradation.satisfied_requirement` before
-  /// treating the ring as meeting the originally requested requirement.
-  DegradationReport degradation;
 };
 
 class TokenMagic {
@@ -62,19 +55,6 @@ class TokenMagic {
                                          chain::DiversityRequirement req,
                                          const MixinSelector& selector,
                                          common::Rng* rng);
-
-  /// Resilient variant: runs the fallback ladder under its deadlines and
-  /// surfaces the structured DegradationReport in the returned
-  /// GeneratedRs. The RS is committed with the requirement the ladder
-  /// actually satisfied (never silently stronger), so a degraded ring is
-  /// visible both in the report and on the ledger. `deadline` (optional)
-  /// bounds the whole generation. Algorithm 1's per-token randomization
-  /// is skipped on this path: degraded-mode generation prioritizes
-  /// committing one observable, valid ring within budget.
-  [[nodiscard]] common::Result<GeneratedRs> GenerateRsResilient(
-      chain::TokenId target, chain::DiversityRequirement req,
-      const ResilientSelector& selector, common::Rng* rng,
-      common::Deadline* deadline = nullptr);
 
   /// Builds the DA-MS instance for `target` without committing anything
   /// (used by benchmarks to time the bare selector). The instance
@@ -103,10 +83,10 @@ class TokenMagic {
   chain::Ledger ledger_;
   /// The per-batch chains and snapshots, synced by the constructor and
   /// after every ledger proposal. The chain/ledger state follows a
-  /// single-writer contract: the mutating GenerateRs* entry points must be
-  /// externally serialized with each other, while the const probes
-  /// (InstanceFor, LiquidityAllows) are safe to run concurrently with each
-  /// other between mutations.
+  /// single-writer contract: GenerateRs calls must be externally
+  /// serialized with each other, while the const probes (InstanceFor,
+  /// LiquidityAllows) are safe to run concurrently with each other
+  /// between mutations.
   BatchSnapshots snapshots_;
 };
 

@@ -55,11 +55,6 @@ U256 RandomScalar(common::Rng* rng) {
 
 }  // namespace
 
-std::string LsagSignature::KeyImageId() const {
-  auto enc = key_image.Encode();
-  return std::string(reinterpret_cast<const char*>(enc.data()), enc.size());
-}
-
 common::Result<LsagSignature> Lsag::Sign(const std::vector<Point>& ring,
                                          size_t signer_index,
                                          const Keypair& signer,

@@ -27,9 +27,6 @@ struct LsagSignature {
   Point key_image;          ///< I = x * Hp(P_signer)
   U256 c0;                  ///< initial challenge
   std::vector<U256> responses;  ///< s_i, one per ring member
-
-  /// Canonical string encoding of the key image (for registries/maps).
-  std::string KeyImageId() const;
 };
 
 class Lsag {

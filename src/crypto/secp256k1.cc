@@ -375,6 +375,34 @@ uint64_t SignedHalf(const U256& h, U256* magnitude) {
   return sign;
 }
 
+// The accumulator offset of both constant-time kernels: a fixed public
+// point S of unknown discrete log. Each kernel starts its accumulator at S
+// instead of at the identity and adds `window_end` (-2^128*S, S after
+// FixedWindowMul's 128 doublings, negated) or `comb_end` (-S) at the end.
+// For a nonzero scalar, no doubling or addition then meets an identity
+// operand, so the point routines' identity shortcuts never run. Built
+// once.
+struct CtOffset {
+  Jacobian start;
+  Affine window_end;
+  Affine comb_end;
+};
+
+const CtOffset& CtOffsets() {
+  static const CtOffset kOffset = [] {
+    constexpr std::string_view kTag = "constant-time accumulator offset";
+    Point s = Secp256k1::HashToPoint(
+        reinterpret_cast<const uint8_t*>(kTag.data()), kTag.size());
+    Jacobian shifted = ToJacobian(s);
+    for (int i = 0; i < 128; ++i) shifted = JacobianDouble(shifted);
+    Point window_end = Secp256k1::Negate(ToAffine(shifted));
+    Point comb_end = Secp256k1::Negate(s);
+    return CtOffset{ToJacobian(s), Affine{window_end.x, window_end.y},
+                    Affine{comb_end.x, comb_end.y}};
+  }();
+  return kOffset;
+}
+
 // *acc += entry with entry's y negated under `sign`, kept unless the digit
 // is zero. The negation is p - y under a mask (y is never zero: the curve
 // has no point of order 2, and an identity entry keeps Y = 1), so it has
@@ -392,22 +420,21 @@ void AddSignedEntry(uint64_t digit, uint64_t sign, Jacobian entry,
 
 // k*p by a fixed 4-bit window over the endomorphism split k = k1 +
 // k2*lambda: table entry j is j*p, and each half runs as its sign and its
-// magnitude below 2^128. For each of the 32 windows, top first: four
-// doublings, then per half one masked-scan lookup of the table (the
-// second half's entry mapped through phi by x*beta) and one addition of
-// the entry, negated under the half's sign mask. Entry 0 is a stand-in (p
-// itself), so the addition never meets an identity operand from the
-// table: a zero digit still runs its scan and its addition, and the sum
-// is then discarded under a mask. Only while the accumulator is still the
-// identity, in the halves' common leading zero nibbles, do the doubling
-// and the addition take their identity shortcut, so the run time reveals
-// the longer half's length to the nibble (and, in that top window,
-// whether the first half's digit is zero), not the other digits. The
-// field routines still take value-dependent paths (modular-reduction
-// borrows), so this is source-level scalar-bit hygiene, not a full
-// machine-level constant-time guarantee. tm_ct's ladder-hygiene rule
-// audits this body: no scalar .Bit() extraction, no non-CT multiply, no
-// unannotated control flow.
+// magnitude below 2^128. The accumulator starts at the offset S (see
+// CtOffset). For each of the 32 windows, top first: four doublings, then
+// per half one masked-scan lookup of the table (the second half's entry
+// mapped through phi by x*beta) and one addition of the entry, negated
+// under the half's sign mask. Entry 0 is a stand-in (p itself), so the
+// addition never meets an identity operand from the table: a zero digit
+// still runs its scan and its addition, and the sum is then discarded
+// under a mask. A final addition of -2^128*S removes the offset. Neither
+// the leading zero nibbles of the halves nor a zero digit of one half
+// where the other's is nonzero shows in the sequence of point
+// operations. The field routines still take value-dependent paths
+// (modular-reduction borrows), so this is source-level scalar-bit
+// hygiene, not a full machine-level constant-time guarantee. tm_ct's
+// ladder-hygiene rule audits this body: no scalar .Bit() extraction, no
+// non-CT multiply, no unannotated control flow.
 // tm-ct-ladder
 Jacobian FixedWindowMul(const U256& k, const Jacobian& p) {
   std::array<Jacobian, 16> table;
@@ -422,7 +449,8 @@ Jacobian FixedWindowMul(const U256& k, const Jacobian& p) {
   U256 magnitudes[2];
   uint64_t signs[2] = {SignedHalf(halves[0], &magnitudes[0]),
                        SignedHalf(halves[1], &magnitudes[1])};
-  Jacobian acc = Jacobian::Identity();
+  const CtOffset& offset = CtOffsets();
+  Jacobian acc = offset.start;
   // tm-declassify(fixed 32-window trip count, independent of scalar)
   for (int w = 31; w >= 0; --w) {
     // tm-declassify(fixed four doublings per window)
@@ -435,7 +463,7 @@ Jacobian FixedWindowMul(const U256& k, const Jacobian& p) {
   SecureWipe(halves, sizeof(halves));
   SecureWipe(magnitudes, sizeof(magnitudes));
   SecureWipe(signs, sizeof(signs));
-  return acc;
+  return JacobianAddAffine(acc, offset.window_end);
 }
 
 // comb[w][j] = j * 16^w * G for 64 windows w and digits j, affine. Entry
@@ -461,24 +489,25 @@ const CombTable& GeneratorComb() {
   return kComb;
 }
 
-// k*G as the sum over the 64 base-16 digits d_w of comb[w][d_w]: 64 mixed
-// additions and 64 full-window scans, no doublings. A zero digit still
-// runs its scan and its addition (of the (0, 0) stand-in, which is not a
-// curve point, so the addition takes no shortcut); the sum is then
-// discarded under a mask. The windows run top first, so the accumulator
-// is the identity only in the scalar's leading zero nibbles, as in
-// FixedWindowMul. Same source-level hygiene as FixedWindowMul.
+// k*G as the offset S plus the sum over the 64 base-16 digits d_w of
+// comb[w][d_w], minus S: 65 mixed additions and 64 full-window scans, no
+// doublings. A zero digit still runs its scan and its addition (of the
+// (0, 0) stand-in, which is not a curve point, so the addition takes no
+// shortcut); the sum is then discarded under a mask. The accumulator
+// starts at S, not at the identity, so the scalar's leading zero nibbles
+// do not show either. Same source-level hygiene as FixedWindowMul.
 // tm-ct-ladder
 Jacobian CombMulBase(const U256& k) {
   const CombTable& comb = GeneratorComb();
-  Jacobian acc = Jacobian::Identity();
+  const CtOffset& offset = CtOffsets();
+  Jacobian acc = offset.start;
   // tm-declassify(fixed 64-window trip count, independent of scalar)
   for (int w = 63; w >= 0; --w) {
     uint64_t digit = Nibble(k, w);
     Jacobian sum = JacobianAddAffine(acc, LookupAffine(comb[w], digit));
     MaskedMove(~EqMask(digit, 0), sum, &acc);
   }
-  return acc;
+  return JacobianAddAffine(acc, offset.comb_end);
 }
 
 // The audited boundary of MulCT (p != nullptr) and MulBaseCT. The kernels
@@ -590,7 +619,8 @@ Point Secp256k1::MulBase(const U256& k) { return Mul(k, Generator()); }
 
 Point Secp256k1::MulCT(const U256& k, const Point& p) {
   // No early-out on k == 0 or p == infinity: the window runs all 32
-  // windows for every scalar and lands on the identity by itself.
+  // windows for every scalar, and the final offset correction lands on the
+  // identity.
   return MulSecretScalar(k, &p);
 }
 

@@ -72,14 +72,16 @@ class Secp256k1 {
   /// scan lookups of the 16-entry table (the second mapped through phi),
   /// each followed by an addition of the entry negated under its half's
   /// sign mask, a zero digit included (its sum is discarded under a mask).
-  /// The point routines short-circuit only while the accumulator is the
-  /// identity, i.e. in the halves' common leading zero nibbles. Use for
+  /// The accumulator starts at a fixed public offset point that one last
+  /// addition removes, so for a nonzero `k` no doubling or addition meets
+  /// an identity operand and none takes its identity shortcut. Use for
   /// every secret scalar (signing nonces, private keys, key images).
   static Point MulCT(const U256& k, const Point& p);
 
   /// k * G, constant-time with respect to the bits of `k`: a fixed-base
   /// comb over a static table of j * 16^w * G (64 windows of 16), one
-  /// masked-scan lookup and one addition per window, no doublings.
+  /// masked-scan lookup and one addition per window, no doublings. Its
+  /// accumulator starts at the same kind of offset as MulCT's.
   static Point MulBaseCT(const U256& k);
 
   /// a*P + b*Q for public scalars: Mul's interleaved wNAF kernel, both

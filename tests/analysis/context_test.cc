@@ -15,7 +15,6 @@
 
 #include "analysis/chain_reaction.h"
 #include "analysis/diversity.h"
-#include "analysis/dtrs.h"
 #include "analysis/homogeneity.h"
 #include "analysis/related_set.h"
 #include "chain/ht_index.h"
@@ -99,9 +98,9 @@ TEST(AnalysisContextTest, InterningRoundTripsStructure) {
 }
 
 // The central equivalence property: interning, related set, cascade (with
-// and without side information), homogeneity, diversity, and the
-// practical DTRS checks agree byte-for-byte with the span-based oracles
-// and index paths on >= 100 seeded randomized histories.
+// and without side information), homogeneity, HT frequencies and
+// diversity agree byte-for-byte with the span-based oracles and index
+// paths on >= 100 seeded randomized histories.
 TEST(AnalysisContextTest, EquivalentToLegacyOnRandomHistories) {
   common::Rng rng(20260806);
   for (int trial = 0; trial < 120; ++trial) {
@@ -154,7 +153,7 @@ TEST(AnalysisContextTest, EquivalentToLegacyOnRandomHistories) {
                        ChainReactionAnalyzer::Cascade(context, si),
                        "cascade+si", trial);
 
-    // Per-RS probes: homogeneity, diversity, practical DTRS, Theorem 6.2.
+    // Per-RS probes: homogeneity, HT frequencies, diversity.
     for (const RsView& view : instance.history) {
       std::unordered_set<TokenId> eliminated;
       for (TokenId t : view.members) {
@@ -182,15 +181,9 @@ TEST(AnalysisContextTest, EquivalentToLegacyOnRandomHistories) {
           SatisfiesRecursiveDiversity(view.members, context, req))
           << "trial " << trial << " rs " << view.id;
 
-      size_t v_super = 1 + rng.NextBounded(4);
-      EXPECT_EQ(PracticalDtrsDiversityHolds(view.members, v_super,
-                                            instance.index, req),
-                PracticalDtrsDiversityHolds(view.members, v_super, context,
-                                            req))
-          << "trial " << trial << " rs " << view.id;
-      EXPECT_EQ(SideInfoThreshold(view.members, instance.index),
-                SideInfoThreshold(view.members, context))
-          << "trial " << trial << " rs " << view.id;
+      // An unused draw, kept so later trials see the same seeded
+      // histories.
+      rng.NextBounded(4);
     }
   }
 }

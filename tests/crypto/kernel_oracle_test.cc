@@ -6,6 +6,10 @@
 // carries (runs of ones, 2^k - 1, values near the group order and 2^256),
 // the fixed window's all-zero and all-fifteen digits, and the zero digits
 // between nonzero ones that both constant-time kernels add and discard.
+// k = 0, k = n, lambda and 2^124*lambda mod n reach the constant-time
+// kernels' accumulator offset: the product is the identity in the first
+// two, and in the last two the first split half is zero where the second
+// is not, the windows that took an identity shortcut before the offset.
 // The point pairs cover the addition special cases the interleaved kernel
 // can meet: P = Q, P = -Q and an identity operand. The split-boundary list
 // aims at the endomorphism split every kernel but the comb runs first:
@@ -69,6 +73,9 @@ std::vector<U256> EdgeScalars() {
   out.push_back(NibblePattern(0x8000000000000001ull));
   out.push_back(NibblePattern(0x00000000ffffffffull));
   out.push_back(NibblePattern(0xffffffff00000000ull));
+  // Split halves (0, 1) and (0, 2^124); see LambdaMultiplesHaveAZeroFirstHalf.
+  out.push_back(EndomorphismLambda());
+  out.push_back(ScalarMul(PowerOfTwo(124), EndomorphismLambda()));
   // Zero digits between nonzero ones, which the constant-time kernels add
   // against a stand-in entry and must discard: only the top and bottom
   // digits set; digits 1, 2, ..., 15, 1, ... in the even positions; one
@@ -331,6 +338,19 @@ TEST(ScalarSplitTest, KnownAnswers) {
     EXPECT_EQ(k1, Hex(c.k1)) << "k = " << c.k;
     EXPECT_EQ(k2, Hex(c.k2)) << "k = " << c.k;
   }
+}
+
+// The edge scalars lambda and 2^124*lambda: in the top window where either
+// half has a nonzero digit, the first half's digit is zero.
+TEST(ScalarSplitTest, LambdaMultiplesHaveAZeroFirstHalf) {
+  U256 k1, k2;
+  ScalarSplitLambda(EndomorphismLambda(), &k1, &k2);
+  EXPECT_EQ(k1, U256::Zero());
+  EXPECT_EQ(k2, U256::One());
+  ScalarSplitLambda(ScalarMul(PowerOfTwo(124), EndomorphismLambda()), &k1,
+                    &k2);
+  EXPECT_EQ(k1, U256::Zero());
+  EXPECT_EQ(k2, PowerOfTwo(124));
 }
 
 TEST(ScalarSplitTest, BoundaryScalars) {

@@ -81,6 +81,7 @@ import sys
 sys.path.insert(
     0, str(pathlib.Path(__file__).resolve().parents[1] / "lint"))
 import sarif  # noqa: E402  (tools/lint/sarif.py)
+from frontend import clang_available, strip_comments  # noqa: E402
 
 TOOL_VERSION = "1.0"
 
@@ -181,34 +182,6 @@ class Registry:
     def invalidator_methods(self, target: str) -> set[tuple[str, str]]:
         return {(inv.cls, inv.method) for inv in self.invalidators
                 if inv.target == target}
-
-
-def strip_comments(lines: list[str]) -> list[str]:
-    """Per-line copy with comment text blanked (string-literal naive)."""
-    out = []
-    in_block = False
-    for line in lines:
-        result = []
-        i = 0
-        while i < len(line):
-            if in_block:
-                end = line.find("*/", i)
-                if end == -1:
-                    i = len(line)
-                else:
-                    in_block = False
-                    i = end + 2
-                continue
-            if line.startswith("//", i):
-                break
-            if line.startswith("/*", i):
-                in_block = True
-                i += 2
-                continue
-            result.append(line[i])
-            i += 1
-        out.append("".join(result))
-    return out
 
 
 class ScopeTracker:
@@ -328,10 +301,7 @@ def build_registry(files: list[pathlib.Path], root: pathlib.Path,
                     "'tm-borrows(<owner>): <why>', "
                     "'tm-invalidates(<Type::member>): <why>'"))
 
-            stripped = code_line.strip()
-            is_code = bool(stripped) and not stripped.startswith("#")
-            if not is_code:
-                scope.feed(code_line)
+            if not code_line.strip():
                 continue
 
             if pending:
@@ -400,8 +370,7 @@ def lexical_frontend(files: list[pathlib.Path], root: pathlib.Path,
             in_class = (scope.enclosing_class() is not None
                         and not scope.in_function())
             if (in_class and stripped and paren_bal == 0
-                    and i > member_done
-                    and not stripped.startswith("#")):
+                    and i > member_done):
                 stmt, last = join_stmt(code, i)
                 if ("(" not in stmt and MEMBER_NAME_RE.search(stmt)):
                     member_done = last
@@ -470,24 +439,6 @@ def lexical_frontend(files: list[pathlib.Path], root: pathlib.Path,
 
 
 # -- pass 2 (alternative): libclang frontend ---------------------------------
-
-
-def clang_available(build_dir: pathlib.Path | None):
-    try:
-        from clang import cindex  # noqa: F401
-    except ImportError:
-        return None, "python clang bindings not importable"
-    if build_dir is None:
-        return None, "--build-dir with compile_commands.json required"
-    if not (build_dir / "compile_commands.json").exists():
-        return None, f"no compile_commands.json in {build_dir}"
-    try:
-        from clang.cindex import Index
-        Index.create()
-    except Exception as e:  # libclang.so missing/mismatched
-        return None, f"libclang unusable: {e}"
-    from clang import cindex
-    return cindex, None
 
 
 VIEW_TYPE_SPELLINGS = ("std::span<", "span<", "std::string_view",

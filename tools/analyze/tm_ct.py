@@ -80,7 +80,6 @@ unavailable.
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import pathlib
 import re
@@ -89,7 +88,8 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "lint"))
 import sarif  # noqa: E402
 from frontend import (  # noqa: E402
-    balanced_args, body_segments, comment_annotation, strip_comments)
+    KEYWORDS, FnDef, balanced_args, body_segments, comment_annotation,
+    run_cli)
 
 TOOL_NAME = "tm_ct"
 TOOL_VERSION = "1.0.0"
@@ -139,13 +139,6 @@ SECRET_TRAIL_RE = re.compile(r'//\s*tm-secret\b')
 
 # -- lexical patterns --------------------------------------------------------
 
-KEYWORDS = {"if", "while", "for", "switch", "return", "do", "else",
-            "catch", "sizeof", "static_cast", "reinterpret_cast",
-            "const_cast", "alignof", "decltype", "new", "delete"}
-
-# A function head: optional return type, optionally qualified name, "(".
-HEAD_RE = re.compile(
-    r'^(?:[\w:<>,*&\s]+?[\s*&])?((?:[\w]+::)*~?[A-Za-z_]\w*)\s*\(')
 # A local/member declaration: qualifiers, a type (possibly templated), an
 # identifier, then array/init/terminator.
 DECL_RE = re.compile(
@@ -226,18 +219,7 @@ def first_ident(text: str) -> str | None:
     return m.group(0) if m else None
 
 
-# -- function discovery (shared record) --------------------------------------
-
-@dataclasses.dataclass
-class FnDef:
-    name: str          # unqualified leaf name
-    file: str          # repo-relative path
-    head_line: int     # 1-based line of the signature start
-    params: list[str]
-    is_ladder: bool
-    # (line_index_0based, code_text) segments of the body, in order.
-    segments: list[tuple[int, str]]
-
+# -- parameter names ---------------------------------------------------------
 
 def split_params(params_text: str) -> list[str]:
     """Last identifier of each top-level comma-separated parameter."""
@@ -264,76 +246,7 @@ def split_params(params_text: str) -> list[str]:
     return names
 
 
-def lexical_functions(path: str, raw: list[str], code: list[str]
-                      ) -> list[FnDef]:
-    fns = []
-    i = 0
-    while i < len(code):
-        line = code[i]
-        m = HEAD_RE.match(line)
-        if not m or m.group(1).split("::")[-1] in KEYWORDS:
-            i += 1
-            continue
-        # Join the head until its parens balance and we reach '{' or ';'.
-        head = line
-        j = i
-        while (head.count("(") > head.count(")")
-               or not re.search(r'[;{]', head)) and j + 1 < len(code) \
-                and j - i < 8:
-            j += 1
-            head = head + " " + code[j]
-        args_text = balanced_args(head, head.find("(", m.start(1)))
-        if args_text is None or ";" in head.split("{")[0]:
-            i += 1
-            continue
-        # Locate the body '{': skip declarations and init-list ctors.
-        close = head.find("(", m.start(1)) + 1 + len(args_text)
-        tail = head[close + 1:]
-        tail_stripped = tail.lstrip()
-        if tail_stripped.startswith(":") and not tail_stripped.startswith("::"):
-            i = j + 1           # constructor with init list: not analyzed
-            continue
-        if "{" not in tail:
-            i = j + 1
-            continue
-        # Find the '{' position in the original per-line layout.
-        open_line, open_col = None, None
-        for k in range(i, min(j + 1, len(code))):
-            col = code[k].find("{")
-            if col != -1:
-                open_line, open_col = k, col
-                break
-        if open_line is None:
-            i = j + 1
-            continue
-        name = m.group(1).split("::")[-1]
-        is_ladder = any(LADDER_RE.match(raw[t])
-                        for t in range(max(0, i - 2), i))
-        segments, end_line = body_segments(code, open_line, open_col)
-        fns.append(FnDef(name=name, file=path, head_line=i + 1,
-                         params=split_params(args_text),
-                         is_ladder=is_ladder, segments=segments))
-        i = end_line + 1
-    return fns
-
-
 # -- libclang frontend -------------------------------------------------------
-
-def clang_available(build_dir: pathlib.Path | None):
-    try:
-        from clang import cindex  # noqa: F401
-    except Exception:
-        return None, "python clang bindings not importable"
-    if build_dir is None or not (build_dir / "compile_commands.json").exists():
-        return None, "no compile_commands.json (pass --build-dir)"
-    try:
-        from clang.cindex import Index
-        Index.create()
-    except Exception as e:  # libclang.so missing/mismatched
-        return None, f"libclang unusable: {e}"
-    from clang import cindex
-    return cindex, None
-
 
 def clang_functions(cindex, root: pathlib.Path, build_dir: pathlib.Path,
                     files: dict[str, list[str]],
@@ -376,17 +289,13 @@ def clang_functions(cindex, root: pathlib.Path, build_dir: pathlib.Path,
                             open_col = clines[open_line].find("{", open_col)
                             segs, _ = body_segments(clines, open_line,
                                                     open_col)
-                            head0 = cur.extent.start.line - 1
-                            raw = files[rel]
-                            is_ladder = any(
-                                LADDER_RE.match(raw[t])
-                                for t in range(max(0, head0 - 2), head0))
                             fns.append(FnDef(
                                 name=cur.spelling.split("::")[-1],
-                                file=rel, head_line=head0 + 1,
-                                params=[a.spelling for a in
-                                        cur.get_arguments() if a.spelling],
-                                is_ladder=is_ladder, segments=segs))
+                                file=rel, head_line=cur.extent.start.line,
+                                segments=segs,
+                                args=", ".join(a.spelling for a in
+                                               cur.get_arguments()
+                                               if a.spelling)))
         for child in cur.get_children():
             visit(child)
 
@@ -587,7 +496,11 @@ def analyze_function(fn: FnDef, raw: list[str], ctx: Context,
             findings.append(sarif.Finding(file=fn.file, line=line,
                                           rule_id=rule, message=msg))
 
-    for p in fn.params:
+    params = split_params(fn.args)
+    head0 = fn.head_line - 1
+    is_ladder = any(LADDER_RE.match(raw[t])
+                    for t in range(max(0, head0 - 2), head0))
+    for p in params:
         vars[p] = Var(line=fn.head_line)
         if p in tainted_params:
             vars[p].tainted = True
@@ -708,7 +621,7 @@ def analyze_function(fn: FnDef, raw: list[str], ctx: Context,
         if not is_declassify_stmt:
             for cond in extract_conditions(masked):
                 if is_tainted(cond, pre_masked=True):
-                    if declassify is not None and fn.is_ladder:
+                    if declassify is not None and is_ladder:
                         if ann_line is not None:
                             ctx.used_annotations.add((fn.file, ann_line))
                         continue
@@ -730,7 +643,7 @@ def analyze_function(fn: FnDef, raw: list[str], ctx: Context,
 
         # Ladder hygiene: the audited kernels stay branch-free by
         # construction, and the analyzer holds them to it.
-        if fn.is_ladder:
+        if is_ladder:
             for display, pat in LADDER_BANNED:
                 if pat.search(stmt):
                     report("ladder-hygiene", line,
@@ -774,7 +687,7 @@ def analyze_function(fn: FnDef, raw: list[str], ctx: Context,
     if collect:
         for name, v in sorted(vars.items(), key=lambda kv: kv[1].line):
             if (v.tainted and v.declared and not v.wiped and not v.returned
-                    and not v.self_wiping and name not in fn.params):
+                    and not v.self_wiping and name not in params):
                 report("wipe-on-exit", v.line,
                        f"secret-tainted local '{name}' is not wiped on "
                        f"every exit path; SecureWipe/WipeScalars it, "
@@ -894,9 +807,8 @@ def check_annotation_use(files: dict[str, list[str]], ctx: Context
     return findings
 
 
-def run(root: pathlib.Path, fns: list[FnDef],
-        files: dict[str, list[str]], code: dict[str, list[str]]
-        ) -> list[sarif.Finding]:
+def run(fns: list[FnDef], files: dict[str, list[str]],
+        code: dict[str, list[str]]) -> list[sarif.Finding]:
     ctx = Context()
     fn_lines: dict[str, set[int]] = {}
     for fn in fns:
@@ -922,13 +834,13 @@ def run(root: pathlib.Path, fns: list[FnDef],
         new_base = {n: False for n in base}
         new_param = {n: False for n in param}
         for fn in fns:
-            secret_params = {p for p in fn.params
-                             if p in ctx.secret_members}
+            params = split_params(fn.args)
+            secret_params = {p for p in params if p in ctx.secret_members}
             _, rb = analyze_function(fn, files[fn.file], ctx,
                                      tainted_params=secret_params,
                                      collect=False)
             _, rp = analyze_function(fn, files[fn.file], ctx,
-                                     tainted_params=set(fn.params),
+                                     tainted_params=set(params),
                                      collect=False)
             new_base[fn.name] = new_base[fn.name] or rb
             new_param[fn.name] = new_param[fn.name] or rp or rb
@@ -944,7 +856,8 @@ def run(root: pathlib.Path, fns: list[FnDef],
     # Re-register member annotations as used (consumed during collection).
     findings = collect_secret_members(files, code, fn_lines, ctx)
     for fn in fns:
-        secret_params = {p for p in fn.params if p in ctx.secret_members}
+        secret_params = {p for p in split_params(fn.args)
+                         if p in ctx.secret_members}
         fn_findings, _ = analyze_function(fn, files[fn.file], ctx,
                                           tainted_params=secret_params,
                                           collect=True)
@@ -955,89 +868,12 @@ def run(root: pathlib.Path, fns: list[FnDef],
     return findings
 
 
-def load_files(root: pathlib.Path):
-    files: dict[str, list[str]] = {}
-    code: dict[str, list[str]] = {}
-    crypto = root / AUDITED_SUBDIR
-    if not crypto.is_dir():
-        return files, code
-    for path in sorted(crypto.rglob("*")):
-        if path.suffix not in (".h", ".cc"):
-            continue
-        rel = str(path.relative_to(root))
-        raw = path.read_text(encoding="utf-8",
-                             errors="replace").splitlines()
-        files[rel] = raw
-        code[rel] = strip_comments(raw)
-    return files, code
-
-
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="secret-taint constant-time analyzer")
-    parser.add_argument("--root", type=pathlib.Path,
-                        default=pathlib.Path(__file__).resolve()
-                        .parent.parent.parent)
-    parser.add_argument("--build-dir", type=pathlib.Path, default=None,
-                        help="build dir containing compile_commands.json "
-                             "(enables the clang frontend)")
-    parser.add_argument("--frontend", choices=("auto", "clang", "lexical"),
-                        default="auto")
-    parser.add_argument("--sarif", type=pathlib.Path, default=None)
-    args = parser.parse_args(argv)
-
-    root = args.root.resolve()
-    files, code = load_files(root)
-    if not files:
-        print(f"tm_ct: no crypto sources under {root / AUDITED_SUBDIR}",
-              file=sys.stderr)
-        return 0
-
-    frontend = args.frontend
-    cindex = None
-    if frontend in ("auto", "clang"):
-        cindex, reason = clang_available(args.build_dir)
-        if cindex is None:
-            if frontend == "clang":
-                print(f"tm_ct: clang frontend unavailable: {reason}",
-                      file=sys.stderr)
-                return 2
-            frontend = "lexical"
-        else:
-            frontend = "clang"
-
-    fns = None
-    if frontend == "clang":
-        fns = clang_functions(cindex, root, args.build_dir, files, code)
-        if fns is None:
-            if args.frontend == "clang":
-                print("tm_ct: clang frontend produced no translation units",
-                      file=sys.stderr)
-                return 2
-            frontend = "lexical"
-    if fns is None:
-        fns = []
-        for rel in sorted(files):
-            fns.extend(lexical_functions(rel, files[rel], code[rel]))
-
-    findings = run(root, fns, files, code)
-    findings = list({(f.file, f.line, f.rule_id): f
-                     for f in findings}.values())
-    findings.sort(key=lambda f: (f.file, f.line, f.rule_id))
-
-    if args.sarif:
-        log = sarif.make_log(TOOL_NAME, TOOL_VERSION, findings,
-                             RULE_DESCRIPTIONS)
-        sarif.write_log(args.sarif, log)
-
-    if findings:
-        for f in findings:
-            print(f.render(), file=sys.stderr)
-        print(f"tm_ct: {len(findings)} error(s)", file=sys.stderr)
-        return 1
-    print(f"tm_ct: OK (frontend={frontend}, {len(files)} files, "
-          f"{len(fns)} functions)")
-    return 0
+    return run_cli(argv, tool=TOOL_NAME, version=TOOL_VERSION,
+                   description="secret-taint constant-time analyzer",
+                   rule_descriptions=RULE_DESCRIPTIONS,
+                   subdirs=(AUDITED_SUBDIR,),
+                   clang_functions=clang_functions, check=run)
 
 
 if __name__ == "__main__":

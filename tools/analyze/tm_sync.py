@@ -74,7 +74,6 @@ unavailable.
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import pathlib
 import re
@@ -83,7 +82,8 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "lint"))
 import sarif  # noqa: E402
 from frontend import (  # noqa: E402
-    balanced_args, body_segments, comment_annotation, strip_comments)
+    FnDef, balanced_args, body_segments, comment_annotation,
+    lexical_functions, run_cli)
 
 TOOL_NAME = "tm_sync"
 TOOL_VERSION = "1.0.0"
@@ -141,12 +141,6 @@ ALLOW_BARE_RE = re.compile(r'//\s*tm-sync\b(?!:\s*allow\()')
 
 # -- lexical patterns --------------------------------------------------------
 
-KEYWORDS = {"if", "while", "for", "switch", "return", "do", "else",
-            "catch", "sizeof", "static_cast", "reinterpret_cast",
-            "const_cast", "alignof", "decltype", "new", "delete"}
-
-HEAD_RE = re.compile(
-    r'^(?:[\w:<>,*&\s]+?[\s*&])?((?:[\w]+::)*~?[A-Za-z_]\w*)\s*\(')
 IDENT_RE = re.compile(r'[A-Za-z_]\w*')
 
 MUTEX_DECL_RE = re.compile(
@@ -208,80 +202,7 @@ def top_level_commas(args: str) -> int:
     return count
 
 
-# -- function discovery (shared record) --------------------------------------
-
-@dataclasses.dataclass
-class FnDef:
-    name: str          # unqualified leaf name
-    file: str          # repo-relative path
-    head_line: int     # 1-based line of the signature start
-    # (line_index_0based, code_text) segments of the body, in order.
-    segments: list[tuple[int, str]]
-
-
-def lexical_functions(path: str, code: list[str]) -> list[FnDef]:
-    fns = []
-    i = 0
-    while i < len(code):
-        line = code[i]
-        m = HEAD_RE.match(line)
-        if not m or m.group(1).split("::")[-1] in KEYWORDS:
-            i += 1
-            continue
-        head = line
-        j = i
-        while (head.count("(") > head.count(")")
-               or not re.search(r'[;{]', head)) and j + 1 < len(code) \
-                and j - i < 8:
-            j += 1
-            head = head + " " + code[j]
-        args_text = balanced_args(head, head.find("(", m.start(1)))
-        if args_text is None or ";" in head.split("{")[0]:
-            i += 1
-            continue
-        close = head.find("(", m.start(1)) + 1 + len(args_text)
-        tail = head[close + 1:]
-        tail_stripped = tail.lstrip()
-        if tail_stripped.startswith(":") and not tail_stripped.startswith("::"):
-            i = j + 1           # constructor with init list: not analyzed
-            continue
-        if "{" not in tail:
-            i = j + 1
-            continue
-        open_line, open_col = None, None
-        for k in range(i, min(j + 1, len(code))):
-            col = code[k].find("{")
-            if col != -1:
-                open_line, open_col = k, col
-                break
-        if open_line is None:
-            i = j + 1
-            continue
-        name = m.group(1).split("::")[-1]
-        segments, end_line = body_segments(code, open_line, open_col)
-        fns.append(FnDef(name=name, file=path, head_line=i + 1,
-                         segments=segments))
-        i = end_line + 1
-    return fns
-
-
 # -- libclang frontend -------------------------------------------------------
-
-def clang_available(build_dir: pathlib.Path | None):
-    try:
-        from clang import cindex  # noqa: F401
-    except Exception:
-        return None, "python clang bindings not importable"
-    if build_dir is None or not (build_dir / "compile_commands.json").exists():
-        return None, "no compile_commands.json (pass --build-dir)"
-    try:
-        from clang.cindex import Index
-        Index.create()
-    except Exception as e:  # libclang.so missing/mismatched
-        return None, f"libclang unusable: {e}"
-    from clang import cindex
-    return cindex, None
-
 
 def clang_functions(cindex, root: pathlib.Path, build_dir: pathlib.Path,
                     files: dict[str, list[str]],
@@ -890,89 +811,14 @@ def run(fns: list[FnDef], files: dict[str, list[str]],
     return a.findings
 
 
-def load_files(root: pathlib.Path):
-    files: dict[str, list[str]] = {}
-    code: dict[str, list[str]] = {}
-    for sub in AUDITED_SUBDIRS:
-        base = root / "src" / sub
-        if not base.is_dir():
-            continue
-        for path in sorted(base.rglob("*")):
-            if path.suffix not in (".h", ".cc"):
-                continue
-            rel = str(path.relative_to(root))
-            raw = path.read_text(encoding="utf-8",
-                                 errors="replace").splitlines()
-            files[rel] = raw
-            code[rel] = strip_comments(raw)
-    return files, code
-
-
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="lock-order & atomic-publication discipline analyzer")
-    parser.add_argument("--root", type=pathlib.Path,
-                        default=pathlib.Path(__file__).resolve()
-                        .parent.parent.parent)
-    parser.add_argument("--build-dir", type=pathlib.Path, default=None,
-                        help="build dir containing compile_commands.json "
-                             "(enables the clang frontend)")
-    parser.add_argument("--frontend", choices=("auto", "clang", "lexical"),
-                        default="auto")
-    parser.add_argument("--sarif", type=pathlib.Path, default=None)
-    args = parser.parse_args(argv)
-
-    root = args.root.resolve()
-    files, code = load_files(root)
-    if not files:
-        print(f"tm_sync: no sources under {root / 'src'}", file=sys.stderr)
-        return 0
-
-    frontend = args.frontend
-    cindex = None
-    if frontend in ("auto", "clang"):
-        cindex, reason = clang_available(args.build_dir)
-        if cindex is None:
-            if frontend == "clang":
-                print(f"tm_sync: clang frontend unavailable: {reason}",
-                      file=sys.stderr)
-                return 2
-            frontend = "lexical"
-        else:
-            frontend = "clang"
-
-    fns = None
-    if frontend == "clang":
-        fns = clang_functions(cindex, root, args.build_dir, files, code)
-        if fns is None:
-            if args.frontend == "clang":
-                print("tm_sync: clang frontend produced no translation "
-                      "units", file=sys.stderr)
-                return 2
-            frontend = "lexical"
-    if fns is None:
-        fns = []
-        for rel in sorted(files):
-            fns.extend(lexical_functions(rel, code[rel]))
-
-    findings = run(fns, files, code)
-    findings = list({(f.file, f.line, f.rule_id): f
-                     for f in findings}.values())
-    findings.sort(key=lambda f: (f.file, f.line, f.rule_id))
-
-    if args.sarif:
-        log = sarif.make_log(TOOL_NAME, TOOL_VERSION, findings,
-                             RULE_DESCRIPTIONS)
-        sarif.write_log(args.sarif, log)
-
-    if findings:
-        for f in findings:
-            print(f.render(), file=sys.stderr)
-        print(f"tm_sync: {len(findings)} error(s)", file=sys.stderr)
-        return 1
-    print(f"tm_sync: OK (frontend={frontend}, {len(files)} files, "
-          f"{len(fns)} functions)")
-    return 0
+    return run_cli(argv, tool=TOOL_NAME, version=TOOL_VERSION,
+                   description="lock-order & atomic-publication discipline "
+                               "analyzer",
+                   rule_descriptions=RULE_DESCRIPTIONS,
+                   subdirs=[f"src/{sub}" for sub in AUDITED_SUBDIRS],
+                   clang_functions=clang_functions,
+                   check=run)
 
 
 if __name__ == "__main__":

@@ -122,7 +122,10 @@ import re
 import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]
+                       / "analyze"))
 import sarif  # noqa: E402  (tools/lint/sarif.py)
+from frontend import strip_comments  # noqa: E402  (tools/analyze/frontend.py)
 
 TOOL_VERSION = "3.3"
 
@@ -224,34 +227,6 @@ class Linter:
 
     # -- helpers ----------------------------------------------------------
 
-    @staticmethod
-    def strip_comments(lines: list[str]) -> list[str]:
-        """Per-line copy with comment text blanked (string-literal naive)."""
-        out = []
-        in_block = False
-        for line in lines:
-            result = []
-            i = 0
-            while i < len(line):
-                if in_block:
-                    end = line.find("*/", i)
-                    if end == -1:
-                        i = len(line)
-                    else:
-                        in_block = False
-                        i = end + 2
-                    continue
-                if line.startswith("//", i):
-                    break
-                if line.startswith("/*", i):
-                    in_block = True
-                    i += 2
-                    continue
-                result.append(line[i])
-                i += 1
-            out.append("".join(result))
-        return out
-
     def iter_source_files(self):
         for path in sorted(self.src.rglob("*")):
             if path.suffix in (".h", ".cc"):
@@ -316,7 +291,7 @@ class Linter:
 
     # -- checks -----------------------------------------------------------
 
-    def check_layering(self, path: pathlib.Path, code: list[str]) -> None:
+    def check_layering(self, path: pathlib.Path, raw: list[str]) -> None:
         rel = path.relative_to(self.src)
         module = rel.parts[0]
         if module not in MODULE_RANK:
@@ -325,7 +300,7 @@ class Linter:
                        "in tools/lint/tm_lint.py and docs)")
             return
         rank = MODULE_RANK[module]
-        for i, line in enumerate(code, start=1):
+        for i, line in enumerate(raw, start=1):
             m = INCLUDE_RE.match(line)
             if not m:
                 continue
@@ -414,13 +389,13 @@ class Linter:
                        "shared, or annotate owning storage with "
                        "'tm-lint: allow(history, <reason>)'")
 
-    def check_rpc_bounded(self, path: pathlib.Path,
+    def check_rpc_bounded(self, path: pathlib.Path, raw: list[str],
                           code: list[str]) -> None:
         rel = path.relative_to(self.src)
         if rel.parts[0] not in ("rpc", "testnet"):
             return
-        for i, line in enumerate(code, start=1):
-            if not (RPC_INCLUDE_RE.match(line) or
+        for i, (raw_line, line) in enumerate(zip(raw, code), start=1):
+            if not (RPC_INCLUDE_RE.match(raw_line) or
                     RPC_UNBOUNDED_RE.search(line)):
                 continue
             if self.consume_allow(path, "rpc-bounded", i):
@@ -487,17 +462,17 @@ class Linter:
         # Pass 2: the checks.
         for path in files:
             raw = contents[path]
-            code = self.strip_comments(raw)
-            self.check_layering(path, code)
+            code = strip_comments(raw)
+            self.check_layering(path, raw)
             self.check_banned_patterns(path, code)
             self.check_float_ban(path, code)
             self.check_nodiscard(path, code)
             self.check_clock_hygiene(path, code)
             self.check_history_span(path, code)
-            self.check_rpc_bounded(path, code)
+            self.check_rpc_bounded(path, raw, code)
             self.check_context_build(path, code)
         for path in test_files:
-            self.check_test_sleep(path, self.strip_comments(contents[path]))
+            self.check_test_sleep(path, strip_comments(contents[path]))
         self.check_stale_allows()
 
         if sarif_out is not None:
