@@ -11,7 +11,6 @@
 #include "crypto/field.h"
 #include "crypto/keys.h"
 #include "crypto/lsag.h"
-#include "crypto/schnorr.h"
 #include "crypto/secp256k1.h"
 #include "crypto/sha256.h"
 #include "crypto/u256.h"
@@ -155,17 +154,6 @@ void BM_HashToPoint(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HashToPoint)->Unit(benchmark::kMicrosecond);
-
-void BM_SchnorrSignVerify(benchmark::State& state) {
-  common::Rng rng(11);
-  crypto::Keypair key = crypto::Keypair::Generate(&rng);
-  for (auto _ : state) {
-    auto sig = crypto::Schnorr::Sign(key, "m", &rng);
-    bool ok = crypto::Schnorr::Verify(key.pub, "m", sig);
-    benchmark::DoNotOptimize(ok);
-  }
-}
-BENCHMARK(BM_SchnorrSignVerify)->Unit(benchmark::kMicrosecond);
 
 void BM_Sha256Throughput(benchmark::State& state) {
   std::string payload(static_cast<size_t>(state.range(0)), 'x');

@@ -1,4 +1,4 @@
-// Simple statistics accumulators used by benchmarks and dataset analysis.
+// Exact integer frequency histogram used by benchmarks and dataset analysis.
 #pragma once
 
 #include <cstdint>
@@ -7,28 +7,6 @@
 #include <vector>
 
 namespace tokenmagic::common {
-
-/// Streaming accumulator for count/mean/min/max/variance (Welford).
-class RunningStats {
- public:
-  void Add(double x);
-
-  int64_t count() const { return count_; }
-  double mean() const { return mean_; }
-  double min() const { return min_; }
-  double max() const { return max_; }
-  /// Sample variance (n-1 denominator); 0 when fewer than 2 samples.
-  double variance() const;
-  double stddev() const;
-  double sum() const { return mean_ * static_cast<double>(count_); }
-
- private:
-  int64_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
 
 /// Integer-valued frequency histogram (exact buckets, sparse storage).
 class Histogram {

@@ -103,8 +103,6 @@ class ResilientSelector : public MixinSelector {
 
   std::string_view name() const override { return "TM_X"; }
 
-  size_t ladder_size() const { return ladder_.size(); }
-
  private:
   std::vector<std::unique_ptr<MixinSelector>> owned_;
   std::vector<const MixinSelector*> ladder_;

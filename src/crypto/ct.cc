@@ -1,6 +1,5 @@
 #include "crypto/ct.h"
 
-#include "crypto/field.h"
 #include "crypto/memzero.h"
 
 #if defined(__has_feature)
@@ -47,10 +46,6 @@ uint64_t CtIsZero(const U256& a) {
 uint64_t CtLess(const U256& a, const U256& b) {
   U256 diff;
   return U256::Sub(a, b, &diff);  // borrow == 1 iff a < b
-}
-
-uint64_t CtValidScalar(const U256& a) {
-  return (1u ^ CtIsZero(a)) & CtLess(a, GroupOrder());
 }
 
 void WipeScalars(std::span<U256> scalars) {

@@ -3,7 +3,7 @@
 // Two things live here:
 //
 //  1. Branch-free building blocks (CtEquals, CtSelect, CtIsZero,
-//     CtValidScalar): every operation executes the same instruction
+//     CtLess): every operation executes the same instruction
 //     stream regardless of the secret values involved. Use these for any
 //     comparison or selection whose operands tm_ct (tools/analyze/
 //     tm_ct.py) tracks as secret-tainted; memcmp/operator== on secret
@@ -51,14 +51,9 @@ uint64_t CtIsZero(const U256& a);
 /// 1 when a < b, 0 otherwise; branch-free (borrow of a full subtract).
 uint64_t CtLess(const U256& a, const U256& b);
 
-/// 1 when 0 < a < n (a valid secret scalar), 0 otherwise; branch-free.
-/// The *verdict* may be branched on only after CtDeclassify — rejection
-/// sampling reveals a negligible-probability event, nothing else.
-uint64_t CtValidScalar(const U256& a);
-
-/// Wipes every scalar in a contiguous range (vectors of per-bit
-/// blindings, simulated ring responses). tm_ct recognizes this as a
-/// SecureWipe of the whole container.
+/// Wipes every scalar in a contiguous range (e.g. a vector of secret
+/// scalars). tm_ct recognizes this as a SecureWipe of the whole
+/// container.
 void WipeScalars(std::span<U256> scalars);
 
 /// Marks `size` bytes at `ptr` as secret for the dynamic oracle

@@ -225,20 +225,6 @@ U256 ScalarMul(const U256& a, const U256& b) {
   return ScalarReduce512(U256::Mul(a, b));
 }
 
-U256 ScalarInv(const U256& a) {
-  TM_CHECK(!a.IsZero());
-  // Fermat: a^(n - 2), left-to-right square-and-multiply over the public
-  // exponent with the folding ScalarMul.
-  U256 exponent;
-  U256::Sub(kOrder, U256(2), &exponent);
-  U256 result = a;
-  for (int i = exponent.HighestBit() - 1; i >= 0; --i) {
-    result = ScalarMul(result, result);
-    if (exponent.Bit(i)) result = ScalarMul(result, a);
-  }
-  return result;
-}
-
 U256 ScalarReduce(const U256& a) {
   // a < 2^256 < 2n, so one masked subtraction fully reduces.
   U256 d;

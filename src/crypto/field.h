@@ -36,22 +36,20 @@ bool FieldSqrt(const U256& a, U256* root);
 
 /// Scalar (mod n) operations for signature arithmetic. Unlike the field
 /// routines above (which only ever see public curve coordinates), scalars
-/// are usually secrets — keys, nonces, blindings — so ScalarAdd/Sub/Mul/
+/// are usually secrets — keys and nonces — so ScalarAdd/Sub/Mul/
 /// Reduce run a fixed instruction stream with no secret-dependent branch
 /// (AddMod/SubMod masked corrections, fold-based reduction mod n).
-/// ScalarInv (Fermat, square-and-multiply over ScalarMul) remains
-/// variable-time and must only see public or declassified values.
 U256 ScalarAdd(const U256& a, const U256& b);
 U256 ScalarSub(const U256& a, const U256& b);
 U256 ScalarMul(const U256& a, const U256& b);
-U256 ScalarInv(const U256& a);
 /// Reduces an arbitrary 256-bit value into [0, n); one masked subtract.
 U256 ScalarReduce(const U256& a);
 /// Reduces a full 512-bit product modulo n: three fixed folding passes
 /// (2^256 ≡ 2^256 - n) plus two masked subtractions, no branches.
 U256 ScalarReduce512(const U512& x);
-/// True for a valid secret scalar: 0 < a < n. Branches on its argument —
-/// use crypto::CtValidScalar (ct.h) when the scalar is secret.
+/// True for a valid scalar: 0 < a < n. Branches on its argument, so it
+/// must only see public values; secret scalars are checked branch-free
+/// with crypto::CtIsZero (ct.h), as Keypair::Generate does.
 bool IsValidScalar(const U256& a);
 
 /// The secp256k1 endomorphism phi(x, y) = (beta*x, y) = lambda*(x, y):

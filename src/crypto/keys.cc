@@ -2,7 +2,6 @@
 
 #include "crypto/ct.h"
 #include "crypto/field.h"
-#include "crypto/sha256.h"
 
 namespace tokenmagic::crypto {
 
@@ -21,44 +20,6 @@ Keypair Keypair::Generate(common::Rng* rng) {
   } while (valid == 0);
   kp.pub = Secp256k1::MulBaseCT(kp.secret);
   return kp;
-}
-
-Keypair Keypair::FromSeed(std::string_view seed) {
-  Keypair kp;
-  kp.secret = HashToScalar(seed, "tokenmagic/keygen");
-  CtPoison(&kp.secret, sizeof(kp.secret));
-  kp.pub = Secp256k1::MulBaseCT(kp.secret);
-  return kp;
-}
-
-U256 HashToScalar(const uint8_t* data, size_t size,
-                  std::string_view domain_tag) {
-  for (uint32_t counter = 0;; ++counter) {
-    Sha256 hasher;
-    hasher.Update(domain_tag);
-    hasher.Update(data, size);
-    uint8_t counter_bytes[4] = {
-        static_cast<uint8_t>(counter >> 24),
-        static_cast<uint8_t>(counter >> 16),
-        static_cast<uint8_t>(counter >> 8), static_cast<uint8_t>(counter)};
-    hasher.Update(counter_bytes, 4);
-    auto digest = hasher.Finalize();
-    U256 value = U256::FromBytes(digest.data());
-    // The candidate inherits the secrecy of `data` (e.g. the stealth
-    // shared point); only the validity verdict may steer control flow.
-    uint64_t valid = CtValidScalar(value);
-    // tm-declassify(rejection-sampling verdict: reveals only a ~2^-128 retry)
-    CtDeclassify(&valid, sizeof(valid));
-    if (valid != 0) return value;
-    SecureWipe(value.limbs.data(), sizeof(value.limbs));
-    SecureWipe(digest.data(), digest.size());
-    // Probability ~2^-128 per retry; loop terminates immediately in practice.
-  }
-}
-
-U256 HashToScalar(std::string_view data, std::string_view domain_tag) {
-  return HashToScalar(reinterpret_cast<const uint8_t*>(data.data()),
-                      data.size(), domain_tag);
 }
 
 }  // namespace tokenmagic::crypto

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "common/rng.h"
 #include "common/status.h"
@@ -29,16 +28,6 @@ struct Keypair {
 
   /// Generates a fresh keypair from `rng` (rejection-sampled into [1, n)).
   static Keypair Generate(common::Rng* rng);
-
-  /// Derives a keypair deterministically from a seed string (test fixtures
-  /// and reproducible datasets).
-  static Keypair FromSeed(std::string_view seed);
 };
-
-/// Derives a scalar in [1, n) by hashing arbitrary bytes (Fiat-Shamir).
-U256 HashToScalar(const uint8_t* data, size_t size,
-                  std::string_view domain_tag = "tokenmagic/hts");
-U256 HashToScalar(std::string_view data,
-                  std::string_view domain_tag = "tokenmagic/hts");
 
 }  // namespace tokenmagic::crypto

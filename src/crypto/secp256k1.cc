@@ -536,9 +536,9 @@ bool Point::operator==(const Point& other) const {
 std::array<uint8_t, 33> Point::Encode() const {
   std::array<uint8_t, 33> out{};
   if (infinity) return out;  // all-zero marker
-  // Branch-free prefix: 0x02 | parity. Stealth derivation encodes the
-  // (secret) ECDH shared point straight into a hash, so the y-parity must
-  // not steer a conditional.
+  // Branch-free prefix: 0x02 | parity. LSAG signing hashes the nonce
+  // points u*G and u*H_p(P), derived from its secret nonce u, into the
+  // challenge, so the y-parity must not steer a conditional.
   out[0] = static_cast<uint8_t>(0x02 | (y.limbs[0] & 1));
   auto xb = x.ToBytes();
   std::memcpy(out.data() + 1, xb.data(), 32);

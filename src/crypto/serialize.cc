@@ -97,27 +97,4 @@ common::Result<LsagSignature> DeserializeLsag(
   return sig;
 }
 
-std::vector<uint8_t> SerializeSchnorr(const SchnorrSignature& sig) {
-  std::vector<uint8_t> out;
-  out.reserve(1 + 64);
-  out.push_back(kSchnorrMagic);
-  PutScalar(&out, sig.challenge);
-  PutScalar(&out, sig.response);
-  return out;
-}
-
-common::Result<SchnorrSignature> DeserializeSchnorr(
-    const std::vector<uint8_t>& bytes) {
-  if (bytes.size() != 65 || bytes[0] != kSchnorrMagic) {
-    return Status::VerificationFailed("not a Schnorr blob");
-  }
-  SchnorrSignature sig;
-  sig.challenge = U256::FromBytes(bytes.data() + 1);
-  sig.response = U256::FromBytes(bytes.data() + 33);
-  if (sig.challenge >= GroupOrder() || sig.response >= GroupOrder()) {
-    return Status::VerificationFailed("scalar out of range");
-  }
-  return sig;
-}
-
 }  // namespace tokenmagic::crypto

@@ -1,9 +1,8 @@
 // Binary serialization of signatures (wire/storage format).
 //
 // Layout (all integers little-endian):
-//   LSAG:    u32 ring_size | ring_size * 33B points | 33B key image |
-//            32B c0 (big-endian scalar) | ring_size * 32B responses
-//   Schnorr: 32B challenge | 32B response
+//   LSAG: u32 ring_size | ring_size * 33B points | 33B key image |
+//         32B c0 (big-endian scalar) | ring_size * 32B responses
 // The format is versioned by a leading magic byte so future schemes can
 // coexist on one ledger.
 #pragma once
@@ -13,12 +12,10 @@
 
 #include "common/status.h"
 #include "crypto/lsag.h"
-#include "crypto/schnorr.h"
 
 namespace tokenmagic::crypto {
 
 inline constexpr uint8_t kLsagMagic = 0xa1;
-inline constexpr uint8_t kSchnorrMagic = 0xa2;
 
 /// Serializes an LSAG signature (ring included).
 std::vector<uint8_t> SerializeLsag(const LsagSignature& sig);
@@ -26,10 +23,6 @@ std::vector<uint8_t> SerializeLsag(const LsagSignature& sig);
 /// Parses a serialized LSAG signature; verifies structure only (points
 /// decode and scalars are in range) — call Lsag::Verify for validity.
 [[nodiscard]] common::Result<LsagSignature> DeserializeLsag(
-    const std::vector<uint8_t>& bytes);
-
-std::vector<uint8_t> SerializeSchnorr(const SchnorrSignature& sig);
-[[nodiscard]] common::Result<SchnorrSignature> DeserializeSchnorr(
     const std::vector<uint8_t>& bytes);
 
 }  // namespace tokenmagic::crypto

@@ -1,7 +1,7 @@
 // SHA-256 (FIPS 180-4) implemented from scratch.
 //
-// Used for transaction/token hashing, Fiat-Shamir challenges in the
-// Schnorr/LSAG signatures, and hash-to-point. Verified against the standard
+// Used for transaction/token hashing, Fiat-Shamir challenges in the LSAG
+// signatures, and hash-to-point. Verified against the standard
 // test vectors in tests/crypto/sha256_test.cc.
 #pragma once
 
@@ -20,7 +20,7 @@ class Sha256 {
   using Digest = std::array<uint8_t, kDigestSize>;
 
   Sha256();
-  /// Hashers routinely absorb secrets (nonce hedging, stealth shared
+  /// Hashers routinely absorb secrets (nonce hedging, LSAG nonce
   /// points), so the state and block buffer are wiped on destruction —
   /// Sha256 is self-wiping in the same sense as Keypair.
   ~Sha256();

@@ -11,7 +11,6 @@ void WorkerPool::Start(size_t n, std::function<void(size_t)> body) {
   fixed_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     fixed_.emplace_back([body, i] { body(i); });
-    started_total_.fetch_add(1);
   }
 }
 
@@ -36,7 +35,6 @@ void WorkerPool::Spawn(std::function<void()> body) {
         body();
         done->store(true);
       });
-  started_total_.fetch_add(1);
   dynamic_.push_back(std::move(entry));
 }
 

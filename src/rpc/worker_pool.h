@@ -50,8 +50,6 @@ class WorkerPool {
   /// all bodies have returned.
   void Join();
 
-  size_t started_total() const { return started_total_.load(); }
-
  private:
   struct DynamicThread {
     std::thread thread;  // tm-sync: allow(thread-ownership, joined via Join or reaping)
@@ -61,8 +59,6 @@ class WorkerPool {
   std::vector<std::thread> fixed_;  // tm-sync: allow(thread-ownership, joined in Join)
   std::mutex dynamic_mu_;
   std::vector<DynamicThread> dynamic_;
-  // tm-atomic(monotonic start counter read only by tests/stats)
-  std::atomic<size_t> started_total_{0};
 };
 
 }  // namespace tokenmagic::rpc

@@ -5,44 +5,6 @@
 namespace tokenmagic::common {
 namespace {
 
-TEST(RunningStatsTest, EmptyStats) {
-  RunningStats s;
-  EXPECT_EQ(s.count(), 0);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
-}
-
-TEST(RunningStatsTest, SingleValue) {
-  RunningStats s;
-  s.Add(5.0);
-  EXPECT_EQ(s.count(), 1);
-  EXPECT_EQ(s.mean(), 5.0);
-  EXPECT_EQ(s.min(), 5.0);
-  EXPECT_EQ(s.max(), 5.0);
-  EXPECT_EQ(s.variance(), 0.0);
-}
-
-TEST(RunningStatsTest, KnownMoments) {
-  RunningStats s;
-  for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.Add(v);
-  EXPECT_EQ(s.count(), 8);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_EQ(s.min(), 2.0);
-  EXPECT_EQ(s.max(), 9.0);
-  // Sample variance of this classic dataset: 32/7.
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
-  EXPECT_NEAR(s.sum(), 40.0, 1e-12);
-}
-
-TEST(RunningStatsTest, NegativeValues) {
-  RunningStats s;
-  s.Add(-3.0);
-  s.Add(3.0);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.min(), -3.0);
-  EXPECT_EQ(s.max(), 3.0);
-}
-
 TEST(HistogramTest, EmptyHistogram) {
   Histogram h;
   EXPECT_EQ(h.count(), 0);

@@ -68,19 +68,6 @@ TEST(CtLessTest, MatchesCompare) {
   EXPECT_EQ(CtLess(x, x), 0u) << "a < a must be false";
 }
 
-TEST(CtValidScalarTest, BoundaryValues) {
-  EXPECT_EQ(CtValidScalar(U256::Zero()), 0u) << "zero is not a valid scalar";
-  EXPECT_EQ(CtValidScalar(U256::One()), 1u);
-  const U256& n = GroupOrder();
-  U256 n_minus_1;
-  U256::Sub(n, U256::One(), &n_minus_1);
-  EXPECT_EQ(CtValidScalar(n_minus_1), 1u);
-  EXPECT_EQ(CtValidScalar(n), 0u) << "the group order itself is invalid";
-  U256 n_plus_1;
-  U256::Add(n, U256::One(), &n_plus_1);
-  EXPECT_EQ(CtValidScalar(n_plus_1), 0u);
-}
-
 TEST(WipeScalarsTest, WipesEveryElement) {
   std::vector<U256> scalars(5, U256(0x1234));
   WipeScalars(scalars);

@@ -209,5 +209,15 @@ TEST_P(LsagRingSizeSweep, SignVerifyAtSize) {
 INSTANTIATE_TEST_SUITE_P(Sizes, LsagRingSizeSweep,
                          ::testing::Values(2, 3, 5, 8, 11, 16));
 
+TEST(KeypairTest, GenerateProducesValidKeys) {
+  common::Rng rng(9);
+  for (int i = 0; i < 10; ++i) {
+    Keypair key = Keypair::Generate(&rng);
+    EXPECT_TRUE(IsValidScalar(key.secret));
+    EXPECT_TRUE(Secp256k1::IsOnCurve(key.pub));
+    EXPECT_EQ(key.pub, Secp256k1::MulBase(key.secret));
+  }
+}
+
 }  // namespace
 }  // namespace tokenmagic::crypto

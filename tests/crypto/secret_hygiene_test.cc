@@ -5,6 +5,7 @@
 
 #include <cstring>
 #include <new>
+#include <string_view>
 
 #include "common/rng.h"
 #include "crypto/field.h"
@@ -68,7 +69,9 @@ TEST(KeypairHygieneTest, CopiesWipeIndependently) {
 TEST(ConstantTimeMulTest, MatchesVariableTimePath) {
   common::Rng rng(31337);
   const Point& g = Secp256k1::Generator();
-  Point p = Secp256k1::MulBase(HashToScalar("ct-test-point"));
+  constexpr std::string_view kTag = "ct-test-point";
+  Point p = Secp256k1::HashToPoint(
+      reinterpret_cast<const uint8_t*>(kTag.data()), kTag.size());
 
   std::vector<U256> scalars = {
       U256::Zero(), U256::One(), U256(2), U256(3), U256(255),

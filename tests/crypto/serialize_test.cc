@@ -71,35 +71,5 @@ TEST(SerializeLsagTest, RejectsOutOfRangeScalar) {
   EXPECT_FALSE(DeserializeLsag(bytes).ok());
 }
 
-TEST(SerializeSchnorrTest, RoundTrip) {
-  common::Rng rng(6);
-  Keypair key = Keypair::Generate(&rng);
-  SchnorrSignature sig = Schnorr::Sign(key, "msg", &rng);
-  auto bytes = SerializeSchnorr(sig);
-  EXPECT_EQ(bytes.size(), 65u);
-  auto restored = DeserializeSchnorr(bytes);
-  ASSERT_TRUE(restored.ok());
-  EXPECT_TRUE(Schnorr::Verify(key.pub, "msg", *restored));
-}
-
-TEST(SerializeSchnorrTest, RejectsBadBlobs) {
-  EXPECT_FALSE(DeserializeSchnorr({}).ok());
-  std::vector<uint8_t> wrong(65, 0);
-  wrong[0] = kLsagMagic;  // wrong magic for this parser
-  EXPECT_FALSE(DeserializeSchnorr(wrong).ok());
-  std::vector<uint8_t> short_blob(64, 0);
-  short_blob[0] = kSchnorrMagic;
-  EXPECT_FALSE(DeserializeSchnorr(short_blob).ok());
-}
-
-TEST(SerializeCrossTest, MagicBytesKeepFormatsApart) {
-  auto lsag_bytes = SerializeLsag(MakeSignature(2, 8));
-  EXPECT_FALSE(DeserializeSchnorr(lsag_bytes).ok());
-  common::Rng rng(9);
-  Keypair key = Keypair::Generate(&rng);
-  auto schnorr_bytes = SerializeSchnorr(Schnorr::Sign(key, "m", &rng));
-  EXPECT_FALSE(DeserializeLsag(schnorr_bytes).ok());
-}
-
 }  // namespace
 }  // namespace tokenmagic::crypto

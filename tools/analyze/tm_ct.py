@@ -7,9 +7,9 @@ Usage:
 
 Tracks secret values through src/crypto/ and rejects any code path whose
 *timing or memory-access pattern* depends on them. Taint enters at
-declarations annotated `// tm-secret` (Keypair::secret, Pedersen blindings,
-the LSAG nonce u) and at calls of functions whose return value is derived
-from such a declaration; it propagates interprocedurally through
+declarations annotated `// tm-secret` (Keypair::secret, the LSAG nonce u)
+and at calls of functions whose return value is derived from such a
+declaration; it propagates interprocedurally through
 assignments, calls, and returns via per-function summaries computed to a
 fixpoint. Taint exits only at audited declassification points — a
 `CtDeclassify(...)` call carrying a `// tm-declassify(<reason>)` annotation
@@ -68,11 +68,11 @@ not parsed as a use):
                                 ladder-hygiene rule scans it.
 
 The model deliberately treats the outputs of MulCT/MulBaseCT as public:
-every curve point those kernels produce is either published by the protocol
-(public keys, key images, one-time keys) or — like the stealth shared
-point — explicitly re-classified with CtPoison + tm-secret at the call
-site. Amounts (Commitment::value, range-proof bit indices) are outside the
-v1 taint model; see ARCHITECTURE.md "Constant-time discipline".
+every curve point those kernels produce is public in the protocol: public
+keys, key images, and the LSAG nonce points u*G and u*H_p(P), which any
+verifier recomputes from the published signature. A point that had to stay
+secret would be re-classified with CtPoison + tm-secret at its call site;
+see ARCHITECTURE.md "Constant-time discipline".
 
 Exit codes: 0 clean, 1 findings, 2 --frontend clang requested but
 unavailable.
@@ -628,7 +628,7 @@ def analyze_function(fn: FnDef, raw: list[str], ctx: Context,
                     report("secret-branch", line,
                            "control flow depends on a secret-tainted value; "
                            "compute a branch-free verdict (CtIsZero/"
-                           "CtValidScalar) and CtDeclassify it first")
+                           "CtLess) and CtDeclassify it first")
 
         for index in subscripts(masked):
             if is_tainted(index, pre_masked=True):
@@ -758,9 +758,15 @@ def collect_secret_members(files: dict[str, list[str]],
 def check_self_wiping_types(files: dict[str, list[str]],
                             code: dict[str, list[str]]
                             ) -> list[sarif.Finding]:
-    """Each SELF_WIPING type must have a destructor that wipes."""
+    """Each SELF_WIPING type the tree defines must have a destructor that
+    wipes. A listed type the tree does not define has nothing to audit."""
     findings = []
     for type_name in SELF_WIPING_TYPES:
+        def_re = re.compile(r'\b(?:struct|class)\s+' + type_name +
+                            r'\b(?!\s*;)')
+        if not any(def_re.search(line)
+                   for clines in code.values() for line in clines):
+            continue
         dtor_re = re.compile(r'~' + type_name + r'\s*\(\s*\)')
         ok = False
         where = None
