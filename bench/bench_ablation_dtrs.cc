@@ -8,6 +8,7 @@
 
 #include <vector>
 
+#include "analysis/context.h"
 #include "analysis/dtrs.h"
 #include "chain/ht_index.h"
 #include "chain/types.h"
@@ -60,12 +61,14 @@ ConfiguredInstance MakeInstance(size_t copies, size_t size) {
 
 void BM_DtrsExactAlgorithm3(benchmark::State& state) {
   auto instance = MakeInstance(static_cast<size_t>(state.range(0)), 5);
+  const analysis::AnalysisContext context =
+      analysis::AnalysisContext::Build(instance.history);
   analysis::DtrsFinder::Options options;
   options.max_combinations = 500000;
   size_t dtrs_count = 0;
   for (auto _ : state) {
     auto dtrss = analysis::DtrsFinder::FindAll(
-        instance.history, instance.target, instance.index, options);
+        context, instance.target, instance.index, options);
     dtrs_count = dtrss.ok() ? dtrss->size() : 0;
     benchmark::DoNotOptimize(dtrs_count);
   }

@@ -17,8 +17,8 @@
 namespace tokenmagic::bench {
 namespace {
 
+using analysis::AnalysisContext;
 using analysis::HopcroftKarp;
-using analysis::RsFamily;
 using analysis::SdrEnumerator;
 
 /// m overlapping RSs of size k over m + k tokens (dense, worst-case-ish).
@@ -38,10 +38,10 @@ std::vector<chain::RsView> OverlappingFamily(size_t m, size_t k) {
 
 void BM_SdrEnumerate(benchmark::State& state) {
   auto views = OverlappingFamily(static_cast<size_t>(state.range(0)), 4);
-  RsFamily family(views);
+  const AnalysisContext context = AnalysisContext::Build(views);
   uint64_t total = 0;
   for (auto _ : state) {
-    auto count = SdrEnumerator::Count(family);
+    auto count = SdrEnumerator::Count(context);
     total = count.ok() ? *count : 0;
     benchmark::DoNotOptimize(total);
   }
@@ -52,9 +52,9 @@ BENCHMARK(BM_SdrEnumerate)->DenseRange(2, 14, 2)
 
 void BM_SdrCountDp(benchmark::State& state) {
   auto views = OverlappingFamily(static_cast<size_t>(state.range(0)), 4);
-  RsFamily family(views);
+  const AnalysisContext context = AnalysisContext::Build(views);
   for (auto _ : state) {
-    uint64_t count = analysis::CountSdrsDp(family);
+    uint64_t count = analysis::CountSdrsDp(context);
     benchmark::DoNotOptimize(count);
   }
 }
@@ -63,9 +63,9 @@ BENCHMARK(BM_SdrCountDp)->DenseRange(2, 14, 2)
 
 void BM_PossibleSpendsPolynomial(benchmark::State& state) {
   auto views = OverlappingFamily(static_cast<size_t>(state.range(0)), 4);
-  RsFamily family(views);
+  const AnalysisContext context = AnalysisContext::Build(views);
   for (auto _ : state) {
-    auto spends = HopcroftKarp::PossibleSpends(family, 0);
+    auto spends = HopcroftKarp::PossibleSpends(context, 0);
     benchmark::DoNotOptimize(spends.data());
   }
 }
@@ -74,8 +74,7 @@ BENCHMARK(BM_PossibleSpendsPolynomial)->DenseRange(2, 14, 2)
 
 void BM_ChainReactionAnalyze(benchmark::State& state) {
   auto views = OverlappingFamily(static_cast<size_t>(state.range(0)), 4);
-  const analysis::AnalysisContext context =
-      analysis::AnalysisContext::Build(views);
+  const AnalysisContext context = AnalysisContext::Build(views);
   for (auto _ : state) {
     auto result = analysis::ChainReactionAnalyzer::Analyze(context);
     benchmark::DoNotOptimize(&result);
@@ -86,8 +85,7 @@ BENCHMARK(BM_ChainReactionAnalyze)->DenseRange(2, 14, 4)
 
 void BM_ChainReactionCascade(benchmark::State& state) {
   auto views = OverlappingFamily(static_cast<size_t>(state.range(0)), 4);
-  const analysis::AnalysisContext context =
-      analysis::AnalysisContext::Build(views);
+  const AnalysisContext context = AnalysisContext::Build(views);
   for (auto _ : state) {
     auto result = analysis::ChainReactionAnalyzer::Cascade(context);
     benchmark::DoNotOptimize(&result);

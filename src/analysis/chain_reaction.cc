@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "analysis/matching.h"
 #include "common/macros.h"
 
 namespace tokenmagic::analysis {
@@ -15,52 +16,35 @@ bool AnalysisResult::NoTokenEliminated() const {
 
 namespace {
 
-/// Translates side information into forced dense assignments for `family`.
-/// Returns false when the side info is inconsistent with the family (e.g.
-/// the revealed token is not a member of the revealed RS).
-bool ForcedFromSideInfo(const RsFamily& family, const SideInformation& si,
-                        std::vector<size_t>* forced) {
-  forced->assign(family.rs_count(), SdrEnumerator::kUnassigned);
+/// The context's history with side information applied, interned once:
+/// a revealed RS keeps only its revealed token, and that token leaves
+/// every other RS. TM_CHECKs that each revealed pair names a member of a
+/// known RS and that no RS is revealed with two different tokens.
+AnalysisContext ApplyForced(const AnalysisContext& context,
+                            const SideInformation& si) {
+  using Local = AnalysisContext::Local;
+  std::vector<Local> pinned(context.rs_count(), AnalysisContext::kNoLocal);
+  std::vector<bool> taken(context.token_count(), false);
   for (const chain::TokenRsPair& pair : si.revealed) {
-    size_t r = family.RsIndexOf(pair.rs);
-    std::optional<size_t> token = family.TryTokenIndexOf(pair.token);
-    if (!token.has_value()) return false;
-    size_t t = *token;
-    const auto& mem = family.members(r);
-    if (!std::binary_search(mem.begin(), mem.end(), t)) return false;
-    if ((*forced)[r] != SdrEnumerator::kUnassigned && (*forced)[r] != t) {
-      return false;
+    Local r = context.LocalOfRs(pair.rs);
+    TM_CHECK(r != AnalysisContext::kNoLocal);
+    Local t = context.LocalOfToken(pair.token);
+    std::span<const Local> members = context.Members(r);
+    TM_CHECK(std::binary_search(members.begin(), members.end(), t));
+    TM_CHECK(pinned[r] == AnalysisContext::kNoLocal || pinned[r] == t);
+    pinned[r] = t;
+    taken[t] = true;
+  }
+  std::vector<chain::RsView> forced(context.rs_count());
+  for (Local r = 0; r < context.rs_count(); ++r) {
+    forced[r].id = context.rs_id(r);
+    for (Local t : context.Members(r)) {
+      bool kept = pinned[r] == AnalysisContext::kNoLocal ? !taken[t]
+                                                          : pinned[r] == t;
+      if (kept) forced[r].members.push_back(context.token_id(t));
     }
-    (*forced)[r] = t;
   }
-  return true;
-}
-
-/// A family wrapper that applies forced assignments by shrinking member
-/// lists: a forced RS keeps only its forced token; that token is removed
-/// from every other RS.
-std::vector<chain::RsView> ApplyForced(
-    std::span<const chain::RsView> history, const RsFamily& family,
-    const std::vector<size_t>& forced) {
-  std::vector<chain::RsView> out(history.begin(), history.end());
-  std::unordered_set<chain::TokenId> taken;
-  std::unordered_map<chain::RsId, chain::TokenId> pinned;
-  for (size_t r = 0; r < forced.size(); ++r) {
-    if (forced[r] == SdrEnumerator::kUnassigned) continue;
-    chain::TokenId token = family.token_id(forced[r]);
-    taken.insert(token);
-    pinned.emplace(family.rs_id(r), token);
-  }
-  for (chain::RsView& view : out) {
-    auto it = pinned.find(view.id);
-    if (it != pinned.end()) {
-      view.members = {it->second};
-      continue;
-    }
-    std::erase_if(view.members,
-                  [&](chain::TokenId t) { return taken.count(t) > 0; });
-  }
-  return out;
+  return AnalysisContext::Build(forced);
 }
 
 }  // namespace
@@ -70,41 +54,30 @@ AnalysisResult ChainReactionAnalyzer::Analyze(
   AnalysisResult result;
   if (context.rs_count() == 0) return result;
 
-  // The matching runs over external ids; the views come back in history
-  // order with sorted members, exactly as they were interned.
-  std::vector<chain::RsView> history;
-  history.reserve(context.rs_count());
-  for (AnalysisContext::Local r = 0; r < context.rs_count(); ++r) {
-    history.push_back(context.ViewOf(r));
-  }
-  RsFamily base_family(history);
-  std::vector<size_t> forced;
-  TM_CHECK(ForcedFromSideInfo(base_family, side_info, &forced));
-  std::vector<chain::RsView> effective =
-      ApplyForced(history, base_family, forced);
-  RsFamily family(effective);
+  // The matching runs on the caller's context, or on one forced context
+  // when side information shrinks the member lists. Both share RS locals.
+  const AnalysisContext forced = side_info.revealed.empty()
+                                     ? AnalysisContext()
+                                     : ApplyForced(context, side_info);
+  const AnalysisContext& matched =
+      side_info.revealed.empty() ? context : forced;
 
-  for (size_t r = 0; r < family.rs_count(); ++r) {
-    chain::RsId rs_id = family.rs_id(r);
+  for (AnalysisContext::Local r = 0; r < context.rs_count(); ++r) {
     std::vector<chain::TokenId> possible;
     std::vector<chain::TokenId> eliminated;
     // Judge against the *original* member list so that tokens removed by
     // side information count as eliminated.
-    const chain::RsView& original = history[r];
-    for (chain::TokenId token : original.members) {
-      bool ok = false;
-      if (std::optional<size_t> t = family.TryTokenIndexOf(token)) {
-        const auto& mem = family.members(r);
-        if (std::binary_search(mem.begin(), mem.end(), *t)) {
-          ok = HopcroftKarp::IsPossibleSpend(family, r, *t);
-        }
-      }
-      if (ok) {
+    for (AnalysisContext::Local t : context.Members(r)) {
+      chain::TokenId token = context.token_id(t);
+      AnalysisContext::Local local = matched.LocalOfToken(token);
+      if (local != AnalysisContext::kNoLocal &&
+          HopcroftKarp::IsPossibleSpend(matched, r, local)) {
         possible.push_back(token);
       } else {
         eliminated.push_back(token);
       }
     }
+    chain::RsId rs_id = context.rs_id(r);
     if (possible.size() == 1) {
       result.revealed_spends.emplace(rs_id, possible.front());
     }

@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "analysis/context.h"
-#include "analysis/matching.h"
 #include "chain/types.h"
 
 namespace tokenmagic::analysis {
@@ -58,8 +57,10 @@ class ChainReactionAnalyzer {
  public:
   /// Exact matching-based analysis of the context's history under
   /// `side_info`. Every member token of every RS is tested for
-  /// possible-spend-ness; the spent-token closure comes from Cascade over
-  /// the same context, so the caller interns the history once.
+  /// possible-spend-ness by matching over the context itself (side
+  /// information adds one forced context with the revealed pairs pinned);
+  /// the spent-token closure comes from Cascade over the same context, so
+  /// the caller interns the history once.
   static AnalysisResult Analyze(const AnalysisContext& context,
                                 const SideInformation& side_info = {});
 

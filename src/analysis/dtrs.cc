@@ -5,6 +5,7 @@
 #include <set>
 #include <unordered_map>
 
+#include "analysis/matching.h"
 #include "common/macros.h"
 #include "common/deadline.h"
 
@@ -42,42 +43,40 @@ bool IsSubsetOf(const DensePairSet& a, const DensePairSet& b) {
 }
 
 common::Result<std::vector<SdrAssignment>> MaterializeCombinations(
-    std::span<const chain::RsView> history, const RsFamily& family,
-    const DtrsFinder::Options& options) {
+    const AnalysisContext& context, const DtrsFinder::Options& options) {
   std::vector<SdrAssignment> all;
   SdrEnumerator::Options enum_options;
   enum_options.max_results = options.max_combinations;
   enum_options.budget_seconds = options.budget_seconds;
   common::Status st = SdrEnumerator::Enumerate(
-      family, enum_options, [&all](const SdrAssignment& u) {
+      context, enum_options, [&all](const SdrAssignment& u) {
         all.push_back(u);
         return true;
       });
   if (st.IsTimeout()) return st;
   if (st.code() == common::StatusCode::kResourceExhausted) return st;
   TM_CHECK(st.ok());
-  (void)history;
   return all;
 }
 
 }  // namespace
 
 common::Result<std::vector<Dtrs>> DtrsFinder::FindAll(
-    std::span<const chain::RsView> history, chain::RsId target,
+    const AnalysisContext& context, chain::RsId target,
     const chain::HtIndex& index, const Options& options) {
   common::Deadline deadline(options.budget_seconds);
-  RsFamily family(history);
-  const size_t k = family.RsIndexOf(target);
-  const size_t m = family.rs_count();
+  const AnalysisContext::Local k = context.LocalOfRs(target);
+  TM_CHECK(k != AnalysisContext::kNoLocal);
+  const size_t m = context.rs_count();
 
   TM_ASSIGN_OR_RETURN(std::vector<SdrAssignment> combos,
-                      MaterializeCombinations(history, family, options));
+                      MaterializeCombinations(context, options));
   if (combos.empty()) return std::vector<Dtrs>{};
 
   // HT of the target's hypothetical spend in each combination.
   std::vector<chain::TxId> target_ht(combos.size());
   for (size_t j = 0; j < combos.size(); ++j) {
-    target_ht[j] = index.HtOf(family.token_id(combos[j][k]));
+    target_ht[j] = index.HtOf(context.token_id(combos[j][k]));
   }
 
   const size_t max_size =
@@ -171,7 +170,7 @@ common::Result<std::vector<Dtrs>> DtrsFinder::FindAll(
     d.determined_ht = accepted[i].second;
     for (const auto& [rs, token] : accepted[i].first) {
       d.pairs.push_back(
-          chain::TokenRsPair{family.token_id(token), family.rs_id(rs)});
+          chain::TokenRsPair{context.token_id(token), context.rs_id(rs)});
     }
     std::sort(d.pairs.begin(), d.pairs.end(),
               [](const chain::TokenRsPair& a, const chain::TokenRsPair& b) {
@@ -180,36 +179,6 @@ common::Result<std::vector<Dtrs>> DtrsFinder::FindAll(
     out.push_back(std::move(d));
   }
   return out;
-}
-
-common::Result<bool> DtrsFinder::HtAlreadyDetermined(
-    std::span<const chain::RsView> history, chain::RsId target,
-    const chain::HtIndex& index, const Options& options) {
-  RsFamily family(history);
-  const size_t k = family.RsIndexOf(target);
-  bool first = true;
-  chain::TxId ht = chain::kInvalidTx;
-  bool determined = true;
-  SdrEnumerator::Options enum_options;
-  enum_options.max_results = options.max_combinations;
-  enum_options.budget_seconds = options.budget_seconds;
-  common::Status st = SdrEnumerator::Enumerate(
-      family, enum_options, [&](const SdrAssignment& u) {
-        chain::TxId this_ht = index.HtOf(family.token_id(u[k]));
-        if (first) {
-          ht = this_ht;
-          first = false;
-          return true;
-        }
-        if (this_ht != ht) {
-          determined = false;
-          return false;  // found two different HTs; stop
-        }
-        return true;
-      });
-  if (st.IsTimeout()) return st;
-  if (first) return false;  // no combination at all: nothing determined
-  return determined;
 }
 
 bool PracticalDtrsDiversityHolds(std::span<const chain::TokenId> members,

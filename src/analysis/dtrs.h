@@ -5,10 +5,10 @@
 // r_k's spent token. Two computation paths are provided:
 //
 //  * Exact (Algorithm 3, GetDTRSs): enumerate all token-RS combinations of
-//    the family, generate candidate pair sets, validate each candidate
-//    against every combination, and prune non-minimal sets. Exponential;
-//    guarded by result/time caps. Used by the exact BFS selector and as the
-//    ground truth in tests.
+//    a context's history, generate candidate pair sets, validate each
+//    candidate against every combination, and prune non-minimal sets.
+//    Exponential; guarded by result/time caps. Used by the exact BFS
+//    selector and as the ground truth in tests.
 //
 //  * Practical (Theorem 6.1): under the first practical configuration
 //    (every RS is a union of super RSs and fresh tokens), the token set of
@@ -22,9 +22,9 @@
 #include <span>
 #include <vector>
 
+#include "analysis/context.h"
 #include "analysis/diversity.h"
 #include "chain/ht_index.h"
-#include "analysis/matching.h"
 #include "chain/types.h"
 #include "common/status.h"
 
@@ -52,26 +52,15 @@ class DtrsFinder {
   };
 
   /// Exact enumeration of all minimal DTRSs of RS `target` (an id present
-  /// in `history`). Fails with Timeout/ResourceExhausted when caps trip.
+  /// in the context's history), with HTs read from `index`. Fails with
+  /// Timeout/ResourceExhausted when caps trip.
   [[nodiscard]] static common::Result<std::vector<Dtrs>> FindAll(
-      std::span<const chain::RsView> history, chain::RsId target,
+      const AnalysisContext& context, chain::RsId target,
       const chain::HtIndex& index, const Options& options);
   [[nodiscard]] static common::Result<std::vector<Dtrs>> FindAll(
-      std::span<const chain::RsView> history, chain::RsId target,
+      const AnalysisContext& context, chain::RsId target,
       const chain::HtIndex& index) {
-    return FindAll(history, target, index, Options());
-  }
-
-  /// True iff the HT of `target`'s spend is already determined with *no*
-  /// side information (every token-RS combination gives the same HT) —
-  /// the degenerate "empty DTRS" case of a homogeneity-style leak.
-  [[nodiscard]] static common::Result<bool> HtAlreadyDetermined(
-      std::span<const chain::RsView> history, chain::RsId target,
-      const chain::HtIndex& index, const Options& options);
-  [[nodiscard]] static common::Result<bool> HtAlreadyDetermined(
-      std::span<const chain::RsView> history, chain::RsId target,
-      const chain::HtIndex& index) {
-    return HtAlreadyDetermined(history, target, index, Options());
+    return FindAll(context, target, index, Options());
   }
 };
 

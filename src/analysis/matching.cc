@@ -5,43 +5,10 @@
 #include <deque>
 #include <numeric>
 
+#include "common/deadline.h"
 #include "common/macros.h"
-#include "common/strings.h"
 
 namespace tokenmagic::analysis {
-
-RsFamily::RsFamily(std::span<const chain::RsView> views) {
-  rs_ids_.reserve(views.size());
-  members_.reserve(views.size());
-  for (const chain::RsView& view : views) {
-    TM_CHECK(rs_index_.emplace(view.id, rs_ids_.size()).second);
-    rs_ids_.push_back(view.id);
-    std::vector<size_t> member_indices;
-    member_indices.reserve(view.members.size());
-    for (chain::TokenId t : view.members) {
-      auto [it, inserted] = token_index_.emplace(t, token_ids_.size());
-      if (inserted) token_ids_.push_back(t);
-      member_indices.push_back(it->second);
-    }
-    std::sort(member_indices.begin(), member_indices.end());
-    member_indices.erase(
-        std::unique(member_indices.begin(), member_indices.end()),
-        member_indices.end());
-    members_.push_back(std::move(member_indices));
-  }
-}
-
-size_t RsFamily::RsIndexOf(chain::RsId id) const {
-  auto it = rs_index_.find(id);
-  TM_CHECK(it != rs_index_.end());
-  return it->second;
-}
-
-size_t RsFamily::TokenIndexOf(chain::TokenId id) const {
-  auto it = token_index_.find(id);
-  TM_CHECK(it != token_index_.end());
-  return it->second;
-}
 
 namespace {
 
@@ -50,38 +17,25 @@ namespace {
 /// fail-first heuristic).
 class SdrBacktracker {
  public:
-  SdrBacktracker(const RsFamily& family,
+  using Local = AnalysisContext::Local;
+
+  SdrBacktracker(const AnalysisContext& context,
                  const SdrEnumerator::Options& options,
                  const std::function<bool(const SdrAssignment&)>& visitor)
-      : family_(family),
+      : context_(context),
         options_(options),
         visitor_(visitor),
         deadline_(options.budget_seconds),
-        assignment_(family.rs_count(), SdrEnumerator::kUnassigned),
-        token_used_(family.token_count(), false) {
-    order_.resize(family.rs_count());
-    std::iota(order_.begin(), order_.end(), size_t{0});
-    std::stable_sort(order_.begin(), order_.end(), [&](size_t a, size_t b) {
-      return family.members(a).size() < family.members(b).size();
+        assignment_(context.rs_count(), AnalysisContext::kNoLocal),
+        token_used_(context.token_count(), false) {
+    order_.resize(context.rs_count());
+    std::iota(order_.begin(), order_.end(), Local{0});
+    std::stable_sort(order_.begin(), order_.end(), [&](Local a, Local b) {
+      return context.Members(a).size() < context.Members(b).size();
     });
   }
 
   common::Status Run() {
-    // Apply forced assignments first.
-    if (!options_.forced.empty()) {
-      TM_CHECK(options_.forced.size() == family_.rs_count());
-      for (size_t r = 0; r < family_.rs_count(); ++r) {
-        size_t t = options_.forced[r];
-        if (t == SdrEnumerator::kUnassigned) continue;
-        const auto& mem = family_.members(r);
-        if (!std::binary_search(mem.begin(), mem.end(), t)) {
-          return common::Status::OK();  // infeasible forcing: zero results
-        }
-        if (token_used_[t]) return common::Status::OK();
-        token_used_[t] = true;
-        assignment_[r] = t;
-      }
-    }
     status_ = common::Status::OK();
     Recurse(0);
     return status_;
@@ -104,29 +58,28 @@ class SdrBacktracker {
       }
       return true;
     }
-    size_t rs = order_[depth];
-    if (assignment_[rs] != SdrEnumerator::kUnassigned) {
-      return Recurse(depth + 1);  // pre-forced
-    }
-    for (size_t t : family_.members(rs)) {
+    Local rs = order_[depth];
+    for (Local t : context_.Members(rs)) {
       if (token_used_[t]) continue;
       token_used_[t] = true;
       assignment_[rs] = t;
       bool keep_going = Recurse(depth + 1);
-      assignment_[rs] = SdrEnumerator::kUnassigned;
+      assignment_[rs] = AnalysisContext::kNoLocal;
       token_used_[t] = false;
       if (!keep_going) return false;
     }
     return true;
   }
 
-  const RsFamily& family_;
+  // tm-borrows(caller): the backtracker lives only for one Enumerate()
+  // call; the context outlives it by construction.
+  const AnalysisContext& context_;
   const SdrEnumerator::Options& options_;
   const std::function<bool(const SdrAssignment&)>& visitor_;
   common::Deadline deadline_;
   SdrAssignment assignment_;
   std::vector<char> token_used_;
-  std::vector<size_t> order_;
+  std::vector<Local> order_;
   uint64_t found_ = 0;
   common::Status status_;
 };
@@ -134,17 +87,17 @@ class SdrBacktracker {
 }  // namespace
 
 common::Status SdrEnumerator::Enumerate(
-    const RsFamily& family, const Options& options,
+    const AnalysisContext& context, const Options& options,
     const std::function<bool(const SdrAssignment&)>& visitor) {
-  SdrBacktracker backtracker(family, options, visitor);
+  SdrBacktracker backtracker(context, options, visitor);
   return backtracker.Run();
 }
 
-common::Result<uint64_t> SdrEnumerator::Count(const RsFamily& family,
+common::Result<uint64_t> SdrEnumerator::Count(const AnalysisContext& context,
                                               const Options& options) {
   uint64_t count = 0;
   common::Status st =
-      Enumerate(family, options, [&count](const SdrAssignment&) {
+      Enumerate(context, options, [&count](const SdrAssignment&) {
         ++count;
         return true;
       });
@@ -152,10 +105,10 @@ common::Result<uint64_t> SdrEnumerator::Count(const RsFamily& family,
   return count;
 }
 
-size_t HopcroftKarp::MaxMatching(const RsFamily& family, size_t skip_rs,
+size_t HopcroftKarp::MaxMatching(const AnalysisContext& context, size_t skip_rs,
                                  size_t banned_token) {
-  const size_t m = family.rs_count();
-  const size_t n = family.token_count();
+  const size_t m = context.rs_count();
+  const size_t n = context.token_count();
   constexpr size_t kNil = static_cast<size_t>(-1);
   constexpr size_t kInf = static_cast<size_t>(-2);
 
@@ -183,7 +136,7 @@ size_t HopcroftKarp::MaxMatching(const RsFamily& family, size_t skip_rs,
     while (!queue.empty()) {
       size_t r = queue.front();
       queue.pop_front();
-      for (size_t t : family.members(r)) {
+      for (size_t t : context.Members(static_cast<Local>(r))) {
         if (t == banned_token) continue;
         size_t next = match_token[t];
         if (next == kNil) {
@@ -198,7 +151,7 @@ size_t HopcroftKarp::MaxMatching(const RsFamily& family, size_t skip_rs,
   };
 
   std::function<bool(size_t)> dfs = [&](size_t r) -> bool {
-    for (size_t t : family.members(r)) {
+    for (size_t t : context.Members(static_cast<Local>(r))) {
       if (t == banned_token) continue;
       size_t next = match_token[t];
       if (next == kNil || (dist[next] == dist[r] + 1 && dfs(next))) {
@@ -220,42 +173,42 @@ size_t HopcroftKarp::MaxMatching(const RsFamily& family, size_t skip_rs,
   return matching;
 }
 
-bool HopcroftKarp::HasCompleteSdr(const RsFamily& family) {
-  if (family.rs_count() == 0) return true;
-  return MaxMatching(family, family.rs_count(), family.token_count()) ==
-         family.rs_count();
+bool HopcroftKarp::HasCompleteSdr(const AnalysisContext& context) {
+  if (context.rs_count() == 0) return true;
+  return MaxMatching(context, context.rs_count(), context.token_count()) ==
+         context.rs_count();
 }
 
-bool HopcroftKarp::IsPossibleSpend(const RsFamily& family, size_t r,
-                                   size_t t) {
-  const auto& mem = family.members(r);
-  if (!std::binary_search(mem.begin(), mem.end(), t)) return false;
+bool HopcroftKarp::IsPossibleSpend(const AnalysisContext& context, Local r,
+                                   Local t) {
+  std::span<const Local> members = context.Members(r);
+  if (!std::binary_search(members.begin(), members.end(), t)) return false;
   // Force r -> t by removing r and banning t, then require the rest to
   // still have a complete matching.
-  size_t rest = MaxMatching(family, r, t);
-  return rest == family.rs_count() - 1;
+  size_t rest = MaxMatching(context, r, t);
+  return rest == context.rs_count() - 1;
 }
 
-std::vector<size_t> HopcroftKarp::PossibleSpends(const RsFamily& family,
-                                                 size_t r) {
-  std::vector<size_t> out;
-  for (size_t t : family.members(r)) {
-    if (IsPossibleSpend(family, r, t)) out.push_back(t);
+std::vector<HopcroftKarp::Local> HopcroftKarp::PossibleSpends(
+    const AnalysisContext& context, Local r) {
+  std::vector<Local> out;
+  for (Local t : context.Members(r)) {
+    if (IsPossibleSpend(context, r, t)) out.push_back(t);
   }
   return out;
 }
 
-uint64_t CountSdrsDp(const RsFamily& family) {
-  const size_t m = family.rs_count();
-  const size_t n = family.token_count();
+uint64_t CountSdrsDp(const AnalysisContext& context) {
+  const size_t m = context.rs_count();
+  const size_t n = context.token_count();
   if (m == 0) return 1;
   TM_CHECK(n <= 24);
   if (m > n) return 0;
 
   // Row bitmasks of member tokens.
   std::vector<uint32_t> row_mask(m, 0);
-  for (size_t r = 0; r < m; ++r) {
-    for (size_t t : family.members(r)) {
+  for (AnalysisContext::Local r = 0; r < m; ++r) {
+    for (AnalysisContext::Local t : context.Members(r)) {
       row_mask[r] |= (1u << t);
     }
   }

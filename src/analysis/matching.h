@@ -6,67 +6,24 @@
 // analyses (DTRS enumeration, Algorithm 2's non-eliminated check — #P in
 // general, Theorem 3.1) and the polynomial "is token t a possible spend of
 // RS r" test via maximum bipartite matching.
+//
+// The family is the history of an AnalysisContext: RSs and tokens are its
+// dense locals (Members(r) ascending), so the matching reads the same
+// interned columns as every other analysis. A caller holding only views
+// interns them once with AnalysisContext::Build.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <optional>
-#include <span>
-#include <unordered_map>
 #include <vector>
 
-#include "chain/types.h"
+#include "analysis/context.h"
 #include "common/status.h"
-#include "common/deadline.h"
 
 namespace tokenmagic::analysis {
 
-/// A family of RSs over a shared token universe, with dense internal ids
-/// (RS index 0..m-1, token index 0..n-1).
-class RsFamily {
- public:
-  /// Builds from views. Token universe = union of members.
-  explicit RsFamily(std::span<const chain::RsView> views);
-
-  size_t rs_count() const { return members_.size(); }
-  size_t token_count() const { return token_ids_.size(); }
-
-  /// Member token *indices* of the i-th RS (sorted ascending).
-  const std::vector<size_t>& members(size_t rs_index) const {
-    return members_[rs_index];
-  }
-
-  chain::RsId rs_id(size_t rs_index) const { return rs_ids_[rs_index]; }
-  chain::TokenId token_id(size_t token_index) const {
-    return token_ids_[token_index];
-  }
-
-  /// Dense index of an external id; TM_CHECKs that it exists.
-  size_t RsIndexOf(chain::RsId id) const;
-  size_t TokenIndexOf(chain::TokenId id) const;
-
-  /// Dense token index, or nullopt for an unknown token — one hash lookup
-  /// where HasToken()-then-TokenIndexOf() would pay two.
-  std::optional<size_t> TryTokenIndexOf(chain::TokenId id) const {
-    auto it = token_index_.find(id);
-    if (it == token_index_.end()) return std::nullopt;
-    return it->second;
-  }
-
-  bool HasToken(chain::TokenId id) const {
-    return token_index_.count(id) > 0;
-  }
-
- private:
-  std::vector<std::vector<size_t>> members_;  // per-RS token indices
-  std::vector<chain::RsId> rs_ids_;
-  std::vector<chain::TokenId> token_ids_;
-  std::unordered_map<chain::RsId, size_t> rs_index_;
-  std::unordered_map<chain::TokenId, size_t> token_index_;
-};
-
-/// One complete assignment: assignment[i] = token index spent by RS i.
-using SdrAssignment = std::vector<size_t>;
+/// One complete assignment: assignment[r] = token local spent by RS local r.
+using SdrAssignment = std::vector<AnalysisContext::Local>;
 
 /// Enumerates token-RS combinations (SDRs saturating every RS).
 class SdrEnumerator {
@@ -77,48 +34,51 @@ class SdrEnumerator {
     /// Wall-clock budget; expiry aborts with Status::Timeout.
     // tm-lint: allow(float, wall-clock budget, not exact enumeration math)
     double budget_seconds = 0.0;
-    /// Pre-forced assignments (token index per RS index, or kUnassigned).
-    std::vector<size_t> forced;
   };
-  static constexpr size_t kUnassigned = static_cast<size_t>(-1);
 
-  /// Invokes `visitor` for every SDR; the visitor may return false to stop
-  /// early. Returns OK, Timeout, or ResourceExhausted (max_results hit).
+  /// Invokes `visitor` for every SDR of the context's history; the visitor
+  /// may return false to stop early. Returns OK, Timeout, or
+  /// ResourceExhausted (max_results hit).
   [[nodiscard]] static common::Status Enumerate(
-      const RsFamily& family, const Options& options,
+      const AnalysisContext& context, const Options& options,
       const std::function<bool(const SdrAssignment&)>& visitor);
 
   /// Counts all SDRs (subject to the same caps).
-  [[nodiscard]] static common::Result<uint64_t> Count(const RsFamily& family,
-                                        const Options& options);
-  [[nodiscard]] static common::Result<uint64_t> Count(const RsFamily& family) {
-    return Count(family, Options());
+  [[nodiscard]] static common::Result<uint64_t> Count(
+      const AnalysisContext& context, const Options& options);
+  [[nodiscard]] static common::Result<uint64_t> Count(
+      const AnalysisContext& context) {
+    return Count(context, Options());
   }
 };
 
 /// Maximum bipartite matching (RSs -> tokens) via Hopcroft–Karp.
 class HopcroftKarp {
  public:
-  /// Size of a maximum matching of `family` with RS `skip_rs` removed
-  /// (pass rs_count() to keep all) and token `banned_token` unusable
-  /// (pass token_count() to ban none).
-  static size_t MaxMatching(const RsFamily& family,
-                            size_t skip_rs, size_t banned_token);
+  using Local = AnalysisContext::Local;
+
+  /// Size of a maximum matching of the context's history with RS
+  /// `skip_rs` removed (pass rs_count() to keep all) and token
+  /// `banned_token` unusable (pass token_count() to ban none).
+  static size_t MaxMatching(const AnalysisContext& context, size_t skip_rs,
+                            size_t banned_token);
 
   /// True when every RS can simultaneously be assigned a distinct token.
-  static bool HasCompleteSdr(const RsFamily& family);
+  static bool HasCompleteSdr(const AnalysisContext& context);
 
-  /// True when some SDR assigns token index `t` to RS index `r`.
+  /// True when some SDR assigns token `t` to RS `r`.
   /// (Polynomial: force r->t, ban t elsewhere, test the rest matches.)
-  static bool IsPossibleSpend(const RsFamily& family, size_t r, size_t t);
+  static bool IsPossibleSpend(const AnalysisContext& context, Local r,
+                              Local t);
 
-  /// All token indices that are possible spends of RS `r`.
-  static std::vector<size_t> PossibleSpends(const RsFamily& family, size_t r);
+  /// All member tokens of RS `r` that are possible spends of it.
+  static std::vector<Local> PossibleSpends(const AnalysisContext& context,
+                                           Local r);
 };
 
 /// Counts SDRs with a token-bitmask dynamic program, O(2^n · n) for n =
 /// token_count() <= 24. Independent of the backtracking enumerator, so the
 /// two validate each other in tests and ablations.
-uint64_t CountSdrsDp(const RsFamily& family);
+uint64_t CountSdrsDp(const AnalysisContext& context);
 
 }  // namespace tokenmagic::analysis

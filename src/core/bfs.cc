@@ -16,14 +16,13 @@ namespace tokenmagic::core {
 
 namespace {
 
+using analysis::AnalysisContext;
 using analysis::HopcroftKarp;
-using analysis::RsFamily;
 
-/// Builds the view list for the candidate's related RS set plus the
-/// candidate itself (given id = max existing id + 1).
-std::vector<chain::RsView> FamilyViews(
-    const SelectionInput& input, const std::vector<chain::TokenId>& members,
-    chain::RsId* candidate_id) {
+/// Interns the candidate's related RS set plus the candidate itself (given
+/// id = max existing id + 1) as one context, its RSs in ascending id order.
+AnalysisContext FamilyContext(const SelectionInput& input,
+                              const std::vector<chain::TokenId>& members) {
   // The related-set walk reuses the snapshot's inverted index, and each
   // related id resolves to its history position by local.
   analysis::RelatedSetResult related =
@@ -34,26 +33,25 @@ std::vector<chain::RsView> FamilyViews(
     max_id = std::max(max_id, view.id);
   }
   for (chain::RsId id : related.Ids()) {
-    analysis::AnalysisContext::Local rs = input.context->LocalOfRs(id);
-    TM_CHECK(rs != analysis::AnalysisContext::kNoLocal);
+    AnalysisContext::Local rs = input.context->LocalOfRs(id);
+    TM_CHECK(rs != AnalysisContext::kNoLocal);
     views.push_back(input.history[rs]);
   }
+  std::ranges::sort(views, {}, &chain::RsView::id);
   chain::RsView candidate;
   candidate.id = max_id + 1;
   candidate.members = members;
   candidate.requirement = input.requirement;
-  candidate.proposed_at =
-      views.empty() ? 0 : views.back().proposed_at + 1;
-  *candidate_id = candidate.id;
   views.push_back(std::move(candidate));
-  return views;
+  // tm-lint: allow(context-build, a TM_B candidate family, not the history)
+  return AnalysisContext::Build(views);
 }
 
 /// Non-eliminated check (Algorithm 2 lines 9-16): every member of every RS
 /// in the family must be a possible spend in some token-RS combination.
-bool NonEliminated(const RsFamily& family) {
-  for (size_t r = 0; r < family.rs_count(); ++r) {
-    for (size_t t : family.members(r)) {
+bool NonEliminated(const AnalysisContext& family) {
+  for (AnalysisContext::Local r = 0; r < family.rs_count(); ++r) {
+    for (AnalysisContext::Local t : family.Members(r)) {
       if (!HopcroftKarp::IsPossibleSpend(family, r, t)) return false;
     }
   }
@@ -61,19 +59,18 @@ bool NonEliminated(const RsFamily& family) {
 }
 
 /// DTRS-diversity check (Algorithm 2 lines 17-22): every exact DTRS of
-/// every RS in `views` satisfies that RS's requirement. The candidate's
-/// requirement is `input.requirement`.
+/// every RS in the family satisfies that RS's requirement.
 common::Result<bool> AllDtrsDiverse(
-    const std::vector<chain::RsView>& views, const SelectionInput& input,
+    const AnalysisContext& family, const chain::HtIndex& index,
     const analysis::DtrsFinder::Options& dtrs_options) {
-  for (const chain::RsView& view : views) {
+  for (AnalysisContext::Local r = 0; r < family.rs_count(); ++r) {
     TM_ASSIGN_OR_RETURN(
         std::vector<analysis::Dtrs> dtrss,
-        analysis::DtrsFinder::FindAll(views, view.id, *input.index,
+        analysis::DtrsFinder::FindAll(family, family.rs_id(r), index,
                                       dtrs_options));
     for (const analysis::Dtrs& d : dtrss) {
-      if (!analysis::SatisfiesRecursiveDiversity(d.Tokens(), *input.index,
-                                                 view.requirement)) {
+      if (!analysis::SatisfiesRecursiveDiversity(d.Tokens(), index,
+                                                 family.requirement(r))) {
         return false;
       }
     }
@@ -155,16 +152,13 @@ common::Result<SelectionResult> BfsSelector::Select(
       // Constraint (a): the candidate's own diversity (lines 6-8).
       if (analysis::SatisfiesRecursiveDiversity(members, *input.index,
                                                 input.requirement)) {
-        chain::RsId candidate_id = chain::kInvalidRs;
-        std::vector<chain::RsView> views =
-            FamilyViews(input, members, &candidate_id);
-        RsFamily family(views);
+        const AnalysisContext family = FamilyContext(input, members);
 
         // Constraint (b): non-eliminated (lines 9-16).
         if (NonEliminated(family)) {
           // Constraint (c): exact DTRS diversity (lines 17-22).
-          TM_ASSIGN_OR_RETURN(bool diverse,
-                              AllDtrsDiverse(views, input, dtrs_options));
+          TM_ASSIGN_OR_RETURN(
+              bool diverse, AllDtrsDiverse(family, *input.index, dtrs_options));
           if (diverse) {
             result.members = std::move(members);
             return result;

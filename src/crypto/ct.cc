@@ -1,7 +1,5 @@
 #include "crypto/ct.h"
 
-#include "crypto/memzero.h"
-
 #if defined(__has_feature)
 #if __has_feature(memory_sanitizer)
 #include <sanitizer/msan_interface.h>
@@ -46,12 +44,6 @@ uint64_t CtIsZero(const U256& a) {
 uint64_t CtLess(const U256& a, const U256& b) {
   U256 diff;
   return U256::Sub(a, b, &diff);  // borrow == 1 iff a < b
-}
-
-void WipeScalars(std::span<U256> scalars) {
-  for (U256& s : scalars) {
-    SecureWipe(s.limbs.data(), sizeof(s.limbs));
-  }
 }
 
 void CtPoison(const void* ptr, size_t size) {

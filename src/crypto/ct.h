@@ -51,11 +51,6 @@ uint64_t CtIsZero(const U256& a);
 /// 1 when a < b, 0 otherwise; branch-free (borrow of a full subtract).
 uint64_t CtLess(const U256& a, const U256& b);
 
-/// Wipes every scalar in a contiguous range (e.g. a vector of secret
-/// scalars). tm_ct recognizes this as a SecureWipe of the whole
-/// container.
-void WipeScalars(std::span<U256> scalars);
-
 /// Marks `size` bytes at `ptr` as secret for the dynamic oracle
 /// (valgrind: MAKE_MEM_UNDEFINED; MSan: __msan_allocated_memory).
 /// No-op in ordinary builds/runs.

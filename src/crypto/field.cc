@@ -232,8 +232,6 @@ U256 ScalarReduce(const U256& a) {
   return FieldMaskedSelect(borrow ^ 1, d, a);
 }
 
-bool IsValidScalar(const U256& a) { return !a.IsZero() && a < kOrder; }
-
 const U256& EndomorphismLambda() { return kLambda; }
 const U256& EndomorphismBeta() { return kBeta; }
 

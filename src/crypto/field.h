@@ -47,10 +47,6 @@ U256 ScalarReduce(const U256& a);
 /// Reduces a full 512-bit product modulo n: three fixed folding passes
 /// (2^256 ≡ 2^256 - n) plus two masked subtractions, no branches.
 U256 ScalarReduce512(const U512& x);
-/// True for a valid scalar: 0 < a < n. Branches on its argument, so it
-/// must only see public values; secret scalars are checked branch-free
-/// with crypto::CtIsZero (ct.h), as Keypair::Generate does.
-bool IsValidScalar(const U256& a);
 
 /// The secp256k1 endomorphism phi(x, y) = (beta*x, y) = lambda*(x, y):
 /// lambda is a cube root of unity mod n and beta the matching one mod p.

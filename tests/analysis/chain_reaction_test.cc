@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "analysis/matching.h"
+#include "common/rng.h"
+
 namespace tokenmagic::analysis {
 namespace {
 
@@ -102,6 +107,79 @@ TEST(AnalyzeTest, SingleRsFullyAmbiguous) {
   auto result = AnalyzeOf(history);
   EXPECT_TRUE(result.NoTokenEliminated());
   EXPECT_EQ(result.possible_spends.at(0), (std::vector<TokenId>{1, 2, 3}));
+}
+
+// The exact analysis with side information against brute force: a member
+// is a possible spend of r iff some token-RS combination that agrees with
+// every revealed pair assigns it to r.
+TEST(AnalyzeTest, MatchesSdrEnumerationWithSideInformation) {
+  common::Rng rng(2022);
+  size_t feasible = 0;
+  size_t infeasible = 0;
+  size_t with_side_info = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const size_t num_rs = 1 + rng.NextBounded(5);
+    const size_t num_tokens = 1 + rng.NextBounded(8);
+    std::vector<RsView> history;
+    for (size_t r = 0; r < num_rs; ++r) {
+      std::vector<TokenId> members;
+      for (TokenId t = 0; t < num_tokens; ++t) {
+        if (rng.NextBool(0.5)) members.push_back(t);
+      }
+      if (members.empty()) members.push_back(rng.NextBounded(num_tokens));
+      history.push_back(View(r, members));
+    }
+    // 0-2 revealed (member, RS) pairs, on distinct RSs.
+    SideInformation si;
+    const size_t reveals = std::min<size_t>(rng.NextBounded(3), num_rs);
+    const size_t first = rng.NextBounded(num_rs);
+    for (size_t k = 0; k < reveals; ++k) {
+      const RsView& view = history[(first + k) % num_rs];
+      TokenId token = view.members[rng.NextBounded(view.members.size())];
+      si.revealed.push_back(TokenRsPair{token, view.id});
+    }
+    if (!si.revealed.empty()) ++with_side_info;
+
+    const AnalysisContext context = AnalysisContext::Build(history);
+    std::vector<std::set<TokenId>> spends(num_rs);
+    bool any = false;
+    ASSERT_TRUE(SdrEnumerator::Enumerate(
+                    context, {},
+                    [&](const SdrAssignment& u) {
+                      for (const TokenRsPair& pair : si.revealed) {
+                        if (context.token_id(u[context.LocalOfRs(pair.rs)]) !=
+                            pair.token) {
+                          return true;
+                        }
+                      }
+                      any = true;
+                      for (size_t r = 0; r < num_rs; ++r) {
+                        spends[r].insert(context.token_id(u[r]));
+                      }
+                      return true;
+                    })
+                    .ok());
+    ++(any ? feasible : infeasible);
+
+    auto result = AnalyzeOf(history, si);
+    std::unordered_map<RsId, TokenId> revealed;
+    for (size_t r = 0; r < num_rs; ++r) {
+      std::vector<TokenId> possible;
+      std::vector<TokenId> eliminated;
+      for (TokenId t : history[r].members) {
+        (spends[r].count(t) ? possible : eliminated).push_back(t);
+      }
+      if (possible.size() == 1) revealed.emplace(r, possible.front());
+      EXPECT_EQ(result.possible_spends.at(r), possible)
+          << "trial " << trial << " rs " << r;
+      EXPECT_EQ(result.eliminated.at(r), eliminated)
+          << "trial " << trial << " rs " << r;
+    }
+    EXPECT_EQ(result.revealed_spends, revealed) << "trial " << trial;
+  }
+  EXPECT_GT(feasible, 0u);
+  EXPECT_GT(infeasible, 0u);
+  EXPECT_GT(with_side_info, 0u);
 }
 
 // Theorem 4.1: n RSs over exactly n tokens => all tokens spent.

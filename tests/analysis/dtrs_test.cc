@@ -21,6 +21,14 @@ RsView View(RsId id, std::vector<TokenId> members) {
   return v;
 }
 
+/// The exact DTRSs of `target` over a from-scratch interning of `history`.
+common::Result<std::vector<Dtrs>> FindAllOf(
+    std::span<const RsView> history, RsId target, const HtIndex& index,
+    const DtrsFinder::Options& options = {}) {
+  return DtrsFinder::FindAll(AnalysisContext::Build(history), target, index,
+                             options);
+}
+
 HtIndex IdentityIndex(std::vector<TokenId> tokens) {
   // Each token its own HT.
   HtIndex idx;
@@ -40,7 +48,7 @@ TEST(DtrsTest, PaperExample2DtrsOfR5) {
   idx.Set(5, 100);
   idx.Set(6, 100);
 
-  auto dtrss = DtrsFinder::FindAll(history, 5, idx);
+  auto dtrss = FindAllOf(history, 5, idx);
   ASSERT_TRUE(dtrss.ok());
   bool found_t2_r1 = false;
   for (const Dtrs& d : *dtrss) {
@@ -61,7 +69,7 @@ TEST(DtrsTest, PaperSection24DtrssOfR4) {
   idx.Set(5, 100);
   idx.Set(6, 100);
 
-  auto dtrss = DtrsFinder::FindAll(history, 4, idx);
+  auto dtrss = FindAllOf(history, 4, idx);
   ASSERT_TRUE(dtrss.ok());
   auto has_singleton = [&](TokenId t, RsId r) {
     for (const Dtrs& d : *dtrss) {
@@ -79,7 +87,7 @@ TEST(DtrsTest, PaperSection24DtrssOfR4) {
 TEST(DtrsTest, SingleRsHasNoDtrs) {
   std::vector<RsView> history = {View(0, {1, 2})};
   HtIndex idx = IdentityIndex({1, 2});
-  auto dtrss = DtrsFinder::FindAll(history, 0, idx);
+  auto dtrss = FindAllOf(history, 0, idx);
   ASSERT_TRUE(dtrss.ok());
   EXPECT_TRUE(dtrss->empty());
 }
@@ -89,7 +97,7 @@ TEST(DtrsTest, MinimalityPrunesSupersets) {
   // set {<2,r0>} is minimal, so no 2-pair DTRS containing it survives.
   std::vector<RsView> history = {View(0, {1, 2}), View(1, {2, 3})};
   HtIndex idx = IdentityIndex({1, 2, 3});
-  auto dtrss = DtrsFinder::FindAll(history, 1, idx);
+  auto dtrss = FindAllOf(history, 1, idx);
   ASSERT_TRUE(dtrss.ok());
   for (const Dtrs& d : *dtrss) {
     if (d.pairs.size() >= 2) {
@@ -106,35 +114,6 @@ TEST(DtrsTest, TokensHelperExtractsTokens) {
   Dtrs d;
   d.pairs = {TokenRsPair{5, 0}, TokenRsPair{9, 1}};
   EXPECT_EQ(d.Tokens(), (std::vector<TokenId>{5, 9}));
-}
-
-TEST(HtAlreadyDeterminedTest, HomogeneousRsIsDetermined) {
-  // All members share one HT: determined with no side info.
-  std::vector<RsView> history = {View(0, {1, 2})};
-  HtIndex idx;
-  idx.Set(1, 7);
-  idx.Set(2, 7);
-  auto determined = DtrsFinder::HtAlreadyDetermined(history, 0, idx);
-  ASSERT_TRUE(determined.ok());
-  EXPECT_TRUE(*determined);
-}
-
-TEST(HtAlreadyDeterminedTest, DiverseRsIsNot) {
-  std::vector<RsView> history = {View(0, {1, 2})};
-  HtIndex idx = IdentityIndex({1, 2});
-  auto determined = DtrsFinder::HtAlreadyDetermined(history, 0, idx);
-  ASSERT_TRUE(determined.ok());
-  EXPECT_FALSE(*determined);
-}
-
-TEST(HtAlreadyDeterminedTest, EliminationCanDetermineHt) {
-  // r0 = r1 = {1,2}, r2 = {1,2,3}: r2 must spend 3.
-  std::vector<RsView> history = {View(0, {1, 2}), View(1, {1, 2}),
-                                 View(2, {1, 2, 3})};
-  HtIndex idx = IdentityIndex({1, 2, 3});
-  auto determined = DtrsFinder::HtAlreadyDetermined(history, 2, idx);
-  ASSERT_TRUE(determined.ok());
-  EXPECT_TRUE(*determined);
 }
 
 // Theorem 6.1 practical check.
@@ -200,7 +179,7 @@ TEST(DtrsTest, CapsAreReported) {
   HtIndex idx = IdentityIndex({1, 2, 3, 4, 5, 6});
   DtrsFinder::Options options;
   options.max_combinations = 2;
-  auto result = DtrsFinder::FindAll(history, 0, idx, options);
+  auto result = FindAllOf(history, 0, idx, options);
   // With a 2-combination cap the search completes on the truncated space
   // (ResourceExhausted is surfaced as a status).
   EXPECT_FALSE(result.ok());

@@ -20,46 +20,30 @@ RsView View(RsId id, std::vector<TokenId> members) {
   return v;
 }
 
-TEST(RsFamilyTest, DenseIndexing) {
-  std::vector<RsView> views = {View(10, {100, 200}), View(20, {200, 300})};
-  RsFamily family(views);
-  EXPECT_EQ(family.rs_count(), 2u);
-  EXPECT_EQ(family.token_count(), 3u);
-  EXPECT_EQ(family.rs_id(family.RsIndexOf(20)), 20u);
-  EXPECT_EQ(family.token_id(family.TokenIndexOf(300)), 300u);
-  EXPECT_TRUE(family.HasToken(100));
-  EXPECT_FALSE(family.HasToken(999));
-  // Members are sorted dense indices.
-  for (size_t r = 0; r < family.rs_count(); ++r) {
-    EXPECT_TRUE(std::is_sorted(family.members(r).begin(),
-                               family.members(r).end()));
-  }
-}
-
 TEST(SdrEnumeratorTest, TwoDisjointRsHaveProductCount) {
   std::vector<RsView> views = {View(0, {1, 2}), View(1, {3, 4})};
-  RsFamily family(views);
-  auto count = SdrEnumerator::Count(family);
+  const AnalysisContext context = AnalysisContext::Build(views);
+  auto count = SdrEnumerator::Count(context);
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(*count, 4u);
-  EXPECT_EQ(CountSdrsDp(family), 4u);
+  EXPECT_EQ(CountSdrsDp(context), 4u);
 }
 
 TEST(SdrEnumeratorTest, SharedTokenReducesCount) {
   // r0={1,2}, r1={2,3}: assignments (1,2),(1,3),(2,3) => 3.
   std::vector<RsView> views = {View(0, {1, 2}), View(1, {2, 3})};
-  RsFamily family(views);
-  auto count = SdrEnumerator::Count(family);
+  const AnalysisContext context = AnalysisContext::Build(views);
+  auto count = SdrEnumerator::Count(context);
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(*count, 3u);
-  EXPECT_EQ(CountSdrsDp(family), 3u);
+  EXPECT_EQ(CountSdrsDp(context), 3u);
 }
 
 TEST(SdrEnumeratorTest, IdenticalPairHasTwoOrders) {
   // Example 1 of the paper: r1 = r2 = {t1, t2} forces {t1, t2} spent.
   std::vector<RsView> views = {View(0, {1, 2}), View(1, {1, 2})};
-  RsFamily family(views);
-  auto count = SdrEnumerator::Count(family);
+  const AnalysisContext context = AnalysisContext::Build(views);
+  auto count = SdrEnumerator::Count(context);
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(*count, 2u);  // (1,2) and (2,1)
 }
@@ -68,20 +52,20 @@ TEST(SdrEnumeratorTest, InfeasibleFamilyHasZero) {
   // Three RSs over two tokens: pigeonhole.
   std::vector<RsView> views = {View(0, {1, 2}), View(1, {1, 2}),
                                View(2, {1, 2})};
-  RsFamily family(views);
-  auto count = SdrEnumerator::Count(family);
+  const AnalysisContext context = AnalysisContext::Build(views);
+  auto count = SdrEnumerator::Count(context);
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(*count, 0u);
-  EXPECT_EQ(CountSdrsDp(family), 0u);
-  EXPECT_FALSE(HopcroftKarp::HasCompleteSdr(family));
+  EXPECT_EQ(CountSdrsDp(context), 0u);
+  EXPECT_FALSE(HopcroftKarp::HasCompleteSdr(context));
 }
 
 TEST(SdrEnumeratorTest, VisitorSeesValidAssignments) {
   std::vector<RsView> views = {View(0, {1, 2, 3}), View(1, {2, 3})};
-  RsFamily family(views);
+  const AnalysisContext context = AnalysisContext::Build(views);
   size_t visits = 0;
   auto st = SdrEnumerator::Enumerate(
-      family, {}, [&](const SdrAssignment& u) {
+      context, {}, [&](const SdrAssignment& u) {
         ++visits;
         EXPECT_EQ(u.size(), 2u);
         EXPECT_NE(u[0], u[1]);  // distinct tokens
@@ -93,9 +77,9 @@ TEST(SdrEnumeratorTest, VisitorSeesValidAssignments) {
 
 TEST(SdrEnumeratorTest, EarlyStopViaVisitor) {
   std::vector<RsView> views = {View(0, {1, 2, 3, 4})};
-  RsFamily family(views);
+  const AnalysisContext context = AnalysisContext::Build(views);
   size_t visits = 0;
-  auto st = SdrEnumerator::Enumerate(family, {},
+  auto st = SdrEnumerator::Enumerate(context, {},
                                      [&](const SdrAssignment&) {
                                        ++visits;
                                        return visits < 2;
@@ -106,11 +90,11 @@ TEST(SdrEnumeratorTest, EarlyStopViaVisitor) {
 
 TEST(SdrEnumeratorTest, MaxResultsCapReported) {
   std::vector<RsView> views = {View(0, {1, 2, 3, 4, 5})};
-  RsFamily family(views);
+  const AnalysisContext context = AnalysisContext::Build(views);
   SdrEnumerator::Options options;
   options.max_results = 3;
   size_t visits = 0;
-  auto st = SdrEnumerator::Enumerate(family, options,
+  auto st = SdrEnumerator::Enumerate(context, options,
                                      [&](const SdrAssignment&) {
                                        ++visits;
                                        return true;
@@ -119,45 +103,12 @@ TEST(SdrEnumeratorTest, MaxResultsCapReported) {
   EXPECT_EQ(visits, 3u);
 }
 
-TEST(SdrEnumeratorTest, ForcedAssignmentRestrictsEnumeration) {
-  std::vector<RsView> views = {View(0, {1, 2}), View(1, {2, 3})};
-  RsFamily family(views);
-  SdrEnumerator::Options options;
-  options.forced.assign(2, SdrEnumerator::kUnassigned);
-  options.forced[family.RsIndexOf(0)] = family.TokenIndexOf(2);
-  size_t visits = 0;
-  auto st = SdrEnumerator::Enumerate(
-      family, options, [&](const SdrAssignment& u) {
-        ++visits;
-        EXPECT_EQ(u[family.RsIndexOf(0)], family.TokenIndexOf(2));
-        return true;
-      });
-  EXPECT_TRUE(st.ok());
-  EXPECT_EQ(visits, 1u);  // r0=2 forces r1=3
-}
-
-TEST(SdrEnumeratorTest, InfeasibleForcingYieldsZero) {
-  std::vector<RsView> views = {View(0, {1, 2}), View(1, {2})};
-  RsFamily family(views);
-  SdrEnumerator::Options options;
-  options.forced.assign(2, SdrEnumerator::kUnassigned);
-  options.forced[family.RsIndexOf(0)] = family.TokenIndexOf(2);
-  size_t visits = 0;
-  auto st = SdrEnumerator::Enumerate(family, options,
-                                     [&](const SdrAssignment&) {
-                                       ++visits;
-                                       return true;
-                                     });
-  EXPECT_TRUE(st.ok());
-  EXPECT_EQ(visits, 0u);
-}
-
 TEST(HopcroftKarpTest, CompleteSdrDetection) {
   std::vector<RsView> feasible = {View(0, {1, 2}), View(1, {2, 3}),
                                   View(2, {3, 1})};
-  EXPECT_TRUE(HopcroftKarp::HasCompleteSdr(RsFamily(feasible)));
+  EXPECT_TRUE(HopcroftKarp::HasCompleteSdr(AnalysisContext::Build(feasible)));
   std::vector<RsView> infeasible = {View(0, {1}), View(1, {1})};
-  EXPECT_FALSE(HopcroftKarp::HasCompleteSdr(RsFamily(infeasible)));
+  EXPECT_FALSE(HopcroftKarp::HasCompleteSdr(AnalysisContext::Build(infeasible)));
 }
 
 TEST(HopcroftKarpTest, PossibleSpendsMatchEnumeration) {
@@ -176,19 +127,19 @@ TEST(HopcroftKarpTest, PossibleSpendsMatchEnumeration) {
       if (members.empty()) members.push_back(rng.NextBounded(num_tokens));
       views.push_back(View(r, members));
     }
-    RsFamily family(views);
+    const AnalysisContext context = AnalysisContext::Build(views);
 
     // Brute force: collect per-RS spend sets over all SDRs.
     std::vector<std::set<size_t>> possible_bf(num_rs);
     auto st = SdrEnumerator::Enumerate(
-        family, {}, [&](const SdrAssignment& u) {
+        context, {}, [&](const SdrAssignment& u) {
           for (size_t r = 0; r < num_rs; ++r) possible_bf[r].insert(u[r]);
           return true;
         });
     ASSERT_TRUE(st.ok());
 
     for (size_t r = 0; r < num_rs; ++r) {
-      auto hk = HopcroftKarp::PossibleSpends(family, r);
+      auto hk = HopcroftKarp::PossibleSpends(context, r);
       std::set<size_t> hk_set(hk.begin(), hk.end());
       EXPECT_EQ(hk_set, possible_bf[r]) << "trial " << trial << " rs " << r;
     }
@@ -209,17 +160,17 @@ TEST(CountSdrsDpTest, MatchesBacktrackingOnRandomFamilies) {
       if (members.empty()) members.push_back(rng.NextBounded(num_tokens));
       views.push_back(View(r, members));
     }
-    RsFamily family(views);
-    auto bt = SdrEnumerator::Count(family);
+    const AnalysisContext context = AnalysisContext::Build(views);
+    auto bt = SdrEnumerator::Count(context);
     ASSERT_TRUE(bt.ok());
-    EXPECT_EQ(*bt, CountSdrsDp(family)) << "trial " << trial;
+    EXPECT_EQ(*bt, CountSdrsDp(context)) << "trial " << trial;
   }
 }
 
 TEST(CountSdrsDpTest, EmptyFamilyHasOneSdr) {
-  RsFamily family(std::vector<RsView>{});
-  EXPECT_EQ(CountSdrsDp(family), 1u);
-  auto count = SdrEnumerator::Count(family);
+  const AnalysisContext context = AnalysisContext::Build({});
+  EXPECT_EQ(CountSdrsDp(context), 1u);
+  auto count = SdrEnumerator::Count(context);
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(*count, 1u);
 }

@@ -55,16 +55,6 @@ TEST(LedgerTest, DeduplicatesMembers) {
   EXPECT_EQ(ledger.view(*id).members, (std::vector<TokenId>{1, 2}));
 }
 
-TEST(LedgerTest, NeighborSetsTrackContainingRs) {
-  Ledger ledger;
-  ASSERT_TRUE(ledger.Propose({1, 2}, 1, Req(1, 1)).ok());
-  ASSERT_TRUE(ledger.Propose({2, 3}, 3, Req(1, 1)).ok());
-  ASSERT_TRUE(ledger.Propose({4, 5}, 4, Req(1, 1)).ok());
-  EXPECT_EQ(ledger.NeighborSet(2), (std::vector<RsId>{0, 1}));
-  EXPECT_EQ(ledger.NeighborSet(1), (std::vector<RsId>{0}));
-  EXPECT_TRUE(ledger.NeighborSet(99).empty());
-}
-
 TEST(LedgerTest, IsSpentTracksGroundTruth) {
   Ledger ledger;
   ASSERT_TRUE(ledger.Propose({1, 2}, 2, Req(1, 1)).ok());

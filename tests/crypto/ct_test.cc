@@ -68,12 +68,6 @@ TEST(CtLessTest, MatchesCompare) {
   EXPECT_EQ(CtLess(x, x), 0u) << "a < a must be false";
 }
 
-TEST(WipeScalarsTest, WipesEveryElement) {
-  std::vector<U256> scalars(5, U256(0x1234));
-  WipeScalars(scalars);
-  for (const U256& s : scalars) EXPECT_TRUE(s.IsZero());
-}
-
 // The poisoning hooks must be safe no-ops in an uninstrumented build.
 TEST(CtHooksTest, PoisonDeclassifyAreNoopsWithoutInstrumentation) {
   uint64_t value = 42;

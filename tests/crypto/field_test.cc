@@ -142,12 +142,12 @@ TEST(ScalarTest, ScalarFieldBasics) {
 }
 
 TEST(ScalarTest, IsValidScalarBounds) {
-  EXPECT_FALSE(IsValidScalar(U256::Zero()));
-  EXPECT_TRUE(IsValidScalar(U256::One()));
+  EXPECT_FALSE(oracle::IsValidScalar(U256::Zero()));
+  EXPECT_TRUE(oracle::IsValidScalar(U256::One()));
   U256 n_minus_1;
   U256::Sub(GroupOrder(), U256::One(), &n_minus_1);
-  EXPECT_TRUE(IsValidScalar(n_minus_1));
-  EXPECT_FALSE(IsValidScalar(GroupOrder()));
+  EXPECT_TRUE(oracle::IsValidScalar(n_minus_1));
+  EXPECT_FALSE(oracle::IsValidScalar(GroupOrder()));
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "crypto/field.h"
+#include "oracle/crypto_oracle.h"
 
 namespace tokenmagic::crypto {
 namespace {
@@ -213,7 +214,7 @@ TEST(KeypairTest, GenerateProducesValidKeys) {
   common::Rng rng(9);
   for (int i = 0; i < 10; ++i) {
     Keypair key = Keypair::Generate(&rng);
-    EXPECT_TRUE(IsValidScalar(key.secret));
+    EXPECT_TRUE(oracle::IsValidScalar(key.secret));
     EXPECT_TRUE(Secp256k1::IsOnCurve(key.pub));
     EXPECT_EQ(key.pub, Secp256k1::MulBase(key.secret));
   }

@@ -84,8 +84,9 @@ TEST_P(TheoremSweep, Theorem64DtrsDiversityFollowsFromStrictRs) {
     family.push_back(candidate);
     analysis::DtrsFinder::Options options;
     options.max_combinations = 50000;
-    auto dtrss = analysis::DtrsFinder::FindAll(family, candidate.id,
-                                               instance.index, options);
+    auto dtrss = analysis::DtrsFinder::FindAll(
+        analysis::AnalysisContext::Build(family), candidate.id,
+        instance.index, options);
     if (!dtrss.ok()) continue;  // capped-out instance: skip
     for (const auto& d : *dtrss) {
       EXPECT_TRUE(analysis::SatisfiesRecursiveDiversity(
@@ -142,7 +143,8 @@ TEST_P(TheoremSweep, Theorem61PsiSetsAreDtrsTokenSets) {
   RsView r2{2, {3, 4}, 2, {1.0, 1}};
   std::vector<RsView> history = {r0, r1, r2};
 
-  auto dtrss = analysis::DtrsFinder::FindAll(history, 1, index);
+  auto dtrss = analysis::DtrsFinder::FindAll(
+      analysis::AnalysisContext::Build(history), 1, index);
   ASSERT_TRUE(dtrss.ok());
 
   // Theorem 6.1 with r_i = r1, v = 2, |r| = 3: a DTRS pinning HT h exists

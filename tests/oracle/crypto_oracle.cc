@@ -12,6 +12,10 @@ using crypto::Point;
 using crypto::U256;
 using crypto::U512;
 
+bool IsValidScalar(const U256& a) {
+  return !a.IsZero() && a < crypto::GroupOrder();
+}
+
 uint64_t Shl1(U256* v) {
   uint64_t carry = 0;
   for (auto& limb : v->limbs) {

@@ -23,6 +23,11 @@
 
 namespace tokenmagic::oracle {
 
+/// True for a valid scalar: 0 < a < n. Branches on its argument; the
+/// library checks secret scalars branch-free with crypto::CtIsZero, as
+/// Keypair::Generate does.
+bool IsValidScalar(const crypto::U256& a);
+
 /// Logical left shift of *v by one bit; returns the bit shifted out.
 uint64_t Shl1(crypto::U256* v);
 

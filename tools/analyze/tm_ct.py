@@ -13,7 +13,7 @@ declaration; it propagates interprocedurally through
 assignments, calls, and returns via per-function summaries computed to a
 fixpoint. Taint exits only at audited declassification points — a
 `CtDeclassify(...)` call carrying a `// tm-declassify(<reason>)` annotation
-— or at a wipe (SecureWipe / WipeScalars).
+— or at a wipe (SecureWipe).
 
 Frontends (same rule evaluation either way; they differ only in how
 function definitions are discovered):
@@ -40,10 +40,10 @@ Rules:
                     kernels (MulCT / MulBaseCT).
   secret-libcall    memcmp/strcmp/printf-family/HexEncode/ToHex on tainted
                     bytes; use crypto::CtEquals for secret comparisons.
-  wipe-on-exit      a tainted local must reach SecureWipe / WipeScalars (or
-                    be returned — ownership transfer — or be of a
-                    self-wiping type: Keypair, Sha256, Commitment) before
-                    the function exits.
+  wipe-on-exit      a tainted local must reach SecureWipe (or be
+                    returned — ownership transfer — or be of a self-wiping
+                    type: Keypair, Sha256, Commitment) before the function
+                    exits.
   declassify-audit  CtDeclassify without an adjacent tm-declassify
                     annotation; stale/malformed annotations (attached to
                     nothing, empty reason); tm-secret attached to nothing;
@@ -106,7 +106,7 @@ RULE_DESCRIPTIONS = {
         "Variable-time library calls (memcmp, printf-family, hex encoding) "
         "must not touch secret bytes; use crypto::CtEquals.",
     "wipe-on-exit":
-        "Secret-tainted locals must be wiped (SecureWipe/WipeScalars), "
+        "Secret-tainted locals must be wiped (SecureWipe), "
         "returned, or of a self-wiping type before the function exits.",
     "declassify-audit":
         "Every CtDeclassify needs an adjacent // tm-declassify(<reason>); "
@@ -154,7 +154,7 @@ CHECK_MACRO_RE = re.compile(r'\bTM_D?CHECK\s*\(')
 CLASS_RE = re.compile(r'\b(?:class|struct)\s+([A-Za-z_]\w*)\s*'
                       r'(?:final\s*)?(?::[^;{]*)?{')
 RECEIVER_UPDATE_RE = re.compile(r'([A-Za-z_]\w*)\s*\.\s*Update\s*\(')
-WIPE_RE = re.compile(r'\b(?:SecureWipe|WipeScalars)\s*\(')
+WIPE_RE = re.compile(r'\bSecureWipe\s*\(')
 POISON_RE = re.compile(r'\bCtPoison\s*\(')
 DECLASSIFY_CALL_RE = re.compile(r'\bCtDeclassify\s*\(')
 DIV_RE = re.compile(r'(?<![/*])[/%](?![/*=])')
@@ -690,7 +690,7 @@ def analyze_function(fn: FnDef, raw: list[str], ctx: Context,
                     and not v.self_wiping and name not in params):
                 report("wipe-on-exit", v.line,
                        f"secret-tainted local '{name}' is not wiped on "
-                       f"every exit path; SecureWipe/WipeScalars it, "
+                       f"every exit path; SecureWipe it, "
                        f"return it, or use a self-wiping carrier type")
 
     return findings, returns_tainted
@@ -775,7 +775,7 @@ def check_self_wiping_types(files: dict[str, list[str]],
                 if dtor_re.search(line) and ";" not in line.split("{")[0]:
                     where = (path, i + 1)
                     window = " ".join(clines[i:i + 8])
-                    if "SecureWipe" in window or "WipeScalars" in window:
+                    if "SecureWipe" in window:
                         ok = True
         if not ok:
             f, ln = where if where else ("src/crypto", 1)
@@ -831,7 +831,7 @@ def run(fns: list[FnDef], files: dict[str, list[str]],
     # function tainting neither way is a masked, taint-free call.
     base: dict[str, bool] = {fn.name: False for fn in fns}
     param: dict[str, bool] = {fn.name: False for fn in fns}
-    special = {"SecureWipe", "WipeScalars", "CtPoison", "CtDeclassify"}
+    special = {"SecureWipe", "CtPoison", "CtDeclassify"}
     for _ in range(8):
         ctx.always_taint = {n for n, t in base.items() if t}
         ctx.never_taint = {n for n in base
