@@ -43,7 +43,7 @@ void BM_LsagSign(benchmark::State& state) {
     benchmark::DoNotOptimize(&sig);
   }
 }
-BENCHMARK(BM_LsagSign)->Arg(2)->Arg(5)->Arg(11)->Arg(16)->Arg(32)
+BENCHMARK(BM_LsagSign)->Arg(2)->Arg(3)->Arg(5)->Arg(11)->Arg(16)->Arg(32)
     ->Unit(benchmark::kMillisecond);
 
 void BM_LsagVerify(benchmark::State& state) {
@@ -57,7 +57,7 @@ void BM_LsagVerify(benchmark::State& state) {
     benchmark::DoNotOptimize(ok);
   }
 }
-BENCHMARK(BM_LsagVerify)->Arg(2)->Arg(5)->Arg(11)->Arg(16)->Arg(32)
+BENCHMARK(BM_LsagVerify)->Arg(2)->Arg(3)->Arg(5)->Arg(11)->Arg(16)->Arg(32)
     ->Unit(benchmark::kMillisecond);
 
 // Per-primitive rows: the kernels a ring member costs. Sign pays one
@@ -70,9 +70,13 @@ crypto::U256 BenchScalar(uint64_t seed) {
       crypto::U256(rng.Next(), rng.Next(), rng.Next(), rng.Next()));
 }
 
+crypto::FieldElement BenchElement(uint64_t seed) {
+  return crypto::FieldFromU256(BenchScalar(seed));
+}
+
 void BM_FieldMul(benchmark::State& state) {
-  crypto::U256 a = BenchScalar(3);
-  crypto::U256 b = BenchScalar(4);
+  crypto::FieldElement a = BenchElement(3);
+  crypto::FieldElement b = BenchElement(4);
   for (auto _ : state) {
     a = crypto::FieldMul(a, b);
     benchmark::DoNotOptimize(&a);
@@ -80,8 +84,17 @@ void BM_FieldMul(benchmark::State& state) {
 }
 BENCHMARK(BM_FieldMul)->Unit(benchmark::kNanosecond);
 
+void BM_FieldSqr(benchmark::State& state) {
+  crypto::FieldElement a = BenchElement(14);
+  for (auto _ : state) {
+    a = crypto::FieldSqr(a);
+    benchmark::DoNotOptimize(&a);
+  }
+}
+BENCHMARK(BM_FieldSqr)->Unit(benchmark::kNanosecond);
+
 void BM_FieldInv(benchmark::State& state) {
-  crypto::U256 a = BenchScalar(5);
+  crypto::FieldElement a = BenchElement(5);
   for (auto _ : state) {
     a = crypto::FieldInv(a);
     benchmark::DoNotOptimize(&a);

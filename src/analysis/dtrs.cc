@@ -42,8 +42,11 @@ bool IsSubsetOf(const DensePairSet& a, const DensePairSet& b) {
   return true;
 }
 
-common::Result<std::vector<SdrAssignment>> MaterializeCombinations(
-    const AnalysisContext& context, const DtrsFinder::Options& options) {
+}  // namespace
+
+common::Result<DtrsFinder> DtrsFinder::ForContext(
+    const AnalysisContext& context, const chain::HtIndex& index,
+    const Options& options) {
   std::vector<SdrAssignment> all;
   SdrEnumerator::Options enum_options;
   enum_options.max_results = options.max_combinations;
@@ -56,31 +59,34 @@ common::Result<std::vector<SdrAssignment>> MaterializeCombinations(
   if (st.IsTimeout()) return st;
   if (st.code() == common::StatusCode::kResourceExhausted) return st;
   TM_CHECK(st.ok());
-  return all;
+  return DtrsFinder(context, index, options, std::move(all));
 }
-
-}  // namespace
 
 common::Result<std::vector<Dtrs>> DtrsFinder::FindAll(
     const AnalysisContext& context, chain::RsId target,
     const chain::HtIndex& index, const Options& options) {
-  common::Deadline deadline(options.budget_seconds);
+  TM_ASSIGN_OR_RETURN(DtrsFinder finder, ForContext(context, index, options));
+  return finder.Find(target);
+}
+
+common::Result<std::vector<Dtrs>> DtrsFinder::Find(chain::RsId target) const {
+  const AnalysisContext& context = *context_;
+  const std::vector<SdrAssignment>& combos = combos_;
+  common::Deadline deadline(options_.budget_seconds);
   const AnalysisContext::Local k = context.LocalOfRs(target);
   TM_CHECK(k != AnalysisContext::kNoLocal);
   const size_t m = context.rs_count();
-
-  TM_ASSIGN_OR_RETURN(std::vector<SdrAssignment> combos,
-                      MaterializeCombinations(context, options));
   if (combos.empty()) return std::vector<Dtrs>{};
 
   // HT of the target's hypothetical spend in each combination.
   std::vector<chain::TxId> target_ht(combos.size());
   for (size_t j = 0; j < combos.size(); ++j) {
-    target_ht[j] = index.HtOf(context.token_id(combos[j][k]));
+    target_ht[j] = index_->HtOf(context.token_id(combos[j][k]));
   }
 
-  const size_t max_size =
-      options.max_dtrs_size == 0 ? (m > 0 ? m - 1 : 0) : options.max_dtrs_size;
+  const size_t max_size = options_.max_dtrs_size == 0
+                              ? (m > 0 ? m - 1 : 0)
+                              : options_.max_dtrs_size;
 
   // Validated DTRSs found so far, grouped for minimality pruning.
   std::vector<std::pair<DensePairSet, chain::TxId>> accepted;

@@ -44,16 +44,29 @@ class DtrsFinder {
   struct Options {
     /// Cap on the number of SDRs materialized (0 = unlimited).
     uint64_t max_combinations = 200000;
-    /// Wall-clock budget for the whole computation (0 = unlimited).
+    /// Wall-clock budget for the enumeration and for each Find
+    /// (0 = unlimited).
     // tm-lint: allow(float, wall-clock budget, not DTRS counting math)
     double budget_seconds = 0.0;
     /// Cap on candidate-subset size (0 = up to family size - 1).
     size_t max_dtrs_size = 0;
   };
 
+  /// Enumerates the token-RS combinations of `context` once (one
+  /// SdrEnumerator pass); Find then runs Algorithm 3's candidate
+  /// generation and validation over them for any RS of the context, with
+  /// HTs read from `index`. Both must outlive the finder. Fails with
+  /// Timeout/ResourceExhausted when the enumeration's caps trip.
+  [[nodiscard]] static common::Result<DtrsFinder> ForContext(
+      const AnalysisContext& context, const chain::HtIndex& index,
+      const Options& options);
+
   /// Exact enumeration of all minimal DTRSs of RS `target` (an id present
-  /// in the context's history), with HTs read from `index`. Fails with
-  /// Timeout/ResourceExhausted when caps trip.
+  /// in the context's history). Fails with Timeout when the budget trips.
+  [[nodiscard]] common::Result<std::vector<Dtrs>> Find(
+      chain::RsId target) const;
+
+  /// ForContext then Find, for one RS.
   [[nodiscard]] static common::Result<std::vector<Dtrs>> FindAll(
       const AnalysisContext& context, chain::RsId target,
       const chain::HtIndex& index, const Options& options);
@@ -62,6 +75,24 @@ class DtrsFinder {
       const chain::HtIndex& index) {
     return FindAll(context, target, index, Options());
   }
+
+ private:
+  DtrsFinder(const AnalysisContext& context, const chain::HtIndex& index,
+             const Options& options,
+             std::vector<std::vector<AnalysisContext::Local>> combos)
+      : context_(&context),
+        index_(&index),
+        options_(options),
+        combos_(std::move(combos)) {}
+
+  // tm-borrows(caller): ForContext's caller keeps the context alive for
+  // as long as it uses the finder.
+  const AnalysisContext* context_;
+  // tm-borrows(caller): likewise the index.
+  const chain::HtIndex* index_;
+  Options options_;
+  /// Every token-RS combination, as a token local per RS local.
+  std::vector<std::vector<AnalysisContext::Local>> combos_;
 };
 
 /// Theorem 6.1 practical check: every DTRS of an RS with members `members`

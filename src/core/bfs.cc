@@ -59,15 +59,17 @@ bool NonEliminated(const AnalysisContext& family) {
 }
 
 /// DTRS-diversity check (Algorithm 2 lines 17-22): every exact DTRS of
-/// every RS in the family satisfies that RS's requirement.
+/// every RS in the family satisfies that RS's requirement. The family's
+/// token-RS combinations are enumerated once and shared by every RS.
 common::Result<bool> AllDtrsDiverse(
     const AnalysisContext& family, const chain::HtIndex& index,
     const analysis::DtrsFinder::Options& dtrs_options) {
+  TM_ASSIGN_OR_RETURN(
+      analysis::DtrsFinder finder,
+      analysis::DtrsFinder::ForContext(family, index, dtrs_options));
   for (AnalysisContext::Local r = 0; r < family.rs_count(); ++r) {
-    TM_ASSIGN_OR_RETURN(
-        std::vector<analysis::Dtrs> dtrss,
-        analysis::DtrsFinder::FindAll(family, family.rs_id(r), index,
-                                      dtrs_options));
+    TM_ASSIGN_OR_RETURN(std::vector<analysis::Dtrs> dtrss,
+                        finder.Find(family.rs_id(r)));
     for (const analysis::Dtrs& d : dtrss) {
       if (!analysis::SatisfiesRecursiveDiversity(d.Tokens(), index,
                                                  family.requirement(r))) {

@@ -12,8 +12,9 @@ const U256 kPrime(0xfffffffefffffc2full, 0xffffffffffffffffull,
 // n = group order of secp256k1
 const U256 kOrder(0xbfd25e8cd0364141ull, 0xbaaedce6af48a03bull,
                   0xfffffffffffffffeull, 0xffffffffffffffffull);
-// 2^256 mod p = 2^32 + 977
+// 2^256 mod p = 2^32 + 977, the fold constant of the 52-bit limb form.
 constexpr uint64_t kFold = 0x1000003d1ull;
+using field_internal::kLimbMask;
 // 2^256 mod n = 2^256 - n, the scalar-field fold constant (129 bits).
 const U256 kOrderFold(0x402da1732fc9bebfull, 0x4551231950b75fc4ull, 0x1ull,
                       0x0ull);
@@ -39,7 +40,7 @@ const U256 kG2(0x1571b4ae8ac47f71ull, 0x221208ac9df506c6ull,
 
 // r = take ? a : b without a branch (full-width masking), so the scalar
 // reductions below never branch on their (typically secret) operands.
-U256 FieldMaskedSelect(uint64_t take, const U256& a, const U256& b) {
+U256 MaskedSelect(uint64_t take, const U256& a, const U256& b) {
   uint64_t mask = 0 - static_cast<uint64_t>(take != 0);
   U256 out;
   for (int i = 0; i < 4; ++i) {
@@ -48,67 +49,92 @@ U256 FieldMaskedSelect(uint64_t take, const U256& a, const U256& b) {
   return out;
 }
 
-// out = a + b * kFold where a is 5 limbs (4 + carry limb), b is 4 limbs.
-// Returns the result as 4 limbs plus a (small) carry limb.
-void FoldOnce(const uint64_t a[5], const uint64_t b[4], uint64_t out[5]) {
-  unsigned __int128 acc = 0;
-  for (int i = 0; i < 4; ++i) {
-    acc += a[i];
-    acc += static_cast<unsigned __int128>(b[i]) * kFold;
-    out[i] = static_cast<uint64_t>(acc);
-    acc >>= 64;
-  }
-  acc += a[4];
-  out[4] = static_cast<uint64_t>(acc);
-}
-
 }  // namespace
 
 const U256& FieldPrime() { return kPrime; }
 const U256& GroupOrder() { return kOrder; }
 
-U256 FieldReduce(const U512& x) {
-  // First fold: low(4 limbs) + high(4 limbs) * kFold -> 5 limbs.
-  uint64_t low[5] = {x.limbs[0], x.limbs[1], x.limbs[2], x.limbs[3], 0};
-  uint64_t high[4] = {x.limbs[4], x.limbs[5], x.limbs[6], x.limbs[7]};
-  uint64_t fold1[5];
-  FoldOnce(low, high, fold1);
-  // Second fold: the carry limb (< 2^33) folds back into the low 4 limbs.
-  uint64_t low2[5] = {fold1[0], fold1[1], fold1[2], fold1[3], 0};
-  uint64_t high2[4] = {fold1[4], 0, 0, 0};
-  uint64_t fold2[5];
-  FoldOnce(low2, high2, fold2);
-  // fold2[4] can be at most 1 after the second fold.
-  U256 result(fold2[0], fold2[1], fold2[2], fold2[3]);
-  if (fold2[4] != 0) {
-    // result + 2^256 ≡ result + kFold (mod p)
-    U256 tmp;
-    uint64_t carry = U256::Add(result, U256(kFold), &tmp);
-    result = tmp;
-    (void)carry;  // cannot overflow: result < 2^33 after the second fold
-    TM_DCHECK(carry == 0);
-  }
-  while (result >= kPrime) {
-    U256 tmp;
-    U256::Sub(result, kPrime, &tmp);
-    result = tmp;
-  }
-  return result;
+FieldElement FieldFromU256(const U256& a) {
+  const auto& l = a.limbs;
+  FieldElement r;
+  r.n[0] = l[0] & kLimbMask;
+  r.n[1] = ((l[0] >> 52) | (l[1] << 12)) & kLimbMask;
+  r.n[2] = ((l[1] >> 40) | (l[2] << 24)) & kLimbMask;
+  r.n[3] = ((l[2] >> 28) | (l[3] << 36)) & kLimbMask;
+  r.n[4] = l[3] >> 16;
+  return r;
 }
 
-U256 FieldAdd(const U256& a, const U256& b) { return AddMod(a, b, kPrime); }
-U256 FieldSub(const U256& a, const U256& b) { return SubMod(a, b, kPrime); }
-
-U256 FieldMul(const U256& a, const U256& b) {
-  return FieldReduce(U256::Mul(a, b));
+U256 FieldToU256(const FieldElement& a) {
+  FieldElement t = FieldNormalize(a);
+  return U256(t.n[0] | (t.n[1] << 52), (t.n[1] >> 12) | (t.n[2] << 40),
+              (t.n[2] >> 24) | (t.n[3] << 28), (t.n[3] >> 36) | (t.n[4] << 16));
 }
 
-U256 FieldSqr(const U256& a) { return FieldMul(a, a); }
+// One carry pass: bits of limb 4 above 2^48 (2^256 and up) fold into limb
+// 0 by 2^256 ≡ kFold, and each limb carries its bits above 2^52 upward.
+// Limbs 0..3 end below 2^52 and limb 4 below 2^48 + 2^7 (magnitude 1).
+FieldElement FieldNormalizeWeak(const FieldElement& a) {
+  TM_DCHECK(FieldWithinMagnitude(a, kFieldMaxMagnitude));
+  FieldElement r = a;
+  const uint64_t x = r.n[4] >> 48;
+  r.n[4] &= kLimbMask >> 4;
+  r.n[0] += x * kFold;
+  r.n[1] += r.n[0] >> 52;
+  r.n[0] &= kLimbMask;
+  r.n[2] += r.n[1] >> 52;
+  r.n[1] &= kLimbMask;
+  r.n[3] += r.n[2] >> 52;
+  r.n[2] &= kLimbMask;
+  r.n[4] += r.n[3] >> 52;
+  r.n[3] &= kLimbMask;
+  return r;
+}
+
+FieldElement FieldNormalize(const FieldElement& a) {
+  FieldElement r = FieldNormalizeWeak(a);
+  // After one pass the value is below 2^256 + 2^215, so at most one more
+  // p comes off: when the 2^256 bit is set, or when the value is in
+  // [p, 2^256), i.e. limbs 1..4 are all ones and limb 0 is at least p's.
+  const uint64_t middle = r.n[1] & r.n[2] & r.n[3];
+  const uint64_t x =
+      (r.n[4] >> 48) |
+      (static_cast<uint64_t>(r.n[4] == (kLimbMask >> 4)) &
+       static_cast<uint64_t>(middle == kLimbMask) &
+       static_cast<uint64_t>(r.n[0] >= 0xFFFFEFFFFFC2Full));
+  // Adding x·kFold and dropping bit 256 subtracts x·p.
+  r.n[0] += x * kFold;
+  r.n[1] += r.n[0] >> 52;
+  r.n[0] &= kLimbMask;
+  r.n[2] += r.n[1] >> 52;
+  r.n[1] &= kLimbMask;
+  r.n[3] += r.n[2] >> 52;
+  r.n[2] &= kLimbMask;
+  r.n[4] += r.n[3] >> 52;
+  r.n[3] &= kLimbMask;
+  r.n[4] &= kLimbMask >> 4;
+  return r;
+}
+
+bool FieldIsZero(const FieldElement& a) {
+  FieldElement t = FieldNormalize(a);
+  return (t.n[0] | t.n[1] | t.n[2] | t.n[3] | t.n[4]) == 0;
+}
+
+bool FieldEqual(const FieldElement& a, const FieldElement& b) {
+  FieldElement x = FieldNormalize(a);
+  FieldElement y = FieldNormalize(b);
+  uint64_t diff = 0;
+  for (int i = 0; i < 5; ++i) diff |= x.n[i] ^ y.n[i];
+  return diff == 0;
+}
+
+bool FieldIsOdd(const FieldElement& a) { return FieldNormalize(a).n[0] & 1; }
 
 namespace {
 
 // a^(2^n) by n squarings.
-U256 SqrN(U256 a, int n) {
+FieldElement SqrN(FieldElement a, int n) {
   for (int i = 0; i < n; ++i) a = FieldSqr(a);
   return a;
 }
@@ -117,55 +143,45 @@ U256 SqrN(U256 a, int n) {
 // *x2 = a^(2^2 - 1), *x22 = a^(2^22 - 1) and returns a^(2^223 - 1), via
 // the chain 1, 2, 3, 6, 9, 11, 22, 44, 88, 176, 220, 223 (libsecp256k1's
 // field_impl.h).
-U256 OnesChain(const U256& a, U256* x2, U256* x22) {
+FieldElement OnesChain(const FieldElement& a, FieldElement* x2,
+                       FieldElement* x22) {
   *x2 = FieldMul(FieldSqr(a), a);
-  U256 x3 = FieldMul(FieldSqr(*x2), a);
-  U256 x6 = FieldMul(SqrN(x3, 3), x3);
-  U256 x9 = FieldMul(SqrN(x6, 3), x3);
-  U256 x11 = FieldMul(SqrN(x9, 2), *x2);
+  FieldElement x3 = FieldMul(FieldSqr(*x2), a);
+  FieldElement x6 = FieldMul(SqrN(x3, 3), x3);
+  FieldElement x9 = FieldMul(SqrN(x6, 3), x3);
+  FieldElement x11 = FieldMul(SqrN(x9, 2), *x2);
   *x22 = FieldMul(SqrN(x11, 11), x11);
-  U256 x44 = FieldMul(SqrN(*x22, 22), *x22);
-  U256 x88 = FieldMul(SqrN(x44, 44), x44);
-  U256 x176 = FieldMul(SqrN(x88, 88), x88);
-  U256 x220 = FieldMul(SqrN(x176, 44), x44);
+  FieldElement x44 = FieldMul(SqrN(*x22, 22), *x22);
+  FieldElement x88 = FieldMul(SqrN(x44, 44), x44);
+  FieldElement x176 = FieldMul(SqrN(x88, 88), x88);
+  FieldElement x220 = FieldMul(SqrN(x176, 44), x44);
   return FieldMul(SqrN(x220, 3), x3);
 }
 
 }  // namespace
 
-U256 FieldInv(const U256& a) {
-  TM_CHECK(!a.IsZero());
+FieldElement FieldInv(const FieldElement& a) {
+  TM_CHECK(!FieldIsZero(a));
   // p - 2 = [223 ones] 0 [22 ones] 0000 1 0 11 0 1: 255 squarings and
   // 15 multiplies in all.
-  U256 x2, x22;
-  U256 t = OnesChain(a, &x2, &x22);
+  FieldElement x2, x22;
+  FieldElement t = OnesChain(a, &x2, &x22);
   t = FieldMul(SqrN(t, 23), x22);
   t = FieldMul(SqrN(t, 5), a);
   t = FieldMul(SqrN(t, 3), x2);
   return FieldMul(SqrN(t, 2), a);
 }
 
-U256 FieldNeg(const U256& a) {
-  if (a.IsZero()) return a;
-  U256 out;
-  U256::Sub(kPrime, a, &out);
-  return out;
-}
-
-bool FieldSqrt(const U256& a, U256* root) {
+bool FieldSqrt(const FieldElement& a, FieldElement* root) {
   TM_CHECK(root != nullptr);
   // (p + 1) / 4 = [223 ones] 0 [22 ones] 0000 11 00: 253 squarings and
   // 13 multiplies.
-  U256 x2, x22;
-  U256 t = OnesChain(a, &x2, &x22);
+  FieldElement x2, x22;
+  FieldElement t = OnesChain(a, &x2, &x22);
   t = FieldMul(SqrN(t, 23), x22);
   t = FieldMul(SqrN(t, 6), x2);
-  U256 candidate = SqrN(t, 2);
-  // a < 2^256 < 2p, so one subtraction brings it into [0, p) for the
-  // comparison.
-  U256 reduced = a;
-  if (reduced >= kPrime) U256::Sub(a, kPrime, &reduced);
-  if (FieldSqr(candidate) != reduced) return false;
+  FieldElement candidate = SqrN(t, 2);
+  if (!FieldEqual(FieldSqr(candidate), a)) return false;
   *root = candidate;
   return true;
 }
@@ -174,7 +190,7 @@ U256 ScalarAdd(const U256& a, const U256& b) { return AddMod(a, b, kOrder); }
 U256 ScalarSub(const U256& a, const U256& b) { return SubMod(a, b, kOrder); }
 
 U256 ScalarReduce512(const U512& x) {
-  // Same folding idea as FieldReduce, but mod n: 2^256 ≡ kOrderFold, so
+  // Folding, as in the base field, but mod n: 2^256 ≡ kOrderFold, so
   // each pass rewrites high * 2^256 + low as high * kOrderFold + low.
   // kOrderFold is 129 bits, so the bit-width trace is fixed:
   // 512 -> 386 -> 260 -> 257. Three passes always run — the loop count
@@ -214,7 +230,7 @@ U256 ScalarReduce512(const U512& x) {
     // Subtract when the 257-bit value is >= n: either the 2^256 bit is
     // still set, or the low 256 bits alone do not borrow.
     uint64_t take = extra | (borrow ^ 1);
-    r = FieldMaskedSelect(take, d, r);
+    r = MaskedSelect(take, d, r);
     // A borrowing subtraction that was taken consumed the 2^256 bit.
     extra &= borrow ^ 1;
   }
@@ -229,7 +245,7 @@ U256 ScalarReduce(const U256& a) {
   // a < 2^256 < 2n, so one masked subtraction fully reduces.
   U256 d;
   uint64_t borrow = U256::Sub(a, kOrder, &d);
-  return FieldMaskedSelect(borrow ^ 1, d, a);
+  return MaskedSelect(borrow ^ 1, d, a);
 }
 
 const U256& EndomorphismLambda() { return kLambda; }

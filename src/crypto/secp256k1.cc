@@ -13,131 +13,153 @@ namespace tokenmagic::crypto {
 
 namespace {
 
-// Jacobian projective point: (X, Y, Z) representing (X/Z^2, Y/Z^3).
+// Jacobian projective point: (X, Y, Z) representing (X/Z^2, Y/Z^3), in
+// lazily reduced field elements. The formulas below return X of
+// magnitude at most 6, Y at most 4 and Z at most 2; negating Y adds one.
+// They accept X and Y up to magnitude 8 and Z up to 4 (the additions sum
+// two Zs before squaring). The identity is a flag, not Z = 0, so no
+// formula pays a zero test to recognise it.
 struct Jacobian {
-  U256 x;
-  U256 y;
-  U256 z;  // z == 0 encodes the identity
+  FieldElement x;
+  FieldElement y;
+  FieldElement z;
+  uint64_t infinity = 0;  // 1 for the identity
 
   static Jacobian Identity() {
-    return Jacobian{U256::One(), U256::One(), U256::Zero()};
+    return Jacobian{FieldElement(), FieldElement(1), FieldElement(), 1};
   }
-  bool IsIdentity() const { return z.IsZero(); }
+  bool IsIdentity() const { return infinity != 0; }
 };
 
 Jacobian ToJacobian(const Point& p) {
   if (p.infinity) return Jacobian::Identity();
-  return Jacobian{p.x, p.y, U256::One()};
+  return Jacobian{FieldFromU256(p.x), FieldFromU256(p.y), FieldElement(1),
+                  0};
 }
 
 Point ToAffine(const Jacobian& j) {
   if (j.IsIdentity()) return Point::Infinity();
-  U256 z_inv = FieldInv(j.z);
-  U256 z_inv2 = FieldSqr(z_inv);
-  U256 z_inv3 = FieldMul(z_inv2, z_inv);
+  FieldElement z_inv = FieldInv(j.z);
+  FieldElement z_inv2 = FieldSqr(z_inv);
+  FieldElement z_inv3 = FieldMul(z_inv2, z_inv);
   Point p;
-  p.x = FieldMul(j.x, z_inv2);
-  p.y = FieldMul(j.y, z_inv3);
+  p.x = FieldToU256(FieldMul(j.x, z_inv2));
+  p.y = FieldToU256(FieldMul(j.y, z_inv3));
   p.infinity = false;
   return p;
 }
 
-// Doubling in Jacobian coordinates ("dbl-2007-bl" simplified for a = 0).
+// Doubling in Jacobian coordinates for a = 0, dbl-2009-l's result by
+// libsecp256k1's schedule of 3 multiplies and 4 squarings: X' = 9X^4 -
+// 8XY^2, Y' = 3X^2(4XY^2 - X') - 8Y^4, Z' = 2YZ. The magnitude of each
+// intermediate is in parentheses. No zero-Y test: the curve has no point
+// of order 2, so 2P is the identity only for P the identity.
 Jacobian JacobianDouble(const Jacobian& p) {
-  if (p.IsIdentity() || p.y.IsZero()) return Jacobian::Identity();
-  U256 a = FieldSqr(p.x);                    // X^2
-  U256 b = FieldSqr(p.y);                    // Y^2
-  U256 c = FieldSqr(b);                      // Y^4
-  // D = 2*((X + B)^2 - A - C)
-  U256 x_plus_b = FieldAdd(p.x, b);
-  U256 d = FieldSub(FieldSub(FieldSqr(x_plus_b), a), c);
-  d = FieldAdd(d, d);
-  U256 e = FieldAdd(FieldAdd(a, a), a);      // 3*X^2 (a=0 curve)
-  U256 f = FieldSqr(e);
+  if (p.IsIdentity()) return p;
   Jacobian out;
-  out.x = FieldSub(f, FieldAdd(d, d));       // F - 2D
-  U256 c8 = FieldAdd(c, c);
-  c8 = FieldAdd(c8, c8);
-  c8 = FieldAdd(c8, c8);                     // 8*Y^4
-  out.y = FieldSub(FieldMul(e, FieldSub(d, out.x)), c8);
-  out.z = FieldMul(FieldAdd(p.y, p.y), p.z); // 2*Y*Z
+  out.z = FieldMulInt(FieldMul(p.y, p.z), 2);           // 2YZ (2)
+  FieldElement e = FieldMulInt(FieldSqr(p.x), 3);       // 3X^2 (3)
+  FieldElement f = FieldSqr(e);                         // 9X^4 (1)
+  FieldElement b2 = FieldMulInt(FieldSqr(p.y), 2);      // 2Y^2 (2)
+  FieldElement c8 = FieldMulInt(FieldSqr(b2), 2);       // 8Y^4 (2)
+  FieldElement d = FieldMul(b2, p.x);                   // 2XY^2 (1)
+  out.x = FieldAdd(FieldNegate(FieldMulInt(d, 4), 4), f);  // (6)
+  // 4XY^2 - X' = 12XY^2 - 9X^4 (8)
+  FieldElement diff = FieldAdd(FieldMulInt(d, 6), FieldNegate(f, 1));
+  out.y = FieldAdd(FieldMul(e, diff), FieldNegate(c8, 2));  // (4)
   return out;
 }
 
-// Mixed/general addition in Jacobian coordinates ("add-2007-bl").
+// The tail shared by both additions, from U1 = X1·Z2^2 and S1 = Y1·Z2^3
+// (magnitude 1), H = U2 - U1 and R = S2 - S1 (magnitude 3), and I = 4H^2
+// (magnitude 4): X3 = (2R)^2 - H·I - 2·U1·I, Y3 = 2R·(U1·I - X3) -
+// 2·S1·H·I. The caller sets Z3.
+void AddTail(const FieldElement& u1, const FieldElement& s1,
+             const FieldElement& h, const FieldElement& r,
+             const FieldElement& i, Jacobian* out) {
+  FieldElement j = FieldMul(h, i);                          // (1)
+  FieldElement r2 = FieldMulInt(r, 2);                      // (6)
+  FieldElement v = FieldMul(u1, i);                         // (1)
+  out->x = FieldAdd(FieldAdd(FieldSqr(r2), FieldNegate(j, 1)),
+                    FieldNegate(FieldMulInt(v, 2), 2));     // (6)
+  FieldElement s1j2 = FieldMulInt(FieldMul(s1, j), 2);      // (2)
+  out->y = FieldAdd(FieldMul(r2, FieldAdd(v, FieldNegate(out->x, 6))),
+                    FieldNegate(s1j2, 2));                  // (4)
+  out->infinity = 0;
+}
+
+// General addition in Jacobian coordinates ("add-2007-bl").
 Jacobian JacobianAdd(const Jacobian& p, const Jacobian& q) {
   if (p.IsIdentity()) return q;
   if (q.IsIdentity()) return p;
-  U256 z1z1 = FieldSqr(p.z);
-  U256 z2z2 = FieldSqr(q.z);
-  U256 u1 = FieldMul(p.x, z2z2);
-  U256 u2 = FieldMul(q.x, z1z1);
-  U256 s1 = FieldMul(FieldMul(p.y, q.z), z2z2);
-  U256 s2 = FieldMul(FieldMul(q.y, p.z), z1z1);
-  if (u1 == u2) {
-    if (s1 == s2) return JacobianDouble(p);
+  FieldElement z1z1 = FieldSqr(p.z);
+  FieldElement z2z2 = FieldSqr(q.z);
+  FieldElement u1 = FieldMul(p.x, z2z2);
+  FieldElement u2 = FieldMul(q.x, z1z1);
+  FieldElement s1 = FieldMul(FieldMul(p.y, q.z), z2z2);
+  FieldElement s2 = FieldMul(FieldMul(q.y, p.z), z1z1);
+  FieldElement h = FieldAdd(u2, FieldNegate(u1, 1));
+  FieldElement r = FieldAdd(s2, FieldNegate(s1, 1));
+  if (FieldIsZero(h)) {
+    if (FieldIsZero(r)) return JacobianDouble(p);
     return Jacobian::Identity();  // P + (-P)
   }
-  U256 h = FieldSub(u2, u1);
-  U256 i = FieldSqr(FieldAdd(h, h));
-  U256 j = FieldMul(h, i);
-  U256 r = FieldSub(s2, s1);
-  r = FieldAdd(r, r);
-  U256 v = FieldMul(u1, i);
   Jacobian out;
-  out.x = FieldSub(FieldSub(FieldSqr(r), j), FieldAdd(v, v));
-  U256 s1j = FieldMul(s1, j);
-  out.y = FieldSub(FieldMul(r, FieldSub(v, out.x)), FieldAdd(s1j, s1j));
-  U256 z_sum = FieldAdd(p.z, q.z);
-  out.z = FieldMul(FieldSub(FieldSub(FieldSqr(z_sum), z1z1), z2z2), h);
+  AddTail(u1, s1, h, r, FieldSqr(FieldMulInt(h, 2)), &out);
+  // Z3 = ((Z1 + Z2)^2 - Z1Z1 - Z2Z2)·H = 2·Z1·Z2·H (1)
+  FieldElement z_sum = FieldSqr(FieldAdd(p.z, q.z));
+  out.z = FieldMul(FieldAdd(FieldAdd(z_sum, FieldNegate(z1z1, 1)),
+                            FieldNegate(z2z2, 1)),
+                   h);
   return out;
 }
 
-// Affine coordinates of a precomputed table entry.
+// Affine coordinates of a precomputed table entry, fully normalized.
 struct Affine {
-  U256 x;
-  U256 y;
+  FieldElement x;
+  FieldElement y;
 };
 
-Affine ToAffineEntry(const Jacobian& j) {
-  Point p = ToAffine(j);
-  return Affine{p.x, p.y};
+Affine ToAffineEntry(const Point& p) {
+  return Affine{FieldFromU256(p.x), FieldFromU256(p.y)};
 }
 
+Affine ToAffineEntry(const Jacobian& j) { return ToAffineEntry(ToAffine(j)); }
+
 // Mixed addition p + (q.x, q.y, 1) ("madd-2007-bl"): the affine operand
-// saves four of add-2007-bl's multiplies. q is never the identity.
+// saves four of add-2007-bl's multiplies. q is never the identity, and its
+// coordinates have magnitude at most 2.
 Jacobian JacobianAddAffine(const Jacobian& p, const Affine& q) {
-  if (p.IsIdentity()) return Jacobian{q.x, q.y, U256::One()};
-  U256 z1z1 = FieldSqr(p.z);
-  U256 u2 = FieldMul(q.x, z1z1);
-  U256 s2 = FieldMul(FieldMul(q.y, p.z), z1z1);
-  if (p.x == u2) {
-    if (p.y == s2) return JacobianDouble(p);
+  if (p.IsIdentity()) return Jacobian{q.x, q.y, FieldElement(1), 0};
+  FieldElement z1z1 = FieldSqr(p.z);
+  FieldElement u1 = FieldNormalizeWeak(p.x);
+  FieldElement s1 = FieldNormalizeWeak(p.y);
+  FieldElement u2 = FieldMul(q.x, z1z1);
+  FieldElement s2 = FieldMul(FieldMul(q.y, p.z), z1z1);
+  FieldElement h = FieldAdd(u2, FieldNegate(u1, 1));
+  FieldElement r = FieldAdd(s2, FieldNegate(s1, 1));
+  if (FieldIsZero(h)) {
+    if (FieldIsZero(r)) return JacobianDouble(p);
     return Jacobian::Identity();  // P + (-P)
   }
-  U256 h = FieldSub(u2, p.x);
-  U256 hh = FieldSqr(h);
-  U256 i = FieldAdd(hh, hh);
-  i = FieldAdd(i, i);                         // 4*H^2
-  U256 j = FieldMul(h, i);
-  U256 r = FieldSub(s2, p.y);
-  r = FieldAdd(r, r);
-  U256 v = FieldMul(p.x, i);
   Jacobian out;
-  out.x = FieldSub(FieldSub(FieldSqr(r), j), FieldAdd(v, v));
-  U256 y1j = FieldMul(p.y, j);
-  out.y = FieldSub(FieldMul(r, FieldSub(v, out.x)), FieldAdd(y1j, y1j));
-  U256 z1h = FieldMul(p.z, h);
-  out.z = FieldAdd(z1h, z1h);                 // 2*Z1*H
+  AddTail(u1, s1, h, r, FieldMulInt(FieldSqr(h), 4), &out);
+  out.z = FieldMulInt(FieldMul(p.z, h), 2);  // 2·Z1·H (2)
   return out;
 }
 
 // -- the endomorphism split -------------------------------------------------
 
+// beta as a field element.
+const FieldElement& Beta() {
+  static const FieldElement kBeta = FieldFromU256(EndomorphismBeta());
+  return kBeta;
+}
+
 // phi(x, y) = (beta*x, y) = lambda*(x, y); on Jacobian coordinates only X
 // changes, since x = X/Z^2.
 Jacobian Phi(Jacobian e) {
-  e.x = FieldMul(e.x, EndomorphismBeta());
+  e.x = FieldMul(e.x, Beta());
   return e;
 }
 
@@ -222,8 +244,8 @@ const GeneratorTables& GeneratorOddMultiples() {
     Jacobian acc = g;
     for (size_t i = 0; i < tables.g.size(); ++i) {
       tables.g[i] = ToAffineEntry(acc);
-      tables.phi_g[i] = Affine{FieldMul(tables.g[i].x, EndomorphismBeta()),
-                               tables.g[i].y};
+      tables.phi_g[i] = Affine{
+          FieldNormalize(FieldMul(tables.g[i].x, Beta())), tables.g[i].y};
       acc = JacobianAdd(acc, g2);
     }
     return tables;
@@ -231,13 +253,16 @@ const GeneratorTables& GeneratorOddMultiples() {
   return kTables;
 }
 
+// The entry with y negated when `negate` is set: a table's affine entries
+// are normalized (magnitude 1), its Jacobian ones have y of magnitude at
+// most 4.
 Affine NegateIf(bool negate, Affine e) {
-  if (negate) e.y = FieldNeg(e.y);
+  if (negate) e.y = FieldNegate(e.y, 1);
   return e;
 }
 
 Jacobian NegateIf(bool negate, Jacobian e) {
-  if (negate) e.y = FieldNeg(e.y);
+  if (negate) e.y = FieldNegate(e.y, 4);
   return e;
 }
 
@@ -326,10 +351,19 @@ void MaskedMove(uint64_t mask, const U256& src, U256* dst) {
 }
 
 // tm-ct-ladder
+void MaskedMove(uint64_t mask, const FieldElement& src, FieldElement* dst) {
+  // tm-declassify(fixed five-limb trip count, independent of the mask)
+  for (int i = 0; i < 5; ++i) {
+    dst->n[i] ^= mask & (dst->n[i] ^ src.n[i]);
+  }
+}
+
+// tm-ct-ladder
 void MaskedMove(uint64_t mask, const Jacobian& src, Jacobian* dst) {
   MaskedMove(mask, src.x, &dst->x);
   MaskedMove(mask, src.y, &dst->y);
   MaskedMove(mask, src.z, &dst->z);
+  dst->infinity ^= mask & (dst->infinity ^ src.infinity);
 }
 
 // table[digit] by a masked scan: every entry is read, so the memory trace
@@ -397,22 +431,20 @@ const CtOffset& CtOffsets() {
     for (int i = 0; i < 128; ++i) shifted = JacobianDouble(shifted);
     Point window_end = Secp256k1::Negate(ToAffine(shifted));
     Point comb_end = Secp256k1::Negate(s);
-    return CtOffset{ToJacobian(s), Affine{window_end.x, window_end.y},
-                    Affine{comb_end.x, comb_end.y}};
+    return CtOffset{ToJacobian(s), ToAffineEntry(window_end),
+                    ToAffineEntry(comb_end)};
   }();
   return kOffset;
 }
 
 // *acc += entry with entry's y negated under `sign`, kept unless the digit
-// is zero. The negation is p - y under a mask (y is never zero: the curve
-// has no point of order 2, and an identity entry keeps Y = 1), so it has
-// no zero test; a zero digit's entry is the stand-in and its sum is
-// discarded under a mask.
+// is zero. The negation is the lazy 10p - y (y has magnitude at most 4),
+// moved in under a mask, so it has no zero test; a zero digit's entry is
+// the stand-in and its sum is discarded under a mask.
 // tm-ct-ladder
 void AddSignedEntry(uint64_t digit, uint64_t sign, Jacobian entry,
                     Jacobian* acc) {
-  U256 negated_y;
-  U256::Sub(FieldPrime(), entry.y, &negated_y);
+  FieldElement negated_y = FieldNegate(entry.y, 4);
   MaskedMove(sign, negated_y, &entry.y);
   Jacobian sum = JacobianAdd(*acc, entry);
   MaskedMove(~EqMask(digit, 0), sum, acc);
@@ -430,11 +462,12 @@ void AddSignedEntry(uint64_t digit, uint64_t sign, Jacobian entry,
 // under a mask. A final addition of -2^128*S removes the offset. Neither
 // the leading zero nibbles of the halves nor a zero digit of one half
 // where the other's is nonzero shows in the sequence of point
-// operations. The field routines still take value-dependent paths
-// (modular-reduction borrows), so this is source-level scalar-bit
-// hygiene, not a full machine-level constant-time guarantee. tm_ct's
-// ladder-hygiene rule audits this body: no scalar .Bit() extraction, no
-// non-CT multiply, no unannotated control flow.
+// operations. The field routines are branch-free, but the point
+// additions still test H and R for zero (their doubling and P + (-P)
+// cases, which the offset keeps out of reach), so this is source-level
+// scalar-bit hygiene, not a full machine-level constant-time guarantee.
+// tm_ct's ladder-hygiene rule audits this body: no scalar .Bit()
+// extraction, no non-CT multiply, no unannotated control flow.
 // tm-ct-ladder
 Jacobian FixedWindowMul(const U256& k, const Jacobian& p) {
   std::array<Jacobian, 16> table;
@@ -511,11 +544,11 @@ Jacobian CombMulBase(const U256& k) {
 }
 
 // The audited boundary of MulCT (p != nullptr) and MulBaseCT. The kernels
-// are branch-free at the scalar-bit level, but their field arithmetic
-// takes value-dependent paths, so the dynamic oracle would flag every
-// limb of a poisoned scalar. Declassify a private copy here — the static
-// analyzer mirrors this by treating MulCT/MulBaseCT as taint sinks — and
-// wipe the copy before returning.
+// are branch-free at the scalar-bit level, but their point additions
+// branch on zero tests of derived values, so the dynamic oracle would
+// flag every limb of a poisoned scalar. Declassify a private copy here —
+// the static analyzer mirrors this by treating MulCT/MulBaseCT as taint
+// sinks — and wipe the copy before returning.
 Point MulSecretScalar(const U256& k, const Point* p) {
   U256 k_ct = k;
   // tm-declassify(audited ladder boundary: scalar bits drive only masked scans)
@@ -524,6 +557,11 @@ Point MulSecretScalar(const U256& k, const Point* p) {
                                     : FixedWindowMul(k_ct, ToJacobian(*p)));
   SecureWipe(k_ct.limbs.data(), sizeof(k_ct.limbs));
   return out;
+}
+
+// x^3 + 7, the right-hand side of the curve equation.
+FieldElement CurveRhs(const FieldElement& x) {
+  return FieldAdd(FieldMul(FieldSqr(x), x), FieldElement(7));
 }
 
 }  // namespace
@@ -555,15 +593,13 @@ std::optional<Point> Point::Decode(const std::array<uint8_t, 33>& bytes) {
   if (bytes[0] != 0x02 && bytes[0] != 0x03) return std::nullopt;
   U256 x = U256::FromBytes(bytes.data() + 1);
   if (x >= FieldPrime()) return std::nullopt;
-  // y^2 = x^3 + 7
-  U256 rhs = FieldAdd(FieldMul(FieldSqr(x), x), U256(7));
-  U256 y;
-  if (!FieldSqrt(rhs, &y)) return std::nullopt;
+  FieldElement y;
+  if (!FieldSqrt(CurveRhs(FieldFromU256(x)), &y)) return std::nullopt;
   bool want_odd = bytes[0] == 0x03;
-  if (y.IsOdd() != want_odd) y = FieldNeg(y);
+  if (FieldIsOdd(y) != want_odd) y = FieldNegate(y, 1);
   Point p;
   p.x = x;
-  p.y = y;
+  p.y = FieldToU256(y);
   p.infinity = false;
   return p;
 }
@@ -591,9 +627,8 @@ const Point& Secp256k1::Generator() {
 bool Secp256k1::IsOnCurve(const Point& p) {
   if (p.infinity) return true;
   if (p.x >= FieldPrime() || p.y >= FieldPrime()) return false;
-  U256 lhs = FieldSqr(p.y);
-  U256 rhs = FieldAdd(FieldMul(FieldSqr(p.x), p.x), U256(7));
-  return lhs == rhs;
+  return FieldEqual(FieldSqr(FieldFromU256(p.y)),
+                    CurveRhs(FieldFromU256(p.x)));
 }
 
 Point Secp256k1::Add(const Point& a, const Point& b) {
@@ -607,7 +642,7 @@ Point Secp256k1::Double(const Point& p) {
 Point Secp256k1::Negate(const Point& p) {
   if (p.infinity) return p;
   Point out = p;
-  out.y = FieldNeg(p.y);
+  out.y = FieldToU256(FieldNegate(FieldFromU256(p.y), 1));
   return out;
 }
 
@@ -646,14 +681,13 @@ Point Secp256k1::HashToPoint(const uint8_t* data, size_t size,
     auto digest = hasher.Finalize();
     U256 x = U256::FromBytes(digest.data());
     if (x >= FieldPrime()) continue;
-    U256 rhs = FieldAdd(FieldMul(FieldSqr(x), x), U256(7));
-    U256 y;
-    if (!FieldSqrt(rhs, &y)) continue;
+    FieldElement y;
+    if (!FieldSqrt(CurveRhs(FieldFromU256(x)), &y)) continue;
     // Pick the even-y representative deterministically.
-    if (y.IsOdd()) y = FieldNeg(y);
+    if (FieldIsOdd(y)) y = FieldNegate(y, 1);
     Point p;
     p.x = x;
-    p.y = y;
+    p.y = FieldToU256(y);
     p.infinity = false;
     TM_DCHECK(IsOnCurve(p));
     return p;

@@ -1,10 +1,13 @@
 // Fixed-width 256-bit unsigned integer arithmetic.
 //
-// This is the arithmetic substrate for the secp256k1 field/group used by the
-// ring-signature layer. It favours clarity and portability (only relies on
-// the compiler's 128-bit multiply) over peak speed. There is no generic
-// modular reduction: field.h reduces modulo the secp256k1 base prime and
-// group order by folding their special forms.
+// U256 serves scalars (mod the group order n, see field.h) and the
+// boundaries of the curve code: the affine Point API, encodings, and the
+// range checks of decoded coordinates. Base-field arithmetic does not run
+// on it; the curve kernels use field.h's FieldElement (five 52-bit limbs,
+// lazy reduction) and convert at the boundary. It favours clarity and
+// portability (only relies on the compiler's 128-bit multiply) over peak
+// speed. There is no generic modular reduction: field.h reduces scalars
+// modulo n by folding its special form.
 #pragma once
 
 #include <array>

@@ -84,6 +84,35 @@ TEST(DtrsTest, PaperSection24DtrssOfR4) {
   EXPECT_TRUE(has_singleton(2, 1));  // t2 spent in r1 => r4 spends t4
 }
 
+// One enumeration serves every RS: a finder's Find gives what a fresh
+// FindAll gives, for each RS of the Example 2 history in turn.
+TEST(DtrsTest, OneFinderServesEveryRs) {
+  std::vector<RsView> history = {
+      View(1, {1, 2, 5}), View(2, {1, 3}), View(3, {1, 3}),
+      View(4, {2, 4}),    View(5, {4, 5, 6})};
+  HtIndex idx = IdentityIndex({1, 2, 3, 4});
+  idx.Set(5, 100);
+  idx.Set(6, 100);
+  const AnalysisContext context = AnalysisContext::Build(history);
+  auto finder = DtrsFinder::ForContext(context, idx, {});
+  ASSERT_TRUE(finder.ok());
+  size_t total = 0;
+  for (RsId r = 1; r <= 5; ++r) {
+    auto shared = finder->Find(r);
+    auto fresh = FindAllOf(history, r, idx);
+    ASSERT_TRUE(shared.ok());
+    ASSERT_TRUE(fresh.ok());
+    ASSERT_EQ(shared->size(), fresh->size()) << "r" << r;
+    for (size_t i = 0; i < shared->size(); ++i) {
+      EXPECT_EQ((*shared)[i].pairs, (*fresh)[i].pairs) << "r" << r;
+      EXPECT_EQ((*shared)[i].determined_ht, (*fresh)[i].determined_ht)
+          << "r" << r;
+    }
+    total += shared->size();
+  }
+  EXPECT_GE(total, 4u);  // at least r4's three and r5's {<t2, r1>}
+}
+
 TEST(DtrsTest, SingleRsHasNoDtrs) {
   std::vector<RsView> history = {View(0, {1, 2})};
   HtIndex idx = IdentityIndex({1, 2});

@@ -86,14 +86,21 @@ TEST(U256FuzzTest, MulModDistributesOverAdd) {
 TEST(U256FuzzTest, FieldReduceIdempotentAndCanonical) {
   common::Rng rng(46);
   for (int trial = 0; trial < 300; ++trial) {
-    U512 x;
-    for (auto& limb : x.limbs) limb = rng.Next();
-    U256 reduced = FieldReduce(x);
-    EXPECT_LT(U256::Compare(reduced, FieldPrime()), 0);
-    // Reducing the already-reduced value is the identity.
-    U512 narrow;
-    for (int i = 0; i < 4; ++i) narrow.limbs[i] = reduced.limbs[i];
-    EXPECT_EQ(FieldReduce(narrow), reduced);
+    // Random limbs anywhere within the largest magnitude.
+    FieldElement x;
+    for (int i = 0; i < 5; ++i) {
+      uint64_t bound = 2 * kFieldMaxMagnitude *
+                       (i < 4 ? 0xFFFFFFFFFFFFFull : 0x0FFFFFFFFFFFFull);
+      x.n[i] = rng.Next() % (bound + 1);
+    }
+    FieldElement reduced = FieldNormalize(x);
+    U256 value = FieldToU256(reduced);
+    EXPECT_LT(U256::Compare(value, FieldPrime()), 0);
+    EXPECT_EQ(FieldFromU256(value).n, reduced.n);
+    // Normalizing the normalized value is the identity, and so is the
+    // weak pass's value.
+    EXPECT_EQ(FieldNormalize(reduced).n, reduced.n);
+    EXPECT_EQ(FieldNormalize(FieldNormalizeWeak(x)).n, reduced.n);
   }
 }
 

@@ -4,10 +4,7 @@
 
 namespace tokenmagic::oracle {
 
-using crypto::FieldAdd;
-using crypto::FieldMul;
 using crypto::FieldPrime;
-using crypto::FieldSub;
 using crypto::Point;
 using crypto::U256;
 using crypto::U512;
@@ -72,8 +69,36 @@ U256 InvMod(const U256& a, const U256& m) {
   return PowMod(a, exponent, m);
 }
 
+U256 FieldAdd(const U256& a, const U256& b) {
+  return crypto::AddMod(a, b, FieldPrime());
+}
+U256 FieldSub(const U256& a, const U256& b) {
+  return crypto::SubMod(a, b, FieldPrime());
+}
+U256 FieldMul(const U256& a, const U256& b) {
+  constexpr uint64_t kFold = 0x1000003d1ull;
+  U512 product = U256::Mul(a, b);
+  U256 low = product.Low();
+  U256 high = product.High();
+  while (!high.IsZero()) {
+    // low + high * kFold, as a 256-bit low part and a small high part.
+    unsigned __int128 acc = 0;
+    U256 next_low;
+    for (int i = 0; i < 4; ++i) {
+      acc += static_cast<unsigned __int128>(high.limbs[i]) * kFold +
+             low.limbs[i];
+      next_low.limbs[i] = static_cast<uint64_t>(acc);
+      acc >>= 64;
+    }
+    low = next_low;
+    high = U256(static_cast<uint64_t>(acc));
+  }
+  while (low >= FieldPrime()) U256::Sub(low, FieldPrime(), &low);
+  return low;
+}
+
 U256 FieldPow(const U256& a, const U256& e) {
-  U256 base = a;
+  U256 base = Mod(a, FieldPrime());
   U256 result = U256::One();
   for (int i = 0; i <= e.HighestBit(); ++i) {
     if (e.Bit(i)) result = FieldMul(result, base);

@@ -14,7 +14,8 @@
 // textbook way: generic square-and-multiply exponentiation,
 // chord-and-tangent addition in affine coordinates (one inversion per
 // group operation), and plain double-and-add over the scalar's bits, with
-// no split. They share only FieldAdd/Sub/Mul with the code under test.
+// no split. Their field arithmetic is the generic AddMod/SubMod and
+// MulMod on canonical U256 values, not the library's 52-bit limb form.
 #pragma once
 
 #include "crypto/field.h"
@@ -48,7 +49,18 @@ crypto::U256 PowMod(const crypto::U256& a, const crypto::U256& e,
 /// a^(m-2) mod m: the inverse for prime m; a must be non-zero.
 crypto::U256 InvMod(const crypto::U256& a, const crypto::U256& m);
 
-/// a^e mod p by right-to-left square-and-multiply over e's bits.
+/// (a + b) mod p and (a - b) mod p for a, b < p, by AddMod/SubMod.
+crypto::U256 FieldAdd(const crypto::U256& a, const crypto::U256& b);
+crypto::U256 FieldSub(const crypto::U256& a, const crypto::U256& b);
+
+/// (a * b) mod p for a, b < p: the full 512-bit product, folded by
+/// 2^256 ≡ 2^32 + 977 until it fits 256 bits, then p subtracted while it
+/// is still at least p. MulMod gives the same values, but by long division
+/// and far more slowly.
+crypto::U256 FieldMul(const crypto::U256& a, const crypto::U256& b);
+
+/// a^e mod p by right-to-left square-and-multiply over e's bits; any
+/// 256-bit a.
 crypto::U256 FieldPow(const crypto::U256& a, const crypto::U256& e);
 
 /// a^(p-2) through FieldPow; a must be non-zero.
