@@ -121,8 +121,8 @@ bool SatisfiesRecursiveDiversity(const std::vector<int64_t>& frequencies,
   TM_DCHECK(std::is_sorted(frequencies.begin(), frequencies.end(),
                            std::greater<int64_t>()));
   TM_CHECK(req.ell >= 1);
-  return CompareSlackExact(frequencies.front(), req.c,
-                           DiversityTail(frequencies, req.ell)) < 0;
+  return DiversitySlack(frequencies.front(),
+                        DiversityTail(frequencies, req.ell), req) < 0.0;
 }
 
 bool SatisfiesRecursiveDiversity(std::span<const chain::TokenId> tokens,
@@ -144,8 +144,13 @@ double DiversitySlack(const std::vector<int64_t>& frequencies,
   if (frequencies.empty()) return 0.0;
   TM_DCHECK(std::is_sorted(frequencies.begin(), frequencies.end(),
                            std::greater<int64_t>()));
-  int64_t q1 = frequencies.front();
-  int64_t tail = DiversityTail(frequencies, req.ell);
+  return DiversitySlack(frequencies.front(),
+                        DiversityTail(frequencies, req.ell), req);
+}
+
+// tm-lint: allow(float, greedy potential; sign forced to the exact verdict)
+double DiversitySlack(int64_t q1, int64_t tail,
+                      const chain::DiversityRequirement& req) {
   int sign = CompareSlackExact(q1, req.c, tail);
   // tm-lint: allow(float, display/heuristic magnitude; sign corrected below)
   double approx =

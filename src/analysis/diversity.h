@@ -53,4 +53,13 @@ bool SatisfiesRecursiveDiversity(std::span<const chain::TokenId> tokens,
 double DiversitySlack(const std::vector<int64_t>& frequencies,
                       const chain::DiversityRequirement& req);
 
+/// The same slack from its two integers: q_1 and the tail sum
+/// q_ℓ + ... + q_θ (zero when θ < ℓ). The vector forms of DiversitySlack
+/// and SatisfiesRecursiveDiversity call this one, so a caller that
+/// derives (q_1, tail) without the vector gets the same double bit for
+/// bit.
+// tm-lint: allow(float, greedy potential; sign exact, magnitude may round)
+double DiversitySlack(int64_t q1, int64_t tail,
+                      const chain::DiversityRequirement& req);
+
 }  // namespace tokenmagic::analysis

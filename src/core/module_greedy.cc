@@ -76,17 +76,32 @@ void UnchooseModule(ModuleSelectionState* state, size_t module_index) {
   }
 }
 
-size_t FreshHtCount(const ModuleSelectionState& state, size_t module_index) {
-  size_t fresh = 0;
-  for (HtTokens pair : state.HtsOf(module_index)) {
-    if (state.ht_count[pair.ht] == 0) ++fresh;
+FreshHtCounts::FreshHtCounts(const ModuleSelectionState& state) {
+  const ModuleUniverse& mu = *state.mu;
+  fresh_.resize(mu.module_count());
+  for (size_t m = 0; m < mu.module_count(); ++m) {
+    fresh_[m] = static_cast<uint32_t>(mu.HtsOf(m).size());
   }
-  return fresh;
+  for (uint32_t ht = 0; ht < state.ht_count.size(); ++ht) {
+    if (state.ht_count[ht] == 0) continue;
+    for (uint32_t m : mu.ModulesOfHt(ht)) --fresh_[m];
+  }
+}
+
+void FreshHtCounts::Choose(ModuleSelectionState* state,
+                           size_t module_index) {
+  for (HtTokens pair : state->HtsOf(module_index)) {
+    if (state->ht_count[pair.ht] != 0) continue;  // already covered
+    for (uint32_t m : state->mu->ModulesOfHt(pair.ht)) --fresh_[m];
+  }
+  ChooseModule(state, module_index);
 }
 
 common::Result<size_t> GreedyCoverHts(ModuleSelectionState* state, int ell,
                                       common::Deadline* deadline) {
   size_t steps = 0;
+  if (state->covered_ht_count >= static_cast<size_t>(ell)) return steps;
+  FreshHtCounts fresh(*state);
   while (state->covered_ht_count < static_cast<size_t>(ell)) {
     if (deadline != nullptr) {
       deadline->Tick();
@@ -98,7 +113,7 @@ common::Result<size_t> GreedyCoverHts(ModuleSelectionState* state, int ell,
     double best_alpha = std::numeric_limits<double>::infinity();
     size_t best_module = static_cast<size_t>(-1);
     for (size_t candidate : state->remaining) {
-      size_t new_hts = FreshHtCount(*state, candidate);
+      size_t new_hts = fresh.count(candidate);
       if (new_hts == 0) continue;  // α would be infinite
       double alpha =
           static_cast<double>(state->mu->ModuleSize(candidate)) /
@@ -112,7 +127,7 @@ common::Result<size_t> GreedyCoverHts(ModuleSelectionState* state, int ell,
       return common::Status::Unsatisfiable(common::StrFormat(
           "universe covers fewer than %d distinct HTs", ell));
     }
-    ChooseModule(state, best_module);
+    fresh.Choose(state, best_module);
     ++steps;
   }
   return steps;
@@ -135,33 +150,101 @@ ChosenFrequencies ChosenFrequenciesOf(const ModuleSelectionState& state) {
   for (uint32_t ht : covered) {
     out.slot[ht] = static_cast<uint32_t>(out.sorted.size());
     out.sorted.push_back(state.ht_count[ht]);
+    out.total += state.ht_count[ht];
   }
   return out;
 }
 
+namespace {
+
+/// Sum of the `count` largest entries of the merged multiset: the entries
+/// of `q` whose slot is not marked with `stamp`, plus `values` (both
+/// descending). Needs count <= the multiset's size.
+int64_t LargestSum(const std::vector<int64_t>& q, const uint32_t* mark,
+                   uint32_t stamp, const std::vector<int64_t>& values,
+                   size_t count) {
+  int64_t sum = 0;
+  size_t i = 0, v = 0;
+  for (size_t taken = 0; taken < count; ++taken) {
+    while (i < q.size() && mark[i] == stamp) ++i;
+    if (v < values.size() && (i == q.size() || values[v] >= q[i])) {
+      sum += values[v++];
+    } else {
+      sum += q[i++];
+    }
+  }
+  return sum;
+}
+
+/// Sum of the `count` smallest entries of the same merged multiset.
+int64_t SmallestSum(const std::vector<int64_t>& q, const uint32_t* mark,
+                    uint32_t stamp, const std::vector<int64_t>& values,
+                    size_t count) {
+  int64_t sum = 0;
+  size_t i = q.size(), v = values.size();
+  for (size_t taken = 0; taken < count; ++taken) {
+    while (i > 0 && mark[i - 1] == stamp) --i;
+    if (v > 0 && (i == 0 || values[v - 1] <= q[i - 1])) {
+      sum += values[--v];
+    } else {
+      sum += q[--i];
+    }
+  }
+  return sum;
+}
+
+}  // namespace
+
 double SlackWith(const ChosenFrequencies& chosen,
                  std::span<const HtTokens> candidate,
                  const chain::DiversityRequirement& req,
-                 std::vector<int64_t>* scratch) {
-  scratch->assign(chosen.sorted.begin(), chosen.sorted.end());
+                 SlackScratch* scratch) {
+  TM_CHECK(req.ell >= 1);
+  const std::vector<int64_t>& q = chosen.sorted;
+  // A fresh stamp marks this candidate's bumped slots; the marks of
+  // earlier calls never equal it (all are cleared when it wraps).
+  std::vector<uint32_t>& marks = scratch->marks;
+  if (marks.size() < q.size()) marks.resize(q.size(), 0);
+  if (++scratch->stamp == 0) {
+    std::fill(marks.begin(), marks.end(), 0);
+    scratch->stamp = 1;
+  }
+  const uint32_t stamp = scratch->stamp;
+
+  // The candidate's entries, kept descending by insertion (k is small).
+  std::vector<int64_t>& values = scratch->values;
+  values.clear();
+  int64_t total = chosen.total;
+  size_t bumped = 0;
   for (HtTokens pair : candidate) {
+    int64_t value = pair.tokens;
     uint32_t slot = chosen.slot[pair.ht];
-    if (slot == ChosenFrequencies::kNoSlot) {
-      scratch->push_back(pair.tokens);
-    } else {
-      (*scratch)[slot] += pair.tokens;
+    if (slot != ChosenFrequencies::kNoSlot) {
+      value += q[slot];
+      marks[slot] = stamp;
+      ++bumped;
     }
+    total += pair.tokens;
+    values.push_back(value);
+    size_t j = values.size() - 1;
+    for (; j > 0 && values[j - 1] < value; --j) values[j] = values[j - 1];
+    values[j] = value;
   }
-  // Only the bumped and appended entries are out of place, so an
-  // insertion pass restores descending order in O(θ + displacement).
-  std::vector<int64_t>& q = *scratch;
-  for (size_t i = 1; i < q.size(); ++i) {
-    int64_t value = q[i];
-    size_t j = i;
-    for (; j > 0 && q[j - 1] < value; --j) q[j] = q[j - 1];
-    q[j] = value;
+  const size_t theta = q.size() + values.size() - bumped;
+  if (theta == 0) return 0.0;
+
+  // Every entry is one of the candidate's or an unbumped one, so q_1 is
+  // the larger of the two heads, and the tail is everything outside the
+  // ℓ - 1 largest, summed from whichever end is nearer.
+  int64_t q1 = LargestSum(q, marks.data(), stamp, values, 1);
+  const size_t head = static_cast<size_t>(req.ell) - 1;
+  int64_t tail = 0;
+  if (theta > head) {
+    tail = head <= theta - head
+               ? total - LargestSum(q, marks.data(), stamp, values, head)
+               : SmallestSum(q, marks.data(), stamp, values, theta - head);
   }
-  return analysis::DiversitySlack(q, req);
+  return analysis::DiversitySlack(q1, tail, req);
 }
 
 }  // namespace tokenmagic::core

@@ -7,9 +7,14 @@
 // sealed snapshot; HT ids are the context's own HT locals. A selection
 // validates its input against the snapshot in O(|T|) and then keeps only
 // its own choice: the chosen and remaining modules and integer per-HT
-// token counts of the chosen ones. Choosing or unchoosing a module, a
-// candidate's fresh-HT count and a candidate's diversity slack then cost
-// O(distinct HTs of the module) or O(covered HTs), with no hashing.
+// token counts of the chosen ones. Choosing or unchoosing a module costs
+// O(distinct HTs of the module), with no hashing. Phase 1 keeps every
+// module's fresh-HT count current (FreshHtCounts), so its α scan reads
+// one integer per candidate. Phase 2 derives a candidate's diversity
+// slack from the two integers it depends on, q_1 and the tail sum, by
+// merging the candidate's k bumped or new entries with the shorter end of
+// the chosen frequency vector: O(k² + min(ℓ - 1, θ - ℓ + 1)) for a module
+// of k distinct HTs, with no copy of the vector.
 #pragma once
 
 #include <cstdint>
@@ -69,8 +74,24 @@ void ChooseModule(ModuleSelectionState* state, size_t module_index);
 /// Removes module `module_index` from `chosen` (back into `remaining`).
 void UnchooseModule(ModuleSelectionState* state, size_t module_index);
 
-/// Distinct HTs of module `module_index` that no chosen module covers.
-size_t FreshHtCount(const ModuleSelectionState& state, size_t module_index);
+/// The fresh-HT count of every module (its distinct HTs that no chosen
+/// module covers) against one state, kept current while modules are
+/// chosen through Choose: covering an HT decrements the count of each
+/// module that holds it (ModuleUniverse::ModulesOfHt).
+class FreshHtCounts {
+ public:
+  /// The counts against the state's chosen modules, in O(modules +
+  /// modules of the covered HTs).
+  explicit FreshHtCounts(const ModuleSelectionState& state);
+
+  size_t count(size_t module_index) const { return fresh_[module_index]; }
+
+  /// ChooseModule(state, module_index), with the counts following.
+  void Choose(ModuleSelectionState* state, size_t module_index);
+
+ private:
+  std::vector<uint32_t> fresh_;
+};
 
 /// Phase 1 of Algorithms 4 and 5: greedily add the module minimizing
 ///   α_i = |x_i| / min(ℓ - |H|, |H_i \ H|)
@@ -89,19 +110,33 @@ struct ChosenFrequencies {
   std::vector<int64_t> sorted;
   /// Position in `sorted` of each HT local; kNoSlot when uncovered.
   std::vector<uint32_t> slot;
+  /// Sum of `sorted`: the chosen ring's token count.
+  int64_t total = 0;
   static constexpr uint32_t kNoSlot = 0xFFFFFFFFu;
 };
 
 /// The frequency vector of the chosen modules of `state`.
 ChosenFrequencies ChosenFrequenciesOf(const ModuleSelectionState& state);
 
+/// Buffers SlackWith reuses across calls.
+struct SlackScratch {
+  /// The candidate's bumped and new entries, descending.
+  std::vector<int64_t> values;
+  /// Per slot of `sorted`: `stamp` when the current candidate bumps it.
+  std::vector<uint32_t> marks;
+  uint32_t stamp = 0;
+};
+
 /// δ_i: the diversity slack of the chosen ring plus a candidate module
-/// with HT pairs `candidate`. Feeds DiversitySlack the same descending
-/// integer vector the materialized ring would give, so the double is
-/// bit-identical. `scratch` is reused across calls.
+/// with HT pairs `candidate`. The candidate's entries (bumped covered HTs
+/// and new ones) are merged with the unbumped entries of `chosen.sorted`,
+/// walking from whichever end is shorter, the ℓ - 1 largest or the rest,
+/// to get q_1 and the tail sum. Those are the integers the materialized
+/// ring's vector gives, so DiversitySlack(q_1, tail, req) returns the same
+/// double bit for bit.
 double SlackWith(const ChosenFrequencies& chosen,
                  std::span<const HtTokens> candidate,
                  const chain::DiversityRequirement& req,
-                 std::vector<int64_t>* scratch);
+                 SlackScratch* scratch);
 
 }  // namespace tokenmagic::core

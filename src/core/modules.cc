@@ -298,6 +298,28 @@ common::Result<ModuleUniverse> ModuleUniverse::Build(
     mu.hts_.push_back({ht, 1});
   }
   mu.hts_.shrink_to_fit();
+
+  // The inverse CSR by a counting sort of the pairs in module order, so
+  // each HT's module list comes out ascending.
+  mu.ht_module_offsets_.assign(context.ht_count() + 1, 0);
+  for (HtTokens pair : mu.hts_) {
+    if (pair.ht != kNoLocal) ++mu.ht_module_offsets_[pair.ht + 1];
+  }
+  for (size_t h = 0; h < context.ht_count(); ++h) {
+    mu.ht_module_offsets_[h + 1] += mu.ht_module_offsets_[h];
+  }
+  mu.ht_modules_.resize(mu.ht_module_offsets_.back());
+  {
+    std::vector<uint32_t> cursor(mu.ht_module_offsets_.begin(),
+                                 mu.ht_module_offsets_.end() - 1);
+    for (size_t m = 0; m < mu.module_count(); ++m) {
+      for (HtTokens pair : mu.HtsOf(m)) {
+        if (pair.ht != kNoLocal) {
+          mu.ht_modules_[cursor[pair.ht]++] = static_cast<uint32_t>(m);
+        }
+      }
+    }
+  }
   return mu;
 }
 
@@ -358,6 +380,12 @@ std::span<const HtTokens> ModuleUniverse::HtsOf(size_t module_index) const {
             ht_offsets_[module_index + 1] - ht_offsets_[module_index]};
   }
   return {hts_.data() + ht_offsets_[supers] + (module_index - supers), 1};
+}
+
+std::span<const uint32_t> ModuleUniverse::ModulesOfHt(Local ht) const {
+  TM_DCHECK(ht + 1 < ht_module_offsets_.size());
+  return {ht_modules_.data() + ht_module_offsets_[ht],
+          ht_module_offsets_[ht + 1] - ht_module_offsets_[ht]};
 }
 
 common::Status ModuleUniverse::HtStatus() const {

@@ -12,8 +12,8 @@
 // over the seal's whole token column, built on first use through the
 // seal's SealMemo (ModuleIndexOf) and shared by every selection, ladder
 // stage and relaxation step that reads a view of that seal. Its columns
-// are flat: module tokens are spans into the epoch core, subset lists and
-// HT pairs are one CSR each.
+// are flat: module tokens are spans into the epoch core, subset lists,
+// HT pairs and their inverse (the modules of each HT) are one CSR each.
 #pragma once
 
 #include <cstddef>
@@ -100,6 +100,10 @@ class ModuleUniverse {
   /// HT local. Meaningful only when HtStatus() is OK.
   std::span<const HtTokens> HtsOf(size_t module_index) const;
 
+  /// The modules with a token of context HT local `ht`, ascending: the
+  /// inverse of HtsOf. Meaningful only when HtStatus() is OK.
+  std::span<const uint32_t> ModulesOfHt(Local ht) const;
+
   /// InvalidArgument naming the first universe token (in module order)
   /// whose HT the context does not know; OK when every token has one.
   [[nodiscard]] common::Status HtStatus() const;
@@ -128,6 +132,10 @@ class ModuleUniverse {
   /// 1]); fresh module S + f's one pair is hts_[ht_offsets_[S] + f].
   std::vector<uint32_t> ht_offsets_;
   std::vector<HtTokens> hts_;
+  /// HT local h's modules are ht_modules_[ht_module_offsets_[h] ..
+  /// ht_module_offsets_[h + 1]).
+  std::vector<uint32_t> ht_module_offsets_;
+  std::vector<uint32_t> ht_modules_;
   /// Module of each context token local; kNoLocal outside the universe.
   std::vector<uint32_t> module_of_local_;
   size_t token_count_ = 0;

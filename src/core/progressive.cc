@@ -34,7 +34,7 @@ common::Result<SelectionResult> ProgressiveSelector::Select(
                           input.requirement, input.policy)
         .eligible;
   };
-  std::vector<int64_t> scratch;
+  SlackScratch scratch;
   while (!eligible()) {
     TickDeadline(input);
     if (DeadlineExpired(input)) {

@@ -16,9 +16,10 @@ Point HashPointOfKey(const Point& pub) {
   return Secp256k1::HashToPoint(enc.data(), enc.size(), "tokenmagic/lsag-hp");
 }
 
-/// Challenge c_{i+1} = H(ring || I || m || L_i || R_i).
-U256 ChainChallenge(const std::vector<Point>& ring, const Point& key_image,
-                    std::string_view message, const Point& l, const Point& r) {
+/// The challenge hasher with the part every challenge of one signature
+/// shares, tag || ring || I || m, already absorbed.
+Sha256 ChallengePrefix(const std::vector<Point>& ring, const Point& key_image,
+                       std::string_view message) {
   Sha256 hasher;
   hasher.Update("tokenmagic/lsag-chal");
   for (const Point& member : ring) {
@@ -28,6 +29,13 @@ U256 ChainChallenge(const std::vector<Point>& ring, const Point& key_image,
   auto img = key_image.Encode();
   hasher.Update(img.data(), img.size());
   hasher.Update(message);
+  return hasher;
+}
+
+/// Challenge c_{i+1} = H(ring || I || m || L_i || R_i), from a copy of the
+/// ChallengePrefix hasher.
+U256 ChainChallenge(const Sha256& prefix, const Point& l, const Point& r) {
+  Sha256 hasher = prefix;
   auto l_enc = l.Encode();
   hasher.Update(l_enc.data(), l_enc.size());
   auto r_enc = r.Encode();
@@ -95,9 +103,10 @@ common::Result<LsagSignature> Lsag::Sign(const std::vector<Point>& ring,
   Point l = Secp256k1::MulBaseCT(u);
   Point r = Secp256k1::MulCT(u, hp_signer);
 
+  const Sha256 prefix = ChallengePrefix(ring, sig.key_image, message);
   std::vector<U256> challenges(n, U256::Zero());
   size_t next = (signer_index + 1) % n;
-  challenges[next] = ChainChallenge(ring, sig.key_image, message, l, r);
+  challenges[next] = ChainChallenge(prefix, l, r);
 
   // Walk the ring, simulating every other member with a random response.
   for (size_t step = 1; step < n; ++step) {
@@ -111,8 +120,7 @@ common::Result<LsagSignature> Lsag::Sign(const std::vector<Point>& ring,
     Point r_i = Secp256k1::MulAdd(sig.responses[i], hp_i, challenges[i],
                                   sig.key_image);
     size_t after = (i + 1) % n;
-    challenges[after] =
-        ChainChallenge(ring, sig.key_image, message, l_i, r_i);
+    challenges[after] = ChainChallenge(prefix, l_i, r_i);
   }
 
   // Close the ring: s_j = u - c_j * x (mod n). The nonce is wiped before
@@ -141,6 +149,7 @@ bool Lsag::Verify(const LsagSignature& sig, std::string_view message) {
     if (s >= GroupOrder()) return false;
   }
 
+  const Sha256 prefix = ChallengePrefix(sig.ring, sig.key_image, message);
   U256 c = sig.c0;
   for (size_t i = 0; i < n; ++i) {
     Point hp_i = HashPointOfKey(sig.ring[i]);
@@ -148,7 +157,7 @@ bool Lsag::Verify(const LsagSignature& sig, std::string_view message) {
                                   c, sig.ring[i]);
     Point r_i =
         Secp256k1::MulAdd(sig.responses[i], hp_i, c, sig.key_image);
-    c = ChainChallenge(sig.ring, sig.key_image, message, l_i, r_i);
+    c = ChainChallenge(prefix, l_i, r_i);
   }
   return c == sig.c0;
 }

@@ -24,6 +24,9 @@ class Sha256 {
   /// points), so the state and block buffer are wiped on destruction —
   /// Sha256 is self-wiping in the same sense as Keypair.
   ~Sha256();
+  /// A copy continues from the same absorbed prefix (and wipes itself too).
+  Sha256(const Sha256&) = default;
+  Sha256& operator=(const Sha256&) = default;
 
   /// Absorbs `size` bytes.
   void Update(const uint8_t* data, size_t size);

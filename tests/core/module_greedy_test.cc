@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
+#include <span>
+#include <utility>
 
 #include "analysis/diversity.h"
 #include "common/rng.h"
@@ -176,18 +179,20 @@ TEST(ModuleHtsTest, DistinctHtsOfModule) {
 }
 
 
-/// A random laminar instance: 4-43 tokens over 1-12 HTs, a history of
-/// groups of consecutive tokens, each with a chain of nested prefixes (so
-/// supers and fresh tokens both occur), and a random target.
+/// A random laminar instance: 4 to 3 + `max_tokens` tokens over 1 to
+/// `max_hts` HTs, a history of groups of consecutive tokens, each with a
+/// chain of nested prefixes (so supers and fresh tokens both occur), and a
+/// random target.
 struct RandomInstance {
   chain::HtIndex index;
   std::vector<TokenId> universe;
   std::vector<RsView> history;
   SelectionInput input;
 
-  explicit RandomInstance(common::Rng* rng) {
-    size_t num_tokens = 4 + rng->NextBounded(40);
-    uint64_t ht_pool = 1 + rng->NextBounded(12);
+  explicit RandomInstance(common::Rng* rng, uint64_t max_tokens = 40,
+                          uint64_t max_hts = 12) {
+    size_t num_tokens = 4 + rng->NextBounded(max_tokens);
+    uint64_t ht_pool = 1 + rng->NextBounded(max_hts);
     for (TokenId t = 0; t < static_cast<TokenId>(num_tokens); ++t) {
       universe.push_back(t);
       index.Set(t, 1000 + rng->NextBounded(ht_pool));
@@ -276,52 +281,156 @@ TEST(ModuleIndexHtsTest, MatchFromScratchOracle) {
   }
 }
 
+// The seal's HT -> modules CSR is exactly the inverse of HtsOf: every
+// (HT, module) pair appears once on each side, and each HT's modules are
+// ascending.
+TEST(ModuleIndexHtsTest, ModulesOfHtInvertsHtsOf) {
+  common::Rng rng(20261019);
+  for (int trial = 0; trial < 120; ++trial) {
+    SCOPED_TRACE(trial);
+    RandomInstance fx(&rng, trial % 2 == 0 ? 40 : 160,
+                      trial % 2 == 0 ? 12 : 80);
+    auto state = InitModuleState(fx.input);
+    ASSERT_TRUE(state.ok()) << state.status().ToString();
+    std::vector<std::pair<uint32_t, uint32_t>> forward;
+    for (size_t m = 0; m < state->mu->module_count(); ++m) {
+      for (HtTokens pair : state->HtsOf(m)) {
+        forward.emplace_back(pair.ht, static_cast<uint32_t>(m));
+      }
+    }
+    std::sort(forward.begin(), forward.end());
+    std::vector<std::pair<uint32_t, uint32_t>> inverse;
+    for (uint32_t h = 0; h < state->context->ht_count(); ++h) {
+      std::span<const uint32_t> modules = state->mu->ModulesOfHt(h);
+      EXPECT_TRUE(std::is_sorted(modules.begin(), modules.end()))
+          << "ht " << h;
+      for (uint32_t m : modules) inverse.emplace_back(h, m);
+    }
+    EXPECT_EQ(inverse, forward);
+  }
+}
+
+// Phase 1's incremental fresh-HT counts against the from-scratch oracle:
+// GreedyCoverHts's picks are replayed through FreshHtCounts::Choose, and
+// after every step each module's count equals oracle::FreshHtCount and the
+// pick equals the α rule evaluated on oracle counts (same scan order,
+// first strict minimum). Random picks then carry the walk past ℓ.
+TEST(FreshHtCountsTest, MatchOracleAfterEveryGreedyStep) {
+  common::Rng rng(20261020);
+  for (int trial = 0; trial < 120; ++trial) {
+    SCOPED_TRACE(trial);
+    RandomInstance fx(&rng, trial % 2 == 0 ? 40 : 120,
+                      trial % 2 == 0 ? 12 : 60);
+    auto state = InitModuleState(fx.input);
+    ASSERT_TRUE(state.ok()) << state.status().ToString();
+    int ell = 1 + static_cast<int>(rng.NextBounded(40));
+    ModuleSelectionState greedy = *state;
+    auto steps = GreedyCoverHts(&greedy, ell);
+    if (!steps.ok()) {
+      ASSERT_TRUE(steps.status().IsUnsatisfiable());
+      continue;
+    }
+    std::vector<size_t> picks(greedy.chosen.begin() + 1, greedy.chosen.end());
+    ASSERT_EQ(picks.size(), *steps);
+    while (!greedy.remaining.empty() && picks.size() < *steps + 4) {
+      size_t extra = greedy.remaining[rng.NextBounded(greedy.remaining.size())];
+      ChooseModule(&greedy, extra);
+      picks.push_back(extra);
+    }
+
+    FreshHtCounts fresh(*state);
+    for (size_t step = 0; step <= picks.size(); ++step) {
+      SCOPED_TRACE(step);
+      std::vector<size_t> oracle_counts(state->mu->module_count());
+      for (size_t m = 0; m < state->mu->module_count(); ++m) {
+        oracle_counts[m] =
+            oracle::FreshHtCount(*state->mu, state->chosen, m, fx.index);
+        ASSERT_EQ(fresh.count(m), oracle_counts[m]) << "module " << m;
+      }
+      if (step == picks.size()) break;
+      if (step < *steps) {
+        size_t deficit = static_cast<size_t>(ell) - state->covered_ht_count;
+        double best_alpha = std::numeric_limits<double>::infinity();
+        size_t best = static_cast<size_t>(-1);
+        for (size_t m : state->remaining) {
+          if (oracle_counts[m] == 0) continue;
+          double alpha = static_cast<double>(state->mu->ModuleSize(m)) /
+                         static_cast<double>(std::min(deficit,
+                                                      oracle_counts[m]));
+          if (alpha < best_alpha) {
+            best_alpha = alpha;
+            best = m;
+          }
+        }
+        ASSERT_EQ(picks[step], best);
+      }
+      fresh.Choose(&*state, picks[step]);
+    }
+    EXPECT_EQ(state->chosen, greedy.chosen);
+    ExpectCountsMatchOracle(*state, fx.index);
+  }
+}
+
 // The incremental kernel against the from-scratch oracles: over random
-// laminar module universes and random choose/unchoose walks, every
-// candidate's fresh-HT count and δ_i (bit-identical, compared with ==) and
-// the per-HT counts match a recount of the materialized ring.
+// laminar module universes (up to 123 tokens over up to 60 HTs, ℓ up to
+// 40) and random choose/unchoose walks, the per-HT counts match a recount
+// of the materialized ring, and every candidate's δ_i equals (==, bit for
+// bit) both the recount's slack and the former copy-and-sort kernel. The
+// walk must reach every branch of the (q_1, tail) merge.
 TEST(IncrementalKernelTest, MatchesFromScratchOracle) {
   common::Rng rng(20261017);
   const double kCs[] = {0.35, 0.6, 1.0, 1.3, 2.0, 3.7};
-  std::vector<int64_t> scratch;
-  for (int trial = 0; trial < 120; ++trial) {
-    RandomInstance fx(&rng);
+  SlackScratch scratch;
+  size_t empty_tail = 0, from_largest = 0, from_smallest = 0;
+  size_t all_new = 0, bumps_first = 0;
+  for (int trial = 0; trial < 160; ++trial) {
+    SCOPED_TRACE(trial);
+    bool wide = trial % 2 == 1;
+    RandomInstance fx(&rng, wide ? 120 : 40, wide ? 60 : 12);
     const chain::HtIndex& index = fx.index;
     const SelectionInput& input = fx.input;
-    chain::DiversityRequirement req{kCs[rng.NextBounded(6)],
-                                    1 + static_cast<int>(rng.NextBounded(6))};
+    chain::DiversityRequirement req{
+        kCs[rng.NextBounded(6)],
+        1 + static_cast<int>(rng.NextBounded(wide ? 40 : 6))};
+    const size_t head = static_cast<size_t>(req.ell) - 1;
     auto state = InitModuleState(input);
-    ASSERT_TRUE(state.ok()) << "trial " << trial;
+    ASSERT_TRUE(state.ok());
 
-    for (int step = 0; step < 24; ++step) {
-      // The per-HT counts equal a recount of the materialized ring.
-      std::map<TxId, int64_t> recount =
-          oracle::HtCounts(*state->mu, state->chosen, index);
-      ASSERT_EQ(state->covered_ht_count, recount.size())
-          << "trial " << trial << " step " << step;
-      for (size_t h = 0; h < state->ht_count.size(); ++h) {
-        auto it = recount.find(state->ht_id(h));
-        ASSERT_EQ(static_cast<int64_t>(state->ht_count[h]),
-                  it == recount.end() ? 0 : it->second)
-            << "trial " << trial << " step " << step << " ht " << h;
-      }
+    for (int step = 0; step < (wide ? 48 : 24); ++step) {
+      SCOPED_TRACE(step);
+      ExpectCountsMatchOracle(*state, index);
 
       ChosenFrequencies chosen = ChosenFrequenciesOf(*state);
       ASSERT_EQ(analysis::DiversitySlack(chosen.sorted, req),
-                oracle::SlackOf(*state->mu, state->chosen, index, req))
-          << "trial " << trial << " step " << step;
+                oracle::SlackOf(*state->mu, state->chosen, index, req));
       for (size_t candidate : state->remaining) {
-        ASSERT_EQ(FreshHtCount(*state, candidate),
-                  oracle::FreshHtCount(*state->mu, state->chosen, candidate,
-                                       index))
-            << "trial " << trial << " step " << step << " module "
-            << candidate;
+        std::span<const HtTokens> pairs = state->HtsOf(candidate);
         std::vector<size_t> tentative = state->chosen;
         tentative.push_back(candidate);
-        ASSERT_EQ(SlackWith(chosen, state->HtsOf(candidate), req, &scratch),
+        double delta_i = SlackWith(chosen, pairs, req, &scratch);
+        ASSERT_EQ(delta_i,
                   oracle::SlackOf(*state->mu, tentative, index, req))
-            << "trial " << trial << " step " << step << " module "
-            << candidate;
+            << "module " << candidate;
+        ASSERT_EQ(delta_i, oracle::SlackWith(chosen, pairs, req))
+            << "module " << candidate;
+
+        size_t fresh = 0;
+        bool first = false;
+        for (HtTokens pair : pairs) {
+          uint32_t slot = chosen.slot[pair.ht];
+          if (slot == ChosenFrequencies::kNoSlot) ++fresh;
+          if (slot == 0) first = true;
+        }
+        size_t theta = chosen.sorted.size() + fresh;
+        if (theta <= head) {
+          ++empty_tail;
+        } else if (head <= theta - head) {
+          ++from_largest;
+        } else {
+          ++from_smallest;
+        }
+        if (!pairs.empty() && fresh == pairs.size()) ++all_new;
+        if (first) ++bumps_first;
       }
 
       // Random walk: choose a remaining module or unchoose a non-target.
@@ -341,6 +450,11 @@ TEST(IncrementalKernelTest, MatchesFromScratchOracle) {
       }
     }
   }
+  EXPECT_GT(empty_tail, 0u);
+  EXPECT_GT(from_largest, 0u);
+  EXPECT_GT(from_smallest, 0u);
+  EXPECT_GT(all_new, 0u);
+  EXPECT_GT(bumps_first, 0u);
 }
 
 }  // namespace

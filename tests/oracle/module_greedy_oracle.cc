@@ -29,6 +29,29 @@ double SlackOf(const core::ModuleUniverse& mu,
       analysis::HtFrequencies(Members(mu, chosen), index), req);
 }
 
+double SlackWith(const core::ChosenFrequencies& chosen,
+                 std::span<const core::HtTokens> candidate,
+                 const chain::DiversityRequirement& req) {
+  std::vector<int64_t> q(chosen.sorted.begin(), chosen.sorted.end());
+  for (core::HtTokens pair : candidate) {
+    uint32_t slot = chosen.slot[pair.ht];
+    if (slot == core::ChosenFrequencies::kNoSlot) {
+      q.push_back(pair.tokens);
+    } else {
+      q[slot] += pair.tokens;
+    }
+  }
+  // Only the bumped and appended entries are out of place, so an
+  // insertion pass restores descending order in O(θ + displacement).
+  for (size_t i = 1; i < q.size(); ++i) {
+    int64_t value = q[i];
+    size_t j = i;
+    for (; j > 0 && q[j - 1] < value; --j) q[j] = q[j - 1];
+    q[j] = value;
+  }
+  return analysis::DiversitySlack(q, req);
+}
+
 size_t FreshHtCount(const core::ModuleUniverse& mu,
                     const std::vector<size_t>& chosen, size_t candidate,
                     const chain::HtIndex& index) {

@@ -6,16 +6,19 @@
 // derive each candidate's fresh-HT count and diversity slack from them.
 // The oracles below re-derive the same quantities the direct way on every
 // call: materialize the ring, push every token through HtIndex::HtOf, and
-// count in fresh hash containers.
+// count in fresh hash containers. SlackWith keeps the kernel's former
+// copy-and-sort δ_i as a second reference on the same ChosenFrequencies.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "chain/ht_index.h"
 #include "chain/types.h"
+#include "core/module_greedy.h"
 #include "core/modules.h"
 
 namespace tokenmagic::oracle {
@@ -26,6 +29,13 @@ double SlackOf(const core::ModuleUniverse& mu,
                const std::vector<size_t>& chosen,
                const chain::HtIndex& index,
                const chain::DiversityRequirement& req);
+
+/// δ_i the way the kernel computed it before its (q_1, tail) walk: copy
+/// the chosen frequency vector, bump or append the candidate's entries and
+/// restore descending order with an insertion pass, then DiversitySlack.
+double SlackWith(const core::ChosenFrequencies& chosen,
+                 std::span<const core::HtTokens> candidate,
+                 const chain::DiversityRequirement& req);
 
 /// Distinct HTs of module `candidate` that no chosen module covers, from a
 /// fresh covered-HT set and a fresh candidate-HT set.

@@ -1,0 +1,41 @@
+// Same-named static factories: Loud::Create sleeps, Quiet::Create does
+// not. A call written `Quiet::Create(` reaches Quiet's definition (and any
+// definition of unknown class), so making one under a ranked lock is no
+// wait.
+#include <chrono>
+// tm-sync: allow(thread-ownership, sleep_for only; no thread is started)
+#include <thread>
+
+#include "common/mutex.h"
+
+namespace tokenmagic::core {
+
+class Loud {
+ public:
+  static Loud Create();
+};
+
+class Quiet {
+ public:
+  static Quiet Create();
+};
+
+Loud Loud::Create() {
+  std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  return Loud();
+}
+
+Quiet Quiet::Create() { return Quiet(); }
+
+class FactoryUser {
+ public:
+  Quiet MakeQuiet() {
+    common::MutexLock lock(&factory_mu_);
+    return Quiet::Create();
+  }
+
+ private:
+  common::Mutex factory_mu_;  // tm-lock-rank(40)
+};
+
+}  // namespace tokenmagic::core

@@ -52,6 +52,16 @@ class LexicalFunctionsTest(unittest.TestCase):
         self.assertEqual(fns[0].name, "f")
         self.assertEqual(fns[0].file, "src/x.cc")
 
+    def test_qualifier_is_the_scope_before_the_name(self):
+        fns = functions("void testnet::Cluster::Create() {\n}\n"
+                        "void Free() {\n}\n"
+                        "struct S {\n"
+                        "  void Inline() {}\n"
+                        "};\n")
+        self.assertEqual([(f.name, f.qualifier) for f in fns],
+                         [("Create", "Cluster"), ("Free", ""),
+                          ("Inline", "")])
+
     def test_control_flow_heads_are_not_functions(self):
         fns = functions("if (ready) {\n"
                         "  Go();\n"

@@ -152,6 +152,10 @@ class FnDef:
     # The parameter list: the text between the head's parentheses
     # (lexical), or the parameter names joined by ", " (clang).
     args: str = ""
+    # The scope written before the name of an out-of-line definition
+    # ("Cluster" for `testnet::Cluster::Create`); empty when unknown: an
+    # in-class or free-function body, or the clang frontend.
+    qualifier: str = ""
 
 
 def lexical_functions(path: str, code: list[str]) -> list[FnDef]:
@@ -199,9 +203,11 @@ def lexical_functions(path: str, code: list[str]) -> list[FnDef]:
             i = j + 1
             continue
         segments, end_line = body_segments(code, open_line, open_col)
-        fns.append(FnDef(name=m.group(1).split("::")[-1], file=path,
+        scopes = m.group(1).split("::")
+        fns.append(FnDef(name=scopes[-1], file=path,
                          head_line=i + 1, segments=segments,
-                         args=args_text))
+                         args=args_text,
+                         qualifier=scopes[-2] if len(scopes) > 1 else ""))
         i = end_line + 1
     return fns
 

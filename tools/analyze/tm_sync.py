@@ -23,7 +23,11 @@ src/{common,analysis,core,node,rpc,testnet,sim}:
                   per-function summaries computed to a fixpoint, so
                   "ProcessCluster holds node_mu_ and calls Persist which
                   locks state_mu_" is checked even though the two
-                  acquisitions live in different modules.
+                  acquisitions live in different modules. A call
+                  written `Q::Name(` reaches only the definitions written
+                  `Q::Name` and those whose class the frontend cannot
+                  see (in-class bodies, free functions, the clang path);
+                  an unqualified call reaches every `Name`.
   publication     Cross-thread publish points are audited pairs:
                   `// tm-publishes(<field>)` on a release store,
                   `// tm-consumes(<field>)` on the matching acquire load.
@@ -285,6 +289,27 @@ def clang_functions(cindex, root: pathlib.Path, build_dir: pathlib.Path,
         if rel.endswith(".h") and rel not in covered:
             fns.extend(lexical_functions(rel, code[rel]))
     return fns if parsed_any else None
+
+
+# -- call resolution ---------------------------------------------------------
+
+def call_summary(summaries: dict, name: str, scope: str | None
+                 ) -> tuple[set, bool] | None:
+    """The union of the summaries a call may reach (`summaries` maps a
+    leaf name to {qualifier: summary}). A call written `Q::Name(` reaches
+    the definitions qualified `Q` and those of unknown class (qualifier
+    ""); an unqualified call reaches every definition named `Name`. None
+    when no definition matches."""
+    ranks: set[int] = set()
+    waits = False
+    found = False
+    for qualifier, (acq, may_wait) in summaries.get(name, {}).items():
+        if scope is not None and qualifier not in ("", scope):
+            continue
+        ranks |= acq
+        waits = waits or may_wait
+        found = True
+    return (ranks, waits) if found else None
 
 
 # -- registries --------------------------------------------------------------
@@ -688,7 +713,8 @@ class Analysis:
                 events.append((m.start(), "wait", "join"))
             if call_re is not None:
                 for m in call_re.finditer(text):
-                    events.append((m.start(1), "call", m.group(1)))
+                    events.append((m.start("name"), "call",
+                                   (m.group("name"), m.group("scope"))))
             events.sort(key=lambda e: e[0])
             ev_idx = 0
             for j, ch in enumerate(text + "\n"):
@@ -720,10 +746,12 @@ class Analysis:
                                 f"waits stall every thread queued on the "
                                 f"held lock")
                     elif kind == "call":
-                        s = summaries.get(payload)
+                        s = call_summary(summaries, *payload)
                         if s is None:
                             continue
                         callee_ranks, callee_waits = s
+                        name, scope = payload
+                        payload = f"{scope}::{name}" if scope else name
                         acquired |= callee_ranks
                         if held:
                             bad = [r for r in sorted(callee_ranks)
@@ -759,24 +787,31 @@ class Analysis:
         return acquired, may_wait
 
     def run_lock_analysis(self, fns: list[FnDef]):
-        # Merge summaries by leaf name (conservative union across
-        # overloads and same-named methods), then iterate to a fixpoint.
-        names = sorted({fn.name for fn in fns})
-        summaries: dict[str, tuple[set, bool]] = \
-            {n: (set(), False) for n in names}
+        # One summary per leaf name and qualifier (a union across
+        # overloads); calls resolve through call_summary. Iterate to a
+        # fixpoint.
+        def empty() -> dict[str, dict[str, tuple[set, bool]]]:
+            out: dict[str, dict[str, tuple[set, bool]]] = {}
+            for fn in fns:
+                out.setdefault(fn.name, {})[fn.qualifier] = (set(), False)
+            return out
+
+        summaries = empty()
         call_re = None
-        if names:
+        if summaries:
             call_re = re.compile(
-                r'\b(' + "|".join(re.escape(n) for n in names) +
+                r'(?:\b(?P<scope>[A-Za-z_]\w*)\s*::\s*)?'
+                r'\b(?P<name>' +
+                "|".join(re.escape(n) for n in sorted(summaries)) +
                 r')\s*\(')
         for _ in range(10):
-            new: dict[str, tuple[set, bool]] = \
-                {n: (set(), False) for n in names}
+            new = empty()
             for fn in fns:
                 acq, waits = self.function_pass(fn, summaries, call_re,
                                                 collect=False)
-                old_acq, old_waits = new[fn.name]
-                new[fn.name] = (old_acq | acq, old_waits or waits)
+                old_acq, old_waits = new[fn.name][fn.qualifier]
+                new[fn.name][fn.qualifier] = (old_acq | acq,
+                                              old_waits or waits)
             if new == summaries:
                 break
             summaries = new
