@@ -27,7 +27,7 @@ common::Result<Client> Client::Connect(const std::string& path,
 }
 
 common::Status Client::Reconnect() {
-  fd_.Close();
+  Disconnect();
   auto fd = ConnectUnix(path_);
   TM_RETURN_NOT_OK(fd.status());
   fd_ = std::move(fd).value();
@@ -37,6 +37,11 @@ common::Status Client::Reconnect() {
   return Status::OK();
 }
 
+void Client::Disconnect() {
+  fd_.Close();
+  reader_.Reset();
+}
+
 common::Result<Response> Client::Call(Request request) {
   if (!fd_.valid()) {
     return Status::IoError("client is disconnected");
@@ -44,14 +49,14 @@ common::Result<Response> Client::Call(Request request) {
   request.request_id = next_request_id_++;
   Status written = WriteFrame(fd_, EncodeRequest(request));
   if (!written.ok()) {
-    fd_.Close();
+    Disconnect();
     return written;
   }
   for (;;) {
     std::string payload;
-    Status read = ReadFrame(fd_, &payload);
+    Status read = reader_.Read(fd_, &payload);
     if (!read.ok()) {
-      fd_.Close();
+      Disconnect();
       // A malformed header or checksum mismatch is a transport problem
       // (corrupted/truncated stream), not an application verdict: report
       // it as IoError so CallWithRetry reconnects.
@@ -63,7 +68,7 @@ common::Result<Response> Client::Call(Request request) {
     Status decoded = DecodeResponse(payload, &response);
     if (!decoded.ok()) {
       // Corrupted or desynced stream: fail loud and force a reconnect.
-      fd_.Close();
+      Disconnect();
       return Status::IoError(common::StrFormat(
           "response stream desynced: %s", decoded.message().c_str()));
     }
@@ -71,7 +76,7 @@ common::Result<Response> Client::Call(Request request) {
       continue;  // stale duplicate of an earlier response; skip it
     }
     if (response.request_id != request.request_id) {
-      fd_.Close();
+      Disconnect();
       return Status::IoError(common::StrFormat(
           "response stream desynced: got id %llu, expected %llu",
           static_cast<unsigned long long>(response.request_id),

@@ -95,10 +95,13 @@ class Client {
       : path_(std::move(path)), options_(std::move(options)) {}
 
   [[nodiscard]] common::Status Reconnect();
+  /// Closes the connection and drops whatever its reader buffered.
+  void Disconnect();
 
   std::string path_;
   ClientOptions options_;
   Fd fd_;
+  FrameReader reader_;
   uint64_t next_request_id_ = 1;
 };
 

@@ -219,6 +219,24 @@ common::Result<FrameHeader> DecodeFrameHeader(
   return parsed;
 }
 
+common::Result<FrameExtent> ExtractFrame(std::string_view buffer,
+                                         std::string* payload) {
+  FrameExtent extent;
+  extent.frame_bytes = kFrameHeaderBytes;
+  if (buffer.size() < kFrameHeaderBytes) return extent;
+  auto header = DecodeFrameHeader(buffer.data());
+  TM_RETURN_NOT_OK(header.status());
+  extent.frame_bytes += header->length;
+  if (buffer.size() < extent.frame_bytes) return extent;
+  std::string_view body = buffer.substr(kFrameHeaderBytes, header->length);
+  if (FrameChecksum(body) != header->checksum) {
+    return Status::InvalidArgument("frame checksum mismatch");
+  }
+  payload->assign(body);
+  extent.complete = true;
+  return extent;
+}
+
 std::string EncodeRequest(const Request& request) {
   std::string out;
   PutU8(&out, static_cast<uint8_t>(request.op));

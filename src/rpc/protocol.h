@@ -143,10 +143,27 @@ uint64_t FrameChecksum(std::string_view payload);
 std::string EncodeFrame(std::string_view payload);
 
 /// Parses the frame header. InvalidArgument when the length is zero or
-/// exceeds kMaxFrameBytes. The checksum is verified by the reader after
-/// the payload arrives (socket_io's ReadFrame).
+/// exceeds kMaxFrameBytes. The checksum is verified once the payload has
+/// arrived (ExtractFrame).
 [[nodiscard]] common::Result<FrameHeader> DecodeFrameHeader(
     const char header[kFrameHeaderBytes]);
+
+/// What ExtractFrame found at the front of a receive buffer.
+struct FrameExtent {
+  /// Bytes the frame occupies, header included; kFrameHeaderBytes while
+  /// the header itself is incomplete.
+  size_t frame_bytes = 0;
+  /// True when the buffer held all of them and the payload was extracted.
+  bool complete = false;
+};
+
+/// Cuts the frame at the front of `buffer`, the one frame parser of the
+/// receive side (socket_io's FrameReader runs it on every read). A
+/// complete frame whose checksum matches fills `payload`; an incomplete
+/// one reports how many bytes it needs and leaves `payload` alone. A bad
+/// header or a checksum mismatch is InvalidArgument.
+[[nodiscard]] common::Result<FrameExtent> ExtractFrame(
+    std::string_view buffer, std::string* payload);
 
 std::string EncodeRequest(const Request& request);
 std::string EncodeResponse(const Response& response);

@@ -45,7 +45,8 @@ core::ResilientOptions WithClock(core::ResilientOptions options,
 std::string ServerStats::ToJson() const {
   return common::StrFormat(
       "{\"connections_accepted\":%llu,\"frames_received\":%llu,"
-      "\"decode_errors\":%llu,\"admitted\":%llu,\"ok\":%llu,"
+      "\"decode_errors\":%llu,\"admitted\":%llu,\"queued\":%llu,"
+      "\"ok\":%llu,"
       "\"module_index_cold\":%llu,\"degraded\":%llu,\"shed_overloaded\":%llu,\"cancelled\":%llu,"
       "\"timeouts\":%llu,\"unsatisfiable\":%llu,\"invalid_argument\":%llu,"
       "\"internal_errors\":%llu,\"write_failures\":%llu,"
@@ -54,6 +55,7 @@ std::string ServerStats::ToJson() const {
       static_cast<unsigned long long>(frames_received),
       static_cast<unsigned long long>(decode_errors),
       static_cast<unsigned long long>(admitted),
+      static_cast<unsigned long long>(queued),
       static_cast<unsigned long long>(ok),
       static_cast<unsigned long long>(module_index_cold),
       static_cast<unsigned long long>(degraded),
@@ -82,10 +84,18 @@ Server::Server(NodeHost* host, const node::Node* node, ServerConfig config)
       clock_(config_.clock != nullptr ? config_.clock
                                       : common::SteadyClock::Instance()),
       resilient_(WithClock(config_.resilient, clock_)),
-      queue_(config_.queue_capacity) {
+      queue_(config_.queue_capacity, config_.workers) {
   TM_CHECK(node != nullptr);
-  TM_CHECK(config_.workers > 0);
   TM_CHECK(!config_.socket_path.empty());
+  // Independent deterministic stream per slot. A closed-loop client runs
+  // in slot 0 every time; under concurrency which slot serves which
+  // request is scheduler-dependent, so selection randomness is
+  // reproducible per slot, not per request.
+  slot_rngs_.reserve(config_.workers);
+  for (size_t slot = 0; slot < config_.workers; ++slot) {
+    slot_rngs_.emplace_back(config_.seed ^
+                            (0x9e3779b97f4a7c15ull * (slot + 1)));
+  }
 }
 
 Server::~Server() { Stop(); }
@@ -95,7 +105,7 @@ common::Status Server::Start() {
   auto listener = ListenUnix(config_.socket_path);
   TM_RETURN_NOT_OK(listener.status());
   listener_ = std::move(listener).value();
-  workers_.Start(config_.workers, [this](size_t i) { WorkerLoop(i); });
+  workers_.Start(config_.workers, [this](size_t) { WorkerLoop(); });
   io_.Spawn([this] { AcceptLoop(); });
   return Status::OK();
 }
@@ -104,14 +114,17 @@ void Server::Stop() {
   if (!started_.load() || stopped_.exchange(true)) return;
   // Order matters. 1) Flag the drain so readers stop admitting and
   // workers answer queued items with Cancelled. 2) Wake the acceptor.
-  // 3) Close the queue: TryPush now reports kClosed (reader answers
+  // 3) Close the queue: TryAdmit now reports kClosed (reader answers
   // Cancelled inline) and workers drain what is already queued.
-  // 4) Join workers — after this every admitted request has had its
-  // response written. 5) Wake readers blocked in recv and join them.
+  // 4) Join workers — after this every queued request has had its
+  // response written. 5) Wait until every slot is released: a Select
+  // in flight on a reader completes and writes its response. 6) Wake
+  // readers blocked in recv and join them.
   draining_.store(true);
   listener_.Shutdown();
   queue_.Close();
   workers_.Join();
+  queue_.AwaitIdle();
   {
     common::MutexLock lock(&conns_mu_);
     for (auto& weak : conns_) {
@@ -152,9 +165,10 @@ void Server::AcceptLoop() {
 }
 
 void Server::ServeConnection(std::shared_ptr<Connection> conn) {
+  FrameReader reader;
+  std::string payload;
   while (!draining_.load()) {
-    std::string payload;
-    if (!ReadFrame(conn->fd, &payload).ok()) break;  // eof / reset / drain
+    if (!reader.Read(conn->fd, &payload).ok()) break;  // eof / reset / drain
     {
       common::MutexLock lock(&stats_mu_);
       ++stats_.frames_received;
@@ -186,17 +200,25 @@ void Server::ServeConnection(std::shared_ptr<Connection> conn) {
       WriteResponse(conn, ProcessCluster(request));
       continue;
     }
-    WorkItem item{conn, request, clock_->NowNanos()};
-    BoundedQueue<WorkItem>::Push admitted = queue_.TryPush(std::move(item));
-    if (admitted == BoundedQueue<WorkItem>::Push::kOk) {
-      common::MutexLock lock(&stats_mu_);
-      ++stats_.admitted;
+    using Admit = BoundedQueue<WorkItem>::Admit;
+    WorkItem item{conn, std::move(request), clock_->NowNanos()};
+    size_t slot = 0;
+    const Admit admit = queue_.TryAdmit(&item, &slot);
+    if (admit == Admit::kRun || admit == Admit::kQueued) {
+      {
+        common::MutexLock lock(&stats_mu_);
+        ++stats_.admitted;
+        if (admit == Admit::kQueued) ++stats_.queued;
+      }
+      if (admit == Admit::kRun) {
+        RunSelect(conn, item.request, item.admitted_nanos, slot);
+      }
       continue;
     }
     Response response;
-    response.request_id = request.request_id;
+    response.request_id = item.request.request_id;
     response.status =
-        admitted == BoundedQueue<WorkItem>::Push::kFull
+        admit == Admit::kFull
             ? Status::ResourceExhausted("overloaded: admission queue full")
             : Status::Cancelled("server draining: request not admitted");
     CountOutcome(response);
@@ -209,25 +231,33 @@ void Server::ServeConnection(std::shared_ptr<Connection> conn) {
   conn->fd.Shutdown();
 }
 
-void Server::WorkerLoop(size_t worker_index) {
-  // Independent deterministic stream per worker; which worker serves
-  // which request is scheduler-dependent, so selection randomness is
-  // reproducible per worker, not per request.
-  common::Rng rng(config_.seed ^
-                  (0x9e3779b97f4a7c15ull * (worker_index + 1)));
-  while (std::optional<WorkItem> item = queue_.Pop()) {
-    Response response;
-    if (draining_.load()) {
-      // Queued behind the drain: typed Cancelled, never silent loss.
-      response.request_id = item->request.request_id;
-      response.status =
-          Status::Cancelled("server draining: queued request cancelled");
-    } else {
-      response = ProcessSelect(item->request, item->admitted_nanos, &rng);
+void Server::WorkerLoop() {
+  using Queue = BoundedQueue<WorkItem>;
+  while (std::optional<Queue::Popped> next = queue_.Pop()) {
+    const WorkItem& item = next->item;
+    if (next->slot != Queue::kNoSlot && !draining_.load()) {
+      RunSelect(item.conn, item.request, item.admitted_nanos, next->slot);
+      continue;
     }
+    if (next->slot != Queue::kNoSlot) queue_.Release(next->slot);
+    // Queued behind the drain: typed Cancelled, never silent loss.
+    Response response;
+    response.request_id = item.request.request_id;
+    response.status =
+        Status::Cancelled("server draining: queued request cancelled");
     CountOutcome(response);
-    WriteResponse(item->conn, response);
+    WriteResponse(item.conn, response);
   }
+}
+
+void Server::RunSelect(const std::shared_ptr<Connection>& conn,
+                       const Request& request, int64_t admitted_nanos,
+                       size_t slot) {
+  Response response = ProcessSelect(request, admitted_nanos,
+                                    &slot_rngs_[slot]);
+  CountOutcome(response);
+  WriteResponse(conn, response);
+  queue_.Release(slot);
 }
 
 Response Server::ProcessSelect(const Request& request, int64_t admitted_nanos,

@@ -3,29 +3,40 @@
 //
 // Threading model (three thread families, all owned by WorkerPool):
 //
-//   acceptor ──► per-connection readers ──► bounded queue ──► workers
-//                (decode, admit, shed)       (capacity-bounded)  (select)
+//   acceptor ──► per-connection readers ──┬─► run now on the reader
+//                (decode, admit, shed)     └─► bounded queue ──► workers
 //
-// Readers decode frames and either serve control ops (Ping/Stats)
-// inline or admit Select work into the bounded queue. Admission is
-// shed-on-overload: a full queue answers Overloaded (ResourceExhausted)
-// immediately instead of queueing without bound, so latency under
-// overload stays bounded by `queue_capacity / throughput` and memory by
-// `queue_capacity` items (DESIGN.md decision "shed, don't buffer").
-// Workers pop items, re-anchor the request's deadline budget (queue
-// wait already spent counts against it), and run the resilient selector
+// Each connection has one reader thread with one buffered FrameReader;
+// it decodes frames and serves control ops (Ping/Stats) and cluster ops
+// inline. A Select is admitted one of three ways (DESIGN.md decision 20):
+//   * run now — one of the `workers` execution slots is free and nothing
+//     is queued: the reader runs the Select and writes the response
+//     itself, holding the slot through the write, so a closed-loop
+//     client's Selects make no thread hand-off;
+//   * queue — otherwise, if the queue has room, a worker thread runs it
+//     once a slot frees up (a released slot goes to the queue head
+//     first, so nothing queued is overtaken);
+//   * shed — otherwise the reader answers Overloaded (ResourceExhausted)
+//     immediately instead of queueing without bound, so latency under
+//     overload stays bounded by `queue_capacity / throughput` and memory
+//     by `queue_capacity` items (DESIGN.md decision 11).
+// `workers` is therefore the number of concurrent selections; each slot
+// owns one deterministic rng stream. Queued and inline Selects run the
+// same RunSelect: re-anchor the request's deadline budget (queue wait
+// already spent counts against it) and run the resilient selector
 // ladder over the node's shared per-batch analysis snapshot.
 //
 // Deadline propagation: the client's deadline_millis is an end-to-end
-// budget. The reader stamps admission time; the worker subtracts the
+// budget. The reader stamps admission time; RunSelect subtracts the
 // queue wait and hands the remainder to the selector as a
 // common::Deadline, so a request that waited out its budget in the
 // queue answers Timeout without doing any selection work.
 //
-// Graceful shutdown (Stop): new pushes are refused with Cancelled,
-// in-flight selections complete and their responses are written, queued
-// items drain with typed Cancelled responses, then every thread is
-// joined. Nothing is silently dropped.
+// Graceful shutdown (Stop): new admissions are refused with Cancelled,
+// workers answer every queued item Cancelled and are joined, in-flight
+// selections (on workers or readers) complete and their responses are
+// written, then readers are woken and joined. Nothing is silently
+// dropped.
 //
 // Node contract: the server reads the node through blockchain() /
 // batches() / ht_index() plus the concurrent AnalysisSnapshotShared
@@ -74,7 +85,8 @@ class NodeHost;
 struct ServerConfig {
   /// AF_UNIX socket path to listen on.
   std::string socket_path;
-  /// Fixed selection workers.
+  /// Concurrent selections: execution slots, shared by readers running
+  /// a Select inline and the worker threads draining the queue.
   size_t workers = 4;
   /// Admission queue capacity; a full queue sheds with Overloaded.
   size_t queue_capacity = 64;
@@ -87,7 +99,7 @@ struct ServerConfig {
   /// Resilient-ladder options (per-request deadlines ride on the input,
   /// so totals here are usually left unlimited).
   core::ResilientOptions resilient;
-  /// Seed for the per-worker selection rngs.
+  /// Seed for the per-slot selection rngs.
   uint64_t seed = 1;
   /// Clock for deadlines and latency accounting (tests inject).
   const common::Clock* clock = nullptr;
@@ -102,6 +114,9 @@ struct ServerStats {
   uint64_t frames_received = 0;
   uint64_t decode_errors = 0;
   uint64_t admitted = 0;
+  /// Subset of admitted that waited in the queue for a worker instead of
+  /// running on the reader that decoded it.
+  uint64_t queued = 0;
   uint64_t ok = 0;
   /// Selects whose batch snapshot had no module index yet when acquired
   /// (the first Select per sealed snapshot builds it; a healthy cache
@@ -116,7 +131,7 @@ struct ServerStats {
   uint64_t internal_errors = 0;
   uint64_t write_failures = 0;
   common::Histogram latency_micros;     ///< selection service time
-  common::Histogram queue_wait_micros;  ///< admission -> worker pickup
+  common::Histogram queue_wait_micros;  ///< admission -> selection start
 
   /// Flat JSON object (stable keys; Stats responses carry this).
   std::string ToJson() const;
@@ -141,8 +156,8 @@ class Server {
   /// Binds the socket and launches acceptor + workers.
   [[nodiscard]] common::Status Start();
 
-  /// Graceful shutdown: drains in-flight work, answers queued work with
-  /// Cancelled, joins every thread. Idempotent.
+  /// Graceful shutdown: answers queued work with Cancelled, completes
+  /// in-flight work, joins every thread. Idempotent.
   void Stop();
 
   ServerStats StatsSnapshot() const TM_EXCLUDES(stats_mu_);
@@ -151,7 +166,7 @@ class Server {
 
  private:
   /// One accepted connection. The write mutex serializes responses from
-  /// workers and the reader (control ops) onto the stream.
+  /// workers and the reader onto the stream.
   struct Connection {
     explicit Connection(Fd socket) : fd(std::move(socket)) {}
     Fd fd;
@@ -166,7 +181,14 @@ class Server {
 
   void AcceptLoop();
   void ServeConnection(std::shared_ptr<Connection> conn);
-  void WorkerLoop(size_t worker_index);
+  void WorkerLoop();
+
+  /// Runs one admitted Select in `slot` to a terminal verdict, writes the
+  /// response, then releases the slot. Called by the reader that decoded
+  /// the request (run now) and by workers (queued).
+  void RunSelect(const std::shared_ptr<Connection>& conn,
+                 const Request& request, int64_t admitted_nanos, size_t slot)
+      TM_EXCLUDES(stats_mu_, node_mu_);
 
   /// Runs one Select to a terminal verdict (never blocks on I/O).
   Response ProcessSelect(const Request& request, int64_t admitted_nanos,
@@ -206,7 +228,11 @@ class Server {
   core::ResilientSelector resilient_;
 
   Fd listener_;
+  /// Admission: the queued items and the `workers` execution slots.
   BoundedQueue<WorkItem> queue_;
+  /// One selection rng per slot, used only by the thread holding that
+  /// slot (the queue's mutex orders the hand-over).
+  std::vector<common::Rng> slot_rngs_;
   WorkerPool workers_;
   WorkerPool io_;
   // Lifecycle flags polled by reader/worker loops; each guards no

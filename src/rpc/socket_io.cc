@@ -5,6 +5,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -103,12 +104,29 @@ common::Status WriteAll(const Fd& fd, std::string_view data) {
   return Status::OK();
 }
 
-common::Status ReadExact(const Fd& fd, size_t n, std::string* out) {
-  out->clear();
-  out->resize(n);
-  size_t got = 0;
-  while (got < n) {
-    ssize_t r = ::recv(fd.get(), out->data() + got, n - got, 0);
+common::Status FrameReader::Read(const Fd& fd, std::string* payload) {
+  for (;;) {
+    const size_t unread = end_ - begin_;
+    auto extent =
+        ExtractFrame(std::string_view(buffer_.data() + begin_, unread),
+                     payload);
+    TM_RETURN_NOT_OK(extent.status());
+    if (extent->complete) {
+      begin_ += extent->frame_bytes;
+      if (begin_ == end_) begin_ = end_ = 0;
+      return Status::OK();
+    }
+    // Ask for the rest of this frame, and at least a chunk, in one recv.
+    const size_t want =
+        std::max(kReadChunkBytes, extent->frame_bytes - unread);
+    if (buffer_.size() - end_ < want) {
+      std::memmove(buffer_.data(), buffer_.data() + begin_, unread);
+      begin_ = 0;
+      end_ = unread;
+      if (buffer_.size() < end_ + want) buffer_.resize(end_ + want);
+    }
+    ++recvs_;
+    ssize_t r = ::recv(fd.get(), buffer_.data() + end_, want, 0);
     if (r < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
@@ -117,25 +135,18 @@ common::Status ReadExact(const Fd& fd, size_t n, std::string* out) {
       return Errno("recv");
     }
     if (r == 0) {
-      return got == 0 ? Status::IoError("eof")
-                      : Status::IoError(common::StrFormat(
-                            "eof mid-message after %zu of %zu bytes", got, n));
+      return unread == 0 ? Status::IoError("eof")
+                         : Status::IoError(common::StrFormat(
+                               "eof mid-message after %zu of %zu bytes",
+                               unread, extent->frame_bytes));
     }
-    got += static_cast<size_t>(r);
+    end_ += static_cast<size_t>(r);
   }
-  return Status::OK();
 }
 
-common::Status ReadFrame(const Fd& fd, std::string* payload) {
-  std::string header;
-  TM_RETURN_NOT_OK(ReadExact(fd, kFrameHeaderBytes, &header));
-  auto parsed = DecodeFrameHeader(header.data());
-  TM_RETURN_NOT_OK(parsed.status());
-  TM_RETURN_NOT_OK(ReadExact(fd, parsed->length, payload));
-  if (FrameChecksum(*payload) != parsed->checksum) {
-    return Status::InvalidArgument("frame checksum mismatch");
-  }
-  return Status::OK();
+void FrameReader::Reset() {
+  std::string().swap(buffer_);
+  begin_ = end_ = 0;
 }
 
 common::Status WriteFrame(const Fd& fd, std::string_view payload) {

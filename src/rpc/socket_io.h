@@ -2,10 +2,10 @@
 //
 // Everything here is blocking I/O on local sockets with fail-typed error
 // reporting: helpers return common::Status/Result instead of errno
-// sentinels, and short reads/writes are looped internally so callers see
-// whole frames or a typed IoError, never partial state. SIGPIPE is
-// avoided with MSG_NOSIGNAL so a peer that vanishes mid-write surfaces
-// as a Status, not a process kill.
+// sentinels, short writes are looped internally, and FrameReader buffers
+// the receive side so callers see whole frames or a typed error, never
+// partial state. SIGPIPE is avoided with MSG_NOSIGNAL so a peer that
+// vanishes mid-write surfaces as a Status, not a process kill.
 #pragma once
 
 #include <cstdint>
@@ -66,15 +66,40 @@ class Fd {
 /// Writes all of `data`, looping over short writes.
 [[nodiscard]] common::Status WriteAll(const Fd& fd, std::string_view data);
 
-/// Reads exactly `n` bytes into `out`. kIoError with message "eof" when
-/// the peer closed cleanly at a frame boundary (0 bytes read), kTimeout
-/// when SO_RCVTIMEO expired.
-[[nodiscard]] common::Status ReadExact(const Fd& fd, size_t n,
-                                       std::string* out);
+/// Buffered receive side of one stream connection. Each recv asks for
+/// up to kReadChunkBytes (or the whole rest of a larger frame), and
+/// frames are cut from the buffer by ExtractFrame, so a frame
+/// that arrives whole costs one recv and frames coalesced into one recv
+/// cost one between them. One reader per connection, kept for the
+/// connection's life: bytes it buffered belong to the frames after the
+/// one just returned. Not thread-safe.
+class FrameReader {
+ public:
+  static constexpr size_t kReadChunkBytes = 4096;
 
-/// Reads one length-prefixed frame payload (header validated against
-/// kMaxFrameBytes before the body is read).
-[[nodiscard]] common::Status ReadFrame(const Fd& fd, std::string* payload);
+  /// Reads the next frame's payload (length bounded by kMaxFrameBytes,
+  /// checksum verified). kIoError "eof" when the peer closed at a frame
+  /// boundary and "eof mid-message ..." inside a frame; kTimeout when
+  /// SO_RCVTIMEO expired (bytes received so far stay buffered);
+  /// InvalidArgument for a bad header or a checksum mismatch.
+  [[nodiscard]] common::Status Read(const Fd& fd, std::string* payload);
+
+  /// Drops every buffered byte; call when the connection is closed or
+  /// replaced, so no byte of the old stream is read as the new one's.
+  void Reset();
+
+  /// Bytes received but not yet returned in a frame.
+  size_t buffered() const { return end_ - begin_; }
+  /// recv calls made so far (one per frame when frames arrive whole).
+  uint64_t recvs() const { return recvs_; }
+
+ private:
+  /// Storage; [begin_, end_) is received but unread.
+  std::string buffer_;
+  size_t begin_ = 0;
+  size_t end_ = 0;
+  uint64_t recvs_ = 0;
+};
 
 /// Frames and writes one payload.
 [[nodiscard]] common::Status WriteFrame(const Fd& fd,

@@ -8,11 +8,14 @@
 //
 // Two thread families:
 //   * Start(n, body)  — n fixed workers, each running body(worker_index)
-//     to completion (the body loops on the admission queue until it is
-//     closed and drained).
-//   * Spawn(body)     — one dynamic thread per accepted connection. Each
-//     records its completion in a shared done-flag; the next Spawn reaps
-//     finished threads so a long-lived server does not accumulate
+//     to completion. The server's workers loop on the admission queue
+//     until it is closed and drained; they run only the Selects that
+//     found every execution slot busy, since a Select that finds one
+//     free runs on its connection's reader.
+//   * Spawn(body)     — one dynamic thread per accepted connection (the
+//     reader, which decodes frames and runs uncontended Selects itself).
+//     Each records its completion in a shared done-flag; the next Spawn
+//     reaps finished threads so a long-lived server does not accumulate
 //     thousands of zombie std::thread objects.
 //
 // Join() joins both families and is idempotent. The caller is

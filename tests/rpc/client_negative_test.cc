@@ -22,11 +22,13 @@ std::string TestSocketPath(const char* name) {
                            static_cast<int>(getpid()), name);
 }
 
-/// Reads one request on `conn` and answers it with a well-formed Ping
-/// response carrying `message`.
-void AnswerPing(const Fd& conn, const std::string& message) {
+/// Reads one request on `conn` (through `reader`, the connection's one
+/// frame reader) and answers it with a well-formed Ping response
+/// carrying `message`.
+void AnswerPing(const Fd& conn, FrameReader* reader,
+                const std::string& message) {
   std::string payload;
-  ASSERT_TRUE(ReadFrame(conn, &payload).ok());
+  ASSERT_TRUE(reader->Read(conn, &payload).ok());
   Request request;
   ASSERT_TRUE(DecodeRequest(payload, &request).ok());
   Response response;
@@ -46,8 +48,9 @@ TEST(ClientNegativeTest, ReconnectsWhenServerDiesMidFrame) {
     // body read hits eof mid-frame.
     auto conn = Accept(listener.value());
     ASSERT_TRUE(conn.ok());
+    FrameReader reader;
     std::string payload;
-    ASSERT_TRUE(ReadFrame(conn.value(), &payload).ok());
+    ASSERT_TRUE(reader.Read(conn.value(), &payload).ok());
     std::string torn("\x20\x00\x00\x00", 4);  // len = 32
     torn += std::string(8, '\x11');           // checksum (never checked)
     torn += std::string(10, 'x');             // 10 of the 32 body bytes
@@ -57,7 +60,8 @@ TEST(ClientNegativeTest, ReconnectsWhenServerDiesMidFrame) {
     // Connection 2: the retried request gets a proper answer.
     auto conn2 = Accept(listener.value());
     ASSERT_TRUE(conn2.ok());
-    AnswerPing(conn2.value(), "recovered");
+    FrameReader reader2;
+    AnswerPing(conn2.value(), &reader2, "recovered");
   });
 
   ClientOptions options;
@@ -83,13 +87,15 @@ TEST(ClientNegativeTest, ReconnectsWhenServerDiesBeforeAnswering) {
     // request awaiting its response.
     auto conn = Accept(listener.value());
     ASSERT_TRUE(conn.ok());
+    FrameReader reader;
     std::string payload;
-    ASSERT_TRUE(ReadFrame(conn.value(), &payload).ok());
+    ASSERT_TRUE(reader.Read(conn.value(), &payload).ok());
     conn.value().Close();
 
     auto conn2 = Accept(listener.value());
     ASSERT_TRUE(conn2.ok());
-    AnswerPing(conn2.value(), "second try");
+    FrameReader reader2;
+    AnswerPing(conn2.value(), &reader2, "second try");
   });
 
   ClientOptions options;
@@ -103,6 +109,50 @@ TEST(ClientNegativeTest, ReconnectsWhenServerDiesBeforeAnswering) {
   EXPECT_EQ(pong.value(), "second try");
 }
 
+TEST(ClientNegativeTest, ReconnectDiscardsBufferedBytes) {
+  std::string path = TestSocketPath("stalebuffer");
+  auto listener = ListenUnix(path);
+  ASSERT_TRUE(listener.ok());
+
+  std::thread fake([&] {
+    // Connection 1: answer the first request (id 1) with a frame for a
+    // newer id, which desyncs the client, and in the same write a
+    // well-formed answer for id 2, the id its retry will carry. Both
+    // land in the client's buffer in one recv; the reconnect must drop
+    // the second instead of reading it as the new connection's answer.
+    auto conn = Accept(listener.value());
+    ASSERT_TRUE(conn.ok());
+    FrameReader reader;
+    std::string payload;
+    ASSERT_TRUE(reader.Read(conn.value(), &payload).ok());
+    Response desync;
+    desync.request_id = 99;
+    desync.status = common::Status(common::StatusCode::kOk, "desync");
+    Response stale;
+    stale.request_id = 2;
+    stale.status = common::Status(common::StatusCode::kOk, "stale");
+    ASSERT_TRUE(WriteAll(conn.value(), EncodeFrame(EncodeResponse(desync)) +
+                                           EncodeFrame(EncodeResponse(stale)))
+                    .ok());
+
+    // Connection 2: the retry (id 2) gets the real answer.
+    auto conn2 = Accept(listener.value());
+    ASSERT_TRUE(conn2.ok());
+    FrameReader reader2;
+    AnswerPing(conn2.value(), &reader2, "fresh");
+  });
+
+  ClientOptions options;
+  options.retry.max_attempts = 2;
+  options.recv_timeout_millis = 5000;
+  auto client = Client::Connect(path, options);
+  ASSERT_TRUE(client.ok());
+  auto pong = client->Ping();
+  fake.join();
+  ASSERT_TRUE(pong.ok()) << pong.status().ToString();
+  EXPECT_EQ(pong.value(), "fresh");
+}
+
 TEST(ClientNegativeTest, ExhaustedRetriesSurfaceTypedIoError) {
   std::string path = TestSocketPath("alwaysdies");
   auto listener = ListenUnix(path);
@@ -114,8 +164,9 @@ TEST(ClientNegativeTest, ExhaustedRetriesSurfaceTypedIoError) {
     for (int i = 0; i < 2; ++i) {
       auto conn = Accept(listener.value());
       ASSERT_TRUE(conn.ok());
+      FrameReader reader;
       std::string payload;
-      ASSERT_TRUE(ReadFrame(conn.value(), &payload).ok());
+      ASSERT_TRUE(reader.Read(conn.value(), &payload).ok());
       ASSERT_TRUE(WriteAll(conn.value(), std::string("\x08\x00", 2)).ok());
       conn.value().Close();
     }

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -34,25 +35,6 @@ Response MakeResponse() {
   response.stage = "TM_P";
   response.server_micros = 1234;
   return response;
-}
-
-/// Mimics the receiver side of ReadFrame over an in-memory buffer:
-/// header decode, length check, checksum verification, exact size.
-common::Status ParseFrameBuffer(const std::string& frame,
-                                std::string* payload) {
-  if (frame.size() < kFrameHeaderBytes) {
-    return common::Status::IoError("short frame header");
-  }
-  auto header = DecodeFrameHeader(frame.data());
-  if (!header.ok()) return header.status();
-  if (frame.size() - kFrameHeaderBytes < header->length) {
-    return common::Status::IoError("short frame body");
-  }
-  *payload = frame.substr(kFrameHeaderBytes, header->length);
-  if (FrameChecksum(*payload) != header->checksum) {
-    return common::Status::InvalidArgument("frame checksum mismatch");
-  }
-  return common::Status::OK();
 }
 
 TEST(ProtocolTest, RequestRoundtrip) {
@@ -165,8 +147,28 @@ TEST(ProtocolTest, FrameRoundtrip) {
   std::string frame = EncodeFrame(payload);
   ASSERT_EQ(frame.size(), kFrameHeaderBytes + payload.size());
   std::string parsed;
-  ASSERT_TRUE(ParseFrameBuffer(frame, &parsed).ok());
+  auto extent = ExtractFrame(frame, &parsed);
+  ASSERT_TRUE(extent.ok()) << extent.status().ToString();
+  EXPECT_TRUE(extent->complete);
+  EXPECT_EQ(extent->frame_bytes, frame.size());
   EXPECT_EQ(parsed, payload);
+}
+
+TEST(ProtocolTest, ExtractFrameCutsOnlyTheFrontFrame) {
+  std::string first = EncodeRequest(MakeRequest());
+  std::string second = EncodeResponse(MakeResponse());
+  std::string buffer = EncodeFrame(first) + EncodeFrame(second);
+  std::string parsed;
+  auto extent = ExtractFrame(buffer, &parsed);
+  ASSERT_TRUE(extent.ok());
+  ASSERT_TRUE(extent->complete);
+  EXPECT_EQ(extent->frame_bytes, kFrameHeaderBytes + first.size());
+  EXPECT_EQ(parsed, first);
+  extent = ExtractFrame(
+      std::string_view(buffer).substr(extent->frame_bytes), &parsed);
+  ASSERT_TRUE(extent.ok());
+  ASSERT_TRUE(extent->complete);
+  EXPECT_EQ(parsed, second);
 }
 
 TEST(ProtocolTest, CorruptionCorpusEveryByteFlipIsDetected) {
@@ -181,10 +183,14 @@ TEST(ProtocolTest, CorruptionCorpusEveryByteFlipIsDetected) {
       std::string corrupted = frame;
       corrupted[pos] = static_cast<char>(corrupted[pos] ^ mask);
       std::string parsed;
-      common::Status status = ParseFrameBuffer(corrupted, &parsed);
-      EXPECT_FALSE(status.ok())
+      auto extent = ExtractFrame(corrupted, &parsed);
+      // Detected: rejected typed, or a grown length that waits for bytes
+      // the sender never wrote (the reader then reports eof mid-message).
+      EXPECT_TRUE(!extent.ok() || (!extent->complete &&
+                                   extent->frame_bytes > corrupted.size()))
           << "flip mask 0x" << std::hex << static_cast<int>(mask)
           << " at byte " << std::dec << pos << " was not detected";
+      EXPECT_TRUE(parsed.empty());
     }
   }
 }
@@ -193,8 +199,14 @@ TEST(ProtocolTest, TruncationCorpusEveryPrefixIsDetected) {
   std::string frame = EncodeFrame(EncodeResponse(MakeResponse()));
   for (size_t cut = 0; cut < frame.size(); ++cut) {
     std::string parsed;
-    EXPECT_FALSE(ParseFrameBuffer(frame.substr(0, cut), &parsed).ok())
+    auto extent = ExtractFrame(frame.substr(0, cut), &parsed);
+    ASSERT_TRUE(extent.ok()) << extent.status().ToString();
+    EXPECT_FALSE(extent->complete)
         << "prefix of " << cut << " bytes was not detected";
+    // It asks for the whole frame once the header is in.
+    EXPECT_EQ(extent->frame_bytes,
+              cut < kFrameHeaderBytes ? kFrameHeaderBytes : frame.size());
+    EXPECT_TRUE(parsed.empty());
   }
 }
 

@@ -16,6 +16,7 @@
 #include "gtest/gtest.h"
 #include "node/fault_injection.h"
 #include "rpc/client.h"
+#include "rpc/pin_clock.h"
 #include "rpc/testbed.h"
 
 namespace tokenmagic::rpc {
@@ -35,51 +36,6 @@ TestbedConfig SmallTestbed() {
   config.seed = 7;
   return config;
 }
-
-/// Spins (bounded) until `pred` holds. Tests synchronize on observable
-/// server counters instead of fixed sleeps, so they cannot flake on a
-/// slow machine — the predicate either becomes true or the test fails
-/// loudly after the cap.
-template <typename Pred>
-[[nodiscard]] bool WaitUntil(Pred pred) {
-  for (int i = 0; i < 5000; ++i) {
-    if (pred()) return true;
-    // tm-lint: allow(test-sleep, bounded poll interval under a predicate)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  return false;
-}
-
-/// A steady clock that pins the server's worker until the test releases
-/// it. Once armed, the first reading taken on a second thread blocks.
-/// With one request in flight that is the worker picking the request up
-/// (the reader thread took the first reading when it admitted the
-/// request), so the worker stays busy exactly as long as the test needs.
-class PinClock final : public common::Clock {
- public:
-  void Arm() { armed_.store(true); }
-  void Release() { released_.store(true); }
-  bool holding() const { return holding_.load(); }
-
-  int64_t NowNanos() const override {
-    if (armed_.load()) {
-      std::thread::id none;
-      const std::thread::id self = std::this_thread::get_id();
-      if (!first_reader_.compare_exchange_strong(none, self) &&
-          none != self && armed_.exchange(false)) {
-        holding_.store(true);
-        (void)WaitUntil([this] { return released_.load(); });
-      }
-    }
-    return common::SteadyClock::Instance()->NowNanos();
-  }
-
- private:
-  mutable std::atomic<bool> armed_{false};
-  mutable std::atomic<bool> holding_{false};
-  std::atomic<bool> released_{false};
-  mutable std::atomic<std::thread::id> first_reader_{};
-};
 
 TEST(ServerTest, ServesValidRingsForEveryTarget) {
   Testbed testbed = BuildTestbed(SmallTestbed());
@@ -276,14 +232,15 @@ TEST(ServerTest, MalformedPayloadAnsweredTypedThenConnectionDropped) {
   // A well-framed but garbage payload: answered InvalidArgument, then
   // the server tears the connection down (the stream may be desynced).
   ASSERT_TRUE(WriteFrame(fd.value(), "garbage payload").ok());
+  FrameReader reader;
   std::string payload;
-  ASSERT_TRUE(ReadFrame(fd.value(), &payload).ok());
+  ASSERT_TRUE(reader.Read(fd.value(), &payload).ok());
   Response response;
   ASSERT_TRUE(DecodeResponse(payload, &response).ok());
   EXPECT_TRUE(response.status.IsInvalidArgument());
   // Next read observes eof: connection closed by the server.
   std::string next;
-  EXPECT_TRUE(ReadFrame(fd.value(), &next).IsIoError());
+  EXPECT_TRUE(reader.Read(fd.value(), &next).IsIoError());
 
   EXPECT_EQ(server.StatsSnapshot().decode_errors, 1u);
   server.Stop();
@@ -314,6 +271,7 @@ TEST(ServerTest, OverloadShedsTypedOverloadedResponses) {
   auto flood = ConnectUnix(config.socket_path);
   ASSERT_TRUE(flood.ok());
   ASSERT_TRUE(SetRecvTimeout(flood.value(), 5000).ok());
+  FrameReader flood_reader;
   ASSERT_TRUE(WaitUntil([&] { return clock.holding(); }));
   constexpr int kFlood = 10;
   for (int i = 0; i < kFlood; ++i) {
@@ -333,7 +291,7 @@ TEST(ServerTest, OverloadShedsTypedOverloadedResponses) {
   int ok = 0, overloaded = 0, timed_out = 0, other = 0;
   for (int i = 0; i < kFlood; ++i) {
     std::string payload;
-    if (!ReadFrame(flood.value(), &payload).ok()) break;
+    if (!flood_reader.Read(flood.value(), &payload).ok()) break;
     Response response;
     if (!DecodeResponse(payload, &response).ok()) break;
     if (response.status.ok()) {
@@ -358,6 +316,85 @@ TEST(ServerTest, OverloadShedsTypedOverloadedResponses) {
             kFlood - static_cast<int>(config.queue_capacity) - 1);
   EXPECT_EQ(server.StatsSnapshot().shed_overloaded,
             static_cast<uint64_t>(overloaded));
+  server.Stop();
+}
+
+TEST(ServerTest, ClosedLoopSelectsRunOnTheirReader) {
+  // One closed-loop connection never finds a slot busy, so each Select
+  // runs on the reader that decoded it: no queue, no worker hand-off.
+  Testbed testbed = BuildTestbed(SmallTestbed());
+  ServerConfig config;
+  config.socket_path = TestSocketPath("inline");
+  config.workers = 2;
+  Server server(testbed.node.get(), config);
+  ASSERT_TRUE(server.Start().ok());
+
+  auto client = Client::Connect(config.socket_path);
+  ASSERT_TRUE(client.ok());
+  constexpr uint64_t kSelects = 24;
+  for (uint64_t i = 0; i < kSelects; ++i) {
+    chain::TokenId target = testbed.targets[i % testbed.targets.size()];
+    ASSERT_TRUE(client->Select(target, {2.0, 2}).ok());
+  }
+  ServerStats stats = server.StatsSnapshot();
+  EXPECT_EQ(stats.admitted, kSelects);
+  EXPECT_EQ(stats.queued, 0u);
+  EXPECT_EQ(stats.queue_wait_micros.count(), static_cast<int64_t>(kSelects));
+  auto json = client->Stats();
+  ASSERT_TRUE(json.ok());
+  EXPECT_NE(json->find("\"queued\":0,"), std::string::npos) << *json;
+  server.Stop();
+}
+
+TEST(ServerTest, BusySlotsQueueTheNextSelectForAWorker) {
+  // Two connections each pin a Select in one of the two slots; a third
+  // connection's Select must wait in the queue and be run by a worker
+  // once a slot is released.
+  Testbed testbed = BuildTestbed(SmallTestbed());
+  PinClock clock;
+  ServerConfig config;
+  config.socket_path = TestSocketPath("busyslots");
+  config.workers = 2;
+  config.queue_capacity = 4;
+  config.clock = &clock;
+  Server server(testbed.node.get(), config);
+  ASSERT_TRUE(server.Start().ok());
+
+  auto select = [&](Client* client, std::atomic<bool>* done) {
+    auto response = client->Select(testbed.targets.front(), {2.0, 2});
+    EXPECT_TRUE(response.ok()) << response.status().ToString();
+    if (response.ok()) {
+      EXPECT_TRUE(response->status.ok() ||
+                  response->status.IsUnsatisfiable())
+          << response->status.ToString();
+    }
+    done->store(true);
+  };
+  std::vector<Client> clients;
+  for (int i = 0; i < 3; ++i) {
+    auto client = Client::Connect(config.socket_path);
+    ASSERT_TRUE(client.ok());
+    clients.push_back(std::move(client).value());
+  }
+  std::atomic<bool> done[3] = {false, false, false};
+  std::vector<std::thread> calls;
+  for (int pinned = 0; pinned < 2; ++pinned) {
+    clock.Arm();
+    calls.emplace_back(select, &clients[pinned], &done[pinned]);
+    ASSERT_TRUE(WaitUntil([&] { return clock.holding() == pinned + 1; }));
+  }
+  calls.emplace_back(select, &clients[2], &done[2]);
+  ASSERT_TRUE(
+      WaitUntil([&] { return server.StatsSnapshot().queued == 1; }));
+  ServerStats stats = server.StatsSnapshot();
+  EXPECT_EQ(stats.admitted, 3u);
+  EXPECT_FALSE(done[2].load());
+  clock.Release();
+  for (auto& call : calls) call.join();
+  stats = server.StatsSnapshot();
+  EXPECT_EQ(stats.queued, 1u);
+  EXPECT_EQ(stats.queue_wait_micros.count(), 3);
+  EXPECT_EQ(stats.ok + stats.unsatisfiable, 3u);
   server.Stop();
 }
 

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "common/strings.h"
 #include "gtest/gtest.h"
 #include "rpc/client.h"
+#include "rpc/pin_clock.h"
 #include "rpc/server.h"
 #include "rpc/testbed.h"
 
@@ -132,6 +134,87 @@ TEST(ShutdownTest, DrainResolvesEveryIssuedRequestTyped) {
   EXPECT_EQ(stats.internal_errors, 0u);
   // The drain happened mid-flight, so the server processed real work.
   EXPECT_GT(stats.admitted, 0u);
+}
+
+TEST(ShutdownTest, StopWithEverySlotBusyCancelsEachQueuedItemOnce) {
+  // Both slots hold a pinned Select running on its reader and three
+  // more Selects wait in the queue. Stop must answer each queued one
+  // Cancelled exactly once (the workers drain them without a slot),
+  // let the two in-flight Selects finish and answer, and only then tear
+  // the connections down.
+  Testbed testbed = BuildTestbed({});
+  PinClock clock;
+  ServerConfig config;
+  config.socket_path = TestSocketPath("busy_stop");
+  config.workers = 2;
+  config.queue_capacity = 4;
+  config.clock = &clock;
+  Server server(testbed.node.get(), config);
+  ASSERT_TRUE(server.Start().ok());
+
+  std::vector<Client> pinned_clients;
+  for (int i = 0; i < 2; ++i) {
+    auto client = Client::Connect(config.socket_path);
+    ASSERT_TRUE(client.ok());
+    pinned_clients.push_back(std::move(client).value());
+  }
+  std::vector<std::thread> pinned_calls;
+  for (int i = 0; i < 2; ++i) {
+    clock.Arm();
+    pinned_calls.emplace_back([&, i] {
+      auto response =
+          pinned_clients[i].Select(testbed.targets[i], {2.0, 2});
+      ASSERT_TRUE(response.ok()) << response.status().ToString();
+      EXPECT_FALSE(response->status.IsCancelled());
+    });
+    ASSERT_TRUE(WaitUntil([&] { return clock.holding() == i + 1; }));
+  }
+
+  auto flood = ConnectUnix(config.socket_path);
+  ASSERT_TRUE(flood.ok());
+  ASSERT_TRUE(SetRecvTimeout(flood.value(), 5000).ok());
+  FrameReader flood_reader;
+  constexpr uint64_t kQueued = 3;
+  for (uint64_t i = 0; i < kQueued; ++i) {
+    Request request;
+    request.op = Op::kSelect;
+    request.request_id = 100 + i;
+    request.target = testbed.targets.front();
+    request.requirement = {2.0, 2};
+    ASSERT_TRUE(WriteFrame(flood.value(), EncodeRequest(request)).ok());
+  }
+  ASSERT_TRUE(
+      WaitUntil([&] { return server.StatsSnapshot().queued == kQueued; }));
+
+  std::thread stopper([&] { server.Stop(); });
+  std::set<uint64_t> cancelled_ids;
+  for (uint64_t i = 0; i < kQueued; ++i) {
+    std::string payload;
+    ASSERT_TRUE(flood_reader.Read(flood.value(), &payload).ok());
+    Response response;
+    ASSERT_TRUE(DecodeResponse(payload, &response).ok());
+    EXPECT_TRUE(response.status.IsCancelled()) << response.status.ToString();
+    EXPECT_TRUE(cancelled_ids.insert(response.request_id).second)
+        << "request " << response.request_id << " answered twice";
+  }
+  EXPECT_EQ(cancelled_ids, (std::set<uint64_t>{100, 101, 102}));
+  // Stop is now waiting on the two Selects still in their slots.
+  clock.Release();
+  for (auto& call : pinned_calls) call.join();
+  stopper.join();
+
+  // No second answer follows: the connection ends at a frame boundary.
+  std::string extra;
+  common::Status tail = flood_reader.Read(flood.value(), &extra);
+  EXPECT_TRUE(tail.IsIoError()) << tail.ToString();
+  EXPECT_EQ(tail.message(), "eof");
+
+  ServerStats stats = server.StatsSnapshot();
+  EXPECT_EQ(stats.admitted, 2 + kQueued);
+  EXPECT_EQ(stats.queued, kQueued);
+  EXPECT_EQ(stats.cancelled, kQueued);
+  EXPECT_EQ(stats.ok + stats.unsatisfiable, 2u);
+  EXPECT_EQ(stats.write_failures, 0u);
 }
 
 // Races Stop() against clients riding CallWithRetry's reconnect path:

@@ -34,8 +34,8 @@
 // Flags: --requests N (total), --wallets N (logical), --connections N
 // (threads), --deadline-ms N, --c X --ell N (diversity requirement),
 // --json PATH, --smoke 1, and in spawn mode the testbed/server knobs
-// (--workers --queue --seed --fault-rate --tb-wallets --tb-tokens
-// --tb-cluster --tb-rounds).
+// (--workers: concurrent selections; --queue --seed --fault-rate
+// --tb-wallets --tb-tokens --tb-cluster --tb-rounds).
 #include <unistd.h>
 
 #include <algorithm>

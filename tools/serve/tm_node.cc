@@ -11,6 +11,10 @@
 //           [--seed N] [--default-deadline-ms N] [--max-deadline-ms N]
 //           [--fault-rate P]
 //
+// --workers N is the number of concurrent selections (default 4): a
+// Select runs on the reader that decoded it while one of the N is free,
+// otherwise it waits in the --queue N admission queue or sheds.
+//
 // --fault-rate arms the transport fault injector (corrupt / truncate /
 // drop / duplicate / delay on the response path) with independent
 // probability P per response write — the soak configuration that proves
@@ -149,7 +153,8 @@ int main(int argc, char** argv) {
                  started.ToString().c_str());
     return 1;
   }
-  std::fprintf(stderr, "tm_node: serving on %s (%zu workers, queue %zu)\n",
+  std::fprintf(stderr, "tm_node: serving on %s (%zu concurrent selections, "
+               "queue %zu)\n",
                config.socket_path.c_str(), config.workers,
                config.queue_capacity);
 
