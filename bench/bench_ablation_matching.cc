@@ -95,11 +95,11 @@ BENCHMARK(BM_ChainReactionCascade)->DenseRange(2, 14, 4)
     ->Unit(benchmark::kMicrosecond);
 
 // Online liquidity checking: the workload feeds m RSs one by one and asks
-// for the inferable-spent count each arrival would leave (the TokenMagic
-// η-rule pattern). The batch row re-interns every prefix from scratch;
-// the epoch-chain row is the production pattern of
-// TokenMagic::LiquidityAllows — probe the arrival as an overlay on the
-// sealed view, then append it to the chain as one epoch.
+// for the inferable-spent count each arrival would leave (the η-rule
+// pattern). The batch row re-interns every prefix from scratch; the
+// epoch-chain row is the production pattern of core::LiquidityAllows —
+// probe the arrival as an overlay on the sealed view, then append it to
+// the chain as one epoch.
 void BM_LiquidityBatchRecompute(benchmark::State& state) {
   auto views = OverlappingFamily(static_cast<size_t>(state.range(0)), 4);
   for (auto _ : state) {

@@ -129,7 +129,7 @@ ScaleResult RunScale(size_t num_rs, const BenchConfig& config) {
   };
 
   // Phase 1: related-set walks seeded from history RS member sets, the
-  // shape TokenMagic issues once per candidate during selection.
+  // shape selection issues once per candidate.
   run_phase({"related_set", config.related_queries, 0.0, 0.0},
             [&](size_t q, const analysis::AnalysisContext& ctx) {
               const chain::RsView& seed =

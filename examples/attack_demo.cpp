@@ -5,9 +5,11 @@
 // Monero-style sampler, rings overlap arbitrarily and the adversary's
 // cascade + matching analysis steadily eliminates mixins and pins real
 // spends. Under TokenMagic's DA-MS selection (first practical
-// configuration + recursive diversity), the same adversary learns
-// nothing about individual spends.
+// configuration + recursive diversity), run by the node/wallet stack
+// that signs and mines the rings, the same adversary learns nothing
+// about individual spends.
 #include <cstdio>
+#include <unordered_set>
 #include <vector>
 
 #include "analysis/anonymity.h"
@@ -18,7 +20,8 @@
 #include "common/rng.h"
 #include "core/baselines.h"
 #include "core/progressive.h"
-#include "core/token_magic.h"
+#include "node/node.h"
+#include "node/wallet.h"
 
 using namespace tokenmagic;
 
@@ -26,56 +29,74 @@ namespace {
 
 struct AttackOutcome {
   size_t rings = 0;
-  size_t deanonymized = 0;
+  double deanonymized = 0.0;  ///< fraction of rings whose spend is pinned
   size_t with_eliminations = 0;
   double mean_anonymity = 0.0;
   size_t homogeneity_leaks = 0;
 };
 
+/// Spends 16 of the 24 tokens of one batch in shuffled order. With
+/// `through_node` the wallet selects, signs and submits each spend and
+/// the node mines it. Otherwise each ring is selected on the node's
+/// instance against a shadow ledger of the earlier rings, with no
+/// eligibility checks on the ledger side (the Monero-style status quo).
 AttackOutcome RunScenario(const core::MixinSelector& selector,
                           chain::DiversityRequirement req, uint64_t seed,
-                          bool enforce_constraints) {
-  // A chain with clustered outputs: 6 transactions x 4 tokens each —
-  // clusters make the homogeneity attack realistic.
-  chain::Blockchain bc;
-  bc.AddBlock(0, {4, 4, 4});
-  bc.AddBlock(1, {4, 4, 4});
-  core::TokenMagicConfig config;
+                          bool through_node) {
+  // Clustered outputs: 6 transactions x 4 tokens each — clusters make the
+  // homogeneity attack realistic.
+  node::NodeConfig config;
   config.lambda = 24;
-  core::TokenMagic tm(&bc, config);
+  node::Node node(config);
+  node::Wallet users("users", &node, seed);
+  std::vector<std::vector<crypto::Point>> grants(6);
+  for (auto& grant : grants) {
+    for (int k = 0; k < 4; ++k) grant.push_back(users.NewOutputKey());
+  }
+  for (const auto& minted : node.Genesis(grants)) {
+    for (chain::TokenId t : minted) (void)users.Claim(t);
+  }
   common::Rng rng(seed);
 
   // Spend well over half of the tokens: a realistic mature batch where
-  // chain reactions have material to work with.
-  std::vector<chain::TokenId> order = bc.AllTokens();
+  // chain reactions have material to work with. The truth of each ring
+  // is recorded here; no ledger keeps it.
+  std::vector<chain::TokenId> order = node.blockchain().AllTokens();
   rng.Shuffle(&order);
   chain::Ledger shadow_ledger;  // for the unconstrained policy
+  std::vector<chain::TokenRsPair> truth;
   for (size_t i = 0; i < 16; ++i) {
     chain::TokenId target = order[i];
-    if (enforce_constraints) {
-      (void)tm.GenerateRs(target, req, selector, &rng);
+    if (through_node) {
+      if (!users.Spend(&node, target, req, selector, {users.NewOutputKey()},
+                       "spend")
+               .ok() ||
+          node.MineBlock().transactions != 1) {
+        continue;
+      }
+      truth.push_back({target, node.ledger().size() - 1});
     } else {
-      auto instance = tm.InstanceFor(target, req);
+      auto instance = node.InstanceFor(target, req);
       if (!instance.ok()) continue;
-      // Swap in the shadow history and an interning of it: the
-      // framework's context describes the real ledger, not the shadow
-      // one. Both must outlive the Select call (the input borrows them);
-      // shadow ledger ids are dense and ascending, as Build requires.
-      std::vector<chain::RsView> shadow_views = shadow_ledger.Views();
+      // Swap in the shadow history and an interning of it: the node's
+      // context describes the real ledger, not the shadow one. Both must
+      // outlive the Select call (the input borrows them); shadow ledger
+      // ids are dense and ascending, as Build requires.
+      const std::vector<chain::RsView>& shadow_views = shadow_ledger.Views();
       const analysis::AnalysisContext shadow_context =
-          analysis::AnalysisContext::Build(shadow_views, &tm.ht_index(),
+          analysis::AnalysisContext::Build(shadow_views, &node.ht_index(),
                                            instance->universe);
       instance->history = shadow_views;
       instance->context = &shadow_context;
       auto result = selector.Select(*instance, &rng);
       if (!result.ok()) continue;
-      (void)shadow_ledger.Propose(result->members, target, req);
+      auto id = shadow_ledger.Append(result->members, req);
+      if (id.ok()) truth.push_back({target, *id});
     }
   }
 
-  const chain::Ledger& ledger =
-      enforce_constraints ? tm.ledger() : shadow_ledger;
-  auto views = ledger.Views();
+  const chain::Ledger& ledger = through_node ? node.ledger() : shadow_ledger;
+  const std::vector<chain::RsView>& views = ledger.Views();
   auto analysis = analysis::ChainReactionAnalyzer::Analyze(
       analysis::AnalysisContext::Build(views));
 
@@ -84,28 +105,24 @@ AttackOutcome RunScenario(const core::MixinSelector& selector,
   auto stats = analysis::SummarizeAnonymity(analysis);
   outcome.mean_anonymity = stats.mean_anonymity_set;
   outcome.with_eliminations = stats.with_eliminations;
-  // Deanonymized = analysis pinned the ground-truth spend exactly.
+  // Deanonymized = analysis pinned the recorded spend exactly.
+  outcome.deanonymized = analysis::DeanonymizationRate(analysis, truth);
   for (const auto& view : views) {
-    auto it = analysis.revealed_spends.find(view.id);
-    if (it != analysis.revealed_spends.end() &&
-        it->second == ledger.GroundTruthSpent(view.id)) {
-      ++outcome.deanonymized;
-    }
     // Homogeneity: fold in what the eliminations imply.
     std::unordered_set<chain::TokenId> eliminated(
         analysis.eliminated[view.id].begin(),
         analysis.eliminated[view.id].end());
     auto probe = analysis::ProbeHomogeneity(view.members, eliminated,
-                                            tm.ht_index());
+                                            node.ht_index());
     if (probe.ht_determined) ++outcome.homogeneity_leaks;
   }
   return outcome;
 }
 
 void Print(const char* label, const AttackOutcome& o) {
-  std::printf("%-28s rings=%zu deanonymized=%zu eliminations=%zu "
+  std::printf("%-28s rings=%zu deanonymized=%.0f%% eliminations=%zu "
               "homogeneity_leaks=%zu mean_anonymity_set=%.2f\n",
-              label, o.rings, o.deanonymized, o.with_eliminations,
+              label, o.rings, 100.0 * o.deanonymized, o.with_eliminations,
               o.homogeneity_leaks, o.mean_anonymity);
 }
 
@@ -118,20 +135,21 @@ int main() {
   // Status quo: small random rings, no diversity/DTRS constraints.
   core::MoneroSelector monero(2);  // thrifty users pick minimal rings
   AttackOutcome naive =
-      RunScenario(monero, {1.0, 1}, 99, /*enforce_constraints=*/false);
+      RunScenario(monero, {1.0, 1}, 99, /*through_node=*/false);
   Print("Monero-style (ring=2)", naive);
 
-  // DA-MS: TokenMagic + Progressive under recursive (2, 3)-diversity.
+  // DA-MS: node + wallet spends with Progressive under recursive
+  // (2, 3)-diversity.
   core::ProgressiveSelector progressive;
   AttackOutcome protected_run =
-      RunScenario(progressive, {2.0, 3}, 99, /*enforce_constraints=*/true);
+      RunScenario(progressive, {2.0, 3}, 99, /*through_node=*/true);
   Print("TokenMagic TM_P (2,3)", protected_run);
 
   std::printf("\nThe DA-MS run must show zero deanonymized spends and "
               "zero homogeneity leaks.\n");
   // Both runs must have proposed rings, or there is no contrast to show.
   return (naive.rings > 0 && protected_run.rings > 0 &&
-          protected_run.deanonymized == 0 &&
+          protected_run.deanonymized == 0.0 &&
           protected_run.homogeneity_leaks == 0)
              ? 0
              : 1;

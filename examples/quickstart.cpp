@@ -1,77 +1,83 @@
-// Quickstart: build a chain, select diversity-aware mixins with
-// TokenMagic, sign the spend with a linkable ring signature, verify it,
-// and watch the double-spend guard fire.
+// Quickstart: start a node, select diversity-aware mixins in a wallet,
+// sign the spend with a linkable ring signature, mine it, and watch the
+// double-spend guard fire.
 //
 //   $ ./quickstart
 #include <cstdio>
+#include <vector>
 
-#include "common/rng.h"
 #include "core/progressive.h"
-#include "core/token_magic.h"
 #include "crypto/lsag.h"
-#include "data/monero_like.h"
+#include "node/node.h"
+#include "node/wallet.h"
 
 using namespace tokenmagic;
 
 int main() {
-  // 1. A blockchain: 3 blocks x 8 single-output transactions.
-  chain::Blockchain bc;
-  for (int b = 0; b < 3; ++b) bc.AddBlock(b, {1, 1, 1, 1, 1, 1, 1, 1});
-  std::printf("chain: %zu blocks, %zu tokens\n", bc.block_count(),
-              bc.token_count());
+  // 1. A node and two wallets. lambda = 24 puts the genesis block's 24
+  //    tokens in one batch.
+  node::NodeConfig config;
+  config.lambda = 24;
+  node::Node node(config);
+  node::Wallet alice("alice", &node, 7);
+  node::Wallet bob("bob", &node, 8);
 
-  // 2. The TokenMagic framework: lambda-batching + ledger + selectors.
-  core::TokenMagicConfig config;
-  config.lambda = 24;  // one batch for this toy chain
-  core::TokenMagic tm(&bc, config);
-
-  // 3. Every token has an owner keypair (one-time keys, Monero-style).
-  common::Rng rng(7);
-  std::vector<crypto::Keypair> keys;
-  for (size_t i = 0; i < bc.token_count(); ++i) {
-    keys.push_back(crypto::Keypair::Generate(&rng));
+  // 2. Genesis: 24 single-output transactions, alternately to alice and
+  //    bob. Every token gets its own one-time key (Monero-style).
+  std::vector<std::vector<crypto::Point>> grants;
+  for (int i = 0; i < 24; ++i) {
+    grants.push_back({(i % 2 == 0 ? alice : bob).NewOutputKey()});
   }
+  auto minted = node.Genesis(grants);
+  for (size_t i = 0; i < minted.size(); ++i) {
+    if (!(i % 2 == 0 ? alice : bob).Claim(minted[i][0]).ok()) return 1;
+  }
+  std::printf("chain: %zu block, %zu tokens\n",
+              node.blockchain().block_count(),
+              node.blockchain().token_count());
 
-  // 4. Spend token 5 under a recursive (2, 3)-diversity requirement.
-  const chain::TokenId spend_token = 5;
+  // 3. Alice pays bob with token t under a recursive (2, 3)-diversity
+  //    requirement: her wallet selects the ring, signs it with LSAG and
+  //    submits it; the node verifies and pools it, then mines it.
+  const chain::TokenId token = alice.SpendableTokens()[2];
   core::ProgressiveSelector selector;
-  auto generated = tm.GenerateRs(spend_token, {2.0, 3}, selector, &rng);
-  if (!generated.ok()) {
-    std::printf("selection failed: %s\n",
-                generated.status().ToString().c_str());
+  // A second spend of the same token, built before the first goes out
+  // (the wallet refuses to build it afterwards).
+  auto replay = alice.BuildSpend(token, {2.0, 3}, selector,
+                                 {bob.NewOutputKey()}, "pay 1 XTM to carol");
+  if (!replay.ok()) {
+    std::printf("building the replay failed: %s\n",
+                replay.status().ToString().c_str());
     return 1;
   }
-  std::printf("selected RS #%llu with %zu members:",
-              static_cast<unsigned long long>(generated->id),
-              generated->members.size());
-  for (auto t : generated->members) {
+  common::Status spent = alice.Spend(&node, token, {2.0, 3}, selector,
+                                     {bob.NewOutputKey()}, "pay 1 XTM to bob");
+  if (!spent.ok()) {
+    std::printf("spend failed: %s\n", spent.ToString().c_str());
+    return 1;
+  }
+  node::MinedBlock block = node.MineBlock();
+  if (block.transactions != 1 || node.ledger().size() != 1) {
+    std::printf("mining failed: %zu transactions\n", block.transactions);
+    return 1;
+  }
+  const chain::RsView& ring = node.ledger().view(0);
+  std::printf("mined RS #%llu spending t%llu with %zu members:",
+              static_cast<unsigned long long>(ring.id),
+              static_cast<unsigned long long>(token), ring.members.size());
+  for (auto t : ring.members) {
     std::printf(" t%llu", static_cast<unsigned long long>(t));
   }
   std::printf("\n");
 
-  // 5. Sign with LSAG: the ring hides which member is spent.
-  std::vector<crypto::Point> ring;
-  size_t signer_index = 0;
-  for (size_t i = 0; i < generated->members.size(); ++i) {
-    ring.push_back(keys[generated->members[i]].pub);
-    if (generated->members[i] == spend_token) signer_index = i;
-  }
-  auto sig = crypto::Lsag::Sign(ring, signer_index, keys[spend_token],
-                                "pay 1 XTM to bob", &rng);
-  if (!sig.ok()) {
-    std::printf("signing failed: %s\n", sig.status().ToString().c_str());
-    return 1;
-  }
-  std::printf("LSAG signature over ring of %zu keys: verify=%s\n",
-              ring.size(),
-              crypto::Lsag::Verify(*sig, "pay 1 XTM to bob") ? "OK" : "FAIL");
-
-  // 6. The key image blocks a second spend of the same token.
-  crypto::KeyImageRegistry registry;
-  (void)registry.Register(sig->key_image);
-  auto second = crypto::Lsag::Sign(ring, signer_index, keys[spend_token],
-                                   "pay 1 XTM to carol", &rng);
-  auto verdict = registry.Register(second->key_image);
-  std::printf("double-spend attempt: %s\n", verdict.ToString().c_str());
-  return 0;
+  // 4. The replay's LSAG is valid on its own, but its key image is the
+  //    one the mined spend registered, so the node rejects it at submit.
+  const bool replay_signature_ok = crypto::Lsag::Verify(
+      replay->inputs[0].signature, replay->SigningMessage(0));
+  common::Status verdict =
+      node.SubmitTransaction(std::move(replay).value(), {bob.NewOutputKey()});
+  std::printf("double-spend attempt: LSAG verify=%s, node says %s\n",
+              replay_signature_ok ? "OK" : "FAIL",
+              verdict.ToString().c_str());
+  return (replay_signature_ok && verdict.IsVerificationFailed()) ? 0 : 1;
 }

@@ -73,11 +73,11 @@ class ChainReactionAnalyzer {
                                 const SideInformation& side_info = {});
 
   /// Number of tokens the cascade can prove spent — the μ_i quantity of
-  /// the TokenMagic liquidity rule (Section 4).
+  /// the liquidity rule (Section 4, core::LiquidityAllows).
   static size_t CountInferableSpent(const AnalysisContext& context);
 
   /// μ_i with one prospective `overlay` RS appended to the context's
-  /// history — the TokenMagic liquidity probe. Equivalent to interning an
+  /// history — the probe core::LiquidityAllows runs. Equivalent to interning an
   /// extended history from scratch (the equivalence suite asserts it) but
   /// O(cascade) instead of O(history) per probe: the overlay rides on the
   /// snapshot's CSR incidence as one extra dense RS. Every overlay member

@@ -50,10 +50,10 @@ struct TokenRsPair {
   bool operator==(const TokenRsPair&) const = default;
 };
 
-/// The adversary-visible projection of a ring signature: the member set and
-/// public metadata, with the ground-truth spend deliberately absent. All
-/// analysis and selection code consumes RsView, never RsRecord, so the type
-/// system prevents "cheating" on the threat model.
+/// A ring signature as everyone sees it: the member set and public
+/// metadata. It has no field for the spent member, so analysis and
+/// selection code cannot "cheat" on the threat model; ground truth lives
+/// only in caller-kept TokenRsPair lists.
 struct RsView {
   RsId id = kInvalidRs;
   std::vector<TokenId> members;  ///< sorted ascending, unique
@@ -63,13 +63,6 @@ struct RsView {
   /// Binary-search membership test (members is sorted).
   bool Contains(TokenId token) const;
   size_t size() const { return members.size(); }
-};
-
-/// The full ring-signature record as known to its creator (and to test
-/// oracles): the view plus the ground-truth spent token.
-struct RsRecord {
-  RsView view;
-  TokenId spent = kInvalidToken;  ///< ground truth; never shown to analysis
 };
 
 /// Hash functor for TokenRsPair (for unordered containers).

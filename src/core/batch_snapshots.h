@@ -3,9 +3,8 @@
 // Every token's mixin universe and related RS set are bounded by its
 // λ-batch, so the only analysis state a chain needs is, per batch, an
 // epoch chain over the batch's tokens and ledger views plus a sealed
-// snapshot of it. BatchSnapshots owns exactly that for both producers of
-// rings — node::Node (mined blocks) and core::TokenMagic (framework
-// proposals):
+// snapshot of it. BatchSnapshots owns exactly that for node::Node, the
+// one producer of rings (mined blocks):
 //  * one analysis::EpochChain per batch, created for every batch and
 //    extended as the BatchIndex grows;
 //  * the cursor of the ledger prefix already routed into the chains;

@@ -32,8 +32,8 @@ namespace tokenmagic::core {
 /// ModuleIndexOf).
 ///
 /// The instance does not own the universe or the history: both are spans
-/// into snapshot storage (the batch snapshot in TokenMagic/node, the
-/// dataset in benches) that must outlive every Select() call. Producers
+/// into snapshot storage (the node's batch snapshot, the dataset in
+/// benches) that must outlive every Select() call. Producers
 /// whose snapshot cache can be reseated concurrently set `owner` so the
 /// instance co-owns that storage; otherwise the caller must keep it
 /// alive. Copying an instance — the resilient ladder does this per
@@ -60,7 +60,7 @@ struct SelectionInput {
   EligibilityPolicy policy;
   /// Keep-alive for the snapshot `universe`, `history`, and `context`
   /// point into. Producers with a reseatable snapshot cache
-  /// (TokenMagic::InstanceFor, node wallets) set this so an update that
+  /// (node::Node::InstanceFor) set this so an update that
   /// replaces the batch's cached snapshot cannot destroy the storage while
   /// the instance is still selecting; when null, the caller owns the
   /// storage directly and must outlive every Select() call.

@@ -41,6 +41,24 @@ std::shared_ptr<const Node::BatchAnalysisSnapshot> Node::AnalysisSnapshotShared(
   return snapshots_.Get(batch_index);
 }
 
+common::Result<core::SelectionInput> Node::InstanceFor(
+    chain::TokenId target, chain::DiversityRequirement requirement) const {
+  if (!bc_.HasToken(target)) {
+    return common::Status::NotFound("unknown token");
+  }
+  core::SelectionInput input;
+  input.target = target;
+  input.universe = batches_->MixinUniverse(target);
+  input.requirement = requirement;
+  input.index = &ht_index_;
+  std::shared_ptr<const BatchAnalysisSnapshot> snapshot =
+      AnalysisSnapshotShared(batches_->BatchOfToken(target).index);
+  input.history = snapshot->history;
+  input.context = &snapshot->context;
+  input.owner = std::move(snapshot);
+  return input;
+}
+
 size_t Node::mempool_size() const {
   common::ReaderMutexLock lock(&state_mu_);
   return mempool_.size();
@@ -132,7 +150,7 @@ MinedBlock Node::MineBlock() {
       auto image_enc = input.signature.key_image.Encode();
       spent_image_hex_.push_back(
           common::HexEncode(image_enc.data(), image_enc.size()));
-      auto rs = ledger_.ProposeBlind(input.ring, input.requirement);
+      auto rs = ledger_.Append(input.ring, input.requirement);
       TM_CHECK(rs.ok());
     }
     chain::TxId tx_id =

@@ -28,6 +28,7 @@
 #include "chain/ledger.h"
 #include "core/batch.h"
 #include "core/batch_snapshots.h"
+#include "core/selector.h"
 #include "crypto/lsag.h"
 #include "node/types.h"
 #include "node/verifier.h"
@@ -122,6 +123,17 @@ class Node {
   /// it.
   std::shared_ptr<const BatchAnalysisSnapshot> AnalysisSnapshotShared(
       size_t batch_index) const TM_EXCLUDES(state_mu_);
+
+  /// The DA-MS instance for spending `target` under `requirement`: its
+  /// batch universe, and the batch's current snapshot as history and
+  /// context, co-owned through `owner` (so the instance stays readable
+  /// after a later block replaces the cached snapshot). Policy and
+  /// deadline keep their defaults for the caller to set. NotFound when
+  /// the chain has no such token. Reads the batch and HT indices like the
+  /// other reference accessors: a writer must not run concurrently.
+  [[nodiscard]] common::Result<core::SelectionInput> InstanceFor(
+      chain::TokenId target, chain::DiversityRequirement requirement) const
+      TM_EXCLUDES(state_mu_);
 
  private:
   /// Full rebuild of every derived index and per-batch epoch chain from

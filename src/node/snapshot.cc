@@ -274,7 +274,7 @@ common::Result<std::unique_ptr<Node>> NodeFromSnapshot(
         }
         members.push_back(static_cast<chain::TokenId>(token));
       }
-      auto rs = node->ledger_.ProposeBlind(
+      auto rs = node->ledger_.Append(
           members, chain::DiversityRequirement{c, static_cast<int>(ell)});
       if (!rs.ok()) return rs.status();
     } else if (kind == "key") {

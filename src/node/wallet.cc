@@ -96,20 +96,15 @@ common::Result<SignedTransaction> Wallet::BuildSpendMulti(
   chain::RsId synthetic_id = chain::kInvalidRs - 1000;
 
   for (chain::TokenId token : tokens) {
-    // Step 1: mixin selection over the batch-local public state.
-    core::SelectionInput input;
-    input.target = token;
-    input.universe = node_->batches().MixinUniverse(token);
-    input.requirement = requirement;
-    input.index = &node_->ht_index();
-    const core::Batch& batch = node_->batches().BatchOfToken(token);
-    // Hold the snapshot via the shared_ptr surface: wallets are part of
-    // the node's concurrent-reader contract, and a Spend racing a
-    // Genesis/MineBlock writer must keep its snapshot alive after the
-    // writer replaces the cached one.
-    std::shared_ptr<const Node::BatchAnalysisSnapshot> snapshot =
-        node_->AnalysisSnapshotShared(batch.index);
-    const std::vector<chain::RsView>& siblings = extra_history[batch.index];
+    // Step 1: mixin selection over the batch-local public state. The
+    // instance holds the batch snapshot via the shared_ptr surface:
+    // wallets are part of the node's concurrent-reader contract, and a
+    // Spend racing a Genesis/MineBlock writer must keep its snapshot alive
+    // after the writer replaces the cached one.
+    TM_ASSIGN_OR_RETURN(core::SelectionInput input,
+                        node_->InstanceFor(token, requirement));
+    const size_t batch = node_->batches().BatchOfToken(token).index;
+    const std::vector<chain::RsView>& siblings = extra_history[batch];
     // Single-input spends (the common case) borrow the node's shared
     // per-batch snapshot and context. With sibling rings from earlier
     // inputs of this transaction the history differs from the snapshot,
@@ -118,13 +113,9 @@ common::Result<SignedTransaction> Wallet::BuildSpendMulti(
     // past every ledger id. Its view keeps the chain's core (and so the
     // combined history) alive.
     analysis::AnalysisContext combined;
-    if (siblings.empty()) {
-      input.history = snapshot->history;
-      input.context = &snapshot->context;
-      input.owner = snapshot;
-    } else {
+    if (!siblings.empty()) {
       analysis::EpochChain epochs;
-      epochs.Append(snapshot->history, &node_->ht_index(), input.universe);
+      epochs.Append(input.history, &node_->ht_index(), input.universe);
       epochs.Append(siblings, nullptr, {});
       combined = epochs.View();
       input.history = epochs.History();
@@ -139,7 +130,7 @@ common::Result<SignedTransaction> Wallet::BuildSpendMulti(
     sibling.proposed_at =
         input.history.empty() ? 0 : input.history.back().proposed_at + 1;
     sibling.requirement = requirement;
-    extra_history[batch.index].push_back(std::move(sibling));
+    extra_history[batch].push_back(std::move(sibling));
 
     TxInput tx_input;
     tx_input.ring = std::move(selection.members);

@@ -10,7 +10,6 @@
 
 #include "common/macros.h"
 #include "common/strings.h"
-#include "core/batch.h"
 #include "core/modules.h"
 #include "crypto/sha256.h"
 #include "node/fault_injection.h"
@@ -294,7 +293,8 @@ Response Server::ProcessSelect(const Request& request, int64_t admitted_nanos,
   // borrow the node's batch index / ht index, so an InstallSnapshot
   // replacing the node must wait until this request resolves.
   common::ReaderMutexLock node_lock(&node_mu_);
-  if (!node_->blockchain().HasToken(request.target)) {
+  auto instance = node_->InstanceFor(request.target, request.requirement);
+  if (!instance.ok()) {
     response.status = Status::InvalidArgument(common::StrFormat(
         "unknown target token %llu",
         static_cast<unsigned long long>(request.target)));
@@ -303,22 +303,10 @@ Response Server::ProcessSelect(const Request& request, int64_t admitted_nanos,
 
   common::Deadline deadline(remaining_seconds, request.iteration_budget,
                             clock_);
-  core::SelectionInput input;
-  input.target = request.target;
-  input.universe = node_->batches().MixinUniverse(request.target);
-  input.requirement = request.requirement;
-  input.index = &node_->ht_index();
+  core::SelectionInput& input = instance.value();
   input.policy = config_.policy;
   input.deadline = &deadline;
-  // Hold the batch snapshot via the concurrent-reader surface and pin it
-  // on the input, exactly like wallet spends do.
-  const core::Batch& batch = node_->batches().BatchOfToken(request.target);
-  std::shared_ptr<const node::Node::BatchAnalysisSnapshot> snapshot =
-      node_->AnalysisSnapshotShared(batch.index);
-  input.history = snapshot->history;
-  input.context = &snapshot->context;
-  input.owner = snapshot;
-  const bool index_cold = !core::ModuleIndexBuilt(snapshot->context);
+  const bool index_cold = !core::ModuleIndexBuilt(*input.context);
 
   auto selected = resilient_.SelectWithReport(input, rng);
 

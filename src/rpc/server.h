@@ -38,9 +38,10 @@
 // written, then readers are woken and joined. Nothing is silently
 // dropped.
 //
-// Node contract: the server reads the node through blockchain() /
-// batches() / ht_index() plus the concurrent AnalysisSnapshotShared
-// surface (per-batch snapshots served by core::BatchSnapshots). In read-only mode (const Node* ctor) the node must be
+// Node contract: the server reads the node through Node::InstanceFor
+// (the batch and HT indices plus the concurrent per-batch snapshots
+// served by core::BatchSnapshots) and blockchain(). In read-only mode
+// (const Node* ctor) the node must be
 // *quiescent* while serving — no Genesis/MineBlock between Start() and
 // Stop(). In cluster mode (NodeHost ctor) the server itself is the only
 // writer: cluster ops (Genesis/SubmitTx/Mine/Snapshot/InstallSnapshot)

@@ -1,9 +1,8 @@
 // Equivalence suite for the interned columnar AnalysisContext: every
 // context-based read path must produce byte-identical results to the
 // span-based reference oracles (tests/oracle/) on randomized histories.
-// This is the contract that lets TokenMagic, node::Node, and the
-// selectors share one snapshot per batch without changing any analysis
-// outcome.
+// This is the contract that lets node::Node and the selectors share one
+// snapshot per batch without changing any analysis outcome.
 #include "analysis/context.h"
 
 #include <gtest/gtest.h>

@@ -3,7 +3,7 @@
 // byte-identical to a sort-based from-scratch interning of the same prefix
 // (the tests/oracle reference), and sealed views must stay valid and
 // unchanged while the chain keeps growing. This is the contract that lets
-// node::Node and TokenMagic use O(delta) epoch appends per block without
+// node::Node use O(delta) epoch appends per block without
 // changing any selection or analysis outcome.
 #include "analysis/epoch_chain.h"
 

@@ -2,7 +2,7 @@
 // RS is appended to an EpochChain as one epoch, the sealed view is
 // re-cascaded, and a prospective RS is probed with the overlay form of
 // CountInferableSpent without touching the chain (the
-// TokenMagic::LiquidityAllows pattern). Every step must agree with a
+// core::LiquidityAllows pattern). Every step must agree with a
 // from-scratch cascade over the same prefix.
 #include <gtest/gtest.h>
 

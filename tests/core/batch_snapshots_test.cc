@@ -55,7 +55,7 @@ struct GrowingState {
       members.push_back(batch.tokens[rng.NextBounded(batch.tokens.size())]);
     }
     ASSERT_TRUE(ledger
-                    .ProposeBlind(members, {1.0, 1 + static_cast<int>(
+                    .Append(members, {1.0, 1 + static_cast<int>(
                                                          rng.NextBounded(3))})
                     .ok());
   }
@@ -149,7 +149,7 @@ TEST(BatchSnapshotsTest, SyncReplacesOnlyTouchedBatches) {
   std::shared_ptr<const BatchSnapshot> batch1 = snapshots.Get(1);
 
   // A ring in batch 1 touches batch 1 only.
-  ASSERT_TRUE(state.ledger.ProposeBlind({4, 5, 6}, {1.0, 1}).ok());
+  ASSERT_TRUE(state.ledger.Append({4, 5, 6}, {1.0, 1}).ok());
   snapshots.Sync(state.ledger, state.batches, state.ht_index);
   EXPECT_EQ(snapshots.Get(0).get(), batch0.get());
   std::shared_ptr<const BatchSnapshot> fresh = snapshots.Get(1);

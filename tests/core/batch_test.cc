@@ -56,6 +56,15 @@ TEST(BatchIndexTest, TokenLookupAndMixinUniverse) {
             (std::vector<chain::TokenId>{2, 3}));
 }
 
+TEST(BatchIndexTest, BatchesAccessorExposesPartition) {
+  // 4 blocks of 8 single-output transactions at lambda 16: two batches.
+  chain::Blockchain bc;
+  for (int b = 0; b < 4; ++b) bc.AddBlock(b, std::vector<uint32_t>(8, 1));
+  BatchIndex index(bc, 16);
+  EXPECT_EQ(index.batch_count(), 2u);
+  EXPECT_EQ(index.lambda(), 16u);
+}
+
 TEST(BatchIndexTest, BatchesPartitionAllTokens) {
   chain::Blockchain bc;
   common::Rng rng(5);

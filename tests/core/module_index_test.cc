@@ -173,7 +173,7 @@ TEST(ModuleIndexTest, IndexDiesWithTheLastViewOfItsSeal) {
 
   // A ring in batch 1 re-seals it; the superseded snapshot and every view
   // of it still hold the old index.
-  ASSERT_TRUE(ledger.ProposeBlind({4, 5, 6}, {1.0, 1}).ok());
+  ASSERT_TRUE(ledger.Append({4, 5, 6}, {1.0, 1}).ok());
   snapshots.Sync(ledger, batches, ht_index);
   std::shared_ptr<const BatchSnapshot> fresh = snapshots.Get(1);
   ASSERT_NE(fresh.get(), snapshot.get());

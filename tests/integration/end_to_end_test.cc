@@ -1,65 +1,93 @@
-// End-to-end pipeline tests: chain -> TokenMagic selection -> LSAG
-// signing -> verification -> adversarial analysis.
+// End-to-end pipeline tests: wallet selection on a node -> LSAG
+// signing -> verification -> mining -> adversarial analysis.
 #include <gtest/gtest.h>
 
 #include "analysis/chain_reaction.h"
 #include "analysis/homogeneity.h"
-#include "chain/ledger.h"
 #include "core/progressive.h"
 #include "core/game_theoretic.h"
-#include "core/token_magic.h"
 #include "crypto/lsag.h"
 #include "data/monero_like.h"
 #include "data/synthetic.h"
+#include "node/node.h"
+#include "node/wallet.h"
 #include "support/snapshot.h"
 
 namespace tokenmagic {
 namespace {
 
 using core::ProgressiveSelector;
-using core::TokenMagic;
-using core::TokenMagicConfig;
+
+/// A node whose genesis mints `tokens` single-output transactions (every
+/// token its own HT), all owned by one wallet.
+struct SingleWalletNetwork {
+  node::Node node;
+  node::Wallet wallet;
+
+  SingleWalletNetwork(size_t tokens, size_t lambda, uint64_t seed)
+      : node(Config(lambda)), wallet("w", &node, seed) {
+    std::vector<std::vector<crypto::Point>> grants;
+    for (size_t i = 0; i < tokens; ++i) grants.push_back({wallet.NewOutputKey()});
+    for (const auto& minted : node.Genesis(grants)) {
+      for (chain::TokenId t : minted) EXPECT_TRUE(wallet.Claim(t).ok());
+    }
+  }
+
+  static node::NodeConfig Config(size_t lambda) {
+    node::NodeConfig config;
+    config.lambda = lambda;
+    return config;
+  }
+
+  /// Spends `token` and mines it alone; returns the ground truth of the
+  /// mined ring (the ring is the ledger's newest).
+  chain::TokenRsPair SpendAndMine(chain::TokenId token,
+                                  chain::DiversityRequirement req,
+                                  const core::MixinSelector& selector) {
+    common::Status spent = wallet.Spend(&node, token, req, selector,
+                                        {wallet.NewOutputKey()}, "spend");
+    EXPECT_TRUE(spent.ok()) << "token " << token << ": " << spent.ToString();
+    node::MinedBlock block = node.MineBlock();
+    EXPECT_EQ(block.transactions, 1u) << "token " << token;
+    return {token, node.ledger().size() - 1};
+  }
+};
 
 TEST(EndToEndTest, SelectSignVerifySpend) {
-  // A small chain; each token gets a one-time keypair.
-  chain::Blockchain bc;
-  for (int b = 0; b < 2; ++b) bc.AddBlock(b, {1, 1, 1, 1, 1, 1, 1, 1});
-  TokenMagicConfig config;
-  config.lambda = 16;
-  TokenMagic tm(&bc, config);
-
-  common::Rng rng(2024);
-  std::vector<crypto::Keypair> keys;
-  for (size_t i = 0; i < bc.token_count(); ++i) {
-    keys.push_back(crypto::Keypair::Generate(&rng));
-  }
-
-  // Select mixins for token 5 under (2, 3)-diversity.
+  SingleWalletNetwork net(16, 16, 2024);
   ProgressiveSelector selector;
-  auto generated = tm.GenerateRs(5, {2.0, 3}, selector, &rng);
-  ASSERT_TRUE(generated.ok());
 
-  // Build the cryptographic ring in member order and sign.
-  std::vector<crypto::Point> ring;
-  size_t signer_index = 0;
-  for (size_t i = 0; i < generated->members.size(); ++i) {
-    ring.push_back(keys[generated->members[i]].pub);
-    if (generated->members[i] == 5) signer_index = i;
-  }
-  auto sig = crypto::Lsag::Sign(ring, signer_index, keys[5],
-                                "tx: pay 1 XTM to bob", &rng);
-  ASSERT_TRUE(sig.ok());
-  EXPECT_TRUE(crypto::Lsag::Verify(*sig, "tx: pay 1 XTM to bob"));
+  // Select mixins for token 5 under (2, 3)-diversity and sign: the
+  // transaction carries one ring holding token 5 and its LSAG.
+  auto first = net.wallet.BuildSpend(5, {2.0, 3}, selector,
+                                     {net.wallet.NewOutputKey()},
+                                     "pay 1 XTM to bob");
+  ASSERT_TRUE(first.ok());
+  ASSERT_EQ(first->inputs.size(), 1u);
+  const node::TxInput& input = first->inputs[0];
+  EXPECT_NE(std::find(input.ring.begin(), input.ring.end(), 5u),
+            input.ring.end());
+  EXPECT_EQ(input.signature.responses.size(), input.ring.size());
+  EXPECT_TRUE(crypto::Lsag::Verify(input.signature, first->SigningMessage(0)));
 
-  // Key image registry blocks a second spend of token 5.
-  crypto::KeyImageRegistry registry;
-  EXPECT_TRUE(registry.Register(sig->key_image).ok());
-  auto sig2 = crypto::Lsag::Sign(ring, signer_index, keys[5],
-                                 "tx: pay 1 XTM to carol", &rng);
-  ASSERT_TRUE(sig2.ok());
-  EXPECT_TRUE(crypto::Lsag::Verify(*sig2, "tx: pay 1 XTM to carol"));
-  EXPECT_EQ(registry.Register(sig2->key_image).code(),
-            common::StatusCode::kAlreadyExists);
+  // A second spend of token 5 signs validly but carries the same key
+  // image, so the node refuses it once the first is mined.
+  auto second = net.wallet.BuildSpend(5, {2.0, 3}, selector,
+                                      {net.wallet.NewOutputKey()},
+                                      "pay 1 XTM to carol");
+  ASSERT_TRUE(second.ok());
+  EXPECT_TRUE(crypto::Lsag::Verify(second->inputs[0].signature,
+                                   second->SigningMessage(0)));
+  EXPECT_EQ(second->inputs[0].signature.key_image, input.signature.key_image);
+  ASSERT_TRUE(net.node
+                  .SubmitTransaction(std::move(first).value(),
+                                     {net.wallet.NewOutputKey()})
+                  .ok());
+  ASSERT_EQ(net.node.MineBlock().transactions, 1u);
+  EXPECT_TRUE(net.node
+                  .SubmitTransaction(std::move(second).value(),
+                                     {net.wallet.NewOutputKey()})
+                  .IsVerificationFailed());
 }
 
 TEST(EndToEndTest, MoneroLikeWorkloadSelectionsAreWellFormed) {
@@ -111,51 +139,43 @@ TEST(EndToEndTest, SyntheticWorkloadBothAlgorithmsAgreeOnFeasibility) {
 }
 
 TEST(EndToEndTest, AttackFailsAgainstDaMsSelections) {
-  // Spend 6 tokens through TokenMagic; the exact adversary must not
+  // Spend 6 tokens through the node; the exact adversary must not
   // deanonymize any of them and no homogeneity leak may exist.
-  chain::Blockchain bc;
-  for (int b = 0; b < 3; ++b) bc.AddBlock(b, {1, 1, 1, 1, 1, 1, 1, 1});
-  TokenMagicConfig config;
-  config.lambda = 24;
-  TokenMagic tm(&bc, config);
+  SingleWalletNetwork net(24, 24, 31337);
   ProgressiveSelector selector;
-  common::Rng rng(31337);
-
-  std::vector<chain::TokenId> spends = {0, 3, 7, 11, 15, 19};
-  for (chain::TokenId t : spends) {
-    ASSERT_TRUE(tm.GenerateRs(t, {2.0, 3}, selector, &rng).ok())
-        << "token " << t;
+  for (chain::TokenId t : {0u, 3u, 7u, 11u, 15u, 19u}) {
+    net.SpendAndMine(t, {2.0, 3}, selector);
   }
-  auto views = tm.ledger().Views();
+  const std::vector<chain::RsView>& views = net.node.ledger().Views();
+  ASSERT_EQ(views.size(), 6u);
   auto result = analysis::ChainReactionAnalyzer::Analyze(
       analysis::AnalysisContext::Build(views));
   EXPECT_TRUE(result.NoTokenEliminated());
   EXPECT_TRUE(result.revealed_spends.empty());
   for (const auto& view : views) {
-    auto probe = analysis::ProbeHomogeneity(view.members, {}, tm.ht_index());
+    auto probe =
+        analysis::ProbeHomogeneity(view.members, {}, net.node.ht_index());
     EXPECT_FALSE(probe.ht_determined);
   }
 }
 
 TEST(EndToEndTest, LedgerGroundTruthIsConsistentWithAnalysis) {
   // The true spend must always be among the adversary's possible spends
-  // (otherwise the analysis would be unsound).
-  chain::Blockchain bc;
-  bc.AddBlock(0, {1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1});
-  TokenMagicConfig config;
-  config.lambda = 12;
-  TokenMagic tm(&bc, config);
+  // (otherwise the analysis would be unsound). The ledger is blind, so
+  // the test records which token each mined ring spent.
+  SingleWalletNetwork net(12, 12, 55);
   ProgressiveSelector selector;
-  common::Rng rng(55);
+  std::vector<chain::TokenRsPair> truth;
   for (chain::TokenId t : {1u, 4u, 8u}) {
-    ASSERT_TRUE(tm.GenerateRs(t, {2.0, 2}, selector, &rng).ok());
+    truth.push_back(net.SpendAndMine(t, {2.0, 2}, selector));
   }
   auto result = analysis::ChainReactionAnalyzer::Analyze(
-      analysis::AnalysisContext::Build(tm.ledger().Views()));
-  for (const auto& view : tm.ledger().Views()) {
-    chain::TokenId truth = tm.ledger().GroundTruthSpent(view.id);
-    const auto& possible = result.possible_spends.at(view.id);
-    EXPECT_NE(std::find(possible.begin(), possible.end(), truth),
+      analysis::AnalysisContext::Build(net.node.ledger().Views()));
+  ASSERT_EQ(truth.size(), net.node.ledger().size());
+  for (const chain::TokenRsPair& pair : truth) {
+    EXPECT_TRUE(net.node.ledger().view(pair.rs).Contains(pair.token));
+    const auto& possible = result.possible_spends.at(pair.rs);
+    EXPECT_NE(std::find(possible.begin(), possible.end(), pair.token),
               possible.end());
   }
 }

@@ -15,10 +15,10 @@
 #include <gtest/gtest.h>
 
 #include "analysis/chain_reaction.h"
+#include "core/algorithm1.h"
 #include "core/module_greedy.h"
 #include "core/modules.h"
 #include "core/progressive.h"
-#include "core/token_magic.h"
 #include "node/fault_injection.h"
 #include "node/node.h"
 #include "node/wallet.h"
@@ -197,32 +197,30 @@ TEST(ConcurrencySmokeTest, ConcurrentWalletSpends) {
   EXPECT_EQ(node.mempool_size(), 0u);
 }
 
-// Concurrent const probes on one TokenMagic share the cached batch
-// snapshot; the cache reads themselves must be race-free.
+// Concurrent Node::InstanceFor probes share the cached batch snapshot;
+// the cache reads themselves must be race-free.
 TEST(ConcurrencySmokeTest, ConcurrentTokenMagicProbes) {
   Network net(16);
-  core::TokenMagicConfig config;
-  config.lambda = 64;
-  core::TokenMagic magic(&net.node.blockchain(), config);
+  const Node& node = net.node;
 
   constexpr int kThreads = 4;
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   std::atomic<int> ok_instances{0};
   for (int i = 0; i < kThreads; ++i) {
-    threads.emplace_back([&magic, &ok_instances] {
+    threads.emplace_back([&node, &ok_instances] {
       for (chain::TokenId t = 0; t < 8; ++t) {
-        auto instance = magic.InstanceFor(t, {2.0, 3});
+        auto instance = node.InstanceFor(t, {2.0, 3});
         if (!instance.ok()) continue;
         EXPECT_EQ(instance->target, t);
         EXPECT_NE(instance->context, nullptr);
-        EXPECT_TRUE(magic.LiquidityAllows(t, {t}));
+        EXPECT_TRUE(core::LiquidityAllows(*instance, {t}, 0.0));
         ok_instances.fetch_add(1);
       }
     });
   }
   for (auto& t : threads) t.join();
-  EXPECT_GT(ok_instances.load(), 0);
+  EXPECT_EQ(ok_instances.load(), kThreads * 8);
 }
 
 // Regression for the InstanceFor snapshot lifetime: instances co-own
@@ -232,15 +230,22 @@ TEST(ConcurrencySmokeTest, ConcurrentTokenMagicProbes) {
 // every probe interleaves reads of several cache slots (the same-batch
 // test above reads only one).
 TEST(ConcurrencySmokeTest, ConcurrentTokenMagicProbesAcrossBatches) {
-  chain::Blockchain bc;
-  for (int b = 0; b < 4; ++b) {
-    std::vector<uint32_t> counts(8, 1);
-    bc.AddBlock(b, counts);
+  // Genesis mints 8 tokens (batch 0); each of three mined blocks mints 8
+  // more from one spend: 4 batches of 8 at lambda 8.
+  Network net(4, /*lambda=*/8);
+  core::ProgressiveSelector selector;
+  for (int b = 1; b < 4; ++b) {
+    std::vector<crypto::Point> outputs;
+    for (int k = 0; k < 8; ++k) outputs.push_back(net.bob.NewOutputKey());
+    ASSERT_TRUE(net.alice
+                    .Spend(&net.node, net.alice.SpendableTokens()[0],
+                           {1.0, 1}, selector, outputs, "open batch")
+                    .ok());
+    ASSERT_EQ(net.node.MineBlock().transactions, 1u);
   }
-  core::TokenMagicConfig config;
-  config.lambda = 8;  // 4 blocks x 8 tokens -> 4 batches of 8
-  core::TokenMagic magic(&bc, config);
-  ASSERT_EQ(magic.batches().batch_count(), 4u);
+  ASSERT_EQ(net.node.batches().batch_count(), 4u);
+  ASSERT_EQ(net.node.blockchain().token_count(), 32u);
+  const Node& node = net.node;
 
   constexpr int kThreads = 4;
   constexpr int kRounds = 16;
@@ -248,16 +253,16 @@ TEST(ConcurrencySmokeTest, ConcurrentTokenMagicProbesAcrossBatches) {
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int i = 0; i < kThreads; ++i) {
-    threads.emplace_back([&magic, &ok_instances, i] {
+    threads.emplace_back([&node, &ok_instances, i] {
       for (int round = 0; round < kRounds; ++round) {
         chain::TokenId mine = static_cast<chain::TokenId>(
             ((i + round) % 4) * 8 + round % 8);
-        auto instance = magic.InstanceFor(mine, {2.0, 3});
+        auto instance = node.InstanceFor(mine, {2.0, 3});
         ASSERT_TRUE(instance.ok());
         // Probe a token one batch over (other threads do the same
         // concurrently).
         chain::TokenId other = static_cast<chain::TokenId>((mine + 8) % 32);
-        auto neighbor = magic.InstanceFor(other, {2.0, 3});
+        auto neighbor = node.InstanceFor(other, {2.0, 3});
         ASSERT_TRUE(neighbor.ok());
         // The first instance must still be fully readable: its spans and
         // context point into the snapshot it co-owns.

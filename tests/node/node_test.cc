@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/chain_reaction.h"
+#include "analysis/diversity.h"
 #include "core/progressive.h"
 #include "crypto/field.h"
 #include "node/wallet.h"
@@ -75,7 +77,13 @@ TEST(NodeTest, SpendSubmitMineLifecycle) {
   ASSERT_EQ(block.outputs.size(), 1u);
   ASSERT_EQ(block.outputs[0].size(), 1u);
   EXPECT_EQ(net.node.mempool_size(), 0u);
-  EXPECT_EQ(net.node.ledger().size(), 1u);
+  ASSERT_EQ(net.node.ledger().size(), 1u);
+  // The mined ring holds the spent token and satisfies the (strict-mode)
+  // requirement it declares.
+  const chain::RsView& ring = net.node.ledger().view(0);
+  EXPECT_TRUE(ring.Contains(token));
+  EXPECT_TRUE(analysis::SatisfiesRecursiveDiversity(
+      ring.members, net.node.ht_index(), {2.0, 3}));
 
   // Bob claims the freshly minted token and can see it in his balance.
   EXPECT_TRUE(net.bob.Claim(block.outputs[0][0]).ok());
@@ -403,10 +411,51 @@ TEST(NodeTest, ManySpendsRemainUnlinkable) {
     net.node.MineBlock();
   }
   EXPECT_EQ(net.node.ledger().size(), 3u);
-  // The node itself cannot name any spend: ground truth is blind.
-  for (size_t i = 0; i < net.node.ledger().size(); ++i) {
-    EXPECT_EQ(net.node.ledger().GroundTruthSpent(i), chain::kInvalidToken);
-  }
+  // The adversary's exact analysis of the mined history eliminates
+  // nothing and reveals nothing.
+  auto result = analysis::ChainReactionAnalyzer::Analyze(
+      analysis::AnalysisContext::Build(net.node.ledger().Views()));
+  EXPECT_TRUE(result.NoTokenEliminated());
+  EXPECT_TRUE(result.revealed_spends.empty());
+}
+
+// The instance of a token is its batch's universe over the batch's
+// current snapshot, which the instance co-owns.
+TEST(NodeTest, InstanceForBuildsBatchLocalUniverse) {
+  Network net(8, /*lambda=*/16);  // genesis seals batch 0 (16 tokens)
+  core::ProgressiveSelector selector;
+  std::vector<crypto::Point> outputs;
+  for (int i = 0; i < 16; ++i) outputs.push_back(net.bob.NewOutputKey());
+  ASSERT_TRUE(net.alice
+                  .Spend(&net.node, net.alice.SpendableTokens()[0], {2.0, 3},
+                         selector, outputs, "open batch 1")
+                  .ok());
+  MinedBlock block = net.node.MineBlock();
+  ASSERT_EQ(block.transactions, 1u);
+  ASSERT_EQ(net.node.batches().batch_count(), 2u);
+
+  auto instance = net.node.InstanceFor(0, {2.0, 2});
+  ASSERT_TRUE(instance.ok());
+  EXPECT_EQ(instance->target, 0u);
+  EXPECT_EQ(instance->universe.size(), 16u);
+  EXPECT_EQ(instance->requirement, (chain::DiversityRequirement{2.0, 2}));
+  auto snapshot = net.node.AnalysisSnapshotShared(0);
+  EXPECT_EQ(instance->owner.get(), snapshot.get());
+  EXPECT_EQ(instance->context, &snapshot->context);
+  EXPECT_EQ(instance->history.size(), 1u);
+
+  // The freshly minted tokens live in the second batch.
+  chain::TokenId minted = block.outputs[0][3];
+  auto other = net.node.InstanceFor(minted, {2.0, 2});
+  ASSERT_TRUE(other.ok());
+  EXPECT_EQ(other->universe.size(), 16u);
+  EXPECT_EQ(other->universe.front(), block.outputs[0].front());
+  EXPECT_TRUE(other->history.empty());
+}
+
+TEST(NodeTest, InstanceForUnknownTokenFails) {
+  Network net(4);
+  EXPECT_TRUE(net.node.InstanceFor(999, {1.0, 1}).status().IsNotFound());
 }
 
 }  // namespace

@@ -55,4 +55,9 @@ inline std::span<const int> DanglingWindow() {
   return scratch;
 }
 
+class History {
+ private:
+  std::vector<RsView> views_;
+};
+
 }  // namespace fixture

@@ -63,4 +63,10 @@ inline std::span<const int> PassThroughWindow(std::span<const int> input) {
   return input;
 }
 
+class History {
+ private:
+  // tm-owns: every appended view; annotated right after the specifier.
+  std::vector<RsView> views_;
+};
+
 }  // namespace fixture

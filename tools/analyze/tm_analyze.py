@@ -123,6 +123,9 @@ OWNING_HISTORY_RE = re.compile(r'std::vector<\s*(?:chain::)?RsView\s*>')
 # terminated by ; or {…} or = default-init. Excludes function decls via the
 # no-"(" check done by callers.
 MEMBER_NAME_RE = re.compile(r'\b([A-Za-z_]\w*)\s*(?:=[^=].*)?;')
+# An access specifier is not a member: the declaration that follows it is
+# checked, and annotated, on its own line.
+ACCESS_SPECIFIER_RE = re.compile(r'^(?:public|protected|private)\s*:$')
 CLASS_RE = re.compile(r'\b(?:class|struct)\s+([A-Za-z_]\w*)\s*'
                       r'(?:final\s*)?(?::[^;{]*)?{')
 DEF_RE = re.compile(r'^\S[^;{]*?\b([A-Z]\w*)::(~?[A-Za-z_]\w*)\s*\(')
@@ -370,7 +373,8 @@ def lexical_frontend(files: list[pathlib.Path], root: pathlib.Path,
             in_class = (scope.enclosing_class() is not None
                         and not scope.in_function())
             if (in_class and stripped and paren_bal == 0
-                    and i > member_done):
+                    and i > member_done
+                    and not ACCESS_SPECIFIER_RE.match(stripped)):
                 stmt, last = join_stmt(code, i)
                 if ("(" not in stmt and MEMBER_NAME_RE.search(stmt)):
                     member_done = last
