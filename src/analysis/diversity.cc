@@ -1,6 +1,7 @@
 #include "analysis/diversity.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <unordered_map>
 
@@ -9,6 +10,17 @@
 namespace tokenmagic::analysis {
 
 namespace {
+
+// c == m * 2^e exactly, with m the 53-bit integer mantissa (c finite,
+// c > 0).
+// tm-lint: allow(float, frexp/ldexp are exact: c == m * 2^e, integer m)
+uint64_t DyadicMantissa(double c, int* e) {
+  int exp = 0;
+  // tm-lint: allow(float, frexp is exact)
+  double frac = std::frexp(c, &exp);
+  *e = exp - 53;
+  return static_cast<uint64_t>(std::ldexp(frac, 53));
+}
 
 // Sign of (q1 - c*tail), computed exactly in integer arithmetic.
 //
@@ -26,15 +38,12 @@ int CompareSlackExact(int64_t q1, double c, int64_t tail) {
     return q1 > 0 ? 1 : 0;
   }
   if (q1 == 0) return -1;  // c*tail > 0 at this point
-  int exp = 0;
-  // tm-lint: allow(float, frexp/ldexp are exact: c == m * 2^e, integer m)
-  double frac = std::frexp(c, &exp);
-  int64_t m = static_cast<int64_t>(std::ldexp(frac, 53));
-  int e = exp - 53;
-  while ((m & 1) == 0 && e < 0) {  // shed trailing zeros to shrink shifts
-    m >>= 1;
-    ++e;
-  }
+  int e = 0;
+  uint64_t m = DyadicMantissa(c, &e);
+  // Shed trailing zeros (up to e == 0) to shrink the shifts.
+  int shed = e < 0 ? std::min(std::countr_zero(m), -e) : 0;
+  m >>= shed;
+  e += shed;
   unsigned __int128 lhs = static_cast<unsigned __int128>(q1);
   unsigned __int128 rhs =
       static_cast<unsigned __int128>(m) * static_cast<unsigned __int128>(tail);
@@ -146,6 +155,23 @@ double DiversitySlack(const std::vector<int64_t>& frequencies,
                            std::greater<int64_t>()));
   return DiversitySlack(frequencies.front(),
                         DiversityTail(frequencies, req.ell), req);
+}
+
+// tm-lint: allow(float, exactness test of the slack arithmetic)
+bool SlackIsExact(double c, int64_t max_tokens) {
+  if (!std::isfinite(c) || c <= 0.0 || max_tokens < 0) return false;
+  int e = 0;
+  uint64_t m = DyadicMantissa(c, &e);
+  int shed = std::countr_zero(m);  // m odd from here on
+  m >>= shed;
+  e += shed;
+  // Bit widths bound the products without forming them: m * T * 2^e
+  // (e > 0) and T * 2^-e (e < 0) stay below 2^kBits.
+  constexpr int kBits = 52;
+  int t_bits = std::bit_width(static_cast<uint64_t>(max_tokens));
+  int m_bits = std::bit_width(m);
+  return m_bits + t_bits + std::max(e, 0) <= kBits &&
+         t_bits + std::max(-e, 0) <= kBits;
 }
 
 // tm-lint: allow(float, greedy potential; sign forced to the exact verdict)

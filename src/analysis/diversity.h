@@ -62,4 +62,14 @@ double DiversitySlack(const std::vector<int64_t>& frequencies,
 double DiversitySlack(int64_t q1, int64_t tail,
                       const chain::DiversityRequirement& req);
 
+/// True when the slack arithmetic at `c` is exact for token sets of at
+/// most `max_tokens` tokens: c == m * 2^e with odd m, and m * T * 2^e
+/// (e > 0) and T * 2^-e (e < 0) stay below 2^52 for T = max_tokens. Then
+/// q_1 - c * tail and c * |x| are exact doubles for any q_1, tail and |x|
+/// up to T, so DiversitySlack neither rounds nor nudges, and rounding a
+/// bound such as δ - δ_i <= c * |x| keeps it. False for any c whose
+/// mantissa is long (0.6) and for c <= 0.
+// tm-lint: allow(float, exactness test of the slack arithmetic)
+bool SlackIsExact(double c, int64_t max_tokens);
+
 }  // namespace tokenmagic::analysis

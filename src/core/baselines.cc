@@ -15,17 +15,11 @@ namespace {
 common::Result<SelectionResult> AddUntilEligible(
     const SelectionInput& input, ModuleSelectionState* state,
     const std::function<size_t(const ModuleSelectionState&)>& pick) {
-  const chain::HtIndex& index = *input.index;
   SelectionResult result;
-  auto eligible = [&]() {
-    return CheckCandidate(*state->mu, state->chosen, input.history, index,
-                          input.requirement, input.policy)
-        .eligible;
-  };
   if (DeadlineExpired(input)) {
     return common::Status::Timeout("selection deadline already expired");
   }
-  while (!eligible()) {
+  while (!ChosenEligible(*state, input)) {
     TickDeadline(input);
     if (DeadlineExpired(input)) {
       return common::Status::Timeout("module-add budget exhausted");

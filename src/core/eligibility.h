@@ -33,6 +33,12 @@ struct EligibilityPolicy {
   /// Re-check covered history RSs' DTRS diversity with the candidate as
   /// their new super RS (immutability constraint).
   bool check_immutability = false;
+
+  /// True when eligibility is the RS-level diversity test alone (neither
+  /// opt-in check is on), so the ring's HT counts decide it.
+  bool DiversityOnly() const {
+    return !check_dtrs_explicitly && !check_immutability;
+  }
 };
 
 /// Verdict with the first violated constraint (for diagnostics).

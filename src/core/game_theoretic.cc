@@ -16,7 +16,6 @@ common::Result<SelectionResult> GameTheoreticSelector::Select(
     return common::Status::Timeout("Game deadline already expired");
   }
   TM_ASSIGN_OR_RETURN(ModuleSelectionState state, InitModuleState(input));
-  const chain::HtIndex& index = *input.index;
   chain::DiversityRequirement effective =
       EffectiveRequirement(input.requirement, input.policy);
 
@@ -27,11 +26,6 @@ common::Result<SelectionResult> GameTheoreticSelector::Select(
       size_t init_steps,
       GreedyCoverHts(&state, effective.ell, input.deadline));
   result.iterations += init_steps;
-
-  const bool initially_eligible =
-      CheckCandidate(*state.mu, state.chosen, input.history, index,
-                     input.requirement, input.policy)
-          .eligible;
 
   // Cost of a strategy profile for any player: |r̃_τ| / |A| when eligible,
   // ∞ otherwise. Encoded as (eligible?, size): every infeasible profile
@@ -49,6 +43,10 @@ common::Result<SelectionResult> GameTheoreticSelector::Select(
   const size_t player_count = state.mu->module_count();
   const size_t max_passes = 2 * player_count + 8;
   auto run_dynamics = [&]() -> common::Status {
+  // The verdict of the current profile, carried from flip to flip: a
+  // kept flip's profile is the one just checked, a reverted flip's the
+  // one before it.
+  bool eligible_now = ChosenEligible(state, input);
   bool changed = true;
   size_t passes = 0;
   while (changed && passes < max_passes) {
@@ -66,10 +64,6 @@ common::Result<SelectionResult> GameTheoreticSelector::Select(
           state.chosen.end();
 
       // Cost with the current strategy.
-      bool eligible_now =
-          CheckCandidate(*state.mu, state.chosen, input.history, index,
-                         input.requirement, input.policy)
-              .eligible;
       auto cost_now = profile_cost(eligible_now, state.token_size);
 
       // Cost with the flipped strategy.
@@ -78,10 +72,7 @@ common::Result<SelectionResult> GameTheoreticSelector::Select(
       } else {
         ChooseModule(&state, player);
       }
-      bool eligible_flipped =
-          CheckCandidate(*state.mu, state.chosen, input.history, index,
-                         input.requirement, input.policy)
-              .eligible;
+      bool eligible_flipped = ChosenEligible(state, input);
       auto cost_flipped = profile_cost(eligible_flipped, state.token_size);
 
       // Paper line 7-9: default to φ; switch only when the alternative is
@@ -99,6 +90,7 @@ common::Result<SelectionResult> GameTheoreticSelector::Select(
 
       if (prefer_flipped) {
         changed = true;  // keep the flip
+        eligible_now = eligible_flipped;
         ++result.iterations;
       } else {
         // Revert the flip.
@@ -115,13 +107,7 @@ common::Result<SelectionResult> GameTheoreticSelector::Select(
 
   TM_RETURN_NOT_OK(run_dynamics());
 
-  auto eligible_now = [&]() {
-    return CheckCandidate(*state.mu, state.chosen, input.history, index,
-                          input.requirement, input.policy)
-        .eligible;
-  };
-
-  if (!eligible_now()) {
+  if (!ChosenEligible(state, input)) {
     // Recursive diversity is not monotone in ring growth, so from an
     // infeasible start the tie-to-φ accretion can converge on an
     // infeasible plateau (e.g. the whole-universe profile violates
@@ -131,7 +117,6 @@ common::Result<SelectionResult> GameTheoreticSelector::Select(
     // finite cost), so the restarted game converges to a feasible Nash
     // equilibrium no larger than the Progressive ring — PoS ≤ 1 is
     // preserved.
-    (void)initially_eligible;
     ProgressiveSelector progressive;
     auto seed = progressive.Select(input, rng);
     if (!seed.ok()) {
@@ -159,7 +144,7 @@ common::Result<SelectionResult> GameTheoreticSelector::Select(
       }
     }
     TM_RETURN_NOT_OK(run_dynamics());
-    if (!eligible_now()) {
+    if (!ChosenEligible(state, input)) {
       return common::Status::Unsatisfiable(
           "no module assembly satisfies the diversity constraint");
     }

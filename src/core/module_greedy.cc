@@ -1,8 +1,10 @@
 #include "core/module_greedy.h"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <memory>
+#include <numeric>
 
 #include "analysis/diversity.h"
 #include "common/macros.h"
@@ -56,7 +58,7 @@ void ChooseModule(ModuleSelectionState* state, size_t module_index) {
   state->chosen.push_back(module_index);
   state->token_size += state->mu->ModuleSize(module_index);
   for (HtTokens pair : state->HtsOf(module_index)) {
-    if (state->ht_count[pair.ht] == 0) ++state->covered_ht_count;
+    if (state->ht_count[pair.ht] == 0) state->covered_hts.push_back(pair.ht);
     state->ht_count[pair.ht] += pair.tokens;
   }
 }
@@ -70,9 +72,14 @@ void UnchooseModule(ModuleSelectionState* state, size_t module_index) {
   state->remaining.push_back(module_index);
   state->token_size -= state->mu->ModuleSize(module_index);
   // An HT another chosen module shares keeps a non-zero count.
+  std::vector<uint32_t>& covered = state->covered_hts;
   for (HtTokens pair : state->HtsOf(module_index)) {
     state->ht_count[pair.ht] -= pair.tokens;
-    if (state->ht_count[pair.ht] == 0) --state->covered_ht_count;
+    if (state->ht_count[pair.ht] != 0) continue;
+    auto slot = std::find(covered.begin(), covered.end(), pair.ht);
+    TM_CHECK(slot != covered.end());
+    *slot = covered.back();
+    covered.pop_back();
   }
 }
 
@@ -82,8 +89,7 @@ FreshHtCounts::FreshHtCounts(const ModuleSelectionState& state) {
   for (size_t m = 0; m < mu.module_count(); ++m) {
     fresh_[m] = static_cast<uint32_t>(mu.HtsOf(m).size());
   }
-  for (uint32_t ht = 0; ht < state.ht_count.size(); ++ht) {
-    if (state.ht_count[ht] == 0) continue;
+  for (uint32_t ht : state.covered_hts) {
     for (uint32_t m : mu.ModulesOfHt(ht)) --fresh_[m];
   }
 }
@@ -97,37 +103,80 @@ void FreshHtCounts::Choose(ModuleSelectionState* state,
   ChooseModule(state, module_index);
 }
 
+bool ChosenEligible(const ModuleSelectionState& state,
+                    const SelectionInput& input) {
+  if (!input.policy.DiversityOnly()) {
+    return CheckCandidate(*state.mu, state.chosen, input.history,
+                          *input.index, input.requirement, input.policy)
+        .eligible;
+  }
+  chain::DiversityRequirement effective =
+      EffectiveRequirement(input.requirement, input.policy);
+  TM_CHECK(effective.ell >= 1);
+  std::vector<int64_t> counts;
+  counts.reserve(state.covered_hts.size());
+  int64_t q1 = 0, total = 0;
+  for (uint32_t ht : state.covered_hts) {
+    int64_t count = state.ht_count[ht];
+    counts.push_back(count);
+    q1 = std::max(q1, count);
+    total += count;
+  }
+  // The tail is everything outside the ℓ - 1 largest counts (empty when
+  // θ <= ℓ - 1): the integers the ring's sorted frequency vector gives.
+  const size_t head = static_cast<size_t>(effective.ell) - 1;
+  int64_t tail = 0;
+  if (counts.size() > head) {
+    auto nth = counts.begin() + static_cast<ptrdiff_t>(head);
+    std::nth_element(counts.begin(), nth, counts.end(),
+                     std::greater<int64_t>());
+    tail = total - std::accumulate(counts.begin(), nth, int64_t{0});
+  }
+  return analysis::DiversitySlack(q1, tail, effective) < 0.0;
+}
+
+GreedyPick PickCoverModule(const ModuleSelectionState& state,
+                           const FreshHtCounts& fresh, size_t deficit) {
+  GreedyPick pick;
+  double best_alpha = std::numeric_limits<double>::infinity();
+  for (size_t candidate : state.remaining) {
+    size_t new_hts = fresh.count(candidate);
+    if (new_hts == 0) continue;  // α would be infinite
+    double alpha = static_cast<double>(state.mu->ModuleSize(candidate)) /
+                   static_cast<double>(std::min(deficit, new_hts));
+    TM_DCHECK(alpha >= 1.0);
+    if (alpha < best_alpha) {
+      best_alpha = alpha;
+      pick.module = candidate;
+      if (alpha == 1.0) {  // no later candidate can beat it strictly
+        pick.at_bound = true;
+        break;
+      }
+    }
+  }
+  return pick;
+}
+
 common::Result<size_t> GreedyCoverHts(ModuleSelectionState* state, int ell,
                                       common::Deadline* deadline) {
   size_t steps = 0;
-  if (state->covered_ht_count >= static_cast<size_t>(ell)) return steps;
+  const size_t target = static_cast<size_t>(ell);
+  if (state->covered_hts.size() >= target) return steps;
   FreshHtCounts fresh(*state);
-  while (state->covered_ht_count < static_cast<size_t>(ell)) {
+  while (state->covered_hts.size() < target) {
     if (deadline != nullptr) {
       deadline->Tick();
       if (deadline->Expired()) {
         return common::Status::Timeout("HT-cover greedy budget exhausted");
       }
     }
-    size_t deficit = static_cast<size_t>(ell) - state->covered_ht_count;
-    double best_alpha = std::numeric_limits<double>::infinity();
-    size_t best_module = static_cast<size_t>(-1);
-    for (size_t candidate : state->remaining) {
-      size_t new_hts = fresh.count(candidate);
-      if (new_hts == 0) continue;  // α would be infinite
-      double alpha =
-          static_cast<double>(state->mu->ModuleSize(candidate)) /
-          static_cast<double>(std::min(deficit, new_hts));
-      if (alpha < best_alpha) {
-        best_alpha = alpha;
-        best_module = candidate;
-      }
-    }
-    if (best_module == static_cast<size_t>(-1)) {
+    GreedyPick pick =
+        PickCoverModule(*state, fresh, target - state->covered_hts.size());
+    if (pick.module == GreedyPick::kNoModule) {
       return common::Status::Unsatisfiable(common::StrFormat(
           "universe covers fewer than %d distinct HTs", ell));
     }
-    fresh.Choose(state, best_module);
+    fresh.Choose(state, pick.module);
     ++steps;
   }
   return steps;
@@ -136,11 +185,7 @@ common::Result<size_t> GreedyCoverHts(ModuleSelectionState* state, int ell,
 ChosenFrequencies ChosenFrequenciesOf(const ModuleSelectionState& state) {
   ChosenFrequencies out;
   out.slot.assign(state.ht_count.size(), ChosenFrequencies::kNoSlot);
-  std::vector<uint32_t> covered;
-  covered.reserve(state.covered_ht_count);
-  for (uint32_t ht = 0; ht < state.ht_count.size(); ++ht) {
-    if (state.ht_count[ht] != 0) covered.push_back(ht);
-  }
+  std::vector<uint32_t> covered = state.covered_hts;
   // Which of two equal counts takes which slot does not matter: bumping
   // either yields the same multiset.
   std::sort(covered.begin(), covered.end(), [&](uint32_t a, uint32_t b) {
@@ -245,6 +290,31 @@ double SlackWith(const ChosenFrequencies& chosen,
                : SmallestSum(q, marks.data(), stamp, values, theta - head);
   }
   return analysis::DiversitySlack(q1, tail, req);
+}
+
+GreedyPick PickSlackModule(const ModuleSelectionState& state,
+                           const ChosenFrequencies& chosen, double delta,
+                           const chain::DiversityRequirement& req,
+                           SlackScratch* scratch) {
+  const bool exact = analysis::SlackIsExact(
+      req.c, static_cast<int64_t>(state.mu->token_count()));
+  GreedyPick pick;
+  double best_beta = -std::numeric_limits<double>::infinity();
+  for (size_t candidate : state.remaining) {
+    double delta_i = SlackWith(chosen, state.HtsOf(candidate), req, scratch);
+    double beta = (delta - delta_i) /
+                  static_cast<double>(state.mu->ModuleSize(candidate));
+    TM_DCHECK(!exact || beta <= req.c);
+    if (beta > best_beta) {
+      best_beta = beta;
+      pick.module = candidate;
+      if (exact && beta == req.c) {  // no later candidate can beat it
+        pick.at_bound = true;
+        break;
+      }
+    }
+  }
+  return pick;
 }
 
 }  // namespace tokenmagic::core

@@ -1,20 +1,31 @@
 // Shared machinery for the module-based selectors (Progressive, Game-
 // theoretic, Smallest, Random): the per-selection state over the seal's
-// shared module index and the phase-1 greedy that reaches ℓ distinct HTs.
+// shared module index, the phase-1 greedy that reaches ℓ distinct HTs,
+// the phase-2 pick of Algorithm 4, and the eligibility verdict taken from
+// the chosen HT counts.
 //
 // The modules and every module's (HT, token count) pairs live in the
 // seal's module index (core/modules.h, ModuleIndexOf), built once per
 // sealed snapshot; HT ids are the context's own HT locals. A selection
 // validates its input against the snapshot in O(|T|) and then keeps only
-// its own choice: the chosen and remaining modules and integer per-HT
-// token counts of the chosen ones. Choosing or unchoosing a module costs
-// O(distinct HTs of the module), with no hashing. Phase 1 keeps every
-// module's fresh-HT count current (FreshHtCounts), so its α scan reads
-// one integer per candidate. Phase 2 derives a candidate's diversity
-// slack from the two integers it depends on, q_1 and the tail sum, by
-// merging the candidate's k bumped or new entries with the shorter end of
-// the chosen frequency vector: O(k² + min(ℓ - 1, θ - ℓ + 1)) for a module
-// of k distinct HTs, with no copy of the vector.
+// its own choice: the chosen and remaining modules, integer per-HT token
+// counts of the chosen ones and the list of HTs they cover. Choosing a
+// module costs O(distinct HTs of the module) and unchoosing one
+// O(distinct HTs × covered HTs), with no hashing. Under the default
+// policy a ring's eligibility is the diversity slack of those counts
+// (ChosenEligible), O(covered HTs), with no ring built.
+//
+// Phase 1 keeps every module's fresh-HT count current (FreshHtCounts),
+// so its α scan reads one integer per candidate, and stops at the first
+// candidate with α == 1, the least α any module can have. Phase 2
+// derives a candidate's diversity slack from the two integers it depends
+// on, q_1 and the tail sum, by merging the candidate's k bumped or new
+// entries with the shorter end of the chosen frequency vector:
+// O(k² + min(ℓ - 1, θ - ℓ + 1)) for a module of k distinct HTs, with no
+// copy of the vector. When the slack arithmetic is exact
+// (analysis::SlackIsExact) every β is at most c, and the scan stops at
+// the first candidate with β == c. Either stop returns the module the
+// full strict-comparison scan returns.
 #pragma once
 
 #include <cstdint>
@@ -47,8 +58,8 @@ struct ModuleSelectionState {
   size_t token_size = 0;
   /// Tokens of each context HT local among the chosen modules.
   std::vector<uint32_t> ht_count;
-  /// HTs with a non-zero ht_count.
-  size_t covered_ht_count = 0;
+  /// The HT locals with a non-zero ht_count, in no particular order.
+  std::vector<uint32_t> covered_hts;
 
   /// The (HT local, token count) pairs of module `module_index`.
   std::span<const HtTokens> HtsOf(size_t module_index) const {
@@ -93,8 +104,32 @@ class FreshHtCounts {
   std::vector<uint32_t> fresh_;
 };
 
-/// Phase 1 of Algorithms 4 and 5: greedily add the module minimizing
-///   α_i = |x_i| / min(ℓ - |H|, |H_i \ H|)
+/// True when the chosen modules of `state` form an eligible ring for
+/// `input`: CheckCandidate(...).eligible. Under a policy that checks
+/// diversity only (EligibilityPolicy::DiversityOnly) the verdict is the
+/// diversity slack of the chosen HT counts at the effective requirement,
+/// in O(covered HTs); the opt-in policies run CheckCandidate.
+bool ChosenEligible(const ModuleSelectionState& state,
+                    const SelectionInput& input);
+
+/// One greedy step's pick: a module of `remaining`, or kNoModule when no
+/// candidate qualifies. `at_bound` is true when the scan stopped early, at
+/// a candidate whose score reached the best any candidate can have.
+struct GreedyPick {
+  static constexpr size_t kNoModule = static_cast<size_t>(-1);
+  size_t module = kNoModule;
+  bool at_bound = false;
+};
+
+/// One step of phase 1: the remaining module minimizing
+///   α_i = |x_i| / min(deficit, |H_i \ H|)
+/// (the first on ties), skipping modules with no fresh HT. A module has at
+/// least one token per distinct HT, so α_i >= 1, and the scan stops at the
+/// first candidate with α_i == 1.
+GreedyPick PickCoverModule(const ModuleSelectionState& state,
+                           const FreshHtCounts& fresh, size_t deficit);
+
+/// Phase 1 of Algorithms 4 and 5: greedily add the PickCoverModule module
 /// until at least `ell` distinct HTs are covered. Returns the number of
 /// greedy steps, Unsatisfiable when the universe cannot reach ℓ HTs, or
 /// Timeout when `deadline` (optional) expires.
@@ -138,5 +173,18 @@ double SlackWith(const ChosenFrequencies& chosen,
                  std::span<const HtTokens> candidate,
                  const chain::DiversityRequirement& req,
                  SlackScratch* scratch);
+
+/// One step of phase 2 of Algorithm 4: the remaining module maximizing
+///   β_i = (δ - δ_i) / |x_i|
+/// (the first on ties), where `delta` is DiversitySlack of `chosen` at
+/// `req` and δ_i comes from SlackWith. Adding x_i raises q_1 or keeps it
+/// and adds at most |x_i| to the tail, so δ_i >= δ - c|x_i| and β_i <= c.
+/// When analysis::SlackIsExact(c, token count of the universe) holds the
+/// computed β_i keep that bound, and the scan stops at the first candidate
+/// with β_i == c; otherwise every candidate is scanned.
+GreedyPick PickSlackModule(const ModuleSelectionState& state,
+                           const ChosenFrequencies& chosen, double delta,
+                           const chain::DiversityRequirement& req,
+                           SlackScratch* scratch);
 
 }  // namespace tokenmagic::core

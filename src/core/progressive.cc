@@ -1,8 +1,5 @@
 #include "core/progressive.h"
 
-#include <algorithm>
-#include <limits>
-
 #include "analysis/diversity.h"
 #include "common/macros.h"
 #include "core/module_greedy.h"
@@ -16,7 +13,6 @@ common::Result<SelectionResult> ProgressiveSelector::Select(
     return common::Status::Timeout("Progressive deadline already expired");
   }
   TM_ASSIGN_OR_RETURN(ModuleSelectionState state, InitModuleState(input));
-  const chain::HtIndex& index = *input.index;
   chain::DiversityRequirement effective =
       EffectiveRequirement(input.requirement, input.policy);
 
@@ -28,39 +24,27 @@ common::Result<SelectionResult> ProgressiveSelector::Select(
       GreedyCoverHts(&state, effective.ell, input.deadline));
   result.iterations += phase1_steps;
 
-  // Phase 2: close the diversity gap (lines 5-7).
-  auto eligible = [&]() {
-    return CheckCandidate(*state.mu, state.chosen, input.history, index,
-                          input.requirement, input.policy)
-        .eligible;
-  };
+  // Phase 2: close the diversity gap (lines 5-7). δ and every δ_i come
+  // from the chosen HT counts plus the candidate's (HT, count) pairs; no
+  // ring is materialized. Under a diversity-only policy δ < 0 is the
+  // eligibility verdict itself.
+  const bool by_slack = input.policy.DiversityOnly();
   SlackScratch scratch;
-  while (!eligible()) {
+  while (true) {
+    ChosenFrequencies chosen = ChosenFrequenciesOf(state);
+    double delta = analysis::DiversitySlack(chosen.sorted, effective);
+    if (by_slack ? delta < 0.0 : ChosenEligible(state, input)) break;
     TickDeadline(input);
     if (DeadlineExpired(input)) {
       return common::Status::Timeout("Progressive budget exhausted");
     }
-    // δ and every δ_i come from the chosen HT counts plus the
-    // candidate's (HT, count) pairs; no ring is materialized.
-    ChosenFrequencies chosen = ChosenFrequenciesOf(state);
-    double delta = analysis::DiversitySlack(chosen.sorted, effective);
-    double best_beta = -std::numeric_limits<double>::infinity();
-    size_t best_module = static_cast<size_t>(-1);
-    for (size_t candidate : state.remaining) {
-      double delta_i =
-          SlackWith(chosen, state.HtsOf(candidate), effective, &scratch);
-      double beta = (delta - delta_i) /
-                    static_cast<double>(state.mu->ModuleSize(candidate));
-      if (beta > best_beta) {
-        best_beta = beta;
-        best_module = candidate;
-      }
-    }
-    if (best_module == static_cast<size_t>(-1)) {
+    GreedyPick pick =
+        PickSlackModule(state, chosen, delta, effective, &scratch);
+    if (pick.module == GreedyPick::kNoModule) {
       return common::Status::Unsatisfiable(
           "no module assembly satisfies the diversity constraint");
     }
-    ChooseModule(&state, best_module);
+    ChooseModule(&state, pick.module);
     ++result.iterations;
   }
 

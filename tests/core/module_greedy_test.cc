@@ -11,6 +11,7 @@
 
 #include "analysis/diversity.h"
 #include "common/rng.h"
+#include "core/progressive.h"
 #include "oracle/module_greedy_oracle.h"
 
 namespace tokenmagic::core {
@@ -71,7 +72,7 @@ TEST(InitModuleStateTest, SeedsWithTargetModule) {
   EXPECT_EQ(state->chosen.size(), 1u);
   EXPECT_EQ(state->chosen[0], state->target_module);
   EXPECT_EQ(state->token_size, 1u);  // target 5 is a fresh token
-  EXPECT_EQ(state->covered_ht_count, 1u);
+  EXPECT_EQ(state->covered_hts.size(), 1u);
   EXPECT_TRUE(Covers(*state, 500));
   // 4 modules total (2 supers + 2 fresh); 3 remaining.
   EXPECT_EQ(state->mu->module_count(), 4u);
@@ -84,7 +85,7 @@ TEST(InitModuleStateTest, TargetInSuperRsSeedsWholeModule) {
   auto state = InitModuleState(fx.input);
   ASSERT_TRUE(state.ok());
   EXPECT_EQ(state->token_size, 2u);
-  EXPECT_EQ(state->covered_ht_count, 1u);  // both tokens share h1
+  EXPECT_EQ(state->covered_hts.size(), 1u);  // both tokens share h1
 }
 
 TEST(ChooseUnchooseTest, RoundTripRestoresState) {
@@ -94,7 +95,7 @@ TEST(ChooseUnchooseTest, RoundTripRestoresState) {
   size_t other = state->remaining[0];
   size_t size_before = state->token_size;
   auto counts_before = state->ht_count;
-  size_t covered_before = state->covered_ht_count;
+  size_t covered_before = state->covered_hts.size();
   size_t remaining_before = state->remaining.size();
 
   ChooseModule(&*state, other);
@@ -106,7 +107,7 @@ TEST(ChooseUnchooseTest, RoundTripRestoresState) {
   EXPECT_EQ(state->chosen.size(), 1u);
   EXPECT_EQ(state->token_size, size_before);
   EXPECT_EQ(state->ht_count, counts_before);
-  EXPECT_EQ(state->covered_ht_count, covered_before);
+  EXPECT_EQ(state->covered_hts.size(), covered_before);
   EXPECT_EQ(state->remaining.size(), remaining_before);
 }
 
@@ -140,7 +141,7 @@ TEST(GreedyCoverHtsTest, StopsExactlyAtEll) {
   ASSERT_TRUE(state.ok());
   auto steps = GreedyCoverHts(&*state, 3);
   ASSERT_TRUE(steps.ok());
-  EXPECT_GE(state->covered_ht_count, 3u);
+  EXPECT_GE(state->covered_hts.size(), 3u);
   // Greedy must not overshoot by more than one module's worth.
   EXPECT_LE(*steps, 2u);
 }
@@ -182,7 +183,9 @@ TEST(ModuleHtsTest, DistinctHtsOfModule) {
 /// A random laminar instance: 4 to 3 + `max_tokens` tokens over 1 to
 /// `max_hts` HTs, a history of groups of consecutive tokens, each with a
 /// chain of nested prefixes (so supers and fresh tokens both occur), and a
-/// random target.
+/// random target. With `no_fresh`, every group has at least two tokens, a
+/// super RS over the whole group and its first two tokens in one HT, so
+/// every module has fewer distinct HTs than tokens.
 struct RandomInstance {
   chain::HtIndex index;
   std::vector<TokenId> universe;
@@ -190,34 +193,47 @@ struct RandomInstance {
   SelectionInput input;
 
   explicit RandomInstance(common::Rng* rng, uint64_t max_tokens = 40,
-                          uint64_t max_hts = 12) {
+                          uint64_t max_hts = 12, bool no_fresh = false) {
     size_t num_tokens = 4 + rng->NextBounded(max_tokens);
     uint64_t ht_pool = 1 + rng->NextBounded(max_hts);
+    std::vector<TxId> hts;
     for (TokenId t = 0; t < static_cast<TokenId>(num_tokens); ++t) {
       universe.push_back(t);
-      index.Set(t, 1000 + rng->NextBounded(ht_pool));
+      hts.push_back(1000 + rng->NextBounded(ht_pool));
     }
     chain::RsId next_id = 1;
     TokenId cursor = 0;
     while (cursor < static_cast<TokenId>(num_tokens)) {
-      size_t group = std::min<size_t>(1 + rng->NextBounded(6),
-                                      num_tokens - cursor);
+      size_t left = num_tokens - cursor;
+      size_t group = std::min<size_t>(1 + rng->NextBounded(6), left);
+      if (no_fresh) {
+        group = std::max<size_t>(group, 2);
+        if (left - group < 2) group = left;
+        hts[cursor + 1] = hts[cursor];
+      }
       size_t chain_len = rng->NextBounded(3);
       for (size_t c = 0; c < chain_len; ++c) {
-        size_t prefix = 1 + rng->NextBounded(group);
-        std::vector<TokenId> members;
-        for (size_t k = 0; k < prefix; ++k) {
-          members.push_back(cursor + static_cast<TokenId>(k));
-        }
-        history.push_back(View(next_id++, members));
+        size_t prefix = no_fresh ? 1 + rng->NextBounded(group - 1)
+                                 : 1 + rng->NextBounded(group);
+        history.push_back(View(next_id++, Range(cursor, prefix)));
       }
+      if (no_fresh) history.push_back(View(next_id++, Range(cursor, group)));
       cursor += static_cast<TokenId>(group);
     }
+    for (TokenId t : universe) index.Set(t, hts[t]);
     input.target = universe[rng->NextBounded(universe.size())];
     input.universe = universe;
     input.history = history;
     input.index = &index;
     test_support::AttachContext(&input);
+  }
+
+  static std::vector<TokenId> Range(TokenId first, size_t count) {
+    std::vector<TokenId> members;
+    for (size_t k = 0; k < count; ++k) {
+      members.push_back(first + static_cast<TokenId>(k));
+    }
+    return members;
   }
 };
 
@@ -227,7 +243,7 @@ void ExpectCountsMatchOracle(const ModuleSelectionState& state,
                              const chain::HtIndex& index) {
   std::map<TxId, int64_t> recount =
       oracle::HtCounts(*state.mu, state.chosen, index);
-  ASSERT_EQ(state.covered_ht_count, recount.size());
+  ASSERT_EQ(state.covered_hts.size(), recount.size());
   for (uint32_t h = 0; h < state.ht_count.size(); ++h) {
     auto it = recount.find(state.ht_id(h));
     ASSERT_EQ(static_cast<int64_t>(state.ht_count[h]),
@@ -276,7 +292,7 @@ TEST(ModuleIndexHtsTest, MatchFromScratchOracle) {
       continue;
     }
     ASSERT_TRUE(steps.ok()) << steps.status().ToString();
-    EXPECT_GE(state->covered_ht_count, static_cast<size_t>(ell));
+    EXPECT_GE(state->covered_hts.size(), static_cast<size_t>(ell));
     ExpectCountsMatchOracle(*state, fx.index);
   }
 }
@@ -349,7 +365,7 @@ TEST(FreshHtCountsTest, MatchOracleAfterEveryGreedyStep) {
       }
       if (step == picks.size()) break;
       if (step < *steps) {
-        size_t deficit = static_cast<size_t>(ell) - state->covered_ht_count;
+        size_t deficit = static_cast<size_t>(ell) - state->covered_hts.size();
         double best_alpha = std::numeric_limits<double>::infinity();
         size_t best = static_cast<size_t>(-1);
         for (size_t m : state->remaining) {
@@ -455,6 +471,155 @@ TEST(IncrementalKernelTest, MatchesFromScratchOracle) {
   EXPECT_GT(from_smallest, 0u);
   EXPECT_GT(all_new, 0u);
   EXPECT_GT(bumps_first, 0u);
+}
+
+/// How often the kernel's picks stopped at their bound during one run.
+struct ExitCounts {
+  size_t cover_steps = 0, cover_at_bound = 0;
+  size_t slack_steps = 0, slack_at_bound = 0;
+};
+
+/// Algorithm 4 driven by the oracle's full scans, with CheckCandidate as
+/// the stopping test. At every step the kernel's pick on the same state
+/// must name the same module; `counts` records where it stopped early.
+/// Returns the chosen modules in choice order, or the selector's status.
+common::Result<std::vector<size_t>> OracleProgressive(
+    const SelectionInput& input, ExitCounts* counts) {
+  chain::DiversityRequirement effective =
+      EffectiveRequirement(input.requirement, input.policy);
+  auto state = InitModuleState(input);
+  if (!state.ok()) return state.status();
+  const size_t ell = static_cast<size_t>(effective.ell);
+  if (state->covered_hts.size() < ell) {
+    FreshHtCounts fresh(*state);
+    while (state->covered_hts.size() < ell) {
+      size_t deficit = ell - state->covered_hts.size();
+      size_t full = oracle::PickCoverModule(*state, fresh, deficit);
+      GreedyPick pick = PickCoverModule(*state, fresh, deficit);
+      EXPECT_EQ(pick.module, full);
+      if (full == GreedyPick::kNoModule) {
+        return common::Status::Unsatisfiable("phase 1");
+      }
+      ++counts->cover_steps;
+      if (pick.at_bound) ++counts->cover_at_bound;
+      fresh.Choose(&*state, full);
+    }
+  }
+  const bool exact = analysis::SlackIsExact(
+      effective.c, static_cast<int64_t>(state->mu->token_count()));
+  SlackScratch scratch;
+  while (!CheckCandidate(*state->mu, state->chosen, input.history,
+                         *input.index, input.requirement, input.policy)
+              .eligible) {
+    ChosenFrequencies chosen = ChosenFrequenciesOf(*state);
+    double delta = analysis::DiversitySlack(chosen.sorted, effective);
+    EXPECT_GE(delta, 0.0);
+    size_t full = oracle::PickSlackModule(*state, chosen, delta, effective);
+    GreedyPick pick =
+        PickSlackModule(*state, chosen, delta, effective, &scratch);
+    EXPECT_EQ(pick.module, full);
+    if (full == GreedyPick::kNoModule) {
+      return common::Status::Unsatisfiable("phase 2");
+    }
+    EXPECT_TRUE(exact || !pick.at_bound);
+    ++counts->slack_steps;
+    if (pick.at_bound) ++counts->slack_at_bound;
+    ChooseModule(&*state, full);
+  }
+  return state->chosen;
+}
+
+// The early exits against the full scans: over 240 seeded universes (a
+// quarter without fresh tokens, where no module reaches α == 1) at
+// c in {0.5, 0.6, 1.0, 1.5, 2.0, 3.0} and ℓ from 1 to 40 (strict DTRS on
+// and off), every phase-1 and phase-2 pick equals the full scan's, and
+// ProgressiveSelector returns the oracle run's modules in the same order
+// and the same members. Each exit must have fired in some trials and
+// scanned to the end in others.
+TEST(EarlyExitTest, PicksMatchFullScans) {
+  common::Rng rng(20261022);
+  const double kCs[] = {0.5, 0.6, 1.0, 1.5, 2.0, 3.0};
+  size_t rings = 0;
+  size_t cover_exit_trials = 0, cover_full_trials = 0;
+  size_t slack_exit_trials = 0, slack_full_trials = 0;
+  ProgressiveSelector progressive;
+  for (int trial = 0; trial < 240; ++trial) {
+    SCOPED_TRACE(trial);
+    bool wide = trial % 3 != 0;
+    RandomInstance fx(&rng, wide ? 160 : 40, wide ? 80 : 12,
+                      /*no_fresh=*/trial % 4 == 3);
+    fx.input.requirement = {kCs[trial % 6],
+                            1 + static_cast<int>(rng.NextBounded(40))};
+    fx.input.policy.strict_dtrs = rng.NextBounded(2) == 0;
+
+    ExitCounts counts;
+    auto expected = OracleProgressive(fx.input, &counts);
+    if (HasFatalFailure() || HasNonfatalFailure()) return;
+    auto result = progressive.Select(fx.input, nullptr);
+    ASSERT_EQ(result.ok(), expected.ok())
+        << (result.ok() ? expected.status() : result.status()).ToString();
+    if (result.ok()) {
+      ++rings;
+      EXPECT_EQ(result->chosen_modules, *expected);
+      auto state = InitModuleState(fx.input);
+      ASSERT_TRUE(state.ok());
+      EXPECT_EQ(result->members, MaterializeCandidate(*state->mu, *expected));
+    } else {
+      EXPECT_TRUE(result.status().IsUnsatisfiable());
+    }
+    if (counts.cover_steps > 0) {
+      ++(counts.cover_at_bound > 0 ? cover_exit_trials : cover_full_trials);
+    }
+    if (counts.slack_steps > 0) {
+      ++(counts.slack_at_bound > 0 ? slack_exit_trials : slack_full_trials);
+    }
+  }
+  EXPECT_GE(rings, 100u);
+  EXPECT_GT(cover_exit_trials, 0u);
+  EXPECT_GT(cover_full_trials, 0u);
+  EXPECT_GT(slack_exit_trials, 0u);
+  EXPECT_GT(slack_full_trials, 0u);
+}
+
+// The count-based verdict against CheckCandidate: along random walks that
+// flip one non-target module at a time, ChosenEligible equals the
+// materialized ring's verdict after every flip, at every c of the suite
+// above, with strict DTRS on and off. Both verdicts must occur.
+TEST(ChosenEligibleTest, MatchesCheckCandidateAfterEveryFlip) {
+  common::Rng rng(20261023);
+  const double kCs[] = {0.5, 0.6, 1.0, 1.5, 2.0, 3.0};
+  size_t eligible = 0, ineligible = 0;
+  for (int trial = 0; trial < 120; ++trial) {
+    SCOPED_TRACE(trial);
+    bool wide = trial % 2 == 1;
+    RandomInstance fx(&rng, wide ? 120 : 40, wide ? 60 : 12);
+    fx.input.requirement = {
+        kCs[trial % 6], 1 + static_cast<int>(rng.NextBounded(wide ? 12 : 4))};
+    fx.input.policy.strict_dtrs = rng.NextBounded(2) == 0;
+    auto state = InitModuleState(fx.input);
+    ASSERT_TRUE(state.ok());
+    const size_t modules = state->mu->module_count();
+    for (int flip = 0; flip <= 48 && modules > 1; ++flip) {
+      SCOPED_TRACE(flip);
+      bool expected =
+          CheckCandidate(*state->mu, state->chosen, fx.input.history,
+                         fx.index, fx.input.requirement, fx.input.policy)
+              .eligible;
+      ASSERT_EQ(ChosenEligible(*state, fx.input), expected);
+      ++(expected ? eligible : ineligible);
+
+      size_t module = rng.NextBounded(modules);
+      if (module == state->target_module) continue;
+      if (std::find(state->chosen.begin(), state->chosen.end(), module) !=
+          state->chosen.end()) {
+        UnchooseModule(&*state, module);
+      } else {
+        ChooseModule(&*state, module);
+      }
+    }
+  }
+  EXPECT_GT(eligible, 100u);
+  EXPECT_GT(ineligible, 100u);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <deque>
 #include <functional>
 #include <unordered_map>
@@ -423,6 +424,31 @@ void ExpectInterned(const analysis::AnalysisContext& got,
   ASSERT_EQ(got.LocalOfToken(absent_token), kNoLocal);
   const chain::RsId absent_rs = history.empty() ? 0 : history.back().id + 1;
   ASSERT_EQ(got.LocalOfRs(absent_rs), kNoLocal);
+}
+
+int CompareSlackBitwise(int64_t q1, double c, int64_t tail) {
+  if (tail == 0 || c == 0.0) return q1 > 0 ? 1 : 0;
+  if (q1 == 0) return -1;
+  int exp = 0;
+  double frac = std::frexp(c, &exp);
+  int64_t m = static_cast<int64_t>(std::ldexp(frac, 53));
+  int e = exp - 53;
+  while ((m & 1) == 0 && e < 0) {
+    m >>= 1;
+    ++e;
+  }
+  unsigned __int128 lhs = static_cast<unsigned __int128>(q1);
+  unsigned __int128 rhs =
+      static_cast<unsigned __int128>(m) * static_cast<unsigned __int128>(tail);
+  if (e > 0) {
+    if (e >= 128 || (rhs >> (128 - e)) != 0) return -1;
+    rhs <<= e;
+  } else if (e < 0) {
+    int shift = -e;
+    if (shift >= 128 || (lhs >> (128 - shift)) != 0) return 1;
+    lhs <<= shift;
+  }
+  return lhs < rhs ? -1 : lhs > rhs ? 1 : 0;
 }
 
 }  // namespace tokenmagic::oracle

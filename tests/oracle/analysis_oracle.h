@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -37,6 +38,11 @@ analysis::AnalysisResult Cascade(
 
 /// μ_i: the number of tokens Cascade proves spent.
 size_t CountInferableSpent(std::span<const chain::RsView> history);
+
+/// Sign of q1 - c * tail (q1, tail >= 0, c finite and >= 0) in the exact
+/// integer form of analysis::DiversitySlack, with the trailing zero bits
+/// of c's mantissa shed one loop turn at a time.
+int CompareSlackBitwise(int64_t q1, double c, int64_t tail);
 
 /// One module of the reference decomposition, owning its tokens.
 struct OracleModule {

@@ -1,5 +1,7 @@
 #include "oracle/module_greedy_oracle.h"
 
+#include <algorithm>
+#include <limits>
 #include <unordered_set>
 
 #include "analysis/diversity.h"
@@ -63,6 +65,40 @@ size_t FreshHtCount(const core::ModuleUniverse& mu,
     if (covered.count(ht) == 0) fresh.insert(ht);
   }
   return fresh.size();
+}
+
+size_t PickCoverModule(const core::ModuleSelectionState& state,
+                       const core::FreshHtCounts& fresh, size_t deficit) {
+  double best_alpha = std::numeric_limits<double>::infinity();
+  size_t best = core::GreedyPick::kNoModule;
+  for (size_t candidate : state.remaining) {
+    size_t new_hts = fresh.count(candidate);
+    if (new_hts == 0) continue;
+    double alpha = static_cast<double>(state.mu->ModuleSize(candidate)) /
+                   static_cast<double>(std::min(deficit, new_hts));
+    if (alpha < best_alpha) {
+      best_alpha = alpha;
+      best = candidate;
+    }
+  }
+  return best;
+}
+
+size_t PickSlackModule(const core::ModuleSelectionState& state,
+                       const core::ChosenFrequencies& chosen, double delta,
+                       const chain::DiversityRequirement& req) {
+  double best_beta = -std::numeric_limits<double>::infinity();
+  size_t best = core::GreedyPick::kNoModule;
+  for (size_t candidate : state.remaining) {
+    double delta_i = SlackWith(chosen, state.HtsOf(candidate), req);
+    double beta = (delta - delta_i) /
+                  static_cast<double>(state.mu->ModuleSize(candidate));
+    if (beta > best_beta) {
+      best_beta = beta;
+      best = candidate;
+    }
+  }
+  return best;
 }
 
 std::map<chain::TxId, int64_t> HtCounts(const core::ModuleUniverse& mu,

@@ -7,7 +7,9 @@
 // The oracles below re-derive the same quantities the direct way on every
 // call: materialize the ring, push every token through HtIndex::HtOf, and
 // count in fresh hash containers. SlackWith keeps the kernel's former
-// copy-and-sort δ_i as a second reference on the same ChosenFrequencies.
+// copy-and-sort δ_i as a second reference on the same ChosenFrequencies,
+// and the Pick* functions keep the greedy steps' former full scans, which
+// visit every remaining module however early the best one comes.
 #pragma once
 
 #include <cstddef>
@@ -42,6 +44,19 @@ double SlackWith(const core::ChosenFrequencies& chosen,
 size_t FreshHtCount(const core::ModuleUniverse& mu,
                     const std::vector<size_t>& chosen, size_t candidate,
                     const chain::HtIndex& index);
+
+/// Phase 1's full α scan: the remaining module with the least
+/// |x_i| / min(deficit, fresh_i) (first on ties, fresh_i > 0), or
+/// core::GreedyPick::kNoModule.
+size_t PickCoverModule(const core::ModuleSelectionState& state,
+                       const core::FreshHtCounts& fresh, size_t deficit);
+
+/// Phase 2's full β scan: the remaining module with the largest
+/// (delta - δ_i) / |x_i| (first on ties), δ_i from the copy-and-sort
+/// SlackWith above, or core::GreedyPick::kNoModule.
+size_t PickSlackModule(const core::ModuleSelectionState& state,
+                       const core::ChosenFrequencies& chosen, double delta,
+                       const chain::DiversityRequirement& req);
 
 /// Tokens of each external HT among the chosen modules.
 std::map<chain::TxId, int64_t> HtCounts(const core::ModuleUniverse& mu,
