@@ -71,7 +71,6 @@ void BM_Fig4_IthRs(benchmark::State& state) {
   input.context = &context;
   input.requirement = requirement;
   input.index = &scale.index;
-  input.policy.strict_dtrs = false;
 
   // Build the first i-1 RSs. An individual token can be unsatisfiable
   // once earlier RSs constrain it (the Section-6 motivation for the

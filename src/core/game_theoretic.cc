@@ -17,7 +17,7 @@ common::Result<SelectionResult> GameTheoreticSelector::Select(
   }
   TM_ASSIGN_OR_RETURN(ModuleSelectionState state, InitModuleState(input));
   chain::DiversityRequirement effective =
-      EffectiveRequirement(input.requirement, input.policy);
+      EffectiveRequirement(input.requirement);
 
   SelectionResult result;
 

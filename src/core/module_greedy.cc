@@ -105,13 +105,8 @@ void FreshHtCounts::Choose(ModuleSelectionState* state,
 
 bool ChosenEligible(const ModuleSelectionState& state,
                     const SelectionInput& input) {
-  if (!input.policy.DiversityOnly()) {
-    return CheckCandidate(*state.mu, state.chosen, input.history,
-                          *input.index, input.requirement, input.policy)
-        .eligible;
-  }
   chain::DiversityRequirement effective =
-      EffectiveRequirement(input.requirement, input.policy);
+      EffectiveRequirement(input.requirement);
   TM_CHECK(effective.ell >= 1);
   std::vector<int64_t> counts;
   counts.reserve(state.covered_hts.size());

@@ -11,9 +11,9 @@
 // its own choice: the chosen and remaining modules, integer per-HT token
 // counts of the chosen ones and the list of HTs they cover. Choosing a
 // module costs O(distinct HTs of the module) and unchoosing one
-// O(distinct HTs × covered HTs), with no hashing. Under the default
-// policy a ring's eligibility is the diversity slack of those counts
-// (ChosenEligible), O(covered HTs), with no ring built.
+// O(distinct HTs × covered HTs), with no hashing. A ring's eligibility is
+// the diversity slack of those counts at (c, ℓ+1) (ChosenEligible),
+// O(covered HTs), with no ring built.
 //
 // Phase 1 keeps every module's fresh-HT count current (FreshHtCounts),
 // so its α scan reads one integer per candidate, and stops at the first
@@ -35,6 +35,7 @@
 #include "analysis/context.h"
 #include "chain/types.h"
 #include "common/status.h"
+#include "core/eligibility.h"
 #include "core/modules.h"
 #include "core/selector.h"
 
@@ -105,10 +106,9 @@ class FreshHtCounts {
 };
 
 /// True when the chosen modules of `state` form an eligible ring for
-/// `input`: CheckCandidate(...).eligible. Under a policy that checks
-/// diversity only (EligibilityPolicy::DiversityOnly) the verdict is the
-/// diversity slack of the chosen HT counts at the effective requirement,
-/// in O(covered HTs); the opt-in policies run CheckCandidate.
+/// `input`: the diversity slack of the chosen HT counts at
+/// EffectiveRequirement(input.requirement) is negative. O(covered HTs),
+/// with no ring built.
 bool ChosenEligible(const ModuleSelectionState& state,
                     const SelectionInput& input);
 

@@ -14,7 +14,7 @@ common::Result<SelectionResult> ProgressiveSelector::Select(
   }
   TM_ASSIGN_OR_RETURN(ModuleSelectionState state, InitModuleState(input));
   chain::DiversityRequirement effective =
-      EffectiveRequirement(input.requirement, input.policy);
+      EffectiveRequirement(input.requirement);
 
   SelectionResult result;
 
@@ -26,14 +26,12 @@ common::Result<SelectionResult> ProgressiveSelector::Select(
 
   // Phase 2: close the diversity gap (lines 5-7). δ and every δ_i come
   // from the chosen HT counts plus the candidate's (HT, count) pairs; no
-  // ring is materialized. Under a diversity-only policy δ < 0 is the
-  // eligibility verdict itself.
-  const bool by_slack = input.policy.DiversityOnly();
+  // ring is materialized, and δ < 0 is the eligibility verdict itself.
   SlackScratch scratch;
   while (true) {
     ChosenFrequencies chosen = ChosenFrequenciesOf(state);
     double delta = analysis::DiversitySlack(chosen.sorted, effective);
-    if (by_slack ? delta < 0.0 : ChosenEligible(state, input)) break;
+    if (delta < 0.0) break;
     TickDeadline(input);
     if (DeadlineExpired(input)) {
       return common::Status::Timeout("Progressive budget exhausted");

@@ -6,22 +6,35 @@
 
 namespace tokenmagic::core {
 
+namespace {
+
+/// Multiplier applied to c at each c-relaxation step.
+constexpr double kCGrowth = 1.5;
+/// Subtracted from ℓ at each ℓ-relaxation step.
+constexpr int kEllStep = 1;
+/// Floors: relaxation never crosses these.
+constexpr double kCMax = 16.0;
+constexpr int kEllMin = 1;
+/// Cap on total relaxation steps.
+constexpr int kMaxSteps = 64;
+
+}  // namespace
+
 std::vector<chain::DiversityRequirement> RelaxingSelector::Schedule(
-    const chain::DiversityRequirement& original) const {
+    const chain::DiversityRequirement& original) {
   std::vector<chain::DiversityRequirement> out = {original};
   chain::DiversityRequirement current = original;
   bool relax_c_next = true;
-  for (int step = 0; step < policy_.max_steps; ++step) {
-    bool c_exhausted = current.c >= policy_.c_max;
-    bool ell_exhausted = current.ell <= policy_.ell_min;
+  for (int step = 0; step < kMaxSteps; ++step) {
+    bool c_exhausted = current.c >= kCMax;
+    bool ell_exhausted = current.ell <= kEllMin;
     if (c_exhausted && ell_exhausted) break;
     // Alternate the two knobs, falling back to whichever still has room.
     bool relax_c = relax_c_next ? !c_exhausted : c_exhausted;
     if (relax_c) {
-      current.c = std::min(current.c * policy_.c_growth, policy_.c_max);
+      current.c = std::min(current.c * kCGrowth, kCMax);
     } else {
-      current.ell =
-          std::max(current.ell - policy_.ell_step, policy_.ell_min);
+      current.ell = std::max(current.ell - kEllStep, kEllMin);
     }
     relax_c_next = !relax_c_next;
     out.push_back(current);

@@ -3,7 +3,8 @@
 // relax the diversity requirement by increasing c or decreasing ℓ."
 //
 // RelaxingSelector wraps any inner selector and, on Unsatisfiable, walks
-// a relaxation schedule (alternately scaling c up and stepping ℓ down)
+// one fixed relaxation schedule (alternately scaling c up by 1.5 and
+// stepping ℓ down by 1, to the floors c = 16 and ℓ = 1, at most 64 steps)
 // until the instance becomes feasible or the floor is reached. The
 // requirement actually used is reported so the caller can decide whether
 // the weakened anonymity is acceptable.
@@ -15,19 +16,6 @@
 
 namespace tokenmagic::core {
 
-/// Relaxation schedule policy.
-struct RelaxationPolicy {
-  /// Multiplier applied to c at each c-relaxation step (> 1).
-  double c_growth = 1.5;
-  /// Subtracted from ℓ at each ℓ-relaxation step.
-  int ell_step = 1;
-  /// Floors: relaxation never crosses these.
-  double c_max = 16.0;
-  int ell_min = 1;
-  /// Cap on total relaxation steps.
-  int max_steps = 64;
-};
-
 /// A selection result annotated with the requirement that produced it.
 struct RelaxedSelection {
   SelectionResult result;
@@ -37,8 +25,7 @@ struct RelaxedSelection {
 
 class RelaxingSelector {
  public:
-  RelaxingSelector(const MixinSelector* inner, RelaxationPolicy policy = {})
-      : inner_(inner), policy_(policy) {}
+  explicit RelaxingSelector(const MixinSelector* inner) : inner_(inner) {}
 
   /// Tries the original requirement first, then the schedule. Returns
   /// Unsatisfiable only when even the fully relaxed instance fails.
@@ -47,12 +34,11 @@ class RelaxingSelector {
 
   /// The requirements the schedule would try, in order (including the
   /// original as the first entry). Exposed for tests and UIs.
-  std::vector<chain::DiversityRequirement> Schedule(
-      const chain::DiversityRequirement& original) const;
+  static std::vector<chain::DiversityRequirement> Schedule(
+      const chain::DiversityRequirement& original);
 
  private:
   const MixinSelector* inner_;
-  RelaxationPolicy policy_;
 };
 
 }  // namespace tokenmagic::core

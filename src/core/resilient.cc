@@ -10,6 +10,7 @@
 #include "core/bfs.h"
 #include "core/modules.h"
 #include "core/progressive.h"
+#include "core/relaxing.h"
 
 namespace tokenmagic::core {
 
@@ -84,8 +85,7 @@ common::Result<ResilientSelection> ResilientSelector::SelectWithReport(
   if (clock == nullptr && input.deadline != nullptr) {
     clock = input.deadline->clock();
   }
-  common::Deadline overall(options_.total_budget_seconds,
-                           options_.total_iteration_budget, clock,
+  common::Deadline overall(options_.total_budget_seconds, 0, clock,
                            input.deadline);
 
   DegradationReport report;
@@ -117,23 +117,13 @@ common::Result<ResilientSelection> ResilientSelector::SelectWithReport(
     SelectionResult selected;
     chain::DiversityRequirement satisfied = input.requirement;
     Status status = Status::OK();
-    if (options_.allow_relaxation) {
-      RelaxingSelector relaxing(stage_selector, options_.relaxation);
-      auto result = relaxing.Select(attempt, rng);
-      if (result.ok()) {
-        satisfied = result->used_requirement;
-        record.relaxation_steps = result->relaxation_steps;
-        selected = std::move(result->result);
-      } else {
-        status = result.status();
-      }
+    auto relaxed = RelaxingSelector(stage_selector).Select(attempt, rng);
+    if (relaxed.ok()) {
+      satisfied = relaxed->used_requirement;
+      record.relaxation_steps = relaxed->relaxation_steps;
+      selected = std::move(relaxed->result);
     } else {
-      auto result = stage_selector->Select(attempt, rng);
-      if (result.ok()) {
-        selected = std::move(result).value();
-      } else {
-        status = result.status();
-      }
+      status = relaxed.status();
     }
     record.seconds_spent = stage_deadline.ElapsedSeconds();
     record.iterations = stage_deadline.iterations_used();

@@ -8,8 +8,9 @@
 // deadline, carving a per-stage budget out of whatever remains. A stage
 // that times out or reports Unsatisfiable hands the instance (and the
 // unspent budget) to the next stage; within a stage, Unsatisfiable
-// triggers retry-with-relaxation along the Section-4 schedule
-// (core/relaxing.h).
+// always triggers retry-with-relaxation along the Section-4 schedule
+// (core/relaxing.h). The ladder's only settings are its wall budget and
+// clock; an iteration budget rides on the input's deadline.
 //
 // The selector never degrades silently: every Select is accompanied by a
 // structured DegradationReport naming the stage that produced the ring,
@@ -25,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "core/relaxing.h"
 #include "core/selector.h"
 
 namespace tokenmagic::core {
@@ -70,11 +70,6 @@ struct ResilientOptions {
   /// Overall wall budget across all stages (0 = rely on the instance
   /// deadline / unlimited).
   double total_budget_seconds = 0.0;
-  /// Overall iteration budget across all stages (0 = unlimited).
-  uint64_t total_iteration_budget = 0;
-  /// Retry Unsatisfiable stages with the Section-4 relaxation schedule.
-  bool allow_relaxation = true;
-  RelaxationPolicy relaxation;
   /// Clock injected into the overall deadline (tests use ManualClock).
   const common::Clock* clock = nullptr;
 };

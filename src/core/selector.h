@@ -12,7 +12,6 @@
 #include "common/deadline.h"
 #include "common/rng.h"
 #include "common/status.h"
-#include "core/eligibility.h"
 
 namespace tokenmagic::analysis {
 class AnalysisContext;
@@ -57,7 +56,6 @@ struct SelectionInput {
   // tm-borrows(caller): owned by the caller's batch snapshot alongside
   // the `history` storage it was interned from.
   const analysis::AnalysisContext* context = nullptr;
-  EligibilityPolicy policy;
   /// Keep-alive for the snapshot `universe`, `history`, and `context`
   /// point into. Producers with a reseatable snapshot cache
   /// (node::Node::InstanceFor) set this so an update that

@@ -33,12 +33,6 @@ std::string HistogramJson(const common::Histogram& h) {
       static_cast<long long>(h.Max()));
 }
 
-core::ResilientOptions WithClock(core::ResilientOptions options,
-                                 const common::Clock* clock) {
-  if (options.clock == nullptr) options.clock = clock;
-  return options;
-}
-
 }  // namespace
 
 std::string ServerStats::ToJson() const {
@@ -82,7 +76,9 @@ Server::Server(NodeHost* host, const node::Node* node, ServerConfig config)
       config_(std::move(config)),
       clock_(config_.clock != nullptr ? config_.clock
                                       : common::SteadyClock::Instance()),
-      resilient_(WithClock(config_.resilient, clock_)),
+      // The default ladder; per-request budgets ride on input.deadline.
+      resilient_(core::ResilientOptions{/*total_budget_seconds=*/0.0,
+                                        clock_}),
       queue_(config_.queue_capacity, config_.workers) {
   TM_CHECK(node != nullptr);
   TM_CHECK(!config_.socket_path.empty());
@@ -304,7 +300,6 @@ Response Server::ProcessSelect(const Request& request, int64_t admitted_nanos,
   common::Deadline deadline(remaining_seconds, request.iteration_budget,
                             clock_);
   core::SelectionInput& input = instance.value();
-  input.policy = config_.policy;
   input.deadline = &deadline;
   const bool index_cold = !core::ModuleIndexBuilt(*input.context);
 

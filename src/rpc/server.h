@@ -23,7 +23,7 @@
 // `workers` is therefore the number of concurrent selections; each slot
 // owns one deterministic rng stream. Queued and inline Selects run the
 // same RunSelect: re-anchor the request's deadline budget (queue wait
-// already spent counts against it) and run the resilient selector
+// already spent counts against it) and run the default resilient selector
 // ladder over the node's shared per-batch analysis snapshot.
 //
 // Deadline propagation: the client's deadline_millis is an end-to-end
@@ -67,7 +67,6 @@
 #include "common/mutex.h"
 #include "common/rng.h"
 #include "common/status.h"
-#include "core/eligibility.h"
 #include "core/resilient.h"
 #include "node/node.h"
 #include "rpc/bounded_queue.h"
@@ -95,11 +94,6 @@ struct ServerConfig {
   uint32_t default_deadline_millis = 250;
   /// Ceiling clamped onto every request budget.
   uint32_t max_deadline_millis = 5000;
-  /// Eligibility policy threaded into every selection.
-  core::EligibilityPolicy policy;
-  /// Resilient-ladder options (per-request deadlines ride on the input,
-  /// so totals here are usually left unlimited).
-  core::ResilientOptions resilient;
   /// Seed for the per-slot selection rngs.
   uint64_t seed = 1;
   /// Clock for deadlines and latency accounting (tests inject).

@@ -163,6 +163,17 @@ TEST(PracticalDtrsTest, HighSubsetCountActivatesPsiChecks) {
   EXPECT_FALSE(PracticalDtrsDiversityHolds(std::vector<TokenId>{1, 2, 3, 4}, 4, idx, {1.0, 3}));
 }
 
+TEST(PracticalDtrsTest, RingCoveringThreeRsActivatesPsiChecks) {
+  // A ring that is one super RS shared by three history RSs has v = 4 >=
+  // |r| - |T̃| + 1 = 3, so every ψ set (2 tokens, 2 HTs) is a DTRS:
+  // (1, 2) fails (1 < 1*1 does not hold), (2, 1) holds (1 < 2*2).
+  HtIndex idx = IdentityIndex({1, 2, 3});
+  EXPECT_FALSE(PracticalDtrsDiversityHolds(std::vector<TokenId>{1, 2, 3}, 4,
+                                           idx, {1.0, 2}));
+  EXPECT_TRUE(PracticalDtrsDiversityHolds(std::vector<TokenId>{1, 2, 3}, 4,
+                                          idx, {2.0, 1}));
+}
+
 TEST(PracticalDtrsTest, HomogeneousRsFailsWhenDtrsExists) {
   HtIndex idx;
   for (TokenId t : {1, 2, 3}) idx.Set(t, 7);

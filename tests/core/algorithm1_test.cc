@@ -171,8 +171,7 @@ TEST(Algorithm1Test, LiquidityGuardBlocksDrainingUniverse) {
   // has i = 1 and mu = 0: 1 >= 3 fails. With eta = 0 the same instance
   // passes, so the block is the liquidity rule's and not the selector's.
   BatchInstance batch(4, {});
-  SelectionInput input = batch.Instance(0, {2.0, 2});
-  input.policy.strict_dtrs = false;
+  SelectionInput input = batch.Instance(0, {2.0, 1});
   ProgressiveSelector progressive;
   common::Rng rng(5);
   EXPECT_TRUE(Algorithm1Selector(progressive, 1.0)

@@ -58,9 +58,8 @@ struct Fixture {
     history = {View(0, {1, 2}), View(1, {3, 4})};
     input.universe = universe;
     input.history = history;
-    input.requirement = {2.0, 2};
+    input.requirement = {2.0, 1};
     input.index = &index;
-    input.policy.strict_dtrs = false;
     test_support::AttachContext(&input);
   }
 };
@@ -479,14 +478,15 @@ struct ExitCounts {
   size_t slack_steps = 0, slack_at_bound = 0;
 };
 
-/// Algorithm 4 driven by the oracle's full scans, with CheckCandidate as
-/// the stopping test. At every step the kernel's pick on the same state
-/// must name the same module; `counts` records where it stopped early.
+/// Algorithm 4 driven by the oracle's full scans, with
+/// oracle::CheckCandidate as the stopping test. At every step the
+/// kernel's pick on the same state must name the same module; `counts`
+/// records where it stopped early.
 /// Returns the chosen modules in choice order, or the selector's status.
 common::Result<std::vector<size_t>> OracleProgressive(
     const SelectionInput& input, ExitCounts* counts) {
   chain::DiversityRequirement effective =
-      EffectiveRequirement(input.requirement, input.policy);
+      EffectiveRequirement(input.requirement);
   auto state = InitModuleState(input);
   if (!state.ok()) return state.status();
   const size_t ell = static_cast<size_t>(effective.ell);
@@ -508,9 +508,8 @@ common::Result<std::vector<size_t>> OracleProgressive(
   const bool exact = analysis::SlackIsExact(
       effective.c, static_cast<int64_t>(state->mu->token_count()));
   SlackScratch scratch;
-  while (!CheckCandidate(*state->mu, state->chosen, input.history,
-                         *input.index, input.requirement, input.policy)
-              .eligible) {
+  while (!oracle::CheckCandidate(*state->mu, state->chosen, *input.index,
+                                 input.requirement)) {
     ChosenFrequencies chosen = ChosenFrequenciesOf(*state);
     double delta = analysis::DiversitySlack(chosen.sorted, effective);
     EXPECT_GE(delta, 0.0);
@@ -531,8 +530,9 @@ common::Result<std::vector<size_t>> OracleProgressive(
 
 // The early exits against the full scans: over 240 seeded universes (a
 // quarter without fresh tokens, where no module reaches α == 1) at
-// c in {0.5, 0.6, 1.0, 1.5, 2.0, 3.0} and ℓ from 1 to 40 (strict DTRS on
-// and off), every phase-1 and phase-2 pick equals the full scan's, and
+// c in {0.5, 0.6, 1.0, 1.5, 2.0, 3.0} and an effective ℓ (the ℓ + 1 the
+// rule tests) from 2 to 41, every phase-1 and phase-2 pick equals the
+// full scan's, and
 // ProgressiveSelector returns the oracle run's modules in the same order
 // and the same members. Each exit must have fired in some trials and
 // scanned to the end in others.
@@ -548,9 +548,8 @@ TEST(EarlyExitTest, PicksMatchFullScans) {
     bool wide = trial % 3 != 0;
     RandomInstance fx(&rng, wide ? 160 : 40, wide ? 80 : 12,
                       /*no_fresh=*/trial % 4 == 3);
-    fx.input.requirement = {kCs[trial % 6],
-                            1 + static_cast<int>(rng.NextBounded(40))};
-    fx.input.policy.strict_dtrs = rng.NextBounded(2) == 0;
+    const int effective_ell = 2 + static_cast<int>(rng.NextBounded(40));
+    fx.input.requirement = {kCs[trial % 6], effective_ell - 1};
 
     ExitCounts counts;
     auto expected = OracleProgressive(fx.input, &counts);
@@ -581,10 +580,10 @@ TEST(EarlyExitTest, PicksMatchFullScans) {
   EXPECT_GT(slack_full_trials, 0u);
 }
 
-// The count-based verdict against CheckCandidate: along random walks that
-// flip one non-target module at a time, ChosenEligible equals the
-// materialized ring's verdict after every flip, at every c of the suite
-// above, with strict DTRS on and off. Both verdicts must occur.
+// The count-based verdict against oracle::CheckCandidate: along random
+// walks that flip one non-target module at a time, ChosenEligible equals
+// the materialized ring's verdict after every flip, at every c of the
+// suite above and an effective ℓ from 2 to 13. Both verdicts must occur.
 TEST(ChosenEligibleTest, MatchesCheckCandidateAfterEveryFlip) {
   common::Rng rng(20261023);
   const double kCs[] = {0.5, 0.6, 1.0, 1.5, 2.0, 3.0};
@@ -593,18 +592,16 @@ TEST(ChosenEligibleTest, MatchesCheckCandidateAfterEveryFlip) {
     SCOPED_TRACE(trial);
     bool wide = trial % 2 == 1;
     RandomInstance fx(&rng, wide ? 120 : 40, wide ? 60 : 12);
-    fx.input.requirement = {
-        kCs[trial % 6], 1 + static_cast<int>(rng.NextBounded(wide ? 12 : 4))};
-    fx.input.policy.strict_dtrs = rng.NextBounded(2) == 0;
+    const int effective_ell =
+        2 + static_cast<int>(rng.NextBounded(wide ? 12 : 4));
+    fx.input.requirement = {kCs[trial % 6], effective_ell - 1};
     auto state = InitModuleState(fx.input);
     ASSERT_TRUE(state.ok());
     const size_t modules = state->mu->module_count();
     for (int flip = 0; flip <= 48 && modules > 1; ++flip) {
       SCOPED_TRACE(flip);
-      bool expected =
-          CheckCandidate(*state->mu, state->chosen, fx.input.history,
-                         fx.index, fx.input.requirement, fx.input.policy)
-              .eligible;
+      bool expected = oracle::CheckCandidate(*state->mu, state->chosen,
+                                             fx.index, fx.input.requirement);
       ASSERT_EQ(ChosenEligible(*state, fx.input), expected);
       ++(expected ? eligible : ineligible);
 

@@ -134,9 +134,7 @@ TEST(ModuleIndexTest, LadderStagesAndRelaxationStepsShareTheSealIndex) {
   SmallestSelector smallest;
   RecordingStage declining(nullptr, "TM_P");
   RecordingStage recording_smallest(&smallest, "TM_S");
-  ResilientOptions options;
-  options.allow_relaxation = true;
-  ResilientSelector ladder({&declining, &recording_smallest}, options);
+  ResilientSelector ladder({&declining, &recording_smallest});
 
   SelectionInput input = fx.Input(&view);
   common::Rng rng(5);

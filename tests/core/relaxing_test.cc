@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/diversity.h"
+#include "core/eligibility.h"
 #include "core/progressive.h"
 #include "support/snapshot.h"
 
@@ -28,45 +30,46 @@ SelectionInput TwoHtInput(const chain::HtIndex* idx,
   input.universe = kUniverse;
   input.requirement = req;
   input.index = idx;
-  input.policy.strict_dtrs = false;
   AttachContext(&input);
   return input;
 }
 
 TEST(RelaxingTest, NoRelaxationWhenFeasible) {
   chain::HtIndex idx = TwoHtIndex();
-  // (3.0, 2): feasible directly.
-  SelectionInput input = TwoHtInput(&idx, {3.0, 2});
+  // (3.0, 1), tested at (3.0, 2): feasible directly.
+  SelectionInput input = TwoHtInput(&idx, {3.0, 1});
   ProgressiveSelector inner;
   RelaxingSelector relaxing(&inner);
   common::Rng rng(1);
   auto result = relaxing.Select(input, &rng);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->relaxation_steps, 0);
-  EXPECT_EQ(result->used_requirement, (DiversityRequirement{3.0, 2}));
+  EXPECT_EQ(result->used_requirement, (DiversityRequirement{3.0, 1}));
 }
 
 TEST(RelaxingTest, RelaxesEllWhenUniverseTooNarrow) {
   chain::HtIndex idx = TwoHtIndex();
-  // ell = 4 can never be met (only 2 HTs exist); the schedule must step
-  // ell down (and c up) until feasible.
-  SelectionInput input = TwoHtInput(&idx, {3.0, 4});
+  // ell = 3, tested at 4, can never be met (only 2 HTs exist); the
+  // schedule must step ell down (and c up) until feasible.
+  SelectionInput input = TwoHtInput(&idx, {3.0, 3});
   ProgressiveSelector inner;
   RelaxingSelector relaxing(&inner);
   common::Rng rng(1);
   auto result = relaxing.Select(input, &rng);
   ASSERT_TRUE(result.ok());
   EXPECT_GT(result->relaxation_steps, 0);
-  EXPECT_LE(result->used_requirement.ell, 2);
-  // The returned members satisfy the relaxed requirement.
+  EXPECT_LE(EffectiveRequirement(result->used_requirement).ell, 2);
+  // The returned members satisfy the relaxed requirement's rule.
   EXPECT_TRUE(analysis::SatisfiesRecursiveDiversity(
-      result->result.members, idx, result->used_requirement));
+      result->result.members, idx,
+      EffectiveRequirement(result->used_requirement)));
 }
 
 TEST(RelaxingTest, RelaxesCWhenTooTight) {
   chain::HtIndex idx = TwoHtIndex();
-  // (0.01, 2): ell is attainable but c makes it unsatisfiable: relax c.
-  SelectionInput input = TwoHtInput(&idx, {0.01, 2});
+  // (0.01, 1), tested at (0.01, 2): ell is attainable but c makes it
+  // unsatisfiable: relax c.
+  SelectionInput input = TwoHtInput(&idx, {0.01, 1});
   ProgressiveSelector inner;
   RelaxingSelector relaxing(&inner);
   common::Rng rng(1);
@@ -76,23 +79,19 @@ TEST(RelaxingTest, RelaxesCWhenTooTight) {
 }
 
 TEST(RelaxingTest, UnsatisfiableAtFloorIsReported) {
-  // One single HT: even (c_max, 1) cannot produce q1 < c*q1 with a lone
-  // HT... actually (c>1, 1) gives q1 < c*q1 which holds. So use an empty
-  // mixin structure trick: requirement floor ell_min=2 with 1 HT.
+  // One single HT: the schedule's floor is ℓ = 1, which the rule tests at
+  // ℓ = 2, so every step needs two HTs and none succeeds.
   chain::HtIndex idx;
   for (TokenId t = 1; t <= 3; ++t) idx.Set(t, 100);
   SelectionInput input;
   input.target = 1;
   std::vector<TokenId> universe = {1, 2, 3};
   input.universe = universe;
-  input.requirement = {0.5, 4};
+  input.requirement = {0.5, 3};
   input.index = &idx;
-  input.policy.strict_dtrs = false;
   AttachContext(&input);
   ProgressiveSelector inner;
-  RelaxationPolicy policy;
-  policy.ell_min = 2;  // never reaches the trivially-satisfiable ell=1
-  RelaxingSelector relaxing(&inner, policy);
+  RelaxingSelector relaxing(&inner);
   common::Rng rng(1);
   auto result = relaxing.Select(input, &rng);
   EXPECT_FALSE(result.ok());
@@ -100,26 +99,22 @@ TEST(RelaxingTest, UnsatisfiableAtFloorIsReported) {
 }
 
 TEST(RelaxingTest, ScheduleAlternatesAndRespectsFloors) {
-  ProgressiveSelector inner;
-  RelaxationPolicy policy;
-  policy.c_growth = 2.0;
-  policy.c_max = 4.0;
-  policy.ell_min = 1;
-  RelaxingSelector relaxing(&inner, policy);
-  auto schedule = relaxing.Schedule({1.0, 3});
-  ASSERT_GE(schedule.size(), 4u);
-  EXPECT_EQ(schedule[0], (DiversityRequirement{1.0, 3}));
-  // First step relaxes c, second relaxes ell, alternating.
-  EXPECT_DOUBLE_EQ(schedule[1].c, 2.0);
-  EXPECT_EQ(schedule[1].ell, 3);
-  EXPECT_EQ(schedule[2].ell, 2);
-  for (const auto& req : schedule) {
-    EXPECT_LE(req.c, policy.c_max);
-    EXPECT_GE(req.ell, policy.ell_min);
+  auto schedule = RelaxingSelector::Schedule({1.0, 3});
+  // c grows by 1.5 and ℓ steps down by 1, alternating and c first, until
+  // ℓ reaches its floor of 1...
+  const std::vector<DiversityRequirement> head = {
+      {1.0, 3}, {1.5, 3}, {1.5, 2}, {2.25, 2}, {2.25, 1}, {3.375, 1}};
+  ASSERT_GE(schedule.size(), head.size());
+  for (size_t i = 0; i < head.size(); ++i) {
+    EXPECT_EQ(schedule[i], head[i]) << "step " << i;
   }
-  // Terminates: last entry is at both floors.
-  EXPECT_DOUBLE_EQ(schedule.back().c, 4.0);
-  EXPECT_EQ(schedule.back().ell, 1);
+  // ...then only c grows, to its floor of 16, where the schedule ends.
+  for (size_t i = 1; i < schedule.size(); ++i) {
+    EXPECT_GE(schedule[i].c, schedule[i - 1].c);
+    EXPECT_LE(schedule[i].c, 16.0);
+    EXPECT_GE(schedule[i].ell, 1);
+  }
+  EXPECT_EQ(schedule.back(), (DiversityRequirement{16.0, 1}));
 }
 
 TEST(RelaxingTest, NonUnsatisfiableErrorsPassThrough) {

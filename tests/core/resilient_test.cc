@@ -62,11 +62,8 @@ struct RandomInstance {
     input.history = history;
     input.target = 1 + rng->NextBounded(num_tokens);
     input.requirement = {1.0 + rng->NextDouble(),
-                         2 + static_cast<int>(rng->NextBounded(4))};
+                         1 + static_cast<int>(rng->NextBounded(4))};
     input.index = &index;
-    input.policy.strict_dtrs = false;
-    input.policy.check_dtrs_explicitly = false;
-    input.policy.check_immutability = false;
     test_support::AttachContext(&input);
   }
 };
@@ -94,11 +91,8 @@ struct HardInstance {
     input.universe = universe;
     input.history = history;
     input.target = 1;
-    input.requirement = {1.0, 10};
+    input.requirement = {1.0, 9};  // module stages test (1, 10)
     input.index = &index;
-    input.policy.strict_dtrs = false;
-    input.policy.check_dtrs_explicitly = false;
-    input.policy.check_immutability = false;
     test_support::AttachContext(&input);
   }
 };
@@ -113,11 +107,13 @@ TEST(ResilientSelectorTest, PropertyValidRingOrTypedError) {
     // Budgets keep exponential stages bounded (each BFS candidate can
     // trigger family-wide DTRS analysis, so the wall budget matters as
     // much as the tick budget); Timeout is an acceptable property
-    // outcome.
+    // outcome. The iteration budget rides on the input's deadline, as a
+    // request's does.
     ResilientOptions options;
     options.total_budget_seconds = 0.25;
-    options.total_iteration_budget = 20000;
     ResilientSelector selector(options);
+    common::Deadline iterations(0.0, 20000);
+    inst.input.deadline = &iterations;
     common::Rng rng(static_cast<uint64_t>(trial) + 1);
     auto selection = selector.SelectWithReport(inst.input, &rng);
     if (!selection.ok()) {
@@ -228,16 +224,25 @@ TEST(ResilientSelectorTest, IterationBudgetIsDeterministic) {
   EXPECT_EQ(budget.iterations_used(), 50u);
 }
 
-// A custom single-stage ladder that cannot satisfy the instance surfaces
-// Unsatisfiable (not a silent weaker ring) when relaxation is disabled.
+// A custom single-stage ladder that cannot satisfy the instance at any
+// step of the relaxation schedule surfaces Unsatisfiable, not a silent
+// weaker ring.
 TEST(ResilientSelectorTest, UnsatisfiableWithoutRelaxationIsTyped) {
-  HardInstance inst;  // ell=10 with only 6 HTs: unsatisfiable as posed
+  // One HT: the schedule's floor ℓ = 1 is tested at ℓ = 2, so no step of
+  // it can be met.
+  chain::HtIndex index;
+  std::vector<TokenId> universe = {1, 2, 3, 4};
+  for (TokenId t : universe) index.Set(t, 100);
+  SelectionInput input;
+  input.universe = universe;
+  input.target = 3;
+  input.requirement = {1.0, 3};
+  input.index = &index;
+  test_support::AttachContext(&input);
   ProgressiveSelector progressive;
-  ResilientOptions options;
-  options.allow_relaxation = false;
-  ResilientSelector selector({&progressive}, options);
+  ResilientSelector selector({&progressive});
   common::Rng rng(3);
-  auto selection = selector.SelectWithReport(inst.input, &rng);
+  auto selection = selector.SelectWithReport(input, &rng);
   ASSERT_FALSE(selection.ok());
   EXPECT_TRUE(selection.status().IsUnsatisfiable())
       << selection.status().ToString();

@@ -3,6 +3,7 @@
 #include <memory>
 #include <string>
 
+#include "analysis/diversity.h"
 #include "core/baselines.h"
 #include "core/bfs.h"
 #include "core/game_theoretic.h"
@@ -34,7 +35,8 @@ RsView View(chain::RsId id, std::vector<TokenId> members) {
 /// Paper Example 3 fixture.
 /// s1={t1..t6}, s2={t7..t10}, s3={t11,t12}, s4={t13..t15}.
 /// HTs: h1:{1,2,7,8}, h2:{3,4,9}, h3:{5,13,14}, h6:{6,10}, h4:{11,15},
-/// h5:{12}. Target t11, recursive (1,4)-diversity.
+/// h5:{12}. Target t11, recursive (1,4)-diversity: the selectors test
+/// (c, ℓ+1), so the instance requests (1, 3).
 struct Example3 {
   SelectionInput input;
   chain::HtIndex index;
@@ -64,13 +66,8 @@ struct Example3 {
                View(3, {11, 12}), View(4, {13, 14, 15})};
     input.universe = universe;
     input.history = history;
-    input.requirement = {1.0, 4};
+    input.requirement = {1.0, 3};
     input.index = &index;
-    // The worked example applies the raw requirement with no extra
-    // configuration checks.
-    input.policy.strict_dtrs = false;
-    input.policy.check_dtrs_explicitly = false;
-    input.policy.check_immutability = false;
     AttachContext(&input);
   }
 };
@@ -139,7 +136,7 @@ TEST(SelectorsTest, ResultsSatisfyTheRequirement) {
     auto result = selector->Select(fx.input, &rng);
     ASSERT_TRUE(result.ok()) << selector->name();
     EXPECT_TRUE(analysis::SatisfiesRecursiveDiversity(
-        result->members, fx.index, fx.input.requirement))
+        result->members, fx.index, EffectiveRequirement(fx.input.requirement)))
         << selector->name();
   }
 }
@@ -164,9 +161,8 @@ TEST(SelectorsTest, UnsatisfiableUniverseReported) {
   input.target = 1;
   std::vector<TokenId> universe = {1, 2, 3, 4, 5};
   input.universe = universe;
-  input.requirement = {1.0, 4};
+  input.requirement = {1.0, 3};  // tested at (1, 4)
   input.index = &idx;
-  input.policy.strict_dtrs = false;
   AttachContext(&input);
   common::Rng rng(1);
   ProgressiveSelector progressive;
@@ -221,9 +217,8 @@ TEST(SmallestTest, PrefersSmallModules) {
   input.universe = universe;
   std::vector<RsView> history = {View(0, {5, 6, 7, 8, 9, 10})};
   input.history = history;  // one big super RS
-  input.requirement = {2.0, 3};
+  input.requirement = {2.0, 2};  // tested at (2, 3)
   input.index = &idx;
-  input.policy.strict_dtrs = false;
   AttachContext(&input);
   common::Rng rng(1);
   SmallestSelector selector;
@@ -284,9 +279,8 @@ TEST(GameTheoreticTest, FallsBackToFeasibleProfileOnNonMonotoneInstance) {
   std::vector<RsView> history = {View(0, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9})};
   input.history = history;
   input.target = 12;
-  input.requirement = {1.0, 4};
+  input.requirement = {1.0, 3};  // tested at (1, 4)
   input.index = &idx;
-  input.policy.strict_dtrs = false;
   AttachContext(&input);
   // Whole universe: q1 = 12, tail(4) = sum of ranks >= 4 over 9 HTs of
   // frequency 1 => 12 < 1*6? No: infeasible. Subset of singletons only:
@@ -296,7 +290,7 @@ TEST(GameTheoreticTest, FallsBackToFeasibleProfileOnNonMonotoneInstance) {
   auto result = game.Select(input, &rng);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(analysis::SatisfiesRecursiveDiversity(
-      result->members, idx, input.requirement));
+      result->members, idx, EffectiveRequirement(input.requirement)));
   // The dominant super RS must have been left out.
   EXPECT_FALSE(std::binary_search(result->members.begin(),
                                   result->members.end(), TokenId{0}));

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/chain_reaction.h"
+#include "analysis/diversity.h"
 #include "analysis/homogeneity.h"
 #include "core/progressive.h"
 #include "core/game_theoretic.h"

@@ -9,6 +9,7 @@
 #include "analysis/diversity.h"
 #include "analysis/dtrs.h"
 #include "core/baselines.h"
+#include "core/eligibility.h"
 #include "core/game_theoretic.h"
 #include "core/progressive.h"
 #include "data/synthetic.h"
@@ -176,6 +177,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TheoremSweep,
 // Selector-level properties on synthetic datasets.
 class SelectorPropertySweep : public ::testing::TestWithParam<uint64_t> {};
 
+// Theorems 6.4 and 6.3 on the rings the selectors build under their one
+// rule, checked after selection: the ring satisfies (c, ℓ+1), so every
+// ψ-set DTRS of it is (c, ℓ)-diverse at v = 1 + the history RSs it
+// covers; and every covered RS that meets its own (c_r, ℓ_r+1) keeps
+// (c_r, ℓ_r)-diverse DTRSs at that v (immutability). A covered RS that
+// fails its own (c_r, ℓ_r+1) is skipped: the node's verifier never admits
+// one, but the synthetic history, declared at (1, 1), holds some.
 TEST_P(SelectorPropertySweep, SelectionsSatisfyAllPracticalConstraints) {
   data::SyntheticParams params;
   params.num_super_rs = 15;
@@ -193,9 +201,6 @@ TEST_P(SelectorPropertySweep, SelectionsSatisfyAllPracticalConstraints) {
   input.requirement = {1.0, 6};
   input.index = &ds.index;
   test_support::AttachContext(&input);
-  input.policy.check_dtrs_explicitly = true;
-  input.policy.check_immutability = true;
-  input.target = ds.UnspentTokens()[rng.NextBounded(20)];
 
   core::ProgressiveSelector progressive;
   core::GameTheoreticSelector game;
@@ -203,32 +208,60 @@ TEST_P(SelectorPropertySweep, SelectionsSatisfyAllPracticalConstraints) {
   core::RandomSelector random;
   std::vector<const core::MixinSelector*> selectors = {
       &progressive, &game, &smallest, &random};
-  for (const auto* selector : selectors) {
-    auto result = selector->Select(input, &rng);
-    if (!result.ok()) {
-      EXPECT_TRUE(result.status().IsUnsatisfiable()) << selector->name();
-      continue;
-    }
-    // (c, ell+1) holds (strict mode), hence (c, ell) holds too.
-    EXPECT_TRUE(analysis::SatisfiesRecursiveDiversity(
-        result->members, ds.index, {1.0, 7}))
-        << selector->name() << " seed " << GetParam();
-    EXPECT_TRUE(std::binary_search(result->members.begin(),
-                                   result->members.end(), input.target));
-    // First practical configuration: the result is a union of whole
-    // modules — every history RS is inside or outside, never split.
-    for (const auto& view : ds.history) {
-      size_t inside = 0;
-      for (TokenId t : view.members) {
-        if (std::binary_search(result->members.begin(),
-                               result->members.end(), t)) {
-          ++inside;
-        }
+  const std::vector<TokenId> unspent = ds.UnspentTokens();
+  size_t rings = 0, covered_checks = 0;
+  for (size_t k = 0; k < 20 && k < unspent.size(); ++k) {
+    input.target = unspent[k];
+    for (const auto* selector : selectors) {
+      auto result = selector->Select(input, &rng);
+      if (!result.ok()) {
+        EXPECT_TRUE(result.status().IsUnsatisfiable()) << selector->name();
+        continue;
       }
-      EXPECT_TRUE(inside == 0 || inside == view.members.size())
-          << selector->name() << " split rs " << view.id;
+      ++rings;
+      const std::vector<TokenId>& members = result->members;
+      SCOPED_TRACE(testing::Message() << selector->name() << " seed "
+                                      << GetParam() << " target "
+                                      << input.target);
+      // (c, ℓ+1) holds, hence (c, ℓ) holds too.
+      EXPECT_TRUE(
+          analysis::SatisfiesRecursiveDiversity(members, ds.index, {1.0, 7}));
+      EXPECT_TRUE(
+          std::binary_search(members.begin(), members.end(), input.target));
+      // First practical configuration: the result is a union of whole
+      // modules — every history RS is inside or outside, never split.
+      std::vector<const RsView*> covered;
+      for (const auto& view : ds.history) {
+        size_t inside = 0;
+        for (TokenId t : view.members) {
+          if (std::binary_search(members.begin(), members.end(), t)) {
+            ++inside;
+          }
+        }
+        EXPECT_TRUE(inside == 0 || inside == view.members.size())
+            << "split rs " << view.id;
+        if (inside == view.members.size()) covered.push_back(&view);
+      }
+      const size_t v = 1 + covered.size();
+      // Theorem 6.4: no DTRS check is needed at selection.
+      EXPECT_TRUE(analysis::PracticalDtrsDiversityHolds(members, v, ds.index,
+                                                        input.requirement));
+      // Immutability: no re-check of covered RSs is needed either.
+      for (const RsView* view : covered) {
+        if (!analysis::SatisfiesRecursiveDiversity(
+                view->members, ds.index,
+                core::EffectiveRequirement(view->requirement))) {
+          continue;
+        }
+        ++covered_checks;
+        EXPECT_TRUE(analysis::PracticalDtrsDiversityHolds(
+            view->members, v, ds.index, view->requirement))
+            << "covered rs " << view->id;
+      }
     }
   }
+  EXPECT_GT(rings, 0u);
+  EXPECT_GT(covered_checks, 0u);
 }
 
 // Theorem 6.7 (PoA proof, intermediate bound): the converged RS obeys
@@ -245,15 +278,16 @@ TEST_P(SelectorPropertySweep, GameRespectsTheorem67SizeBound) {
   data::Dataset ds = data::MakeSyntheticDataset(params);
   common::Rng rng(GetParam() * 13 + 1);
 
-  chain::DiversityRequirement req{1.0, 8};
+  // The game plays to the requirement the rule tests, (c, ℓ+1), so the
+  // bound is stated at that ℓ: a request at (1, 7) plays to (1, 8).
+  const chain::DiversityRequirement req =
+      core::EffectiveRequirement({1.0, 7});
   core::SelectionInput input;
   input.universe = ds.universe;
   input.history = ds.history;
-  input.requirement = req;
+  input.requirement = {1.0, 7};
   input.index = &ds.index;
   test_support::AttachContext(&input);
-  // The bound is stated for the raw requirement (no strict-mode bump).
-  input.policy.strict_dtrs = false;
   input.target = ds.UnspentTokens()[0];
 
   core::GameTheoreticSelector game;

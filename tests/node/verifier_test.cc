@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/diversity.h"
 #include "core/progressive.h"
 #include "node/node.h"
 #include "node/wallet.h"

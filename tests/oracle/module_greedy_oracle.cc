@@ -23,6 +23,15 @@ std::vector<chain::TokenId> Members(const core::ModuleUniverse& mu,
 
 }  // namespace
 
+bool CheckCandidate(const core::ModuleUniverse& mu,
+                    const std::vector<size_t>& chosen,
+                    const chain::HtIndex& index,
+                    const chain::DiversityRequirement& req) {
+  return analysis::SatisfiesRecursiveDiversity(
+      core::MaterializeCandidate(mu, chosen), index,
+      core::EffectiveRequirement(req));
+}
+
 double SlackOf(const core::ModuleUniverse& mu,
                const std::vector<size_t>& chosen,
                const chain::HtIndex& index,

@@ -3,13 +3,14 @@
 // randomized equivalence suite.
 //
 // The selectors keep integer per-HT token counts of the chosen modules and
-// derive each candidate's fresh-HT count and diversity slack from them.
-// The oracles below re-derive the same quantities the direct way on every
-// call: materialize the ring, push every token through HtIndex::HtOf, and
-// count in fresh hash containers. SlackWith keeps the kernel's former
-// copy-and-sort δ_i as a second reference on the same ChosenFrequencies,
-// and the Pick* functions keep the greedy steps' former full scans, which
-// visit every remaining module however early the best one comes.
+// derive each candidate's fresh-HT count, diversity slack and eligibility
+// from them. The oracles below re-derive the same quantities the direct
+// way on every call: materialize the ring, push every token through
+// HtIndex::HtOf, and count in fresh hash containers. SlackWith keeps the
+// kernel's former copy-and-sort δ_i as a second reference on the same
+// ChosenFrequencies, and the Pick* functions keep the greedy steps'
+// former full scans, which visit every remaining module however early
+// the best one comes.
 #pragma once
 
 #include <cstddef>
@@ -24,6 +25,15 @@
 #include "core/modules.h"
 
 namespace tokenmagic::oracle {
+
+/// The selection rule built the long way: materialize the chosen modules'
+/// ring (core::MaterializeCandidate) and test recursive diversity at
+/// core::EffectiveRequirement(req), i.e. (c, ℓ+1), through the HtIndex.
+/// The reference for core::ChosenEligible.
+bool CheckCandidate(const core::ModuleUniverse& mu,
+                    const std::vector<size_t>& chosen,
+                    const chain::HtIndex& index,
+                    const chain::DiversityRequirement& req);
 
 /// Diversity slack of the chosen modules' token multiset:
 /// HtFrequencies(members, index) then DiversitySlack.
