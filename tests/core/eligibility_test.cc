@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/diversity.h"
+#include "analysis/dtrs.h"
 #include "oracle/module_greedy_oracle.h"
 
 namespace tokenmagic::core {
@@ -84,6 +85,40 @@ TEST(CheckCandidateTest, StrictModeIsStricter) {
       MaterializeCandidate(*mu, all), idx, {2.0, 3}));
   EXPECT_FALSE(oracle::CheckCandidate(*mu, all, idx, {2.0, 3}));
   EXPECT_TRUE(oracle::CheckCandidate(*mu, all, idx, {2.0, 2}));
+}
+
+TEST(CheckCandidateTest, ImmutabilityCheckProtectsCoveredRs) {
+  // History RS r0 = {1,2} (both same HT!) declared (1.0, 1). Covering it
+  // with a new ring raises its subset count to v = 2; r0's ψ set for its
+  // single HT is empty, so the immutability check on r0 fails at v.
+  chain::HtIndex idx;
+  idx.Set(1, 100);
+  idx.Set(2, 100);
+  idx.Set(3, 300);
+  idx.Set(4, 400);
+  RsView r0 = View(0, {1, 2});
+  r0.requirement = {1.0, 1};
+  std::vector<RsView> history = {r0};
+  std::vector<TokenId> universe = {1, 2, 3, 4};
+  auto mu = test_support::BuildModules(universe, history);
+  ASSERT_TRUE(mu.ok());
+  std::vector<size_t> chosen = {mu->ModuleOfToken(1), mu->ModuleOfToken(3),
+                                mu->ModuleOfToken(4)};
+  // The ring itself passes the one rule: frequencies [2,1,1] at (2, 2).
+  EXPECT_TRUE(oracle::CheckCandidate(*mu, chosen, idx, {2.0, 1}));
+  EXPECT_FALSE(analysis::PracticalDtrsDiversityHolds(r0.members, 2, idx,
+                                                     r0.requirement));
+  // Selection need not run that check: r0 fails its own (c, ℓ+1), so the
+  // node's verifier never admits it to a history.
+  EXPECT_FALSE(analysis::SatisfiesRecursiveDiversity(
+      r0.members, idx, EffectiveRequirement(r0.requirement)));
+  // A covered RS that meets its own (c, ℓ+1) stays diverse at the raised v.
+  RsView r1 = View(1, {3, 4});
+  r1.requirement = {2.0, 1};
+  ASSERT_TRUE(analysis::SatisfiesRecursiveDiversity(
+      r1.members, idx, EffectiveRequirement(r1.requirement)));
+  EXPECT_TRUE(analysis::PracticalDtrsDiversityHolds(r1.members, 2, idx,
+                                                    r1.requirement));
 }
 
 }  // namespace
