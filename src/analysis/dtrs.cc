@@ -84,9 +84,8 @@ common::Result<std::vector<Dtrs>> DtrsFinder::Find(chain::RsId target) const {
     target_ht[j] = index_->HtOf(context.token_id(combos[j][k]));
   }
 
-  const size_t max_size = options_.max_dtrs_size == 0
-                              ? (m > 0 ? m - 1 : 0)
-                              : options_.max_dtrs_size;
+  // Candidate subsets range up to the family size - 1.
+  const size_t max_size = m > 0 ? m - 1 : 0;
 
   // Validated DTRSs found so far, grouped for minimality pruning.
   std::vector<std::pair<DensePairSet, chain::TxId>> accepted;

@@ -48,8 +48,6 @@ class DtrsFinder {
     /// (0 = unlimited).
     // tm-lint: allow(float, wall-clock budget, not DTRS counting math)
     double budget_seconds = 0.0;
-    /// Cap on candidate-subset size (0 = up to family size - 1).
-    size_t max_dtrs_size = 0;
   };
 
   /// Enumerates the token-RS combinations of `context` once (one

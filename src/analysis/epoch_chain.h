@@ -62,10 +62,6 @@ class GenColumn {
   const T* data() const { return data_; }
   size_t size() const { return size_; }
 
-  void Reserve(size_t n) {
-    if (n > cap_) Grow(n);
-  }
-
   void Append(T value) {
     if (size_ == cap_) Grow(size_ + 1);
     data_[size_] = std::move(value);

@@ -10,10 +10,6 @@ int64_t StopWatch::ElapsedNanos() const {
       .count();
 }
 
-double StopWatch::ElapsedMicros() const {
-  return static_cast<double>(ElapsedNanos()) / 1e3;
-}
-
 double StopWatch::ElapsedMillis() const {
   return static_cast<double>(ElapsedNanos()) / 1e6;
 }

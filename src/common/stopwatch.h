@@ -16,7 +16,6 @@ class StopWatch {
 
   /// Elapsed time since construction/Restart, in nanoseconds.
   int64_t ElapsedNanos() const;
-  double ElapsedMicros() const;
   double ElapsedMillis() const;
   double ElapsedSeconds() const;
 

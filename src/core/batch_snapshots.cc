@@ -44,13 +44,6 @@ void BatchSnapshots::Sync(const chain::Ledger& ledger,
   for (auto& [b, snapshot] : sealed) snapshots_[b] = std::move(snapshot);
 }
 
-void BatchSnapshots::Reset() {
-  chains_.clear();
-  ledger_routed_ = 0;
-  common::MutexLock lock(&snapshots_mu_);
-  snapshots_.clear();
-}
-
 std::shared_ptr<const BatchSnapshot> BatchSnapshots::Get(size_t batch) const {
   common::MutexLock lock(&snapshots_mu_);
   TM_CHECK(batch < snapshots_.size());

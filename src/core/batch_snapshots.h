@@ -11,12 +11,12 @@
 //  * the per-batch cache of sealed {history, context} snapshots, replaced
 //    only for the batches an update touched.
 //
-// Threading: single writer, any number of concurrent readers. Sync and
-// Reset must be externally serialized with each other (the owner's writer
-// contract); Get may run concurrently with them and with itself. Readers
-// never touch the chains: Sync seals every touched batch before it
-// publishes the fresh snapshot under `snapshots_mu_`, and a sealed
-// snapshot reads only storage that later appends never write.
+// Threading: single writer, any number of concurrent readers. Calls to
+// Sync must be externally serialized (the owner's writer contract); Get
+// may run concurrently with Sync and with itself. Readers never touch
+// the chains: Sync seals every touched batch before it publishes the
+// fresh snapshot under `snapshots_mu_`, and a sealed snapshot reads only
+// storage that later appends never write.
 #pragma once
 
 #include <deque>
@@ -38,7 +38,7 @@ namespace tokenmagic::core {
 /// One batch's sealed analysis snapshot: its ledger views plus their
 /// interned AnalysisContext. Immutable and self-contained: both members
 /// read the batch's epoch core, which `context` co-owns, so a snapshot
-/// outlives any later Sync/Reset (later epochs only ever append past its
+/// outlives any later Sync (later epochs only ever append past its
 /// sealed prefix). One snapshot is shared by every selection target,
 /// ladder stage and analysis probe of the batch until an update touches
 /// the batch.
@@ -63,14 +63,6 @@ class BatchSnapshots {
   // outstanding shared_ptrs keep the superseded snapshots alive.
   void Sync(const chain::Ledger& ledger, const BatchIndex& batches,
             const chain::HtIndex& ht_index) TM_EXCLUDES(snapshots_mu_);
-
-  /// Drops every chain, the routed cursor and every cached snapshot, for
-  /// a caller whose batch partition or ledger was rebuilt from scratch
-  /// (genesis, restore). The next Sync re-derives everything.
-  // tm-invalidates(BatchSnapshots::snapshots_): every batch.
-  // tm-invalidates(BatchSnapshots::chains_): outstanding sealed views
-  // stay alive via their shared cores.
-  void Reset() TM_EXCLUDES(snapshots_mu_);
 
   /// The current snapshot of batch `batch` (TM_CHECKed to exist as of the
   /// last Sync). The pointer keeps the snapshot alive across later

@@ -19,6 +19,9 @@ namespace {
 using analysis::AnalysisContext;
 using analysis::HopcroftKarp;
 
+/// Cap on materialized token-RS combinations per candidate.
+constexpr uint64_t kMaxCombinations = 500000;
+
 /// Interns the candidate's related RS set plus the candidate itself (given
 /// id = max existing id + 1) as one context, its RSs in ascending id order.
 AnalysisContext FamilyContext(const SelectionInput& input,
@@ -123,7 +126,7 @@ common::Result<SelectionResult> BfsSelector::Select(
   std::sort(sigma.begin(), sigma.end());
 
   analysis::DtrsFinder::Options dtrs_options;
-  dtrs_options.max_combinations = options_.max_combinations;
+  dtrs_options.max_combinations = kMaxCombinations;
   dtrs_options.budget_seconds = options_.budget_seconds;
 
   SelectionResult result;

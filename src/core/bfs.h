@@ -21,8 +21,6 @@ class BfsSelector : public MixinSelector {
     /// Cap on the mixin-universe size accepted (guards against accidental
     /// exponential blowups; 0 = unlimited).
     size_t max_universe = 0;
-    /// Cap on materialized token-RS combinations per candidate.
-    uint64_t max_combinations = 500000;
   };
 
   BfsSelector() = default;

@@ -15,8 +15,8 @@ std::vector<chain::TokenId> MaterializeCandidate(
     const ModuleUniverse& mu, const std::vector<size_t>& chosen_modules) {
   std::vector<chain::TokenId> out;
   for (size_t index : chosen_modules) {
-    Module module = mu.module(index);
-    out.insert(out.end(), module.tokens.begin(), module.tokens.end());
+    std::span<const chain::TokenId> tokens = mu.ModuleTokens(index);
+    out.insert(out.end(), tokens.begin(), tokens.end());
   }
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());

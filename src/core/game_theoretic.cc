@@ -124,22 +124,19 @@ common::Result<SelectionResult> GameTheoreticSelector::Select(
       return common::Status::Unsatisfiable(
           "no module assembly satisfies the diversity constraint");
     }
-    // Reset the profile to the Progressive module set (module indices are
-    // recovered from member tokens: both selectors read the seal's one
-    // module index).
+    // Reset the profile to the Progressive module set, chosen in
+    // ascending module order (both selectors read the seal's one module
+    // index, so its module indices are ours).
     std::vector<size_t> to_drop = state.chosen;
     for (size_t module_index : to_drop) {
       if (module_index != state.target_module) {
         UnchooseModule(&state, module_index);
       }
     }
-    std::vector<char> want(state.mu->module_count(), 0);
-    for (chain::TokenId t : seed->members) {
-      want[state.mu->ModuleOfToken(t)] = 1;
-    }
-    for (size_t module_index = 0; module_index < want.size();
-         ++module_index) {
-      if (want[module_index] && module_index != state.target_module) {
+    std::vector<size_t> want = seed->chosen_modules;
+    std::sort(want.begin(), want.end());
+    for (size_t module_index : want) {
+      if (module_index != state.target_module) {
         ChooseModule(&state, module_index);
       }
     }

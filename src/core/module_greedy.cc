@@ -37,7 +37,6 @@ common::Result<ModuleSelectionState> InitModuleState(
 
   ModuleSelectionState state;
   state.mu = &index->value();
-  state.context = &context;
   state.target_module = state.mu->ModuleOfLocal(target);
   state.ht_count.assign(context.ht_count(), 0);
 

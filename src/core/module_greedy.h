@@ -32,7 +32,6 @@
 #include <span>
 #include <vector>
 
-#include "analysis/context.h"
 #include "chain/types.h"
 #include "common/status.h"
 #include "core/eligibility.h"
@@ -46,9 +45,6 @@ struct ModuleSelectionState {
   /// The seal's module index, owned by the memo slot of the input's
   /// context (every stage and relaxation step of a selection reads it).
   const ModuleUniverse* mu = nullptr;
-  // tm-borrows(caller): the input's snapshot context, which outlives the
-  // selection and names the external HT of each HT local.
-  const analysis::AnalysisContext* context = nullptr;
   /// Module containing the target token (always chosen).
   size_t target_module = 0;
   /// Chosen module indices (includes target_module).
@@ -66,9 +62,6 @@ struct ModuleSelectionState {
   std::span<const HtTokens> HtsOf(size_t module_index) const {
     return mu->HtsOf(module_index);
   }
-
-  /// External HT of HT local `ht`.
-  chain::TxId ht_id(uint32_t ht) const { return context->ht_id(ht); }
 };
 
 /// Builds the initial state from an instance: checks that the universe

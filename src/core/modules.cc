@@ -137,7 +137,6 @@ common::Result<ModuleUniverse> ModuleUniverse::Build(
   mu.storage_ = context.storage();
   mu.history_ = context.History().data();
   mu.token_ids_ = context.Tokens().data();
-  mu.context_tokens_ = token_count;
 
   // Universe membership as a dense bitmap over token locals. A history
   // token outside the universe is interned but unmarked, so only a
@@ -204,8 +203,7 @@ common::Result<ModuleUniverse> ModuleUniverse::Build(
   std::sort(mu.super_rs_.begin(), mu.super_rs_.end());
   const size_t supers = mu.super_rs_.size();
 
-  // Super modules keep their super's index, so module_of_local_ doubles as
-  // the super-of-token column while the subset lists are built.
+  // Super module s holds the tokens of super_rs_[s].
   mu.module_of_local_.assign(token_count, kNoLocal);
   mu.super_size_.reserve(supers);
   for (size_t s = 0; s < supers; ++s) {
@@ -213,45 +211,6 @@ common::Result<ModuleUniverse> ModuleUniverse::Build(
     mu.super_size_.push_back(static_cast<uint32_t>(members.size()));
     for (Local t : members) {
       mu.module_of_local_[t] = static_cast<uint32_t>(s);
-    }
-  }
-
-  // Subset lists, in history order, as one CSR: supers partition the
-  // covered tokens, so a non-empty RS can only be a subset of the super
-  // covering its first member, and one inclusion test settles it. An
-  // empty RS is a subset of every super.
-  constexpr Local kEverySuper = kNoLocal - 1;
-  std::vector<Local> subset_of(rs_count, kNoLocal);
-  mu.subset_offsets_.assign(supers + 1, 0);
-  size_t empty_rs = 0;
-  for (Local rs = 0; rs < rs_count; ++rs) {
-    std::span<const Local> members = context.Members(rs);
-    if (members.empty()) {
-      subset_of[rs] = kEverySuper;
-      ++empty_rs;
-      continue;
-    }
-    uint32_t s = mu.module_of_local_[members.front()];
-    if (s == kNoLocal) continue;  // token uncovered: subset of no super
-    if (SortedSubset(members, context.Members(mu.super_rs_[s]))) {
-      subset_of[rs] = s;
-      ++mu.subset_offsets_[s + 1];
-    }
-  }
-  for (size_t s = 0; s < supers; ++s) {
-    mu.subset_offsets_[s + 1] += mu.subset_offsets_[s] +
-                                 static_cast<uint32_t>(empty_rs);
-  }
-  mu.subset_ids_.resize(mu.subset_offsets_[supers]);
-  {
-    std::vector<uint32_t> cursor(mu.subset_offsets_.begin(),
-                                 mu.subset_offsets_.end() - 1);
-    for (Local rs = 0; rs < rs_count; ++rs) {
-      if (subset_of[rs] == kEverySuper) {
-        for (uint32_t& at : cursor) mu.subset_ids_[at++] = context.rs_id(rs);
-      } else if (subset_of[rs] != kNoLocal) {
-        mu.subset_ids_[cursor[subset_of[rs]]++] = context.rs_id(rs);
-      }
     }
   }
 
@@ -323,27 +282,11 @@ common::Result<ModuleUniverse> ModuleUniverse::Build(
   return mu;
 }
 
-Module ModuleUniverse::module(size_t index) const {
+std::span<const chain::TokenId> ModuleUniverse::ModuleTokens(
+    size_t index) const {
   TM_CHECK(index < module_count());
-  Module module;
-  module.index = index;
-  if (index < super_rs_.size()) {
-    const chain::RsView& view = history_[super_rs_[index]];
-    module.super_rs = view.id;
-    module.tokens = view.members;
-    module.subset_count = subset_offsets_[index + 1] - subset_offsets_[index];
-  } else {
-    module.is_fresh = true;
-    module.tokens = {token_ids_ + fresh_[index - super_rs_.size()], 1};
-  }
-  return module;
-}
-
-size_t ModuleUniverse::ModuleOfToken(chain::TokenId token) const {
-  const chain::TokenId* end = token_ids_ + context_tokens_;
-  const chain::TokenId* it = std::lower_bound(token_ids_, end, token);
-  TM_CHECK(it != end && *it == token);
-  return ModuleOfLocal(static_cast<Local>(it - token_ids_));
+  if (index < super_rs_.size()) return history_[super_rs_[index]].members;
+  return {token_ids_ + fresh_[index - super_rs_.size()], 1};
 }
 
 size_t ModuleUniverse::ModuleOfLocal(Local token) const {
@@ -351,26 +294,6 @@ size_t ModuleUniverse::ModuleOfLocal(Local token) const {
   uint32_t module = module_of_local_[token];
   TM_CHECK(module != analysis::AnalysisContext::kNoLocal);
   return module;
-}
-
-std::vector<size_t> ModuleUniverse::FreshModuleIndices() const {
-  std::vector<size_t> out;
-  for (size_t i = super_rs_.size(); i < module_count(); ++i) out.push_back(i);
-  return out;
-}
-
-std::vector<size_t> ModuleUniverse::SuperRsModuleIndices() const {
-  std::vector<size_t> out;
-  for (size_t i = 0; i < super_rs_.size(); ++i) out.push_back(i);
-  return out;
-}
-
-std::span<const chain::RsId> ModuleUniverse::SubsetRsOf(
-    size_t module_index) const {
-  TM_CHECK(module_index < module_count());
-  if (module_index >= super_rs_.size()) return {};
-  return {subset_ids_.data() + subset_offsets_[module_index],
-          subset_offsets_[module_index + 1] - subset_offsets_[module_index]};
 }
 
 std::span<const HtTokens> ModuleUniverse::HtsOf(size_t module_index) const {

@@ -11,9 +11,10 @@
 // history, so every seal has one *module index*: ModuleUniverse::Build
 // over the seal's whole token column, built on first use through the
 // seal's SealMemo (ModuleIndexOf) and shared by every selection, ladder
-// stage and relaxation step that reads a view of that seal. Its columns
-// are flat: module tokens are spans into the epoch core, subset lists,
-// HT pairs and their inverse (the modules of each HT) are one CSR each.
+// stage and relaxation step that reads a view of that seal. It holds
+// only what selection reads: module tokens are spans into the epoch core,
+// and the HT pairs and their inverse (the modules of each HT) are one CSR
+// each.
 #pragma once
 
 #include <cstddef>
@@ -34,25 +35,8 @@ struct HtTokens {
   uint32_t tokens = 0;
 };
 
-/// One selectable unit: a super RS or a single fresh token.
-struct Module {
-  /// Dense module index within its universe.
-  size_t index = 0;
-  bool is_fresh = false;
-  /// Valid when !is_fresh: the super RS's id.
-  chain::RsId super_rs = chain::kInvalidRs;
-  /// Member tokens, sorted ascending (size 1 for fresh tokens).
-  // tm-borrows(ModuleUniverse::storage_): the super RS's members or one
-  // entry of the token column, in the epoch core the universe keeps alive.
-  std::span<const chain::TokenId> tokens;
-  /// v_i: number of history RSs (itself included) that are subsets of this
-  /// super RS. 0 for fresh tokens.
-  size_t subset_count = 0;
-
-  size_t size() const { return tokens.size(); }
-};
-
-/// The module decomposition of a mixin universe plus its RS history.
+/// The module decomposition of a mixin universe plus its RS history. A
+/// module is one selectable unit: a super RS or a single fresh token.
 /// Super modules come first (in proposal order), then fresh modules (in
 /// token order).
 class ModuleUniverse {
@@ -65,36 +49,33 @@ class ModuleUniverse {
   /// token must be interned in `context`; either mismatch, a history
   /// token outside `universe` and a history that violates the first
   /// practical configuration (naming the first partially overlapping
-  /// pair) are InvalidArgument. The configuration check and the subset
-  /// counting walk the context's inverted index, near-linear in the
-  /// history incidence. Each module's (HT, count) pairs come from the
-  /// context's HT column; see HtStatus. The result keeps the epoch core
-  /// alive, not the context (so not the seal's memo slot).
+  /// pair) are InvalidArgument. The configuration check walks the
+  /// context's inverted index, near-linear in the history incidence. Each
+  /// module's (HT, count) pairs come from the context's HT column; see
+  /// HtStatus. The result keeps the epoch core alive, not the context (so
+  /// not the seal's memo slot).
   [[nodiscard]] static common::Result<ModuleUniverse> Build(
       std::span<const chain::TokenId> universe,
       std::span<const chain::RsView> history,
       const analysis::AnalysisContext& context);
 
   size_t module_count() const { return super_rs_.size() + fresh_.size(); }
-  Module module(size_t index) const;
-  /// module(index).size() without materializing the module.
+  /// Number of super modules: modules [0, super_count()) are super RSs,
+  /// modules [super_count(), module_count()) fresh tokens.
+  size_t super_count() const { return super_rs_.size(); }
+
+  /// A module's member tokens, sorted ascending: the super RS's members,
+  /// or the one fresh token. The span points into the epoch core the
+  /// universe keeps alive.
+  std::span<const chain::TokenId> ModuleTokens(size_t index) const;
+  /// ModuleTokens(index).size() without reading the epoch core.
   size_t ModuleSize(size_t index) const {
     return index < super_size_.size() ? super_size_[index] : 1;
   }
 
-  /// Index of the module containing `token` (every universe token is in
-  /// exactly one module).
-  size_t ModuleOfToken(chain::TokenId token) const;
-  /// The same for a context token local.
+  /// Index of the module containing context token local `token` (every
+  /// universe token is in exactly one module).
   size_t ModuleOfLocal(Local token) const;
-
-  /// Indices of fresh-token modules / super-RS modules.
-  std::vector<size_t> FreshModuleIndices() const;
-  std::vector<size_t> SuperRsModuleIndices() const;
-
-  /// History RSs whose members are subsets of the given module's token set
-  /// (empty for fresh modules). Used for immutability re-checks.
-  std::span<const chain::RsId> SubsetRsOf(size_t module_index) const;
 
   /// The (context HT local, token count) pairs of a module, ascending by
   /// HT local. Meaningful only when HtStatus() is OK.
@@ -118,16 +99,11 @@ class ModuleUniverse {
   // tm-borrows(storage_): the seal's RS views and token column.
   const chain::RsView* history_ = nullptr;
   const chain::TokenId* token_ids_ = nullptr;
-  size_t context_tokens_ = 0;
   /// RS local and token count of each super module (modules [0, S)).
   std::vector<Local> super_rs_;
   std::vector<uint32_t> super_size_;
   /// Token local of each fresh module (modules [S, module_count)).
   std::vector<Local> fresh_;
-  /// Super module s's subset list is
-  /// subset_ids_[subset_offsets_[s] .. subset_offsets_[s + 1]).
-  std::vector<uint32_t> subset_offsets_;
-  std::vector<chain::RsId> subset_ids_;
   /// Super module s's HT pairs are hts_[ht_offsets_[s] .. ht_offsets_[s +
   /// 1]); fresh module S + f's one pair is hts_[ht_offsets_[S] + f].
   std::vector<uint32_t> ht_offsets_;

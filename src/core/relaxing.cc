@@ -29,8 +29,9 @@ std::vector<chain::DiversityRequirement> RelaxingSelector::Schedule(
     bool c_exhausted = current.c >= kCMax;
     bool ell_exhausted = current.ell <= kEllMin;
     if (c_exhausted && ell_exhausted) break;
-    // Alternate the two knobs, falling back to whichever still has room.
-    bool relax_c = relax_c_next ? !c_exhausted : c_exhausted;
+    // Alternate the two knobs, falling back to whichever still has room,
+    // so every step changes the requirement.
+    bool relax_c = !c_exhausted && (relax_c_next || ell_exhausted);
     if (relax_c) {
       current.c = std::min(current.c * kCGrowth, kCMax);
     } else {

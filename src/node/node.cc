@@ -6,37 +6,26 @@
 
 namespace tokenmagic::node {
 
-Node::Node(NodeConfig config) : config_(config) {
-  // The node is not shared during construction; the lock only satisfies
-  // RebuildIndices' contract.
-  common::WriterMutexLock lock(&state_mu_);
-  RebuildIndices();
-}
-
-void Node::RebuildIndices() {
-  ht_index_ = chain::HtIndex::FromBlockchain(bc_);
-  batches_ = std::make_unique<core::BatchIndex>(bc_, config_.lambda);
-  snapshots_.Reset();
-  snapshots_.Sync(ledger_, *batches_, ht_index_);
-}
+Node::Node(NodeConfig config)
+    : config_(config),
+      batches_(bc_, config_.lambda) {}
 
 void Node::AppendIndices() {
-  // O(delta) twin of RebuildIndices for the block-append path: extend the
-  // indices over the new blocks instead of rebuilding them. Token ids are
-  // dense mint-order, so the HtIndex's size is exactly the next unindexed
-  // token.
+  // Extend the indices over the blocks and ledger views they have not
+  // seen yet. Token ids are dense mint-order, so the HtIndex's size is
+  // exactly the next unindexed token.
   for (chain::TokenId t = static_cast<chain::TokenId>(ht_index_.size());
        t < bc_.token_count(); ++t) {
     ht_index_.Set(t, bc_.HistoricalTransactionOf(t));
   }
-  batches_->AppendBlocks(bc_);
-  snapshots_.Sync(ledger_, *batches_, ht_index_);
+  batches_.AppendBlocks(bc_);
+  snapshots_.Sync(ledger_, batches_, ht_index_);
 }
 
 std::shared_ptr<const Node::BatchAnalysisSnapshot> Node::AnalysisSnapshotShared(
     size_t batch_index) const {
-  // Writers hold state_mu_ exclusively across Reset + Sync, so a reader
-  // never sees the snapshots half rebuilt.
+  // Writers hold state_mu_ exclusively across Sync, so a reader never
+  // sees the snapshots half synced.
   common::ReaderMutexLock state_lock(&state_mu_);
   return snapshots_.Get(batch_index);
 }
@@ -48,11 +37,11 @@ common::Result<core::SelectionInput> Node::InstanceFor(
   }
   core::SelectionInput input;
   input.target = target;
-  input.universe = batches_->MixinUniverse(target);
+  input.universe = batches_.MixinUniverse(target);
   input.requirement = requirement;
   input.index = &ht_index_;
   std::shared_ptr<const BatchAnalysisSnapshot> snapshot =
-      AnalysisSnapshotShared(batches_->BatchOfToken(target).index);
+      AnalysisSnapshotShared(batches_.BatchOfToken(target).index);
   input.history = snapshot->history;
   input.context = &snapshot->context;
   input.owner = std::move(snapshot);
@@ -80,12 +69,12 @@ std::vector<std::vector<chain::TokenId>> Node::Genesis(
     minted.push_back(outputs);
   }
   bc_.EndBlock();
-  RebuildIndices();
+  AppendIndices();
   return minted;
 }
 
 Verifier Node::MakeVerifier() const {
-  return Verifier(&bc_, &ledger_, batches_.get(), &ht_index_, &keys_,
+  return Verifier(&bc_, &ledger_, &batches_, &ht_index_, &keys_,
                   &spent_images_, config_.verifier);
 }
 

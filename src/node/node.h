@@ -9,8 +9,8 @@
 //  * `AnalysisSnapshotShared` is the concurrent read path: it returns a
 //    shared_ptr to an immutable, self-contained snapshot (history span +
 //    AnalysisContext co-owning their epoch core), so a reader keeps its
-//    snapshot alive across a concurrent RebuildIndices and never observes
-//    a torn one.
+//    snapshot alive across a concurrent MineBlock and never observes a
+//    torn one.
 //  * The reference-returning accessors (blockchain(), ledger(), ...) are
 //    the single-threaded convenience surface: the references they return
 //    are stable only while no writer runs.
@@ -94,7 +94,7 @@ class Node {
   const chain::Blockchain& blockchain() const { return bc_; }
   const chain::Ledger& ledger() const { return ledger_; }
   const chain::HtIndex& ht_index() const { return ht_index_; }
-  const core::BatchIndex& batches() const { return *batches_; }
+  const core::BatchIndex& batches() const { return batches_; }
   const KeyDirectory& keys() const { return keys_; }
   const crypto::KeyImageRegistry& spent_images() const {
     return spent_images_;
@@ -136,18 +136,13 @@ class Node {
       TM_EXCLUDES(state_mu_);
 
  private:
-  /// Full rebuild of every derived index and per-batch epoch chain from
-  /// the raw chain state, replacing every cached analysis snapshot
-  /// (outstanding shared_ptrs stay valid). This is the O(history)
-  /// fallback for paths with no incremental delta: construction, Genesis,
-  /// snapshot restore, and any future reorg. Block-append paths
-  /// (MineBlock) use AppendIndices instead.
-  void RebuildIndices() TM_REQUIRES(state_mu_);
-
-  /// O(delta) index maintenance after mining one block: extends the
-  /// HtIndex and BatchIndex over the new blocks and syncs the per-batch
-  /// snapshots, which re-seal only the batches the block touched —
-  /// untouched batches keep serving their (still-current) snapshot.
+  /// The one path that keeps the derived indices current, O(delta):
+  /// extends the HtIndex and BatchIndex over the blocks appended since the
+  /// last call and syncs the per-batch snapshots, which re-seal only the
+  /// batches the new blocks and ledger views touched — untouched batches
+  /// keep serving their (still-current) snapshot. The constructor starts
+  /// from empty indices, so Genesis, MineBlock and snapshot restore each
+  /// run it once after appending.
   void AppendIndices() TM_REQUIRES(state_mu_);
 
   /// Snapshot restore rebuilds private state directly (node/snapshot.h).
@@ -158,7 +153,7 @@ class Node {
   chain::Blockchain bc_;
   chain::Ledger ledger_;
   chain::HtIndex ht_index_;
-  std::unique_ptr<core::BatchIndex> batches_;
+  core::BatchIndex batches_;
   KeyDirectory keys_;
   crypto::KeyImageRegistry spent_images_;
   std::vector<std::string> spent_image_hex_;
@@ -169,14 +164,14 @@ class Node {
   };
 
   /// Writer lock for every chain mutation; shared by snapshot readers so
-  /// they never observe the snapshots between RebuildIndices' Reset and
-  /// Sync. Ordered before the snapshot service's own lock.
+  /// they never observe the snapshots mid-Sync. Ordered before the
+  /// snapshot service's own lock.
   mutable common::SharedMutex state_mu_;  // tm-lock-rank(20)
   std::deque<PendingTx> mempool_ TM_GUARDED_BY(state_mu_);
   chain::Timestamp clock_ TM_GUARDED_BY(state_mu_) = 0;
 
   /// The per-batch epoch chains and sealed snapshots, synced by
-  /// RebuildIndices/AppendIndices under the writer lock.
+  /// AppendIndices under the writer lock.
   core::BatchSnapshots snapshots_ TM_GUARDED_BY(state_mu_);
 };
 

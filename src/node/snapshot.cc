@@ -300,7 +300,7 @@ common::Result<std::unique_ptr<Node>> NodeFromSnapshot(
   close_block();
   // Every ring must name minted tokens of one batch — the rules Verifier
   // applies on the live path. The checksums cannot vouch for that, and
-  // RebuildIndices routes each ring into its batch's epoch chain, which
+  // AppendIndices routes each ring into its batch's epoch chain, which
   // requires it.
   const core::BatchIndex batches(node->bc_, config.lambda);
   for (size_t i = 0; i < node->ledger_.size(); ++i) {
@@ -323,9 +323,9 @@ common::Result<std::unique_ptr<Node>> NodeFromSnapshot(
   }
   {
     // The node is private to this restore; the lock satisfies
-    // RebuildIndices' thread-safety contract.
+    // AppendIndices' thread-safety contract.
     common::WriterMutexLock lock(&node->state_mu_);
-    node->RebuildIndices();
+    node->AppendIndices();
   }
   return node;
 }

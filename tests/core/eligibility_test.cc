@@ -13,6 +13,7 @@ namespace {
 using chain::DiversityRequirement;
 using chain::RsView;
 using chain::TokenId;
+using test_support::ModuleOfToken;
 
 RsView View(chain::RsId id, std::vector<TokenId> members) {
   RsView v;
@@ -40,9 +41,9 @@ TEST(MaterializeCandidateTest, UnionsAndSorts) {
   std::vector<RsView> history = {View(0, {3, 4}), View(1, {1, 2})};
   auto mu = test_support::BuildModules(universe, history);
   ASSERT_TRUE(mu.ok());
-  size_t m34 = mu->ModuleOfToken(3);
-  size_t m12 = mu->ModuleOfToken(1);
-  size_t f5 = mu->ModuleOfToken(5);
+  size_t m34 = ModuleOfToken(*mu, 3);
+  size_t m12 = ModuleOfToken(*mu, 1);
+  size_t f5 = ModuleOfToken(*mu, 5);
   auto members = MaterializeCandidate(*mu, {m34, f5, m12});
   EXPECT_EQ(members, (std::vector<TokenId>{1, 2, 3, 4, 5}));
 }
@@ -58,7 +59,7 @@ TEST(CheckCandidateTest, DiversityViolationDetected) {
   auto mu = test_support::BuildModules(universe, {});
   ASSERT_TRUE(mu.ok());
   EXPECT_FALSE(oracle::CheckCandidate(
-      *mu, {mu->ModuleOfToken(1), mu->ModuleOfToken(2)}, idx, {1.0, 1}));
+      *mu, {ModuleOfToken(*mu, 1), ModuleOfToken(*mu, 2)}, idx, {1.0, 1}));
 }
 
 TEST(CheckCandidateTest, EligibleWhenDiverse) {
@@ -66,8 +67,8 @@ TEST(CheckCandidateTest, EligibleWhenDiverse) {
   std::vector<TokenId> universe = {1, 2, 3, 4};
   auto mu = test_support::BuildModules(universe, {});
   ASSERT_TRUE(mu.ok());
-  std::vector<size_t> all = {mu->ModuleOfToken(1), mu->ModuleOfToken(2),
-                             mu->ModuleOfToken(3), mu->ModuleOfToken(4)};
+  std::vector<size_t> all = {ModuleOfToken(*mu, 1), ModuleOfToken(*mu, 2),
+                             ModuleOfToken(*mu, 3), ModuleOfToken(*mu, 4)};
   // Frequencies [1,1,1,1]; (2, 1) is tested at (2, 2): 1 < 2*3 OK.
   EXPECT_TRUE(oracle::CheckCandidate(*mu, all, idx, {2.0, 1}));
 }
@@ -77,8 +78,8 @@ TEST(CheckCandidateTest, StrictModeIsStricter) {
   std::vector<TokenId> universe = {1, 2, 3};
   auto mu = test_support::BuildModules(universe, {});
   ASSERT_TRUE(mu.ok());
-  std::vector<size_t> all = {mu->ModuleOfToken(1), mu->ModuleOfToken(2),
-                             mu->ModuleOfToken(3)};
+  std::vector<size_t> all = {ModuleOfToken(*mu, 1), ModuleOfToken(*mu, 2),
+                             ModuleOfToken(*mu, 3)};
   // Frequencies [1,1,1] satisfy (2, 3) itself, but a request at (2, 3) is
   // tested at (2, 4), whose ℓ exceeds θ = 3; a request at (2, 2) passes.
   EXPECT_TRUE(analysis::SatisfiesRecursiveDiversity(
@@ -102,8 +103,8 @@ TEST(CheckCandidateTest, ImmutabilityCheckProtectsCoveredRs) {
   std::vector<TokenId> universe = {1, 2, 3, 4};
   auto mu = test_support::BuildModules(universe, history);
   ASSERT_TRUE(mu.ok());
-  std::vector<size_t> chosen = {mu->ModuleOfToken(1), mu->ModuleOfToken(3),
-                                mu->ModuleOfToken(4)};
+  std::vector<size_t> chosen = {ModuleOfToken(*mu, 1), ModuleOfToken(*mu, 3),
+                                ModuleOfToken(*mu, 4)};
   // The ring itself passes the one rule: frequencies [2,1,1] at (2, 2).
   EXPECT_TRUE(oracle::CheckCandidate(*mu, chosen, idx, {2.0, 1}));
   EXPECT_FALSE(analysis::PracticalDtrsDiversityHolds(r0.members, 2, idx,

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <limits>
 #include <map>
+#include <numeric>
 #include <span>
 #include <utility>
 
@@ -21,10 +22,12 @@ using chain::RsView;
 using chain::TokenId;
 using chain::TxId;
 
-/// True when a chosen module holds a token of external HT `ht`.
-bool Covers(const ModuleSelectionState& state, TxId ht) {
+/// True when a chosen module holds a token of external HT `ht`; HT locals
+/// are those of `context`, the input's snapshot.
+bool Covers(const ModuleSelectionState& state,
+            const analysis::AnalysisContext& context, TxId ht) {
   for (uint32_t h = 0; h < state.ht_count.size(); ++h) {
-    if (state.ht_id(h) == ht) return state.ht_count[h] > 0;
+    if (context.ht_id(h) == ht) return state.ht_count[h] > 0;
   }
   return false;
 }
@@ -72,7 +75,7 @@ TEST(InitModuleStateTest, SeedsWithTargetModule) {
   EXPECT_EQ(state->chosen[0], state->target_module);
   EXPECT_EQ(state->token_size, 1u);  // target 5 is a fresh token
   EXPECT_EQ(state->covered_hts.size(), 1u);
-  EXPECT_TRUE(Covers(*state, 500));
+  EXPECT_TRUE(Covers(*state, *fx.input.context, 500));
   // 4 modules total (2 supers + 2 fresh); 3 remaining.
   EXPECT_EQ(state->mu->module_count(), 4u);
   EXPECT_EQ(state->remaining.size(), 3u);
@@ -125,13 +128,13 @@ TEST(ChooseUnchooseTest, SharedHtSurvivesRemoval) {
   test_support::AttachContext(&input);
   auto state = InitModuleState(input);
   ASSERT_TRUE(state.ok());
-  size_t m1 = state->mu->ModuleOfToken(1);
-  size_t m2 = state->mu->ModuleOfToken(2);
+  size_t m1 = test_support::ModuleOfToken(*state->mu, 1);
+  size_t m2 = test_support::ModuleOfToken(*state->mu, 2);
   ChooseModule(&*state, m1);
   ChooseModule(&*state, m2);
-  EXPECT_TRUE(Covers(*state, 100));
+  EXPECT_TRUE(Covers(*state, *input.context, 100));
   UnchooseModule(&*state, m2);
-  EXPECT_TRUE(Covers(*state, 100));  // still via module m1
+  EXPECT_TRUE(Covers(*state, *input.context, 100));  // still via module m1
 }
 
 TEST(GreedyCoverHtsTest, StopsExactlyAtEll) {
@@ -172,9 +175,9 @@ TEST(ModuleHtsTest, DistinctHtsOfModule) {
   Fixture fx;
   auto state = InitModuleState(fx.input);
   ASSERT_TRUE(state.ok());
-  auto hts = state->HtsOf(state->mu->ModuleOfToken(1));
+  auto hts = state->HtsOf(test_support::ModuleOfToken(*state->mu, 1));
   ASSERT_EQ(hts.size(), 1u);
-  EXPECT_EQ(state->ht_id(hts[0].ht), 100u);
+  EXPECT_EQ(fx.input.context->ht_id(hts[0].ht), 100u);
   EXPECT_EQ(hts[0].tokens, 2u);
 }
 
@@ -239,12 +242,13 @@ struct RandomInstance {
 /// Asserts that the state's per-HT counts equal a recount of the chosen
 /// modules' materialized tokens.
 void ExpectCountsMatchOracle(const ModuleSelectionState& state,
+                             const analysis::AnalysisContext& context,
                              const chain::HtIndex& index) {
   std::map<TxId, int64_t> recount =
       oracle::HtCounts(*state.mu, state.chosen, index);
   ASSERT_EQ(state.covered_hts.size(), recount.size());
   for (uint32_t h = 0; h < state.ht_count.size(); ++h) {
-    auto it = recount.find(state.ht_id(h));
+    auto it = recount.find(context.ht_id(h));
     ASSERT_EQ(static_cast<int64_t>(state.ht_count[h]),
               it == recount.end() ? 0 : it->second)
         << "ht " << h;
@@ -272,18 +276,16 @@ TEST(ModuleIndexHtsTest, MatchFromScratchOracle) {
           EXPECT_GT(pair.ht, previous) << "module " << m;
         }
         previous = pair.ht;
-        pairs[state->ht_id(pair.ht)] = pair.tokens;
+        pairs[fx.input.context->ht_id(pair.ht)] = pair.tokens;
       }
       EXPECT_EQ(pairs, oracle::HtCounts(*state->mu, {m}, fx.index))
           << "module " << m;
     }
-    ExpectCountsMatchOracle(*state, fx.index);
+    ExpectCountsMatchOracle(*state, *fx.input.context, fx.index);
 
-    std::map<TxId, int64_t> all = oracle::HtCounts(
-        *state->mu, state->mu->SuperRsModuleIndices(), fx.index);
-    for (size_t m : state->mu->FreshModuleIndices()) {
-      ++all[fx.index.HtOf(state->mu->module(m).tokens.front())];
-    }
+    std::vector<size_t> every(state->mu->module_count());
+    std::iota(every.begin(), every.end(), size_t{0});
+    std::map<TxId, int64_t> all = oracle::HtCounts(*state->mu, every, fx.index);
     int ell = 1 + static_cast<int>(ell_rng.NextBounded(8));
     auto steps = GreedyCoverHts(&*state, ell);
     if (static_cast<size_t>(ell) > all.size()) {
@@ -292,7 +294,7 @@ TEST(ModuleIndexHtsTest, MatchFromScratchOracle) {
     }
     ASSERT_TRUE(steps.ok()) << steps.status().ToString();
     EXPECT_GE(state->covered_hts.size(), static_cast<size_t>(ell));
-    ExpectCountsMatchOracle(*state, fx.index);
+    ExpectCountsMatchOracle(*state, *fx.input.context, fx.index);
   }
 }
 
@@ -315,7 +317,7 @@ TEST(ModuleIndexHtsTest, ModulesOfHtInvertsHtsOf) {
     }
     std::sort(forward.begin(), forward.end());
     std::vector<std::pair<uint32_t, uint32_t>> inverse;
-    for (uint32_t h = 0; h < state->context->ht_count(); ++h) {
+    for (uint32_t h = 0; h < fx.input.context->ht_count(); ++h) {
       std::span<const uint32_t> modules = state->mu->ModulesOfHt(h);
       EXPECT_TRUE(std::is_sorted(modules.begin(), modules.end()))
           << "ht " << h;
@@ -382,7 +384,7 @@ TEST(FreshHtCountsTest, MatchOracleAfterEveryGreedyStep) {
       fresh.Choose(&*state, picks[step]);
     }
     EXPECT_EQ(state->chosen, greedy.chosen);
-    ExpectCountsMatchOracle(*state, fx.index);
+    ExpectCountsMatchOracle(*state, *fx.input.context, fx.index);
   }
 }
 
@@ -413,7 +415,7 @@ TEST(IncrementalKernelTest, MatchesFromScratchOracle) {
 
     for (int step = 0; step < (wide ? 48 : 24); ++step) {
       SCOPED_TRACE(step);
-      ExpectCountsMatchOracle(*state, index);
+      ExpectCountsMatchOracle(*state, *input.context, index);
 
       ChosenFrequencies chosen = ChosenFrequenciesOf(*state);
       ASSERT_EQ(analysis::DiversitySlack(chosen.sorted, req),

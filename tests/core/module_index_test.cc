@@ -19,6 +19,7 @@
 #include "core/modules.h"
 #include "core/progressive.h"
 #include "core/resilient.h"
+#include "support/snapshot.h"
 
 namespace tokenmagic::core {
 namespace {
@@ -88,7 +89,8 @@ TEST(ModuleIndexTest, ViewsOfOneSealShareOneIndex) {
   EXPECT_FALSE(ModuleIndexBuilt(next));
   EXPECT_NE(IndexAddress(next), index);
   EXPECT_EQ(index->module_count(), 9u);
-  EXPECT_EQ(index->ModuleOfToken(5), index->ModuleOfToken(4));
+  EXPECT_EQ(test_support::ModuleOfToken(*index, 5),
+            test_support::ModuleOfToken(*index, 4));
 }
 
 TEST(ModuleIndexTest, FromScratchContextCarriesItsOwnIndex) {

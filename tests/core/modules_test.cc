@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "analysis/context.h"
 #include "common/rng.h"
 #include "oracle/analysis_oracle.h"
@@ -30,7 +32,7 @@ RsView View(RsId id, std::vector<TokenId> members,
 }
 
 // Paper Section 6.1 example: r1={t1,t2}@π, r2={t1,t2,t3}@π+1,
-// r3={t4,t5}@π+2, T={t1..t6}. Super RSs: r2 (v=2) and r3 (v=1); t6 fresh.
+// r3={t4,t5}@π+2, T={t1..t6}. Super RSs: r2 and r3; t6 fresh.
 TEST(ModuleUniverseTest, PaperSection61Example) {
   std::vector<TokenId> universe = {1, 2, 3, 4, 5, 6};
   std::vector<RsView> history = {View(1, {1, 2}, 10), View(2, {1, 2, 3}, 11),
@@ -38,19 +40,15 @@ TEST(ModuleUniverseTest, PaperSection61Example) {
   auto mu = test_support::BuildModules(universe, history);
   ASSERT_TRUE(mu.ok());
 
-  auto supers = mu->SuperRsModuleIndices();
-  ASSERT_EQ(supers.size(), 2u);
-  Module m2 = mu->module(mu->ModuleOfToken(3));
-  EXPECT_EQ(m2.super_rs, 2u);
-  EXPECT_EQ(m2.subset_count, 2u);  // r1 and r2
-  Module m3 = mu->module(mu->ModuleOfToken(4));
-  EXPECT_EQ(m3.super_rs, 3u);
-  EXPECT_EQ(m3.subset_count, 1u);
-
-  auto fresh = mu->FreshModuleIndices();
-  ASSERT_EQ(fresh.size(), 1u);
-  EXPECT_EQ(ToVector(mu->module(fresh[0]).tokens), (std::vector<TokenId>{6}));
-  EXPECT_TRUE(mu->module(fresh[0]).is_fresh);
+  // Supers in proposal order, then the fresh token.
+  ASSERT_EQ(mu->super_count(), 2u);
+  ASSERT_EQ(mu->module_count(), 3u);
+  EXPECT_EQ(ToVector(mu->ModuleTokens(0)), (std::vector<TokenId>{1, 2, 3}));
+  EXPECT_EQ(ToVector(mu->ModuleTokens(1)), (std::vector<TokenId>{4, 5}));
+  EXPECT_EQ(ToVector(mu->ModuleTokens(2)), (std::vector<TokenId>{6}));
+  for (size_t i = 0; i < mu->module_count(); ++i) {
+    EXPECT_EQ(mu->ModuleSize(i), mu->ModuleTokens(i).size()) << i;
+  }
   EXPECT_EQ(mu->token_count(), 6u);
 }
 
@@ -58,8 +56,8 @@ TEST(ModuleUniverseTest, EmptyHistoryIsAllFresh) {
   std::vector<TokenId> universe = {1, 2, 3};
   auto mu = test_support::BuildModules(universe, {});
   ASSERT_TRUE(mu.ok());
-  EXPECT_EQ(mu->FreshModuleIndices().size(), 3u);
-  EXPECT_TRUE(mu->SuperRsModuleIndices().empty());
+  EXPECT_EQ(mu->module_count(), 3u);
+  EXPECT_EQ(mu->super_count(), 0u);
 }
 
 TEST(ModuleUniverseTest, RejectsPartialOverlap) {
@@ -80,72 +78,82 @@ TEST(ModuleUniverseTest, RejectsTokensOutsideUniverse) {
 }
 
 TEST(ModuleUniverseTest, NestedChainsCollapseToLatestSuper) {
-  // r0 ⊂ r1 ⊂ r2: only r2 is a super RS, with subset count 3.
+  // r0 ⊂ r1 ⊂ r2: only r2 is a super RS.
   std::vector<RsView> history = {View(0, {1}, 1), View(1, {1, 2}, 2),
                                  View(2, {1, 2, 3}, 3)};
   std::vector<TokenId> universe = {1, 2, 3, 4};
   auto mu = test_support::BuildModules(universe, history);
   ASSERT_TRUE(mu.ok());
-  auto supers = mu->SuperRsModuleIndices();
-  ASSERT_EQ(supers.size(), 1u);
-  EXPECT_EQ(mu->module(supers[0]).super_rs, 2u);
-  EXPECT_EQ(mu->module(supers[0]).subset_count, 3u);
-  EXPECT_EQ(mu->SubsetRsOf(supers[0]).size(), 3u);
-  EXPECT_EQ(mu->FreshModuleIndices().size(), 1u);  // token 4
+  ASSERT_EQ(mu->super_count(), 1u);
+  EXPECT_EQ(ToVector(mu->ModuleTokens(0)), (std::vector<TokenId>{1, 2, 3}));
+  ASSERT_EQ(mu->module_count(), 2u);  // token 4 is fresh
+  EXPECT_EQ(ToVector(mu->ModuleTokens(1)), (std::vector<TokenId>{4}));
 }
 
 TEST(ModuleUniverseTest, EqualSetsLaterWins) {
   // Two identical RSs: the later one is the super RS (Def. 7 excludes an
-  // RS that a later superset covers; ⊇ includes equality).
+  // RS that a later superset covers; ⊇ includes equality). Its members
+  // are the later view's own span.
   std::vector<RsView> history = {View(0, {1, 2}, 1), View(1, {1, 2}, 2)};
   std::vector<TokenId> universe = {1, 2};
-  auto mu = test_support::BuildModules(universe, history);
+  analysis::AnalysisContext context =
+      analysis::AnalysisContext::Build(history, nullptr, universe);
+  auto mu = ModuleUniverse::Build(universe, history, context);
   ASSERT_TRUE(mu.ok());
-  auto supers = mu->SuperRsModuleIndices();
-  ASSERT_EQ(supers.size(), 1u);
-  EXPECT_EQ(mu->module(supers[0]).super_rs, 1u);
-  EXPECT_EQ(mu->module(supers[0]).subset_count, 2u);
+  ASSERT_EQ(mu->super_count(), 1u);
+  EXPECT_EQ(mu->ModuleTokens(0).data(),
+            context.History()[context.LocalOfRs(1)].members.data());
 }
 
-TEST(ModuleUniverseTest, ModuleOfTokenCoversEveryToken) {
+TEST(ModuleUniverseTest, ModuleOfLocalCoversEveryToken) {
   std::vector<RsView> history = {View(0, {1, 2}), View(1, {3, 4, 5})};
   std::vector<TokenId> universe = {1, 2, 3, 4, 5, 6, 7};
-  auto mu = test_support::BuildModules(universe, history);
+  analysis::AnalysisContext context =
+      analysis::AnalysisContext::Build(history, nullptr, universe);
+  auto mu = ModuleUniverse::Build(universe, history, context);
   ASSERT_TRUE(mu.ok());
   for (TokenId t : {1, 2, 3, 4, 5, 6, 7}) {
-    size_t index = mu->ModuleOfToken(t);
-    Module module = mu->module(index);
-    EXPECT_NE(std::find(module.tokens.begin(), module.tokens.end(), t),
-              module.tokens.end());
+    std::span<const TokenId> tokens =
+        mu->ModuleTokens(mu->ModuleOfLocal(context.LocalOfToken(t)));
+    EXPECT_NE(std::find(tokens.begin(), tokens.end(), t), tokens.end());
   }
 }
 
+/// Per module: the oracle's index, kind and tokens, the (HT, count) pairs
+/// of those tokens under `index` (when every token has an HT) and the
+/// module of each of them.
 void ExpectSameUniverse(const oracle::ModuleDecomposition& legacy,
-                        const ModuleUniverse& fast, int trial) {
+                        const ModuleUniverse& fast,
+                        const analysis::AnalysisContext& context,
+                        const chain::HtIndex* index, int trial) {
   ASSERT_EQ(legacy.modules.size(), fast.module_count()) << "trial " << trial;
   EXPECT_EQ(legacy.token_count, fast.token_count()) << "trial " << trial;
   for (size_t i = 0; i < legacy.modules.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "trial " << trial << " module " << i);
     const oracle::OracleModule& a = legacy.modules[i];
-    Module b = fast.module(i);
-    EXPECT_EQ(a.index, b.index) << "trial " << trial << " module " << i;
-    EXPECT_EQ(a.is_fresh, b.is_fresh) << "trial " << trial << " module " << i;
-    EXPECT_EQ(a.super_rs, b.super_rs) << "trial " << trial << " module " << i;
-    EXPECT_EQ(a.tokens, ToVector(b.tokens)) << "trial " << trial << " module " << i;
-    EXPECT_EQ(a.subset_count, b.subset_count)
-        << "trial " << trial << " module " << i;
-    EXPECT_EQ(legacy.subset_rs[i], ToVector(fast.SubsetRsOf(i)))
-        << "trial " << trial << " module " << i;
+    EXPECT_EQ(a.index, i);
+    EXPECT_EQ(a.is_fresh, i >= fast.super_count());
+    EXPECT_EQ(a.tokens, ToVector(fast.ModuleTokens(i)));
+    EXPECT_EQ(a.tokens.size(), fast.ModuleSize(i));
+    if (index != nullptr) {
+      std::map<chain::TxId, uint32_t> want;
+      for (TokenId t : a.tokens) ++want[index->HtOf(t)];
+      std::map<chain::TxId, uint32_t> got;
+      for (HtTokens pair : fast.HtsOf(i)) {
+        got[context.ht_id(pair.ht)] = pair.tokens;
+      }
+      EXPECT_EQ(want, got);
+    }
     for (TokenId t : a.tokens) {
-      EXPECT_EQ(fast.ModuleOfToken(t), i)
-          << "trial " << trial << " token " << t;
+      EXPECT_EQ(fast.ModuleOfLocal(context.LocalOfToken(t)), i)
+          << "token " << t;
     }
   }
 }
 
-// Build replaces the O(|history|²) configuration check and the per-super
-// subset scans with inverted-index walks; the output must be
-// byte-identical to the pairwise reference (tests/oracle) on random
-// laminar histories.
+// Build replaces the O(|history|²) configuration check with an
+// inverted-index walk; the output must be byte-identical to the pairwise
+// reference (tests/oracle) on random laminar histories.
 TEST(ModuleUniverseTest, ContextBuildMatchesLegacyOnRandomHistories) {
   common::Rng rng(20260806);
   for (int trial = 0; trial < 100; ++trial) {
@@ -186,20 +194,26 @@ TEST(ModuleUniverseTest, ContextBuildMatchesLegacyOnRandomHistories) {
         analysis::AnalysisContext::Build(history, &index, universe);
     auto fast = ModuleUniverse::Build(universe, history, context);
     ASSERT_TRUE(fast.ok()) << "trial " << trial;
-    ExpectSameUniverse(*legacy, *fast, trial);
+    ASSERT_TRUE(fast->HtStatus().ok()) << "trial " << trial;
+    ExpectSameUniverse(*legacy, *fast, context, &index, trial);
   }
 }
 
 TEST(ModuleUniverseTest, ContextBuildMatchesLegacyWithEmptyRs) {
-  // An empty RS is a super of its own and a subset of every super.
+  // An empty RS is a super of its own, with no tokens.
   std::vector<TokenId> universe = {1, 2, 3, 4};
   std::vector<RsView> history = {View(0, {1, 2}, 1), View(1, {}, 2),
                                  View(2, {3}, 3), View(3, {}, 4)};
+  chain::HtIndex index;
+  for (TokenId t : universe) index.Set(t, 100 + t % 2);
   auto legacy = oracle::BuildModules(universe, history);
   ASSERT_TRUE(legacy.ok());
-  auto fast = test_support::BuildModules(universe, history);
+  analysis::AnalysisContext context =
+      analysis::AnalysisContext::Build(history, &index, universe);
+  auto fast = ModuleUniverse::Build(universe, history, context);
   ASSERT_TRUE(fast.ok());
-  ExpectSameUniverse(*legacy, *fast, 0);
+  ASSERT_TRUE(fast->HtStatus().ok());
+  ExpectSameUniverse(*legacy, *fast, context, &index, 0);
 }
 
 TEST(ModuleUniverseTest, ContextBuildRejectsLikeLegacy) {
@@ -230,13 +244,15 @@ TEST(ModuleUniverseTest, ContextBuildRejectsLikeLegacy) {
 }
 
 TEST(ModuleUniverseTest, ModuleIndicesAreDense) {
+  // Supers are modules [0, S), fresh tokens [S, n), one per token.
   std::vector<RsView> history = {View(0, {1, 2})};
   std::vector<TokenId> universe = {1, 2, 3};
   auto mu = test_support::BuildModules(universe, history);
   ASSERT_TRUE(mu.ok());
-  for (size_t i = 0; i < mu->module_count(); ++i) {
-    EXPECT_EQ(mu->module(i).index, i);
-  }
+  ASSERT_EQ(mu->super_count(), 1u);
+  ASSERT_EQ(mu->module_count(), 2u);
+  EXPECT_EQ(ToVector(mu->ModuleTokens(0)), (std::vector<TokenId>{1, 2}));
+  EXPECT_EQ(ToVector(mu->ModuleTokens(1)), (std::vector<TokenId>{3}));
 }
 
 }  // namespace

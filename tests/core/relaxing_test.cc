@@ -99,22 +99,33 @@ TEST(RelaxingTest, UnsatisfiableAtFloorIsReported) {
 }
 
 TEST(RelaxingTest, ScheduleAlternatesAndRespectsFloors) {
-  auto schedule = RelaxingSelector::Schedule({1.0, 3});
   // c grows by 1.5 and ℓ steps down by 1, alternating and c first, until
-  // ℓ reaches its floor of 1...
-  const std::vector<DiversityRequirement> head = {
-      {1.0, 3}, {1.5, 3}, {1.5, 2}, {2.25, 2}, {2.25, 1}, {3.375, 1}};
-  ASSERT_GE(schedule.size(), head.size());
-  for (size_t i = 0; i < head.size(); ++i) {
-    EXPECT_EQ(schedule[i], head[i]) << "step " << i;
+  // ℓ reaches its floor of 1; then only c grows, to its cap of 16, where
+  // the schedule ends.
+  const std::vector<DiversityRequirement> expected = {
+      {1.0, 3},   {1.5, 3},    {1.5, 2},     {2.25, 2},      {2.25, 1},
+      {3.375, 1}, {5.0625, 1}, {7.59375, 1}, {11.390625, 1}, {16.0, 1}};
+  EXPECT_EQ(RelaxingSelector::Schedule({1.0, 3}), expected);
+
+  // Every step relaxes a knob that still has room, so no entry repeats
+  // the one before, whichever knob reaches its floor first.
+  for (double c : {0.5, 1.0, 4.0, 15.0, 16.0, 20.0}) {
+    for (int ell = 1; ell <= 12; ++ell) {
+      SCOPED_TRACE(testing::Message() << "c " << c << " ell " << ell);
+      auto schedule = RelaxingSelector::Schedule({c, ell});
+      ASSERT_FALSE(schedule.empty());
+      EXPECT_EQ(schedule.front(), (DiversityRequirement{c, ell}));
+      for (size_t i = 1; i < schedule.size(); ++i) {
+        EXPECT_NE(schedule[i], schedule[i - 1]) << "step " << i;
+        EXPECT_GE(schedule[i].c, schedule[i - 1].c);
+        EXPECT_LE(schedule[i].ell, schedule[i - 1].ell);
+        EXPECT_GE(schedule[i].ell, 1);
+      }
+      if (c <= 16.0) {
+        EXPECT_EQ(schedule.back(), (DiversityRequirement{16.0, 1}));
+      }
+    }
   }
-  // ...then only c grows, to its floor of 16, where the schedule ends.
-  for (size_t i = 1; i < schedule.size(); ++i) {
-    EXPECT_GE(schedule[i].c, schedule[i - 1].c);
-    EXPECT_LE(schedule[i].c, 16.0);
-    EXPECT_GE(schedule[i].ell, 1);
-  }
-  EXPECT_EQ(schedule.back(), (DiversityRequirement{16.0, 1}));
 }
 
 TEST(RelaxingTest, NonUnsatisfiableErrorsPassThrough) {

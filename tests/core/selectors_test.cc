@@ -263,9 +263,9 @@ TEST(MoneroSelectorTest, ProducesFixedSizeRing) {
 
 TEST(GameTheoreticTest, FallsBackToFeasibleProfileOnNonMonotoneInstance) {
   // A universe where the whole-universe profile violates the diversity
-  // requirement (one dominant HT) but a careful subset satisfies it:
-  // the raw accretion dynamics plateau infeasibly and the Progressive
-  // restart must rescue the game.
+  // requirement (one dominant HT) and no single flip repairs it, but a
+  // careful subset satisfies it: the raw accretion dynamics plateau
+  // infeasibly and the Progressive restart must rescue the game.
   chain::HtIndex idx;
   // 12 tokens of HT 0 (dominant), plus 8 singleton HTs.
   for (TokenId t = 0; t < 12; ++t) idx.Set(t, 0);
@@ -274,26 +274,31 @@ TEST(GameTheoreticTest, FallsBackToFeasibleProfileOnNonMonotoneInstance) {
   std::vector<TokenId> universe;
   for (TokenId t = 0; t < 20; ++t) universe.push_back(t);
   input.universe = universe;
-  // One super RS holding most of the dominant-HT tokens so choosing it
-  // wrecks diversity.
-  std::vector<RsView> history = {View(0, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9})};
+  // Five 2-token super RSs of the dominant HT (modules 0-4) and two fresh
+  // dominant-HT tokens 10, 11 (modules 5, 6); tokens 12..19 are modules
+  // 7..14, so module 7 is the target.
+  std::vector<RsView> history = {View(0, {0, 1}), View(1, {2, 3}),
+                                 View(2, {4, 5}), View(3, {6, 7}),
+                                 View(4, {8, 9})};
   input.history = history;
   input.target = 12;
   input.requirement = {1.0, 3};  // tested at (1, 4)
   input.index = &idx;
   AttachContext(&input);
-  // Whole universe: q1 = 12, tail(4) = sum of ranks >= 4 over 9 HTs of
-  // frequency 1 => 12 < 1*6? No: infeasible. Subset of singletons only:
-  // q1 = 1 < 1*(theta - 3): feasible for theta >= 5.
+  // Whole universe: q1 = 12 against a tail of 6 (ranks 4..9 of 9 HTs):
+  // infeasible, and dropping any one module leaves q1 >= 10. Singletons
+  // only: q1 = 1 < 1*(theta - 3), feasible for theta >= 5.
   common::Rng rng(5);
   GameTheoreticSelector game;
   auto result = game.Select(input, &rng);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(analysis::SatisfiesRecursiveDiversity(
       result->members, idx, EffectiveRequirement(input.requirement)));
-  // The dominant super RS must have been left out.
-  EXPECT_FALSE(std::binary_search(result->members.begin(),
-                                  result->members.end(), TokenId{0}));
+  // The restart re-seeds from the Progressive ring's modules; the
+  // equilibrium it reaches, which leaves every dominant super RS out, is
+  // pinned exactly.
+  EXPECT_EQ(result->members, (std::vector<TokenId>{10, 12, 13, 14, 15}));
+  EXPECT_EQ(result->chosen_modules, (std::vector<size_t>{7, 5, 8, 9, 10}));
 }
 
 TEST(MoneroSelectorTest, SmallUniverseUnsatisfiable) {

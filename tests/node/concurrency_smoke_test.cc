@@ -62,7 +62,7 @@ struct Network {
 // history (alive, not dangling) and a re-fetch observes the new one.
 // This is the stale-pointer repro: before the shared_ptr cache, the
 // mined block would have left the old reference dangling.
-TEST(ConcurrencySmokeTest, RebuildIndicesInvalidatesCachedContext) {
+TEST(ConcurrencySmokeTest, MineBlockInvalidatesCachedContext) {
   Network net(12);
   core::ProgressiveSelector selector;
 

@@ -306,18 +306,10 @@ common::Result<ModuleDecomposition> BuildModules(
     module.is_fresh = false;
     module.super_rs = view.id;
     module.tokens = view.members;
-    std::vector<chain::RsId> subsets;
-    for (const chain::RsView& other : history) {
-      if (SortedSubset(other.members, view.members)) {
-        subsets.push_back(other.id);
-      }
-    }
-    module.subset_count = subsets.size();
     for (chain::TokenId t : module.tokens) {
       token_to_module.emplace(t, module.index);
     }
     mu.modules.push_back(std::move(module));
-    mu.subset_rs.push_back(std::move(subsets));
   }
 
   // Fresh tokens (Definition 8): universe tokens in no RS.
@@ -334,10 +326,8 @@ common::Result<ModuleDecomposition> BuildModules(
     module.index = mu.modules.size();
     module.is_fresh = true;
     module.tokens = {t};
-    module.subset_count = 0;
     token_to_module.emplace(t, module.index);
     mu.modules.push_back(std::move(module));
-    mu.subset_rs.emplace_back();
   }
 
   return mu;

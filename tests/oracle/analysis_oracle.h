@@ -50,18 +50,15 @@ struct OracleModule {
   bool is_fresh = false;
   chain::RsId super_rs = chain::kInvalidRs;
   std::vector<chain::TokenId> tokens;
-  size_t subset_count = 0;
 };
 
 /// Section 6.1 module decomposition, as plain data.
 struct ModuleDecomposition {
   std::vector<OracleModule> modules;
-  std::vector<std::vector<chain::RsId>> subset_rs;  // per module
   size_t token_count = 0;
 };
 
-/// The decomposition via a pairwise first-practical-configuration scan and
-/// a per-super scan of the whole history for subset lists.
+/// The decomposition via a pairwise first-practical-configuration scan.
 common::Result<ModuleDecomposition> BuildModules(
     std::span<const chain::TokenId> universe,
     std::span<const chain::RsView> history);

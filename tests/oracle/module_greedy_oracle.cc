@@ -15,7 +15,7 @@ std::vector<chain::TokenId> Members(const core::ModuleUniverse& mu,
                                     const std::vector<size_t>& chosen) {
   std::vector<chain::TokenId> members;
   for (size_t i : chosen) {
-    std::span<const chain::TokenId> tokens = mu.module(i).tokens;
+    std::span<const chain::TokenId> tokens = mu.ModuleTokens(i);
     members.insert(members.end(), tokens.begin(), tokens.end());
   }
   return members;
@@ -69,7 +69,7 @@ size_t FreshHtCount(const core::ModuleUniverse& mu,
   std::unordered_set<chain::TxId> covered;
   for (chain::TokenId t : Members(mu, chosen)) covered.insert(index.HtOf(t));
   std::unordered_set<chain::TxId> fresh;
-  for (chain::TokenId t : mu.module(candidate).tokens) {
+  for (chain::TokenId t : mu.ModuleTokens(candidate)) {
     chain::TxId ht = index.HtOf(t);
     if (covered.count(ht) == 0) fresh.insert(ht);
   }

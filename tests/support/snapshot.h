@@ -4,6 +4,9 @@
 // the context's inverted index).
 #pragma once
 
+#include <gtest/gtest.h>
+
+#include <algorithm>
 #include <memory>
 #include <span>
 
@@ -33,6 +36,18 @@ inline common::Result<core::ModuleUniverse> BuildModules(
   return core::ModuleUniverse::Build(
       universe, history,
       analysis::AnalysisContext::Build(history, nullptr, universe));
+}
+
+/// The module of `mu` whose tokens include universe token `t`, by a scan
+/// of every module.
+inline size_t ModuleOfToken(const core::ModuleUniverse& mu,
+                            chain::TokenId t) {
+  for (size_t m = 0; m < mu.module_count(); ++m) {
+    std::span<const chain::TokenId> tokens = mu.ModuleTokens(m);
+    if (std::binary_search(tokens.begin(), tokens.end(), t)) return m;
+  }
+  ADD_FAILURE() << "token " << t << " is in no module";
+  return mu.module_count();
 }
 
 }  // namespace tokenmagic::test_support
