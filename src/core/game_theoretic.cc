@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 
 #include "common/macros.h"
 #include "core/module_greedy.h"
@@ -22,9 +23,10 @@ common::Result<SelectionResult> GameTheoreticSelector::Select(
   SelectionResult result;
 
   // Initialization (lines 2-4): the same HT-covering greedy as Algorithm 4.
+  std::optional<FreshHtCounts> fresh;
   TM_ASSIGN_OR_RETURN(
       size_t init_steps,
-      GreedyCoverHts(&state, effective.ell, input.deadline));
+      GreedyCoverHts(&state, &fresh, effective.ell, input.deadline));
   result.iterations += init_steps;
 
   // Cost of a strategy profile for any player: |r̃_τ| / |A| when eligible,

@@ -84,22 +84,42 @@ void UnchooseModule(ModuleSelectionState* state, size_t module_index) {
 
 FreshHtCounts::FreshHtCounts(const ModuleSelectionState& state) {
   const ModuleUniverse& mu = *state.mu;
-  fresh_.resize(mu.module_count());
-  for (size_t m = 0; m < mu.module_count(); ++m) {
-    fresh_[m] = static_cast<uint32_t>(mu.HtsOf(m).size());
+  // A fresh-token module has one HT and one token.
+  fresh_.assign(mu.module_count(), {1, 1, 0});
+  for (size_t m = 0; m < mu.super_count(); ++m) {
+    fresh_[m] = {static_cast<uint32_t>(mu.HtsOf(m).size()),
+                 static_cast<uint32_t>(mu.ModuleSize(m)), 0};
   }
   for (uint32_t ht : state.covered_hts) {
-    for (uint32_t m : mu.ModulesOfHt(ht)) --fresh_[m];
+    for (HtModule pair : mu.ModulesOfHt(ht)) {
+      --fresh_[pair.module].hts;
+      fresh_[pair.module].tokens -= pair.tokens;
+    }
   }
 }
 
 void FreshHtCounts::Choose(ModuleSelectionState* state,
                            size_t module_index) {
-  for (HtTokens pair : state->HtsOf(module_index)) {
-    if (state->ht_count[pair.ht] != 0) continue;  // already covered
-    for (uint32_t m : state->mu->ModulesOfHt(pair.ht)) --fresh_[m];
+  for (HtTokens covered : state->HtsOf(module_index)) {
+    if (state->ht_count[covered.ht] != 0) continue;  // already covered
+    for (HtModule pair : state->mu->ModulesOfHt(covered.ht)) {
+      --fresh_[pair.module].hts;
+      fresh_[pair.module].tokens -= pair.tokens;
+    }
   }
   ChooseModule(state, module_index);
+}
+
+void FreshHtCounts::MarkTail(const ModuleSelectionState& state,
+                             const ChosenFrequencies& chosen, size_t head,
+                             bool clear) {
+  for (uint32_t ht : state.covered_hts) {
+    if (chosen.slot[ht] < head) continue;
+    for (HtModule pair : state.mu->ModulesOfHt(ht)) {
+      uint32_t& tail = fresh_[pair.module].tail;
+      tail = clear ? 0 : tail + pair.tokens;
+    }
+  }
 }
 
 bool ChosenEligible(const ModuleSelectionState& state,
@@ -151,12 +171,13 @@ GreedyPick PickCoverModule(const ModuleSelectionState& state,
   return pick;
 }
 
-common::Result<size_t> GreedyCoverHts(ModuleSelectionState* state, int ell,
-                                      common::Deadline* deadline) {
+common::Result<size_t> GreedyCoverHts(ModuleSelectionState* state,
+                                      std::optional<FreshHtCounts>* fresh,
+                                      int ell, common::Deadline* deadline) {
   size_t steps = 0;
   const size_t target = static_cast<size_t>(ell);
   if (state->covered_hts.size() >= target) return steps;
-  FreshHtCounts fresh(*state);
+  if (!fresh->has_value()) fresh->emplace(*state);
   while (state->covered_hts.size() < target) {
     if (deadline != nullptr) {
       deadline->Tick();
@@ -164,13 +185,13 @@ common::Result<size_t> GreedyCoverHts(ModuleSelectionState* state, int ell,
         return common::Status::Timeout("HT-cover greedy budget exhausted");
       }
     }
-    GreedyPick pick =
-        PickCoverModule(*state, fresh, target - state->covered_hts.size());
+    GreedyPick pick = PickCoverModule(*state, **fresh,
+                                      target - state->covered_hts.size());
     if (pick.module == GreedyPick::kNoModule) {
       return common::Status::Unsatisfiable(common::StrFormat(
           "universe covers fewer than %d distinct HTs", ell));
     }
-    fresh.Choose(state, pick.module);
+    (*fresh)->Choose(state, pick.module);
     ++steps;
   }
   return steps;
@@ -286,18 +307,57 @@ double SlackWith(const ChosenFrequencies& chosen,
   return analysis::DiversitySlack(q1, tail, req);
 }
 
+namespace {
+
+/// β_i of one candidate: (delta - SlackWith) / |x_i|.
+double BetaOf(const ModuleSelectionState& state,
+              const ChosenFrequencies& chosen, double delta,
+              const chain::DiversityRequirement& req, SlackScratch* scratch,
+              size_t candidate) {
+  double delta_i = SlackWith(chosen, state.HtsOf(candidate), req, scratch);
+  return (delta - delta_i) /
+         static_cast<double>(state.mu->ModuleSize(candidate));
+}
+
+}  // namespace
+
 GreedyPick PickSlackModule(const ModuleSelectionState& state,
+                           FreshHtCounts* fresh,
                            const ChosenFrequencies& chosen, double delta,
                            const chain::DiversityRequirement& req,
                            SlackScratch* scratch) {
-  const bool exact = analysis::SlackIsExact(
-      req.c, static_cast<int64_t>(state.mu->token_count()));
+  const ModuleUniverse& mu = *state.mu;
+  const int64_t universe_tokens = static_cast<int64_t>(mu.token_count());
+  const bool exact = analysis::SlackIsExact(req.c, universe_tokens);
+  // The margins of the β bound (see the header): R, then δ's nudge.
+  const bool bounded = req.c >= 0.0;
+  const double base =
+      (1.0 + req.c) * static_cast<double>(universe_tokens + 1) * 0x1p-48 +
+      (delta == 0.5 ? 0.5 : 0.0);
+  const size_t head = static_cast<size_t>(req.ell) - 1;
+  bool tail_marked = false;
+
   GreedyPick pick;
   double best_beta = -std::numeric_limits<double>::infinity();
   for (size_t candidate : state.remaining) {
-    double delta_i = SlackWith(chosen, state.HtsOf(candidate), req, scratch);
-    double beta = (delta - delta_i) /
-                  static_cast<double>(state.mu->ModuleSize(candidate));
+    if (bounded && pick.module != GreedyPick::kNoModule) {
+      if (!tail_marked) {
+        fresh->MarkTail(state, chosen, head, /*clear=*/false);
+        tail_marked = true;
+      }
+      double scaled =
+          req.c * static_cast<double>(fresh->tokens(candidate) +
+                                      fresh->tail_tokens(candidate));
+      // δ_i can take the -0.5 nudge only when x_i may close the gap.
+      double margin = scaled + base > delta ? base + 0.5 : base;
+      if ((scaled + margin) / static_cast<double>(mu.ModuleSize(candidate)) <
+          best_beta) {
+        TM_DCHECK(!(BetaOf(state, chosen, delta, req, scratch, candidate) >
+                    best_beta));
+        continue;
+      }
+    }
+    double beta = BetaOf(state, chosen, delta, req, scratch, candidate);
     TM_DCHECK(!exact || beta <= req.c);
     if (beta > best_beta) {
       best_beta = beta;
@@ -308,6 +368,7 @@ GreedyPick PickSlackModule(const ModuleSelectionState& state,
       }
     }
   }
+  if (tail_marked) fresh->MarkTail(state, chosen, head, /*clear=*/true);
   return pick;
 }
 

@@ -274,7 +274,8 @@ common::Result<ModuleUniverse> ModuleUniverse::Build(
     for (size_t m = 0; m < mu.module_count(); ++m) {
       for (HtTokens pair : mu.HtsOf(m)) {
         if (pair.ht != kNoLocal) {
-          mu.ht_modules_[cursor[pair.ht]++] = static_cast<uint32_t>(m);
+          mu.ht_modules_[cursor[pair.ht]++] = {static_cast<uint32_t>(m),
+                                               pair.tokens};
         }
       }
     }
@@ -305,7 +306,7 @@ std::span<const HtTokens> ModuleUniverse::HtsOf(size_t module_index) const {
   return {hts_.data() + ht_offsets_[supers] + (module_index - supers), 1};
 }
 
-std::span<const uint32_t> ModuleUniverse::ModulesOfHt(Local ht) const {
+std::span<const HtModule> ModuleUniverse::ModulesOfHt(Local ht) const {
   TM_DCHECK(ht + 1 < ht_module_offsets_.size());
   return {ht_modules_.data() + ht_module_offsets_[ht],
           ht_module_offsets_[ht + 1] - ht_module_offsets_[ht]};

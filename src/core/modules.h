@@ -13,8 +13,8 @@
 // seal's SealMemo (ModuleIndexOf) and shared by every selection, ladder
 // stage and relaxation step that reads a view of that seal. It holds
 // only what selection reads: module tokens are spans into the epoch core,
-// and the HT pairs and their inverse (the modules of each HT) are one CSR
-// each.
+// and the HT pairs and their inverse (the modules of each HT, with the
+// same token counts) are one CSR each.
 #pragma once
 
 #include <cstddef>
@@ -32,6 +32,12 @@ namespace tokenmagic::core {
 /// One module's tokens of one HT: (context HT local, token count).
 struct HtTokens {
   uint32_t ht = 0;
+  uint32_t tokens = 0;
+};
+
+/// The same count seen from the HT: (module index, token count).
+struct HtModule {
+  uint32_t module = 0;
   uint32_t tokens = 0;
 };
 
@@ -81,9 +87,10 @@ class ModuleUniverse {
   /// HT local. Meaningful only when HtStatus() is OK.
   std::span<const HtTokens> HtsOf(size_t module_index) const;
 
-  /// The modules with a token of context HT local `ht`, ascending: the
-  /// inverse of HtsOf. Meaningful only when HtStatus() is OK.
-  std::span<const uint32_t> ModulesOfHt(Local ht) const;
+  /// The modules with a token of context HT local `ht`, ascending, each
+  /// with its token count of `ht`: the inverse of HtsOf. Meaningful only
+  /// when HtStatus() is OK.
+  std::span<const HtModule> ModulesOfHt(Local ht) const;
 
   /// InvalidArgument naming the first universe token (in module order)
   /// whose HT the context does not know; OK when every token has one.
@@ -108,10 +115,10 @@ class ModuleUniverse {
   /// 1]); fresh module S + f's one pair is hts_[ht_offsets_[S] + f].
   std::vector<uint32_t> ht_offsets_;
   std::vector<HtTokens> hts_;
-  /// HT local h's modules are ht_modules_[ht_module_offsets_[h] ..
-  /// ht_module_offsets_[h + 1]).
+  /// HT local h's (module, token count) pairs are
+  /// ht_modules_[ht_module_offsets_[h] .. ht_module_offsets_[h + 1]).
   std::vector<uint32_t> ht_module_offsets_;
-  std::vector<uint32_t> ht_modules_;
+  std::vector<HtModule> ht_modules_;
   /// Module of each context token local; kNoLocal outside the universe.
   std::vector<uint32_t> module_of_local_;
   size_t token_count_ = 0;

@@ -1,5 +1,7 @@
 #include "core/progressive.h"
 
+#include <optional>
+
 #include "analysis/diversity.h"
 #include "common/macros.h"
 #include "core/module_greedy.h"
@@ -17,11 +19,14 @@ common::Result<SelectionResult> ProgressiveSelector::Select(
       EffectiveRequirement(input.requirement);
 
   SelectionResult result;
+  // One set of fresh counts for both phases, built by the first step
+  // that needs it.
+  std::optional<FreshHtCounts> fresh;
 
   // Phase 1: reach ℓ distinct HTs (lines 2-4 of Algorithm 4).
   TM_ASSIGN_OR_RETURN(
       size_t phase1_steps,
-      GreedyCoverHts(&state, effective.ell, input.deadline));
+      GreedyCoverHts(&state, &fresh, effective.ell, input.deadline));
   result.iterations += phase1_steps;
 
   // Phase 2: close the diversity gap (lines 5-7). δ and every δ_i come
@@ -36,13 +41,14 @@ common::Result<SelectionResult> ProgressiveSelector::Select(
     if (DeadlineExpired(input)) {
       return common::Status::Timeout("Progressive budget exhausted");
     }
+    if (!fresh.has_value()) fresh.emplace(state);
     GreedyPick pick =
-        PickSlackModule(state, chosen, delta, effective, &scratch);
+        PickSlackModule(state, &*fresh, chosen, delta, effective, &scratch);
     if (pick.module == GreedyPick::kNoModule) {
       return common::Status::Unsatisfiable(
           "no module assembly satisfies the diversity constraint");
     }
-    ChooseModule(&state, pick.module);
+    fresh->Choose(&state, pick.module);
     ++result.iterations;
   }
 

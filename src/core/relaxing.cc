@@ -18,6 +18,24 @@ constexpr int kEllMin = 1;
 /// Cap on total relaxation steps.
 constexpr int kMaxSteps = 64;
 
+/// Advances `current` one step of the schedule: alternate the two knobs,
+/// c first, falling back to whichever still has room, so every step
+/// changes the requirement. False, leaving `current`, at both floors.
+bool NextRequirement(chain::DiversityRequirement* current,
+                     bool* relax_c_next) {
+  bool c_exhausted = current->c >= kCMax;
+  bool ell_exhausted = current->ell <= kEllMin;
+  if (c_exhausted && ell_exhausted) return false;
+  bool relax_c = !c_exhausted && (*relax_c_next || ell_exhausted);
+  if (relax_c) {
+    current->c = std::min(current->c * kCGrowth, kCMax);
+  } else {
+    current->ell = std::max(current->ell - kEllStep, kEllMin);
+  }
+  *relax_c_next = !*relax_c_next;
+  return true;
+}
+
 }  // namespace
 
 std::vector<chain::DiversityRequirement> RelaxingSelector::Schedule(
@@ -26,18 +44,7 @@ std::vector<chain::DiversityRequirement> RelaxingSelector::Schedule(
   chain::DiversityRequirement current = original;
   bool relax_c_next = true;
   for (int step = 0; step < kMaxSteps; ++step) {
-    bool c_exhausted = current.c >= kCMax;
-    bool ell_exhausted = current.ell <= kEllMin;
-    if (c_exhausted && ell_exhausted) break;
-    // Alternate the two knobs, falling back to whichever still has room,
-    // so every step changes the requirement.
-    bool relax_c = !c_exhausted && (relax_c_next || ell_exhausted);
-    if (relax_c) {
-      current.c = std::min(current.c * kCGrowth, kCMax);
-    } else {
-      current.ell = std::max(current.ell - kEllStep, kEllMin);
-    }
-    relax_c_next = !relax_c_next;
+    if (!NextRequirement(&current, &relax_c_next)) break;
     out.push_back(current);
   }
   return out;
@@ -46,22 +53,25 @@ std::vector<chain::DiversityRequirement> RelaxingSelector::Schedule(
 common::Result<RelaxedSelection> RelaxingSelector::Select(
     const SelectionInput& input, common::Rng* rng) const {
   TM_CHECK(inner_ != nullptr);
+  // The Schedule entries, generated one at a time: most selections end at
+  // the original requirement.
+  chain::DiversityRequirement requirement = input.requirement;
+  bool relax_c_next = true;
   common::Status last = common::Status::Unsatisfiable("empty schedule");
-  std::vector<chain::DiversityRequirement> schedule =
-      Schedule(input.requirement);
-  for (size_t step = 0; step < schedule.size(); ++step) {
+  for (int step = 0; step <= kMaxSteps; ++step) {
+    if (step > 0 && !NextRequirement(&requirement, &relax_c_next)) break;
     if (DeadlineExpired(input)) {
       return common::Status::Timeout(
           "relaxation schedule abandoned: deadline expired");
     }
     SelectionInput attempt = input;
-    attempt.requirement = schedule[step];
+    attempt.requirement = requirement;
     auto result = inner_->Select(attempt, rng);
     if (result.ok()) {
       RelaxedSelection out;
       out.result = std::move(result).value();
-      out.used_requirement = schedule[step];
-      out.relaxation_steps = static_cast<int>(step);
+      out.used_requirement = requirement;
+      out.relaxation_steps = step;
       return out;
     }
     if (!result.status().IsUnsatisfiable()) {

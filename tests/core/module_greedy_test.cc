@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <map>
 #include <numeric>
+#include <optional>
 #include <span>
+#include <tuple>
 #include <utility>
 
 #include "analysis/diversity.h"
@@ -141,7 +144,8 @@ TEST(GreedyCoverHtsTest, StopsExactlyAtEll) {
   Fixture fx;
   auto state = InitModuleState(fx.input);
   ASSERT_TRUE(state.ok());
-  auto steps = GreedyCoverHts(&*state, 3);
+  std::optional<FreshHtCounts> fresh;
+  auto steps = GreedyCoverHts(&*state, &fresh, 3);
   ASSERT_TRUE(steps.ok());
   EXPECT_GE(state->covered_hts.size(), 3u);
   // Greedy must not overshoot by more than one module's worth.
@@ -155,7 +159,8 @@ TEST(GreedyCoverHtsTest, PrefersCheapHtsPerToken) {
   // Needing 2 HTs: fresh token 6 (1 token, 1 new HT, alpha = 1) beats
   // super {3,4} (2 tokens, 2 new HTs, alpha = 2/min(1,2)=2) and super
   // {1,2} (2 tokens, 1 new HT, alpha = 2).
-  auto steps = GreedyCoverHts(&*state, 2);
+  std::optional<FreshHtCounts> fresh;
+  auto steps = GreedyCoverHts(&*state, &fresh, 2);
   ASSERT_TRUE(steps.ok());
   EXPECT_EQ(*steps, 1u);
   auto members = MaterializeCandidate(*state->mu, state->chosen);
@@ -166,7 +171,8 @@ TEST(GreedyCoverHtsTest, UnsatisfiableWhenHtsRunOut) {
   Fixture fx;
   auto state = InitModuleState(fx.input);
   ASSERT_TRUE(state.ok());
-  auto steps = GreedyCoverHts(&*state, 99);
+  std::optional<FreshHtCounts> fresh;
+  auto steps = GreedyCoverHts(&*state, &fresh, 99);
   EXPECT_FALSE(steps.ok());
   EXPECT_TRUE(steps.status().IsUnsatisfiable());
 }
@@ -287,7 +293,8 @@ TEST(ModuleIndexHtsTest, MatchFromScratchOracle) {
     std::iota(every.begin(), every.end(), size_t{0});
     std::map<TxId, int64_t> all = oracle::HtCounts(*state->mu, every, fx.index);
     int ell = 1 + static_cast<int>(ell_rng.NextBounded(8));
-    auto steps = GreedyCoverHts(&*state, ell);
+    std::optional<FreshHtCounts> fresh;
+    auto steps = GreedyCoverHts(&*state, &fresh, ell);
     if (static_cast<size_t>(ell) > all.size()) {
       EXPECT_TRUE(steps.status().IsUnsatisfiable());
       continue;
@@ -299,8 +306,8 @@ TEST(ModuleIndexHtsTest, MatchFromScratchOracle) {
 }
 
 // The seal's HT -> modules CSR is exactly the inverse of HtsOf: every
-// (HT, module) pair appears once on each side, and each HT's modules are
-// ascending.
+// (HT, module, token count) triple appears once on each side, and each
+// HT's modules are ascending.
 TEST(ModuleIndexHtsTest, ModulesOfHtInvertsHtsOf) {
   common::Rng rng(20261019);
   for (int trial = 0; trial < 120; ++trial) {
@@ -309,31 +316,42 @@ TEST(ModuleIndexHtsTest, ModulesOfHtInvertsHtsOf) {
                       trial % 2 == 0 ? 12 : 80);
     auto state = InitModuleState(fx.input);
     ASSERT_TRUE(state.ok()) << state.status().ToString();
-    std::vector<std::pair<uint32_t, uint32_t>> forward;
+    std::vector<std::tuple<uint32_t, uint32_t, uint32_t>> forward;
     for (size_t m = 0; m < state->mu->module_count(); ++m) {
       for (HtTokens pair : state->HtsOf(m)) {
-        forward.emplace_back(pair.ht, static_cast<uint32_t>(m));
+        forward.emplace_back(pair.ht, static_cast<uint32_t>(m), pair.tokens);
       }
     }
     std::sort(forward.begin(), forward.end());
-    std::vector<std::pair<uint32_t, uint32_t>> inverse;
+    std::vector<std::tuple<uint32_t, uint32_t, uint32_t>> inverse;
     for (uint32_t h = 0; h < fx.input.context->ht_count(); ++h) {
-      std::span<const uint32_t> modules = state->mu->ModulesOfHt(h);
-      EXPECT_TRUE(std::is_sorted(modules.begin(), modules.end()))
+      std::span<const HtModule> modules = state->mu->ModulesOfHt(h);
+      EXPECT_TRUE(std::is_sorted(modules.begin(), modules.end(),
+                                 [](HtModule a, HtModule b) {
+                                   return a.module < b.module;
+                                 }))
           << "ht " << h;
-      for (uint32_t m : modules) inverse.emplace_back(h, m);
+      for (HtModule pair : modules) {
+        inverse.emplace_back(h, pair.module, pair.tokens);
+      }
     }
     EXPECT_EQ(inverse, forward);
   }
 }
 
-// Phase 1's incremental fresh-HT counts against the from-scratch oracle:
-// GreedyCoverHts's picks are replayed through FreshHtCounts::Choose, and
-// after every step each module's count equals oracle::FreshHtCount and the
-// pick equals the α rule evaluated on oracle counts (same scan order,
-// first strict minimum). Random picks then carry the walk past ℓ.
+// The incremental fresh counts against the from-scratch oracles, through
+// both phases of Algorithm 4: GreedyCoverHts's picks, then
+// ProgressiveSelector's phase-2 picks at the same effective ℓ, then a few
+// random picks, are replayed through FreshHtCounts::Choose. After every
+// Choose each module's fresh-HT count equals oracle::FreshHtCount and its
+// fresh-token count oracle::FreshTokenCount, and each phase-1 pick equals
+// the α rule evaluated on oracle counts (same scan order, first strict
+// minimum). Phase 2 must have run in some trials.
 TEST(FreshHtCountsTest, MatchOracleAfterEveryGreedyStep) {
   common::Rng rng(20261020);
+  const double kCs[] = {0.6, 1.0, 2.0};
+  ProgressiveSelector progressive;
+  size_t phase2_trials = 0;
   for (int trial = 0; trial < 120; ++trial) {
     SCOPED_TRACE(trial);
     RandomInstance fx(&rng, trial % 2 == 0 ? 40 : 120,
@@ -342,17 +360,31 @@ TEST(FreshHtCountsTest, MatchOracleAfterEveryGreedyStep) {
     ASSERT_TRUE(state.ok()) << state.status().ToString();
     int ell = 1 + static_cast<int>(rng.NextBounded(40));
     ModuleSelectionState greedy = *state;
-    auto steps = GreedyCoverHts(&greedy, ell);
+    std::optional<FreshHtCounts> greedy_fresh;
+    auto steps = GreedyCoverHts(&greedy, &greedy_fresh, ell);
     if (!steps.ok()) {
       ASSERT_TRUE(steps.status().IsUnsatisfiable());
       continue;
     }
     std::vector<size_t> picks(greedy.chosen.begin() + 1, greedy.chosen.end());
     ASSERT_EQ(picks.size(), *steps);
-    while (!greedy.remaining.empty() && picks.size() < *steps + 4) {
-      size_t extra = greedy.remaining[rng.NextBounded(greedy.remaining.size())];
-      ChooseModule(&greedy, extra);
-      picks.push_back(extra);
+    fx.input.requirement = {kCs[trial % 3], ell - 1};
+    auto ring = progressive.Select(fx.input, nullptr);
+    if (ring.ok()) {
+      ASSERT_GE(ring->chosen_modules.size(), greedy.chosen.size());
+      ASSERT_TRUE(std::equal(greedy.chosen.begin(), greedy.chosen.end(),
+                             ring->chosen_modules.begin()));
+      for (size_t i = greedy.chosen.size(); i < ring->chosen_modules.size();
+           ++i) {
+        ChooseModule(&greedy, ring->chosen_modules[i]);
+        picks.push_back(ring->chosen_modules[i]);
+      }
+      if (picks.size() > *steps) ++phase2_trials;
+    }
+    for (int extra = 0; extra < 4 && !greedy.remaining.empty(); ++extra) {
+      size_t pick = greedy.remaining[rng.NextBounded(greedy.remaining.size())];
+      ChooseModule(&greedy, pick);
+      picks.push_back(pick);
     }
 
     FreshHtCounts fresh(*state);
@@ -363,6 +395,9 @@ TEST(FreshHtCountsTest, MatchOracleAfterEveryGreedyStep) {
         oracle_counts[m] =
             oracle::FreshHtCount(*state->mu, state->chosen, m, fx.index);
         ASSERT_EQ(fresh.count(m), oracle_counts[m]) << "module " << m;
+        ASSERT_EQ(fresh.tokens(m), oracle::FreshTokenCount(
+                                       *state->mu, state->chosen, m, fx.index))
+            << "module " << m;
       }
       if (step == picks.size()) break;
       if (step < *steps) {
@@ -386,6 +421,7 @@ TEST(FreshHtCountsTest, MatchOracleAfterEveryGreedyStep) {
     EXPECT_EQ(state->chosen, greedy.chosen);
     ExpectCountsMatchOracle(*state, *fx.input.context, fx.index);
   }
+  EXPECT_GT(phase2_trials, 10u);
 }
 
 // The incremental kernel against the from-scratch oracles: over random
@@ -474,16 +510,98 @@ TEST(IncrementalKernelTest, MatchesFromScratchOracle) {
   EXPECT_GT(bumps_first, 0u);
 }
 
-/// How often the kernel's picks stopped at their bound during one run.
+/// How often the kernel's picks stopped at their bound, and which corner
+/// cases of the phase-2 β bound they met.
 struct ExitCounts {
   size_t cover_steps = 0, cover_at_bound = 0;
   size_t slack_steps = 0, slack_at_bound = 0;
+  /// Phase-2 steps whose chosen ring has a tail of 1, 2 or 3 HTs (entry
+  /// 0 counts the other steps).
+  size_t tail_hts[4] = {};
+  /// Steps one tail token from eligibility: 0 <= δ <= c.
+  size_t near_eligible = 0;
+  /// Steps whose δ took DiversitySlack's +0.5 nudge.
+  size_t nudged_delta = 0;
+  /// Candidates whose δ_i took the -0.5 nudge.
+  size_t nudged_candidates = 0;
+  /// Steps where two candidates share the best β exactly.
+  size_t ties = 0;
 };
+
+/// Sets `*slack` to DiversitySlack of the frequency vector `q` (any
+/// order) at `req`; true when it nudged the slack onto the exact sign.
+bool NudgedSlack(std::vector<int64_t> q, const chain::DiversityRequirement& req,
+                 double* slack) {
+  std::sort(q.begin(), q.end(), std::greater<int64_t>());
+  int64_t tail = 0;
+  for (size_t i = static_cast<size_t>(req.ell) - 1; i < q.size(); ++i) {
+    tail += q[i];
+  }
+  *slack = analysis::DiversitySlack(q.front(), tail, req);
+  return *slack != static_cast<double>(q.front()) -
+                       req.c * static_cast<double>(tail);
+}
+
+/// One phase-2 step on `state`: PickSlackModule (with `fresh`, which
+/// counts against `state`) must name oracle::PickSlackModule's module.
+/// Records the step's corner cases in `counts`; returns the full scan's
+/// pick.
+GreedyPick CheckedSlackPick(const ModuleSelectionState& state,
+                            FreshHtCounts* fresh,
+                            const chain::DiversityRequirement& req,
+                            SlackScratch* scratch, ExitCounts* counts) {
+  ChosenFrequencies chosen = ChosenFrequenciesOf(state);
+  double delta = analysis::DiversitySlack(chosen.sorted, req);
+  EXPECT_GE(delta, 0.0);
+  GreedyPick full;
+  full.module = oracle::PickSlackModule(state, chosen, delta, req);
+  GreedyPick pick =
+      PickSlackModule(state, fresh, chosen, delta, req, scratch);
+  EXPECT_EQ(pick.module, full.module);
+  full.at_bound = pick.at_bound;
+
+  const size_t head = static_cast<size_t>(req.ell) - 1;
+  size_t tail_hts = chosen.sorted.size() > head
+                        ? chosen.sorted.size() - head
+                        : 0;
+  ++counts->tail_hts[tail_hts <= 3 ? tail_hts : 0];
+  if (delta <= req.c) ++counts->near_eligible;
+  double slack = 0.0;
+  if (NudgedSlack(chosen.sorted, req, &slack) && slack == 0.5) {
+    ++counts->nudged_delta;
+  }
+  double best = -std::numeric_limits<double>::infinity();
+  size_t at_best = 0;
+  for (size_t candidate : state.remaining) {
+    std::vector<int64_t> q = chosen.sorted;
+    for (HtTokens pair : state.HtsOf(candidate)) {
+      uint32_t slot = chosen.slot[pair.ht];
+      if (slot == ChosenFrequencies::kNoSlot) {
+        q.push_back(pair.tokens);
+      } else {
+        q[slot] += pair.tokens;
+      }
+    }
+    if (NudgedSlack(q, req, &slack) && slack == -0.5) {
+      ++counts->nudged_candidates;
+    }
+    double beta = (delta - slack) /
+                  static_cast<double>(state.mu->ModuleSize(candidate));
+    if (beta > best) {
+      best = beta;
+      at_best = 1;
+    } else if (beta == best) {
+      ++at_best;
+    }
+  }
+  if (at_best > 1) ++counts->ties;
+  return full;
+}
 
 /// Algorithm 4 driven by the oracle's full scans, with
 /// oracle::CheckCandidate as the stopping test. At every step the
 /// kernel's pick on the same state must name the same module; `counts`
-/// records where it stopped early.
+/// records where it stopped early and which corner cases phase 2 met.
 /// Returns the chosen modules in choice order, or the selector's status.
 common::Result<std::vector<size_t>> OracleProgressive(
     const SelectionInput& input, ExitCounts* counts) {
@@ -492,19 +610,20 @@ common::Result<std::vector<size_t>> OracleProgressive(
   auto state = InitModuleState(input);
   if (!state.ok()) return state.status();
   const size_t ell = static_cast<size_t>(effective.ell);
+  std::optional<FreshHtCounts> fresh;
   if (state->covered_hts.size() < ell) {
-    FreshHtCounts fresh(*state);
+    fresh.emplace(*state);
     while (state->covered_hts.size() < ell) {
       size_t deficit = ell - state->covered_hts.size();
-      size_t full = oracle::PickCoverModule(*state, fresh, deficit);
-      GreedyPick pick = PickCoverModule(*state, fresh, deficit);
+      size_t full = oracle::PickCoverModule(*state, *fresh, deficit);
+      GreedyPick pick = PickCoverModule(*state, *fresh, deficit);
       EXPECT_EQ(pick.module, full);
       if (full == GreedyPick::kNoModule) {
         return common::Status::Unsatisfiable("phase 1");
       }
       ++counts->cover_steps;
       if (pick.at_bound) ++counts->cover_at_bound;
-      fresh.Choose(&*state, full);
+      fresh->Choose(&*state, full);
     }
   }
   const bool exact = analysis::SlackIsExact(
@@ -512,22 +631,39 @@ common::Result<std::vector<size_t>> OracleProgressive(
   SlackScratch scratch;
   while (!oracle::CheckCandidate(*state->mu, state->chosen, *input.index,
                                  input.requirement)) {
-    ChosenFrequencies chosen = ChosenFrequenciesOf(*state);
-    double delta = analysis::DiversitySlack(chosen.sorted, effective);
-    EXPECT_GE(delta, 0.0);
-    size_t full = oracle::PickSlackModule(*state, chosen, delta, effective);
+    if (!fresh.has_value()) fresh.emplace(*state);
     GreedyPick pick =
-        PickSlackModule(*state, chosen, delta, effective, &scratch);
-    EXPECT_EQ(pick.module, full);
-    if (full == GreedyPick::kNoModule) {
+        CheckedSlackPick(*state, &*fresh, effective, &scratch, counts);
+    if (pick.module == GreedyPick::kNoModule) {
       return common::Status::Unsatisfiable("phase 2");
     }
     EXPECT_TRUE(exact || !pick.at_bound);
     ++counts->slack_steps;
     if (pick.at_bound) ++counts->slack_at_bound;
-    ChooseModule(&*state, full);
+    fresh->Choose(&*state, pick.module);
   }
   return state->chosen;
+}
+
+/// Runs ProgressiveSelector on `input` and expects the oracle run's
+/// modules, in the same order, and members. Returns true for a ring.
+bool ExpectOracleRing(const SelectionInput& input, ExitCounts* counts) {
+  auto expected = OracleProgressive(input, counts);
+  ProgressiveSelector progressive;
+  auto result = progressive.Select(input, nullptr);
+  EXPECT_EQ(result.ok(), expected.ok())
+      << (result.ok() ? expected.status() : result.status()).ToString();
+  if (!result.ok() || !expected.ok()) {
+    EXPECT_TRUE(result.status().IsUnsatisfiable());
+    return false;
+  }
+  EXPECT_EQ(result->chosen_modules, *expected);
+  auto state = InitModuleState(input);
+  EXPECT_TRUE(state.ok());
+  if (state.ok()) {
+    EXPECT_EQ(result->members, MaterializeCandidate(*state->mu, *expected));
+  }
+  return true;
 }
 
 // The early exits against the full scans: over 240 seeded universes (a
@@ -544,7 +680,6 @@ TEST(EarlyExitTest, PicksMatchFullScans) {
   size_t rings = 0;
   size_t cover_exit_trials = 0, cover_full_trials = 0;
   size_t slack_exit_trials = 0, slack_full_trials = 0;
-  ProgressiveSelector progressive;
   for (int trial = 0; trial < 240; ++trial) {
     SCOPED_TRACE(trial);
     bool wide = trial % 3 != 0;
@@ -554,20 +689,8 @@ TEST(EarlyExitTest, PicksMatchFullScans) {
     fx.input.requirement = {kCs[trial % 6], effective_ell - 1};
 
     ExitCounts counts;
-    auto expected = OracleProgressive(fx.input, &counts);
+    if (ExpectOracleRing(fx.input, &counts)) ++rings;
     if (HasFatalFailure() || HasNonfatalFailure()) return;
-    auto result = progressive.Select(fx.input, nullptr);
-    ASSERT_EQ(result.ok(), expected.ok())
-        << (result.ok() ? expected.status() : result.status()).ToString();
-    if (result.ok()) {
-      ++rings;
-      EXPECT_EQ(result->chosen_modules, *expected);
-      auto state = InitModuleState(fx.input);
-      ASSERT_TRUE(state.ok());
-      EXPECT_EQ(result->members, MaterializeCandidate(*state->mu, *expected));
-    } else {
-      EXPECT_TRUE(result.status().IsUnsatisfiable());
-    }
     if (counts.cover_steps > 0) {
       ++(counts.cover_at_bound > 0 ? cover_exit_trials : cover_full_trials);
     }
@@ -580,6 +703,64 @@ TEST(EarlyExitTest, PicksMatchFullScans) {
   EXPECT_GT(cover_full_trials, 0u);
   EXPECT_GT(slack_exit_trials, 0u);
   EXPECT_GT(slack_full_trials, 0u);
+}
+
+// The bound-pruned phase-2 scan against the full scan. Over 360 seeded
+// universes at c in {0.1, 1/3, 0.6, 0.7, 1.0, 2.0}, half of them with an
+// effective ℓ within 3 of the universe's HT count (so the chosen ring's
+// tail is 1 to 3 HTs, paper_synth's θ ≈ ℓ), ProgressiveSelector returns
+// the oracle run's ring and every pick equals oracle::PickSlackModule.
+// Random walks over 240 more universes, most of whose tokens have an HT
+// of their own, then compare the picks at every state they pass on the
+// way to eligibility. Between them the suite must reach every tail size,
+// states one token from eligibility, the +0.5 nudge on δ, the -0.5 nudge
+// on δ_i (the bound's margin covers both) and exact β ties between
+// duplicate modules.
+TEST(BoundedSlackScanTest, PicksMatchFullScan) {
+  common::Rng rng(20261030);
+  const double kCs[] = {0.1, 1.0 / 3.0, 0.6, 0.7, 1.0, 2.0};
+  ExitCounts counts;
+  size_t rings = 0;
+  for (int trial = 0; trial < 360; ++trial) {
+    SCOPED_TRACE(trial);
+    bool wide = trial % 3 != 0;
+    RandomInstance fx(&rng, wide ? 160 : 40, wide ? 80 : 12,
+                      /*no_fresh=*/trial % 5 == 4);
+    const int hts = static_cast<int>(fx.input.context->ht_count());
+    int effective_ell =
+        trial % 2 == 0
+            ? std::max(2, hts - static_cast<int>(rng.NextBounded(4)))
+            : 2 + static_cast<int>(rng.NextBounded(40));
+    fx.input.requirement = {kCs[trial % 6], effective_ell - 1};
+    if (ExpectOracleRing(fx.input, &counts)) ++rings;
+    if (HasFatalFailure() || HasNonfatalFailure()) return;
+  }
+  for (int trial = 0; trial < 240; ++trial) {
+    SCOPED_TRACE(trial);
+    RandomInstance fx(&rng, 80, 240);
+    chain::DiversityRequirement effective{
+        kCs[trial % 6], 2 + static_cast<int>(rng.NextBounded(4))};
+    auto state = InitModuleState(fx.input);
+    ASSERT_TRUE(state.ok());
+    FreshHtCounts fresh(*state);
+    SlackScratch scratch;
+    while (!state->remaining.empty() &&
+           analysis::DiversitySlack(ChosenFrequenciesOf(*state).sorted,
+                                    effective) >= 0.0) {
+      CheckedSlackPick(*state, &fresh, effective, &scratch, &counts);
+      if (HasFatalFailure() || HasNonfatalFailure()) return;
+      fresh.Choose(&*state, state->remaining[rng.NextBounded(
+                                state->remaining.size())]);
+    }
+  }
+  EXPECT_GT(counts.tail_hts[1], 0u);
+  EXPECT_GT(counts.tail_hts[2], 0u);
+  EXPECT_GT(counts.tail_hts[3], 0u);
+  EXPECT_GT(counts.near_eligible, 0u);
+  EXPECT_GT(counts.nudged_delta, 0u);
+  EXPECT_GT(counts.nudged_candidates, 0u);
+  EXPECT_GT(counts.ties, 0u);
+  EXPECT_GE(rings, 100u);
 }
 
 // The count-based verdict against oracle::CheckCandidate: along random

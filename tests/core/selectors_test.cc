@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "analysis/diversity.h"
@@ -76,7 +77,8 @@ TEST(GreedyCoverHtsTest, Example3Phase1PicksS2) {
   Example3 fx;
   auto state = InitModuleState(fx.input);
   ASSERT_TRUE(state.ok());
-  auto steps = GreedyCoverHts(&*state, 4);
+  std::optional<FreshHtCounts> fresh;
+  auto steps = GreedyCoverHts(&*state, &fresh, 4);
   ASSERT_TRUE(steps.ok());
   // r_tau = s3 ∪ s2 after the first loop (paper trace).
   auto members = MaterializeCandidate(*state->mu, state->chosen);

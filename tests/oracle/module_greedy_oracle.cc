@@ -76,6 +76,18 @@ size_t FreshHtCount(const core::ModuleUniverse& mu,
   return fresh.size();
 }
 
+size_t FreshTokenCount(const core::ModuleUniverse& mu,
+                       const std::vector<size_t>& chosen, size_t candidate,
+                       const chain::HtIndex& index) {
+  std::unordered_set<chain::TxId> covered;
+  for (chain::TokenId t : Members(mu, chosen)) covered.insert(index.HtOf(t));
+  size_t tokens = 0;
+  for (chain::TokenId t : mu.ModuleTokens(candidate)) {
+    if (covered.count(index.HtOf(t)) == 0) ++tokens;
+  }
+  return tokens;
+}
+
 size_t PickCoverModule(const core::ModuleSelectionState& state,
                        const core::FreshHtCounts& fresh, size_t deficit) {
   double best_alpha = std::numeric_limits<double>::infinity();

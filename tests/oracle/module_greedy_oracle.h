@@ -55,6 +55,11 @@ size_t FreshHtCount(const core::ModuleUniverse& mu,
                     const std::vector<size_t>& chosen, size_t candidate,
                     const chain::HtIndex& index);
 
+/// Tokens of module `candidate` on HTs that no chosen module covers.
+size_t FreshTokenCount(const core::ModuleUniverse& mu,
+                       const std::vector<size_t>& chosen, size_t candidate,
+                       const chain::HtIndex& index);
+
 /// Phase 1's full α scan: the remaining module with the least
 /// |x_i| / min(deficit, fresh_i) (first on ties, fresh_i > 0), or
 /// core::GreedyPick::kNoModule.
